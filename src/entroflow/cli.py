@@ -214,7 +214,6 @@ def cmd_search_code(args) -> int:
         alphabet_bounds=args.alphabet_max,
         allow_randomness=args.randomness == "on",
         budget=_budget(args, 10_000_000),
-        threads=args.threads,
     )
     report.add(
         "search",
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of network coding problems.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON run report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-entropic", help="polymatroid check plus witness search")
@@ -419,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-max", type=int, default=2)
     p.add_argument("--randomness", choices=("on", "off"), default="off")
     p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    # Accepted for old command lines and ignored: the search is single-threaded.
+    p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", help="write the found code as JSON")
     p.set_defaults(func=cmd_search_code)
 

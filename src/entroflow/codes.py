@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -737,7 +736,6 @@ class _SearchPlan:
         return True
 
     def realize(self, sizes: Mapping[str, int], tables: Sequence[tuple[int, ...]]) -> NetworkCode:
-        has_rnd = lambda node: node in self.rnodes
         encoders = {}
         for m, table in zip(self.messages, tables):
             refs = self._input_refs[m]
@@ -765,13 +763,12 @@ def exhaustive_search(
     alphabet_bounds: Union[int, Mapping[str, int]] = 2,
     allow_randomness: bool = False,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Enumerate encoder tables in lexicographic order; exact checks per code.
 
     The first admissible code in the deterministic enumeration order is
-    returned, regardless of the worker count.  If the candidate budget is
-    consumed first, the outcome reports the fraction searched.
+    returned.  If the candidate budget is consumed first, the outcome
+    reports the fraction searched.
     """
     plan = _SearchPlan(problem, alphabet_bounds, allow_randomness)
     total = plan.total_candidates()
@@ -783,12 +780,12 @@ def exhaustive_search(
         if searched + block > budget and block > 0:
             # Partial scan of this block up to the remaining budget.
             remaining = budget - searched
-            found, scanned = _scan_block(plan, sizes, remaining, threads)
+            found, scanned = _scan_block(plan, sizes, remaining)
             searched += scanned
             if found is not None:
                 return SearchOutcome("found", found, searched, total)
             return SearchOutcome("budget-exceeded", None, searched, total)
-        found, scanned = _scan_block(plan, sizes, block, threads)
+        found, scanned = _scan_block(plan, sizes, block)
         searched += scanned
         if found is not None:
             return SearchOutcome("found", found, searched, total)
@@ -796,7 +793,7 @@ def exhaustive_search(
 
 
 def _scan_block(
-    plan: _SearchPlan, sizes: Mapping[str, int], limit: int, threads: int
+    plan: _SearchPlan, sizes: Mapping[str, int], limit: int
 ) -> tuple[Optional[NetworkCode], int]:
     spaces = []
     for m in plan.messages:
@@ -804,52 +801,14 @@ def _scan_block(
         entries = math.prod(dims) if dims else 0
         out = sizes[m]
         spaces.append([tuple(t) for t in itertools.product(range(out), repeat=entries)])
-    if threads <= 1 or not spaces or len(spaces[0]) < 2 * threads:
-        scanned = 0
-        for tables in itertools.product(*spaces):
-            if scanned >= limit:
-                return None, scanned
-            scanned += 1
-            if plan.admissible_tables(sizes, tables):
-                return plan.realize(sizes, tables), scanned
-        return None, scanned
-    # Partition the first table space into contiguous slices; the earliest
-    # slice containing a hit wins, preserving the lexicographic contract.
-    from concurrent.futures import ThreadPoolExecutor
-
-    first = spaces[0]
-    rest = spaces[1:]
-    chunk = (len(first) + threads - 1) // threads
-    rest_block = math.prod(len(s) for s in rest) if rest else 1
-    slices = [first[i : i + chunk] for i in range(0, len(first), chunk)]
-    lock = threading.Lock()
-    state = {"scanned": 0, "stop_at": None}
-
-    def work(slice_idx: int, head: list) -> tuple[int, Optional[tuple]]:
-        local = 0
-        for hi, h in enumerate(head):
-            for tail in itertools.product(*rest):
-                with lock:
-                    if state["stop_at"] is not None and slice_idx > state["stop_at"]:
-                        return local, None
-                    if state["scanned"] >= limit:
-                        return local, None
-                    state["scanned"] += 1
-                local += 1
-                if plan.admissible_tables(sizes, (h,) + tail):
-                    with lock:
-                        if state["stop_at"] is None or slice_idx < state["stop_at"]:
-                            state["stop_at"] = slice_idx
-                    return local, (h,) + tail
-        return local, None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, i, sl) for i, sl in enumerate(slices)]
-        results = [f.result() for f in futures]
-    for _, tables in results:
-        if tables is not None:
-            return plan.realize(sizes, tables), state["scanned"]
-    return None, state["scanned"]
+    scanned = 0
+    for tables in itertools.product(*spaces):
+        if scanned >= limit:
+            return None, scanned
+        scanned += 1
+        if plan.admissible_tables(sizes, tables):
+            return plan.realize(sizes, tables), scanned
+    return None, scanned
 
 
 def _nest(table: Sequence[int], dims: Sequence[int]):

@@ -45,8 +45,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# elemental_inequalities refuses larger grounds; the list has
-# N + C(N,2) * 2^(N-2) entries and grows too fast past this point.
+# elemental_inequalities and build_shannon_lp refuse larger grounds; the
+# elemental list has N + C(N,2) * 2^(N-2) entries and grows too fast past
+# this point.
 ELEMENTAL_GROUND_LIMIT = 14
 
 Number = Union[Fraction, int, float]
@@ -381,12 +382,6 @@ class LinearFunctional:
                 total = total + coeff * v
         return total
 
-    def satisfied_by(self, h, tol: float = 0.0) -> bool:
-        v = self.evaluate(h)
-        if self.sense == "eq":
-            return abs(v) <= tol if isinstance(v, float) else (-tol <= v <= tol)
-        return v >= -tol
-
     def format(self) -> str:
         parts = []
         for mask in sorted(self.coefficients, key=lambda m: (bin(m).count("1"), m)):
@@ -468,35 +463,54 @@ def is_polymatroid(h: EntropyVector, tol: float = DEFAULT_TOL) -> PolymatroidRep
                         "monotonicity: "
                         f"h{ground.format_subset(mask)} < h{ground.format_subset(sub)}"
                     )
-    # Submodularity via the elemental triples h(iK)+h(jK) >= h(ijK)+h(K).
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = [k for k in range(n) if k != i and k != j]
-            for bits in range(1 << len(rest)):
-                kmask = 0
-                for t, k in enumerate(rest):
-                    if bits >> t & 1:
-                        kmask |= 1 << k
-                lhs_a = h.values[kmask | 1 << i]
-                lhs_b = h.values[kmask | 1 << j]
-                rhs_a = h.values[kmask | 1 << i | 1 << j]
-                rhs_b = h.value_of_mask(kmask)
-                if isinstance(lhs_a, float) or isinstance(lhs_b, float) or \
-                        isinstance(rhs_a, float) or isinstance(rhs_b, float) or tol != 0:
-                    ok = float(lhs_a) + float(lhs_b) >= float(rhs_a) + float(rhs_b) - tol
-                else:
-                    ok = lhs_a + lhs_b >= rhs_a + rhs_b
-                if not ok:
-                    li, lj = ground.labels[i], ground.labels[j]
-                    violations.append(
-                        f"submodularity: I({li};{lj}|{ground.format_subset(kmask)}) < 0"
-                    )
+    # Submodularity via the elemental triples h(iK)+h(jK) >= h(ijK)+h(K);
+    # the H(Xi|rest) rows follow from monotonicity.
+    for i, j, kmask, plus, minus in _elemental_terms(n):
+        if j is None:
+            continue
+        lhs_a, lhs_b, rhs_a, rhs_b = (h.value_of_mask(m) for m in plus + minus)
+        if isinstance(lhs_a, float) or isinstance(lhs_b, float) or \
+                isinstance(rhs_a, float) or isinstance(rhs_b, float) or tol != 0:
+            ok = float(lhs_a) + float(lhs_b) >= float(rhs_a) + float(rhs_b) - tol
+        else:
+            ok = lhs_a + lhs_b >= rhs_a + rhs_b
+        if not ok:
+            li, lj = ground.labels[i], ground.labels[j]
+            violations.append(
+                f"submodularity: I({li};{lj}|{ground.format_subset(kmask)}) < 0"
+            )
     return PolymatroidReport(not violations, tuple(violations))
 
 
-def elemental_inequalities(
-    ground: Union[int, GroundSet], limit: int = ELEMENTAL_GROUND_LIMIT
-) -> list[LinearFunctional]:
+def _elemental_terms(
+    n: int,
+) -> Iterator[tuple[int, Optional[int], int, tuple[int, ...], tuple[int, ...]]]:
+    """The elemental inequalities over n variables as (i, j, K, plus, minus).
+
+    Each reads sum(h(m) for m in plus) >= sum(h(m) for m in minus).  First
+    H(Xi | rest) >= 0 for each i (j is None, K is the rest), then
+    I(Xi;Xj | XK) >= 0 for each pair i < j with K ascending.  Masks may be
+    0 (the empty set); callers drop or map them.  The order fixes the row
+    numbering of the Shannon LP.
+    """
+    full = (1 << n) - 1
+    for i in range(n):
+        rest = full & ~(1 << i)
+        yield i, None, rest, (full,), (rest,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = 1 << i | 1 << j
+            others = full & ~ij
+            kmask = 0
+            while True:
+                yield i, j, kmask, (kmask | 1 << i, kmask | 1 << j), (kmask | ij, kmask)
+                # Next subset of `others` in ascending order; wraps to 0.
+                kmask = (kmask - others) & others
+                if not kmask:
+                    break
+
+
+def elemental_inequalities(ground: Union[int, GroundSet]) -> list[LinearFunctional]:
     """The minimal elemental generating set of the Shannon cone.
 
     One H(Xi | rest) >= 0 per variable and one I(Xi;Xj | XK) >= 0 per pair
@@ -505,38 +519,16 @@ def elemental_inequalities(
     if isinstance(ground, int):
         ground = GroundSet(tuple(f"X{i + 1}" for i in range(ground)))
     n = ground.size
-    if n > limit:
+    if n > ELEMENTAL_GROUND_LIMIT:
         raise ValueError(
-            f"ground of size {n} exceeds the configured elemental limit {limit}"
+            f"ground of size {n} exceeds the elemental limit {ELEMENTAL_GROUND_LIMIT}"
         )
-    full = ground.full_mask
-    out: list[LinearFunctional] = []
     one = Fraction(1)
-    for i in range(n):
-        rest = full & ~(1 << i)
-        coeffs = {full: one}
-        if rest:
-            coeffs[rest] = -one
+    out: list[LinearFunctional] = []
+    for _, _, _, plus, minus in _elemental_terms(n):
+        coeffs = {m: one for m in plus if m}
+        coeffs.update({m: -one for m in minus if m})
         out.append(LinearFunctional(ground, coeffs))
-    for i in range(n):
-        for j in range(i + 1, n):
-            others = [k for k in range(n) if k != i and k != j]
-            for bits in range(1 << len(others)):
-                kmask = 0
-                for t, k in enumerate(others):
-                    if bits >> t & 1:
-                        kmask |= 1 << k
-                coeffs: dict[int, Fraction] = {}
-                for mask, c in (
-                    (kmask | 1 << i, one),
-                    (kmask | 1 << j, one),
-                    (kmask | 1 << i | 1 << j, -one),
-                    (kmask, -one),
-                ):
-                    if mask:
-                        coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
-                coeffs = {m: c for m, c in coeffs.items() if c != 0}
-                out.append(LinearFunctional(ground, coeffs))
     return out
 
 

@@ -631,20 +631,19 @@ def build_secure(c: Union[Fraction, int, str], d: Union[Fraction, int, str]) -> 
                 value=value,
             )
         )
-    if 2 * c != c:
-        # Probe flagging that the joint key entropy is c, not 2c: the
-        # doubled target is refuted by the same LP.
-        obligations.append(
-            Obligation(
-                name="key-pair-doubled-target-refuted",
-                kind="chain-claim",
-                subnetwork=None,
-                expression="H(K,W4)",
-                relation="=",
-                value=str(2 * c),
-                expected="contradicted",
-            )
+    # Probe flagging that the joint key entropy is c, not 2c: the doubled
+    # target is refuted by the same LP.
+    obligations.append(
+        Obligation(
+            name="key-pair-doubled-target-refuted",
+            kind="chain-claim",
+            subnetwork=None,
+            expression="H(K,W4)",
+            relation="=",
+            value=str(2 * c),
+            expected="contradicted",
         )
+    )
     notes = (
         "The two-hop key path realizes key transport from the splitting "
         "relay to the merging relay; the relayed copy is the W4 role.",

@@ -20,8 +20,12 @@ closed subsets only, which shrinks it by orders of magnitude without
 changing the feasible set or any optimum (`reduce=False` keeps the raw
 2^n - 1 coordinates for cross-checks on small grounds).
 
-Solving is exact rational simplex with Bland's rule; every certificate is
-re-verified by substitution before it is returned.
+Solving is float-proposed and exactly verified: HiGHS (through scipy)
+proposes an optimum or an infeasibility combination, which is rounded to
+rationals and accepted only when it passes exact substitution against
+every row.  When no proposal verifies, or scipy is missing, the lazy exact
+rational simplex settles the LP.  Every returned certificate has been
+re-verified by substitution.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import (
+    ELEMENTAL_GROUND_LIMIT,
     GroundSet,
     JointDistribution,
     LinearFunctional,
+    _elemental_terms,
     as_fraction,
     subset_entropy,
 )
@@ -44,6 +50,7 @@ from entroflow.simplex import (
     ExactSimplex,
     LinearRow,
     SimplexCertificate,
+    row_violated,
     verify_certificate,
 )
 
@@ -69,9 +76,6 @@ __all__ = [
     "certificate_to_json",
 ]
 
-DEFAULT_GROUND_LIMIT = 14
-
-
 class GroundTooLargeError(ValueError):
     def __init__(self, size: int, limit: int):
         super().__init__(
@@ -96,9 +100,6 @@ class TaggedConstraint:
     sense: str  # "ge" | "le" | "eq"
     rhs: Fraction
     tag: tuple[str, ...]
-
-    def value_at(self, lookup) -> Fraction:
-        return sum((c * lookup(m) for m, c in self.coeffs), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,6 @@ def build_shannon_lp(
     rate_sessions: Union[str, Sequence[str]] = "all",
     axioms: Sequence[tuple[str, str, str, Union[Fraction, int, str]]] = (),
     reduce: bool = True,
-    ground_limit: int = DEFAULT_GROUND_LIMIT,
 ) -> ShannonLP:
     """Shannon outer-bound LP for a problem (feasibility form, no objective).
 
@@ -416,8 +416,8 @@ def build_shannon_lp(
     vg = _ground_of(problem, include_randomness, variables)
     ground = vg.ground
     n = ground.size
-    if n > ground_limit:
-        raise GroundTooLargeError(n, ground_limit)
+    if n > ELEMENTAL_GROUND_LIMIT:
+        raise GroundTooLargeError(n, ELEMENTAL_GROUND_LIMIT)
     rules = _dependency_rules(problem, vg)
     closures = _closure_table(n, rules) if reduce else tuple(range(1 << n))
 
@@ -438,36 +438,22 @@ def build_shannon_lp(
         rows.append(TaggedConstraint(tuple(sorted(coeffs.items())), sense, rhs, tag))
 
     one = Fraction(1)
-    full = ground.full_mask
     # The closure of the empty set is a constant tuple; pin it to zero.
     if cl(0):
         push({cl(0): one}, "eq", Fraction(0), ("causality", "nullary"))
     # Elemental inequalities, mapped through the closure.
-    for i in range(n):
+    for i, j, kmask, plus, minus in _elemental_terms(n):
         coeffs: dict[int, Fraction] = {}
-        _add(coeffs, cl(full), one)
-        _add(coeffs, cl(full & ~(1 << i)), -one)
-        push(coeffs, "ge", Fraction(0), ("elemental", f"H({ground.labels[i]}|rest)"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            others = [k for k in range(n) if k != i and k != j]
-            li, lj = ground.labels[i], ground.labels[j]
-            for bits in range(1 << len(others)):
-                kmask = 0
-                for t, k in enumerate(others):
-                    if bits >> t & 1:
-                        kmask |= 1 << k
-                coeffs = {}
-                _add(coeffs, cl(kmask | 1 << i), one)
-                _add(coeffs, cl(kmask | 1 << j), one)
-                _add(coeffs, cl(kmask | 1 << i | 1 << j), -one)
-                _add(coeffs, cl(kmask), -one)
-                push(
-                    coeffs,
-                    "ge",
-                    Fraction(0),
-                    ("elemental", f"I({li};{lj}|{ground.format_subset(kmask)})"),
-                )
+        for mask in plus:
+            _add(coeffs, cl(mask), one)
+        for mask in minus:
+            _add(coeffs, cl(mask), -one)
+        li = ground.labels[i]
+        if j is None:
+            tag = f"H({li}|rest)"
+        else:
+            tag = f"I({li};{ground.labels[j]}|{ground.format_subset(kmask)})"
+        push(coeffs, "ge", Fraction(0), ("elemental", tag))
     # Causality and decodability: folded into the closure when reducing,
     # explicit equalities otherwise.
     if not reduce:
@@ -561,6 +547,27 @@ class Certificate:
     pivots: tuple[tuple[int, int], ...]
 
 
+def _triplets(
+    rows: Sequence[tuple[LinearRow, float]],
+) -> tuple[list[float], list[int], list[int], list[float]]:
+    """Sparse (data, row, col) triplets and right sides of sign * row.
+
+    Output row k is the k-th (row, sign) pair, so the caller's order is the
+    matrix's row order.
+    """
+    data: list[float] = []
+    ri: list[int] = []
+    ci: list[int] = []
+    rhs: list[float] = []
+    for k, (row, sign) in enumerate(rows):
+        for j, c in row.coeffs.items():
+            data.append(sign * float(c))
+            ri.append(k)
+            ci.append(j)
+        rhs.append(sign * float(row.rhs))
+    return data, ri, ci, rhs
+
+
 class ShannonSolver:
     """Exact solver bound to one LP; re-use it for chains of objectives.
 
@@ -570,6 +577,10 @@ class ShannonSolver:
     is therefore an optimum of the full LP (inactive rows carry zero dual
     multipliers), and the final certificate is re-verified against the
     complete row list.
+
+    The solver is stateful: `active` (the activated rows) and `simplex`
+    (the exact solver with its basis) change with every solve.  Do not
+    share one instance across threads.
     """
 
     def __init__(self, lp: ShannonLP, verify: bool = True):
@@ -605,42 +616,27 @@ class ShannonSolver:
         from scipy import sparse
 
         n = len(self.lp.coords)
-        ub_data, ub_b, ub_idx = ([], [], []), [], []
-        eq_data, eq_b, eq_idx = ([], [], []), [], []
-        for i, row in enumerate(self.all_rows):
-            sign = -1.0 if row.sense == "ge" else 1.0
-            if row.sense == "eq":
-                block, rhs_list, idx = eq_data, eq_b, eq_idx
-            else:
-                block, rhs_list, idx = ub_data, ub_b, ub_idx
-            r = len(idx)
-            for j, c in row.coeffs.items():
-                block[0].append(sign * float(c))
-                block[1].append(r)
-                block[2].append(j)
-            rhs_list.append(sign * float(row.rhs))
-            idx.append(i)
+        ub_idx = [i for i, row in enumerate(self.all_rows) if row.sense != "eq"]
+        eq_idx = [i for i, row in enumerate(self.all_rows) if row.sense == "eq"]
 
-        def matrix(block, rows):
-            if not rows:
-                return None
-            return sparse.csr_matrix(
-                (block[0], (block[1], block[2])), shape=(len(rows), n)
+        def block(idx):
+            if not idx:
+                return None, None
+            data, ri, ci, rhs = _triplets(
+                [(self.all_rows[i], -1.0 if self.all_rows[i].sense == "ge" else 1.0) for i in idx]
             )
+            return sparse.csr_matrix((data, (ri, ci)), shape=(len(idx), n)), np.array(rhs)
 
-        self._float_model = (
-            matrix(ub_data, ub_idx),
-            np.array(ub_b) if ub_idx else None,
-            ub_idx,
-            matrix(eq_data, eq_idx),
-            np.array(eq_b) if eq_idx else None,
-            eq_idx,
-        )
+        a_ub, b_ub = block(ub_idx)
+        a_eq, b_eq = block(eq_idx)
+        self._float_model = (a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx)
 
     def _float_seed(self, res) -> list[int]:
-        _, _, ub_idx, _, _, _ = self._float_model
+        if res is None:
+            return []
+        ub_idx = self._float_model[2]
         seed: list[int] = []
-        if res is not None and res.status == 0 and ub_idx:
+        if res.status == 0 and ub_idx:
             # Rows in the optimal dual support plus rows tight at the
             # optimal vertex: together they describe the optimal face.
             for pos, y in enumerate(res.ineqlin.marginals):
@@ -734,32 +730,16 @@ class ShannonSolver:
         except ImportError:  # pragma: no cover
             return None
         # Elastic rows in <=-form: (sign * a) . x - t_k <= sign * b.
-        data, ri, ci, rhs, owners, signs = [], [], [], [], [], []
-
-        def add(row_idx: int, row: LinearRow, sign: int) -> None:
-            k = len(rhs)
-            for j, c in row.coeffs.items():
-                data.append(sign * float(c))
-                ri.append(k)
-                ci.append(j)
-            rhs.append(sign * float(row.rhs))
-            owners.append(row_idx)
-            signs.append(sign)
-
+        owners = []
         for i, row in enumerate(self.all_rows):
-            if row.sense == "le":
-                add(i, row, 1)
-            elif row.sense == "ge":
-                add(i, row, -1)
-            else:
-                add(i, row, 1)
-                add(i, row, -1)
+            for sign in (1,) if row.sense == "le" else (-1,) if row.sense == "ge" else (1, -1):
+                owners.append((i, sign))
+        data, ri, ci, rhs = _triplets([(self.all_rows[i], sign) for i, sign in owners])
         n = len(self.lp.coords)
         m = len(rhs)
-        for k in range(m):
-            data.append(-1.0)
-            ri.append(k)
-            ci.append(n + k)
+        data += [-1.0] * m
+        ri += range(m)
+        ci += range(n, n + m)
         a = sparse.csr_matrix((data, (ri, ci)), shape=(m, n + m))
         c = [0.0] * n + [1.0] * m
         res = optimize.linprog(
@@ -772,7 +752,8 @@ class ShannonSolver:
         for k, marg in enumerate(res.ineqlin.marginals):
             if abs(marg) > 1e-11:
                 y = -Fraction(float(marg)).limit_denominator(lim)
-                farkas[owners[k]] += signs[k] * y
+                i, sign = owners[k]
+                farkas[i] += sign * y
         cert = SimplexCertificate(
             status="infeasible",
             value=None,
@@ -795,31 +776,8 @@ class ShannonSolver:
             verify=False,
         )
 
-    def _violated_by_point(self, x: Mapping[int, Fraction]) -> list[int]:
-        out = []
-        for i in self._inactive:
-            row = self.all_rows[i]
-            v = sum((c * x.get(j, Fraction(0)) for j, c in row.coeffs.items()), Fraction(0))
-            bad = (
-                v > row.rhs
-                if row.sense == "le"
-                else v < row.rhs
-                if row.sense == "ge"
-                else v != row.rhs
-            )
-            if bad:
-                out.append(i)
-        return out
-
-    def _violated_by_ray(self, ray: Mapping[int, Fraction]) -> list[int]:
-        out = []
-        for i in self._inactive:
-            row = self.all_rows[i]
-            v = sum((c * ray.get(j, Fraction(0)) for j, c in row.coeffs.items()), Fraction(0))
-            bad = v > 0 if row.sense == "le" else v < 0 if row.sense == "ge" else v != 0
-            if bad:
-                out.append(i)
-        return out
+    def _violated(self, x: Mapping[int, Fraction], ray: bool = False) -> list[int]:
+        return [i for i in self._inactive if row_violated(self.all_rows[i], x, ray)]
 
     def _activate(self, rows: list[int]) -> None:
         self.active.extend(rows)
@@ -863,12 +821,12 @@ class ShannonSolver:
         while True:
             cert = self.simplex.maximize(objective)
             if cert.status == "optimal":
-                grow = self._violated_by_point(cert.x)
+                grow = self._violated(cert.x)
             elif cert.status == "unbounded":
-                grow = self._violated_by_ray(cert.ray)
+                grow = self._violated(cert.ray, ray=True)
                 if not grow:
                     # The base point must clear the inactive rows too.
-                    grow = self._violated_by_point(cert.x)
+                    grow = self._violated(cert.x)
             else:
                 grow = []
             if grow:

@@ -4,8 +4,10 @@ The solver works on ``max c.x  s.t.  a_i.x (<=|=|>=) b_i, x >= 0`` with
 rational data.  Internally it keeps a fraction-free integer tableau (the
 classic subdeterminant form: the rational tableau times a positive
 integer denominator), so every pivot is integer multiply/subtract plus
-one exact division.  Pivoting uses Bland's rule throughout, which makes
-the pivot sequence deterministic and guarantees termination.
+one exact division.  Pricing is Dantzig's rule (most negative reduced
+cost, lowest index on ties); after 24 consecutive degenerate pivots it
+switches to Bland's rule until the objective moves again, which keeps the
+pivot sequence deterministic and guarantees termination.
 
 Every answer carries a certificate that is re-verified against the
 original rows by plain rational substitution before it is returned:
@@ -31,6 +33,7 @@ __all__ = [
     "SimplexCertificate",
     "ExactSimplex",
     "verify_certificate",
+    "row_violated",
     "CertificateError",
 ]
 
@@ -61,13 +64,42 @@ class SimplexCertificate:
     pivots: tuple[tuple[int, int], ...]
 
 
-def _row_value(row: LinearRow, x: Mapping[int, Fraction]) -> Fraction:
-    total = Fraction(0)
+def row_violated(row: LinearRow, x: Mapping[int, Fraction], ray: bool = False) -> bool:
+    """True when the point x breaks the row; for a ray the rhs is taken as 0."""
+    v = Fraction(0)
     for j, c in row.coeffs.items():
         xv = x.get(j)
         if xv is not None and xv != 0:
-            total += c * xv
-    return total
+            v += c * xv
+    rhs = 0 if ray else row.rhs
+    if row.sense == "le":
+        return v > rhs
+    if row.sense == "ge":
+        return v < rhs
+    return v != rhs
+
+
+def _combine(
+    n_vars: int, rows: Sequence[LinearRow], mult: Sequence[Fraction], kind: str
+) -> tuple[list[Fraction], Fraction]:
+    """Sum mult_i * row_i after checking each multiplier's sign on its row.
+
+    A <= row takes a nonnegative multiplier, a >= row a nonpositive one;
+    returns the combined coefficients and the combined right side.
+    """
+    combo = [Fraction(0)] * n_vars
+    bound = Fraction(0)
+    for yi, row in zip(mult, rows):
+        if yi == 0:
+            continue
+        if row.sense == "le" and yi < 0:
+            raise CertificateError(f"{kind} sign violated on a <= row")
+        if row.sense == "ge" and yi > 0:
+            raise CertificateError(f"{kind} sign violated on a >= row")
+        for j, c in row.coeffs.items():
+            combo[j] += yi * c
+        bound += yi * row.rhs
+    return combo, bound
 
 
 def verify_certificate(
@@ -82,12 +114,7 @@ def verify_certificate(
         if any(v < 0 for v in x.values()):
             raise CertificateError("primal point has a negative coordinate")
         for i, row in enumerate(rows):
-            v = _row_value(row, x)
-            if row.sense == "le" and v > row.rhs:
-                raise CertificateError(f"primal point violates row {i}")
-            if row.sense == "ge" and v < row.rhs:
-                raise CertificateError(f"primal point violates row {i}")
-            if row.sense == "eq" and v != row.rhs:
+            if row_violated(row, x):
                 raise CertificateError(f"primal point violates row {i}")
         got = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
         if got != cert.value:
@@ -95,18 +122,7 @@ def verify_certificate(
         y = cert.duals
         if y is None or len(y) != len(rows):
             raise CertificateError("optimal certificate lacks dual multipliers")
-        combo = [Fraction(0)] * n_vars
-        bound = Fraction(0)
-        for yi, row in zip(y, rows):
-            if yi == 0:
-                continue
-            if row.sense == "le" and yi < 0:
-                raise CertificateError("dual sign violated on a <= row")
-            if row.sense == "ge" and yi > 0:
-                raise CertificateError("dual sign violated on a >= row")
-            for j, c in row.coeffs.items():
-                combo[j] += yi * c
-            bound += yi * row.rhs
+        combo, bound = _combine(n_vars, rows, y, "dual")
         for j in range(n_vars):
             if combo[j] < objective.get(j, Fraction(0)):
                 raise CertificateError(f"dual infeasible at variable {j}")
@@ -116,18 +132,7 @@ def verify_certificate(
         u = cert.farkas
         if u is None or len(u) != len(rows):
             raise CertificateError("infeasibility certificate lacks multipliers")
-        combo = [Fraction(0)] * n_vars
-        bound = Fraction(0)
-        for ui, row in zip(u, rows):
-            if ui == 0:
-                continue
-            if row.sense == "le" and ui < 0:
-                raise CertificateError("Farkas sign violated on a <= row")
-            if row.sense == "ge" and ui > 0:
-                raise CertificateError("Farkas sign violated on a >= row")
-            for j, c in row.coeffs.items():
-                combo[j] += ui * c
-            bound += ui * row.rhs
+        combo, bound = _combine(n_vars, rows, u, "Farkas")
         if any(v < 0 for v in combo):
             raise CertificateError("Farkas combination is not componentwise nonnegative")
         if bound >= 0:
@@ -142,21 +147,11 @@ def verify_certificate(
         if gain <= 0:
             raise CertificateError("ray does not improve the objective")
         for i, row in enumerate(rows):
-            v = _row_value(row, ray)
-            if row.sense == "le" and v > 0:
-                raise CertificateError(f"ray escapes row {i}")
-            if row.sense == "ge" and v < 0:
-                raise CertificateError(f"ray escapes row {i}")
-            if row.sense == "eq" and v != 0:
+            if row_violated(row, ray, ray=True):
                 raise CertificateError(f"ray escapes row {i}")
         # The current point must be feasible for the ray to matter.
         for i, row in enumerate(rows):
-            v = _row_value(row, cert.x)
-            if row.sense == "le" and v > row.rhs:
-                raise CertificateError(f"ray base point violates row {i}")
-            if row.sense == "ge" and v < row.rhs:
-                raise CertificateError(f"ray base point violates row {i}")
-            if row.sense == "eq" and v != row.rhs:
+            if row_violated(row, cert.x):
                 raise CertificateError(f"ray base point violates row {i}")
     else:
         raise CertificateError(f"unknown status {cert.status!r}")
@@ -218,9 +213,6 @@ class ExactSimplex:
         # e_i; it exposes the i-th dual multiplier at any basis.
         self._witness: list[tuple[int, int]] = []
         T = np.zeros((m + 1, self.width + 1), dtype=object)
-        for i in range(m + 1):
-            for j in range(self.width + 1):
-                T[i, j] = 0
         slack_at = n
         art_next = art_at
         self.basis: list[int] = []
@@ -295,8 +287,6 @@ class ExactSimplex:
         T = self.T
         m = len(self.rows)
         obj = np.zeros(self.width + 1, dtype=object)
-        for j in range(self.width + 1):
-            obj[j] = 0
         for j, c in c_int.items():
             obj[j] = -c * self.den
         for i in range(m):

@@ -212,12 +212,16 @@ class TestMoreCliPaths:
         assert "# Shannon LP over" in out
         assert "unreduced" in out
 
-    def test_search_code_threads(self, tmp_path):
+    def test_search_code_threads(self, tmp_path, capsys):
+        # --threads still parses but is ignored: the output does not change.
         from test_network import butterfly
         from entroflow.network import serialize
 
         path = write(tmp_path, "bf.json", serialize(butterfly()))
+        assert main(["search-code", path]) == 0
+        plain = capsys.readouterr().out
         assert main(["search-code", path, "--threads", "2"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_verify_adhesion_demo(self, capsys):
         assert main(["verify", "thm4-demo"]) == 0

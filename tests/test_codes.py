@@ -379,11 +379,6 @@ class TestExhaustiveSearch:
         b = exhaustive_search(butterfly(), alphabet_bounds=2)
         assert code_to_json(a.code) == code_to_json(b.code)
 
-    def test_threaded_matches_sequential(self):
-        a = exhaustive_search(butterfly(), alphabet_bounds=2, threads=1)
-        b = exhaustive_search(butterfly(), alphabet_bounds=2, threads=3)
-        assert code_to_json(a.code) == code_to_json(b.code)
-
     def test_against_randomized_restart_oracle(self, rng):
         # On tiny instances an independent random-sampling oracle must
         # agree with the exhaustive verdict about existence.

@@ -121,7 +121,9 @@ class TestPolymatroid:
 class TestElemental:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 9), (4, 28)])
     def test_counts(self, n, count):
-        assert len(elemental_inequalities(n)) == count
+        rows = elemental_inequalities(n)
+        assert len(rows) == count
+        assert len({frozenset(f.coefficients.items()) for f in rows}) == count
 
     def test_refuses_large_ground(self):
         with pytest.raises(ValueError):

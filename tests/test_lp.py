@@ -211,6 +211,29 @@ class TestOptima:
         assert second.value == 1
 
 
+class TestExactFallback:
+    @pytest.mark.parametrize(
+        "problem,kwargs,objective",
+        [
+            (simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))]), {}, "H(S)"),
+            (simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]), {}, "H(S)"),
+            (butterfly(), {"rate_sessions": "none"}, "H(T)"),
+        ],
+        ids=["single-edge", "single-edge-infeasible", "butterfly"],
+    )
+    def test_matches_float_path_without_proposal(self, problem, kwargs, objective, monkeypatch):
+        # Without a float proposal (as without scipy) the lazy exact simplex
+        # settles the LP; it must agree with the float-certified answer.
+        lp = build_shannon_lp(problem, **kwargs)
+        want = ShannonSolver(lp).maximize(objective)
+        want_feasible = feasibility(lp).status
+        monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective: None)
+        solver = ShannonSolver(lp)
+        got = solver.maximize(objective)
+        assert (got.status, got.value) == (want.status, want.value)
+        assert solver.feasibility().status == want_feasible
+
+
 class TestForcedEquality:
     def test_trivial_forced(self):
         # Decoding pins the source to the pipe: H(S|e) = 0 is forced.

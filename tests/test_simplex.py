@@ -135,6 +135,27 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             verify_certificate(1, rows, {0: F(1)}, bad)
 
+    @pytest.mark.parametrize("sense,rhs,bad", [("le", 1, 2), ("ge", 2, 1), ("eq", 1, 2)])
+    def test_row_violations_rejected(self, sense, rhs, bad):
+        # Row 0 is "x (sense) rhs" and x = bad breaks it.  The ray row is
+        # "+-x (sense) 0", signed so that the ray along x breaks it.
+        row = R({0: 1}, sense, rhs)
+        point = SimplexCertificate(
+            "optimal", F(bad), {0: F(bad)}, (F(1),), None, None, ()
+        )
+        with pytest.raises(CertificateError, match="primal point violates row 0"):
+            verify_certificate(1, [row], {0: F(1)}, point)
+        ray_row = R({0: 1 if sense != "ge" else -1}, sense, 0)
+        escaping = SimplexCertificate("unbounded", None, {}, None, None, {0: F(1)}, ())
+        with pytest.raises(CertificateError, match="ray escapes row 0"):
+            verify_certificate(1, [ray_row], {0: F(1)}, escaping)
+        # A ray that stays inside (along y) from a base point that does not.
+        base = SimplexCertificate(
+            "unbounded", None, {0: F(bad)}, None, None, {1: F(1)}, ()
+        )
+        with pytest.raises(CertificateError, match="ray base point violates row 0"):
+            verify_certificate(2, [row], {1: F(1)}, base)
+
     def test_unbounded_certificate_verifies(self):
         rows = [R({0: 1, 1: -1}, "le", 1)]
         s = ExactSimplex(2, rows)
