@@ -12,6 +12,7 @@ usage or parse error; 65 variable ground too large.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -314,11 +315,11 @@ def _verify_uniform_witness(args, report: _Report) -> bool:
         return False
     report.add("quasi-uniform", True, "all subset marginals uniform")
     code = incremental_code(q)
-    verdict = check_admissible(code)
-    report.add("witness-code", verdict.admissible, verdict.describe())
     from entroflow.codes import induced_joint_distribution
 
     dist = induced_joint_distribution(code)
+    verdict = check_admissible(code, dist=dist)
+    report.add("witness-code", verdict.admissible, verdict.describe())
     names = q.names()
     h_in = ent.quasi_uniform_vector_of(q)
     vec = ent.entropy_vector_of(dist, names)
@@ -463,10 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     return args.func(args)

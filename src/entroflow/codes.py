@@ -348,12 +348,8 @@ def evaluate(
 
 
 def _message_order(problem: NetworkProblem) -> tuple[str, ...]:
-    net = problem.network
-    return tuple(
-        name
-        for name in ancestral_order(problem)
-        if any(e.id == name and e.forwards is None for e in net.edges)
-    )
+    messages = {e.id for e in problem.network.edges if e.forwards is None}
+    return tuple(name for name in ancestral_order(problem) if name in messages)
 
 
 def induced_joint_distribution(
@@ -466,9 +462,15 @@ def check_secrecy(
 
 
 def check_admissible(
-    code: NetworkCode, problem: Optional[NetworkProblem] = None
+    code: NetworkCode,
+    problem: Optional[NetworkProblem] = None,
+    dist: Optional[JointDistribution] = None,
 ) -> Verdict:
-    """Alphabet-capacity, rate, zero-error, and secrecy checks, all exact."""
+    """Alphabet-capacity, rate, zero-error, and secrecy checks, all exact.
+
+    `dist`, when given, must be the code's induced joint distribution; it
+    saves computing it again.
+    """
     problem = problem or code.problem
     net = problem.network
     reasons: list[tuple[str, ...]] = []
@@ -483,7 +485,7 @@ def check_admissible(
         if not alphabet_meets_rate(size, s.rate):
             reasons.append(("rate", s.id, f"alphabet {size} below 2^{s.rate}"))
     if not reasons:
-        dist = induced_joint_distribution(code)
+        dist = dist or induced_joint_distribution(code)
         ok, failures = check_zero_error(code, problem, dist)
         for sink, sid in failures:
             reasons.append(("decode", sink, sid))

@@ -18,7 +18,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from entroflow.entropy import as_fraction
 
@@ -96,22 +97,49 @@ class Edge:
     forwards: Optional[str] = None  # id of the edge whose message this one copies
 
 
+class _EdgeIndex(NamedTuple):
+    by_id: dict[str, Edge]
+    into: dict[str, tuple[Edge, ...]]
+    out_of: dict[str, tuple[Edge, ...]]
+
+
 @dataclass(frozen=True)
 class Network:
+    """Nodes and edges of a DAG.
+
+    The lookups `edge`, `in_edges` and `out_edges` read one index that is
+    built on first use and kept on the (immutable) instance.
+    """
+
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def edge(self, edge_id: str) -> Edge:
+    @cached_property
+    def _index(self) -> _EdgeIndex:
+        by_id: dict[str, Edge] = {}
+        into: dict[str, list[Edge]] = {}
+        out_of: dict[str, list[Edge]] = {}
         for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"unknown edge {edge_id!r}")
+            by_id.setdefault(e.id, e)  # the first edge with an id wins
+            into.setdefault(e.head, []).append(e)
+            out_of.setdefault(e.tail, []).append(e)
+        return _EdgeIndex(
+            by_id,
+            {v: tuple(es) for v, es in into.items()},
+            {v: tuple(es) for v, es in out_of.items()},
+        )
+
+    def edge(self, edge_id: str) -> Edge:
+        try:
+            return self._index.by_id[edge_id]
+        except KeyError:
+            raise KeyError(f"unknown edge {edge_id!r}") from None
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.head == node)
+        return self._index.into.get(node, ())
 
     def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.tail == node)
+        return self._index.out_of.get(node, ())
 
     def message_of(self, edge_id: str) -> str:
         """Resolve forwarding chains to the distinct message an edge carries."""
@@ -192,10 +220,25 @@ class RateCapacityTuple:
 
 @dataclass(frozen=True)
 class NetworkProblem:
+    """A network with its sessions, wiretaps and randomness nodes.
+
+    `validate` and `ancestral_order` derive their results once per
+    (immutable) instance and keep them on it; a failed derivation is not
+    kept, so it fails again on the next call.
+    """
+
     network: Network
     requirement: ConnectionRequirement
     wiretaps: WiretapPattern = WiretapPattern()
     randomness_nodes: tuple[str, ...] = ()
+
+    @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        return tuple(_structural_errors(self))
+
+    @cached_property
+    def _ancestral_order(self) -> tuple[str, ...]:
+        return tuple(_derive_ancestral_order(self))
 
     @property
     def rate_capacity(self) -> RateCapacityTuple:
@@ -224,7 +267,15 @@ class NetworkProblem:
 
 
 def validate(problem: NetworkProblem) -> list[str]:
-    """Structural validation; the returned list is empty iff the problem is sound."""
+    """Structural validation; the returned list is empty iff the problem is sound.
+
+    The errors are found once per problem instance; each call returns a
+    fresh list.
+    """
+    return list(problem._errors)
+
+
+def _structural_errors(problem: NetworkProblem) -> list[str]:
     errors: list[str] = []
     net = problem.network
     nodes = set(net.nodes)
@@ -302,7 +353,15 @@ def ancestral_order(problem: NetworkProblem) -> list[str]:
     Edges are layered by the longest chain of edges feeding them, so every
     edge appears after every session at its tail and after every edge into
     its tail; ties within a layer break by lexicographic edge id.
+
+    The order is derived once per problem instance and each call returns
+    a fresh list.  A problem with a cycle or an unknown reference raises
+    ValueError on every call.
     """
+    return list(problem._ancestral_order)
+
+
+def _derive_ancestral_order(problem: NetworkProblem) -> list[str]:
     errors = validate(problem)
     if any("cycle" in e or "unknown" in e for e in errors):
         raise ValueError("; ".join(errors))

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "LinearRow",
     "SimplexCertificate",
@@ -212,6 +210,8 @@ class ExactSimplex:
         # Witness column per row: a tableau column whose initial content is
         # e_i; it exposes the i-th dual multiplier at any basis.
         self._witness: list[tuple[int, int]] = []
+        import numpy as np  # only the tableau needs numpy; keep it off the import path
+
         T = np.zeros((m + 1, self.width + 1), dtype=object)
         slack_at = n
         art_next = art_at
@@ -285,6 +285,8 @@ class ExactSimplex:
 
     def _install_objective(self, c_int: dict[int, int]) -> None:
         T = self.T
+        import numpy as np
+
         m = len(self.rows)
         obj = np.zeros(self.width + 1, dtype=object)
         for j, c in c_int.items():

@@ -155,6 +155,20 @@ class TestVerify:
         path = write(tmp_path, "q.json", q.to_json())
         assert main(["verify", "thm2", "--q", path]) == 0
 
+    def test_uniform_witness_induces_once(self, tmp_path, capsys, monkeypatch):
+        from entroflow import codes
+
+        induce = codes.induced_joint_distribution
+        calls = []
+        monkeypatch.setattr(
+            codes, "induced_joint_distribution", lambda *a, **k: calls.append(1) or induce(*a, **k)
+        )
+        q = quasi_uniform_library()["xor-triple"]
+        path = write(tmp_path, "q.json", q.to_json())
+        assert main(["verify", "thm2", "--q", path]) == 0
+        assert "PASS witness-code: admissible" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_incremental_forcing_negative(self, tmp_path, capsys):
         # A non-entropic vector: some subnetwork LP refutes it, either by
         # an outright infeasibility or by a contradicted claim.

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import entroflow
+from entroflow import network
 from entroflow.codes import (
     CodeBuilder,
     NodeRandomness,
@@ -21,6 +26,7 @@ from entroflow.codes import (
     minimal_source_alphabet,
 )
 from entroflow.entropy import check_independence
+from entroflow.gadgets import incremental_code, quasi_uniform_library
 from entroflow.network import Capacity, parse
 
 from test_network import butterfly, simple_problem
@@ -224,6 +230,47 @@ class TestAdmissible:
 
     def test_pad(self):
         assert check_admissible(pad_code())
+
+    def test_given_distribution_gives_the_same_verdict(self):
+        leaky = (
+            CodeBuilder(pad_problem())
+            .source("X", 2)
+            .edge("e1", 2, lambda v: v["X"])
+            .edge("e2", 2, lambda v: v["X"])
+            .build()
+        )
+        assert not check_admissible(leaky)
+        for code in (relay_code(), pad_code(), butterfly_code(), leaky):
+            dist = induced_joint_distribution(code)
+            assert check_admissible(code, dist=dist) == check_admissible(code)
+
+
+class TestDerivedOnce:
+    def test_order_derived_once_per_problem(self, monkeypatch):
+        derived = {"order": [], "errors": []}
+        order, errors = network._derive_ancestral_order, network._structural_errors
+        monkeypatch.setattr(
+            network, "_derive_ancestral_order", lambda p: derived["order"].append(p) or order(p)
+        )
+        monkeypatch.setattr(
+            network, "_structural_errors", lambda p: derived["errors"].append(p) or errors(p)
+        )
+        q = quasi_uniform_library()["xor-triple"]
+        code = incremental_code(q)
+        assert check_admissible(code)
+        # The list keeps every problem alive, so equal ids mean one instance.
+        for kind, problems in derived.items():
+            assert any(p is code.problem for p in problems), kind
+            assert len({id(p) for p in problems}) == len(problems), kind
+
+    def test_cli_import_loads_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(entroflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, entroflow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestDerandomize:

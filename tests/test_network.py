@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entroflow import network
 from entroflow.network import (
     UNBOUNDED,
     Capacity,
@@ -145,6 +148,121 @@ class TestAncestralOrder:
         for e in p.network.edges:
             for upstream in p.network.in_edges(e.tail):
                 assert order.index(upstream.id) < order.index(e.id)
+
+
+@st.composite
+def random_networks(draw):
+    """Small problems on n0..n(k-1): forward edges, optional back edges
+    (which may close cycles), forwarding edges and shuffled edge ids."""
+    k = draw(st.integers(2, 6))
+    nodes = tuple(f"n{i}" for i in range(k))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 2), st.integers(1, k - 1)), max_size=9))
+    pairs = sorted((a, b) for a, b in pairs if a < b)  # feeding edges first: more forwarding
+    pairs += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=2))
+    ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
+    edges: list[Edge] = []
+    for eid, (a, b) in zip(ids, pairs):
+        feeding = [e.id for e in edges if e.head == nodes[a]]
+        forwards = draw(st.sampled_from([None] + feeding))
+        edges.append(Edge(eid, nodes[a], nodes[b], Capacity.of(1), forwards))
+    sessions = [Session("S", Fraction(1), "n0", (nodes[-1],))]
+    if draw(st.booleans()):
+        sessions.append(Session("R", Fraction(1), nodes[draw(st.integers(0, k - 2))], (nodes[-1],)))
+    return NetworkProblem(Network(nodes, tuple(edges)), ConnectionRequirement(tuple(sessions)))
+
+
+def reference_stuck_nodes(net):
+    """Nodes that Kahn's algorithm cannot place: those reachable from a cycle."""
+    reach = {v: {e.head for e in net.edges if e.tail == v} for v in net.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for v in net.nodes:
+            wider = reach[v].union(*(reach[u] for u in reach[v]))
+            if wider != reach[v]:
+                reach[v], changed = wider, True
+    on_cycle = {v for v in net.nodes if v in reach[v]}
+    return sorted(on_cycle | {w for v in on_cycle for w in reach[v]})
+
+
+def reference_order(problem):
+    edges = problem.network.edges
+
+    def depth(e):
+        feeding = [u for u in edges if u.head == e.tail]
+        return 1 + max(map(depth, feeding)) if feeding else 0
+
+    return sorted(s.id for s in problem.requirement.sessions) + sorted(
+        (e.id for e in edges), key=lambda eid: (depth(next(e for e in edges if e.id == eid)), eid)
+    )
+
+
+class TestDerivedTopology:
+    """The indexed lookups and the memoized order against plain scans."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_networks())
+    def test_matches_brute_force(self, problem):
+        net = problem.network
+        for _ in range(2):  # the first call derives, the second reads the memo
+            for v in net.nodes + ("ghost",):
+                assert net.in_edges(v) == tuple(e for e in net.edges if e.head == v)
+                assert net.out_edges(v) == tuple(e for e in net.edges if e.tail == v)
+            for e in net.edges:
+                assert net.edge(e.id) == e
+            with pytest.raises(KeyError):
+                net.edge("ghost")
+            stuck = reference_stuck_nodes(net)
+            if stuck:
+                assert validate(problem) == ["cycle detected: " + ",".join(stuck)]
+                with pytest.raises(ValueError):
+                    ancestral_order(problem)
+            else:
+                assert validate(problem) == []
+                assert ancestral_order(problem) == reference_order(problem)
+
+    def test_edge_keeps_the_first_match(self):
+        first, second = Edge("e", "s", "t", Capacity.of(1)), Edge("e", "t", "u", Capacity.of(2))
+        net = Network(("s", "t", "u"), (first, second))
+        assert net.edge("e") is first
+        assert net.in_edges("t") == (first,) and net.out_edges("t") == (second,)
+
+    def test_returned_lists_are_fresh(self):
+        p = butterfly()
+        order = ancestral_order(p)
+        expected = list(order)
+        order.reverse()
+        order.append("junk")
+        assert ancestral_order(p) == expected
+        bad = simple_problem([("e", "s", "t", 1)], [("S", 1, "ghost", ("t",))])
+        errors = validate(bad)
+        errors.clear()
+        assert validate(bad) != []
+
+    def test_cyclic_problem_raises_on_every_call(self, monkeypatch):
+        derive = network._derive_ancestral_order
+        calls = []
+        monkeypatch.setattr(
+            network, "_derive_ancestral_order", lambda p: calls.append(p) or derive(p)
+        )
+        p = simple_problem([("e1", "a", "b", 1), ("e2", "b", "a", 1)], [], nodes=("a", "b"))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="cycle detected"):
+                ancestral_order(p)
+        assert len(calls) == 3  # a failure is never memoized
+
+    def test_order_derived_once(self, monkeypatch):
+        derive = network._derive_ancestral_order
+        calls = []
+        monkeypatch.setattr(
+            network, "_derive_ancestral_order", lambda p: calls.append(p) or derive(p)
+        )
+        p = butterfly()
+        assert ancestral_order(p) == ancestral_order(p)
+        assert calls == [p]
+        # An equal problem is a different instance and derives its own order.
+        ancestral_order(butterfly())
+        assert len(calls) == 2
 
 
 class TestMinCut:
