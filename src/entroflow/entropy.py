@@ -465,10 +465,10 @@ def is_polymatroid(h: EntropyVector, tol: float = DEFAULT_TOL) -> PolymatroidRep
                     )
     # Submodularity via the elemental triples h(iK)+h(jK) >= h(ijK)+h(K);
     # the H(Xi|rest) rows follow from monotonicity.
-    for i, j, kmask, plus, minus in _elemental_terms(n):
-        if j is None:
+    for i, j, kmask, *masks in zip(*_elemental_masks(n)):
+        if j < 0:
             continue
-        lhs_a, lhs_b, rhs_a, rhs_b = (h.value_of_mask(m) for m in plus + minus)
+        lhs_a, lhs_b, rhs_a, rhs_b = (h.value_of_mask(m) for m in masks)
         if isinstance(lhs_a, float) or isinstance(lhs_b, float) or \
                 isinstance(rhs_a, float) or isinstance(rhs_b, float) or tol != 0:
             ok = float(lhs_a) + float(lhs_b) >= float(rhs_a) + float(rhs_b) - tol
@@ -482,32 +482,36 @@ def is_polymatroid(h: EntropyVector, tol: float = DEFAULT_TOL) -> PolymatroidRep
     return PolymatroidReport(not violations, tuple(violations))
 
 
-def _elemental_terms(
-    n: int,
-) -> Iterator[tuple[int, Optional[int], int, tuple[int, ...], tuple[int, ...]]]:
-    """The elemental inequalities over n variables as (i, j, K, plus, minus).
+def _elemental_masks(n: int) -> tuple[list[int], ...]:
+    """The elemental inequalities over n variables, as seven columns.
 
-    Each reads sum(h(m) for m in plus) >= sum(h(m) for m in minus).  First
-    H(Xi | rest) >= 0 for each i (j is None, K is the rest), then
+    Returns (i, j, K, plus1, plus2, minus1, minus2); row r reads
+    h(plus1) + h(plus2) >= h(minus1) + h(minus2).  First H(Xi | rest) >= 0
+    for each i (j = -1, K is the rest, and plus2 = minus2 = 0 cancel), then
     I(Xi;Xj | XK) >= 0 for each pair i < j with K ascending.  Masks may be
     0 (the empty set); callers drop or map them.  The order fixes the row
     numbering of the Shannon LP.
     """
     full = (1 << n) - 1
-    for i in range(n):
-        rest = full & ~(1 << i)
-        yield i, None, rest, (full,), (rest,)
+    rests = [full & ~(1 << i) for i in range(n)]
+    ii, jj, kk = list(range(n)), [-1] * n, list(rests)
+    p1, p2, m1, m2 = [full] * n, [0] * n, list(rests), [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            ij = 1 << i | 1 << j
-            others = full & ~ij
-            kmask = 0
-            while True:
-                yield i, j, kmask, (kmask | 1 << i, kmask | 1 << j), (kmask | ij, kmask)
-                # Next subset of `others` in ascending order; wraps to 0.
-                kmask = (kmask - others) & others
-                if not kmask:
-                    break
+            bi, bj = 1 << i, 1 << j
+            others = full & ~(bi | bj)
+            # Subsets of `others` in ascending order: 0, then each next one.
+            ks = [0]
+            while ks[-1] != others:
+                ks.append((ks[-1] - others) & others)
+            ii += [i] * len(ks)
+            jj += [j] * len(ks)
+            kk += ks
+            p1 += [k | bi for k in ks]
+            p2 += [k | bj for k in ks]
+            m1 += [k | bi | bj for k in ks]
+            m2 += ks
+    return ii, jj, kk, p1, p2, m1, m2
 
 
 def elemental_inequalities(ground: Union[int, GroundSet]) -> list[LinearFunctional]:
@@ -525,9 +529,9 @@ def elemental_inequalities(ground: Union[int, GroundSet]) -> list[LinearFunction
         )
     one = Fraction(1)
     out: list[LinearFunctional] = []
-    for _, _, _, plus, minus in _elemental_terms(n):
-        coeffs = {m: one for m in plus if m}
-        coeffs.update({m: -one for m in minus if m})
+    for _, _, _, plus1, plus2, minus1, minus2 in zip(*_elemental_masks(n)):
+        coeffs = {m: one for m in (plus1, plus2) if m}
+        coeffs.update({m: -one for m in (minus1, minus2) if m})
         out.append(LinearFunctional(ground, coeffs))
     return out
 

@@ -23,6 +23,7 @@ LPs) inside a ReconstructionContract, and `verify_contract` runs them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -478,10 +479,26 @@ def incremental_code(q: Union[QuasiUniformSpec, JointDistribution]) -> NetworkCo
     def coord(s1: int, i: int) -> int:
         return rank[i][points[s1][i]]
 
+    # Rank tables, each built once per members tuple with one pass over
+    # the support: the rank of every support point within its class
+    # (points agreeing on `members`), and the rank of every marginal value.
+    @functools.cache
+    def class_ranks(members: tuple[int, ...]) -> list[int]:
+        counts: dict[tuple[int, ...], int] = {}
+        table = []
+        for p in points:
+            key = tuple(p[j] for j in members)
+            table.append(counts.get(key, 0))
+            counts[key] = table[-1] + 1
+        return table
+
+    @functools.cache
+    def marginal_ranks(members: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        seen = sorted({tuple(p[j] for j in members) for p in points})
+        return {key: r for r, key in enumerate(seen)}
+
     def class_rank(s1: int, members: tuple[int, ...]) -> int:
-        pt = points[s1]
-        mates = [p for p in points if all(p[j] == pt[j] for j in members)]
-        return mates.index(pt)
+        return class_ranks(members)[s1]
 
     def class_size(members: tuple[int, ...]) -> int:
         sizes_seen = {}
@@ -494,12 +511,9 @@ def incremental_code(q: Union[QuasiUniformSpec, JointDistribution]) -> NetworkCo
 
     def marginal_rank(values: Mapping[int, int]) -> int:
         members = tuple(sorted(values))
-        seen = sorted({tuple(p[j] for j in members) for p in points})
         key = tuple(supp[j][values[j]] for j in members)
-        try:
-            return seen.index(key)
-        except ValueError:
-            return 0  # off-support input combination, never produced
+        # An off-support input combination, never produced, maps to 0.
+        return marginal_ranks(members).get(key, 0)
 
     builder = CodeBuilder(problem)
     s0_size = 1
@@ -524,7 +538,7 @@ def incremental_code(q: Union[QuasiUniformSpec, JointDistribution]) -> NetworkCo
         builder.edge(
             f"D1[{a}]", class_size(members), lambda v, m=members: class_rank(v["S1"], m)
         )
-        msize = len({tuple(p[j] for j in members) for p in points})
+        msize = len(marginal_ranks(members))
         builder.edge(
             f"M1[{a}]",
             msize,

@@ -20,27 +20,38 @@ closed subsets only, which shrinks it by orders of magnitude without
 changing the feasible set or any optimum (`reduce=False` keeps the raw
 2^n - 1 coordinates for cross-checks on small grounds).
 
+The rows are generated once, into one integer row store
+(`rows.RowStore`: CSR arrays over the closed coordinates, a sense code
+and an exact right side per row, rational rows scaled to integers by their
+least common denominator).  The elemental block is generated with numpy
+from the mask columns of `entropy._elemental_masks`; provenance tags stay
+compact and are formatted only for `export_text`, `certificate_to_json`
+and the `constraints` view.  Every reader works from the store: the HiGHS
+matrices, the exact verifier, the exact simplex and the exports.
+
 Solving is float-proposed and exactly verified: HiGHS (through scipy)
 proposes an optimum or an infeasibility combination, which is rounded to
-rationals and accepted only when it passes exact substitution against
-every row.  When no proposal verifies, or scipy is missing, the lazy exact
-rational simplex settles the LP.  Every returned certificate has been
-re-verified by substitution.
+rationals and accepted only when it passes the exact check against every
+row: the point, ray or multipliers are scaled to a common denominator and
+compared with the scaled right sides by integer matrix-vector products
+(int64 under a checked no-overflow bound, Python ints otherwise).  When no
+proposal verifies, or scipy is missing, the lazy exact rational simplex
+settles the LP.  Every returned certificate has been re-verified exactly.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import (
     ELEMENTAL_GROUND_LIMIT,
     GroundSet,
     JointDistribution,
-    LinearFunctional,
-    _elemental_terms,
+    _elemental_masks,
     as_fraction,
     subset_entropy,
 )
@@ -50,9 +61,11 @@ from entroflow.simplex import (
     ExactSimplex,
     LinearRow,
     SimplexCertificate,
-    row_violated,
     verify_certificate,
 )
+
+if TYPE_CHECKING:
+    from entroflow.rows import RowStore
 
 __all__ = [
     "GroundTooLargeError",
@@ -102,13 +115,63 @@ class TaggedConstraint:
     tag: tuple[str, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class _RowTags:
+    """Provenance tags of an LP's rows, kept compact and formatted on demand.
+
+    Rows `start` to `start + len(elemental[0])` are the elemental block,
+    described by the columns (i, j, K) of `entropy._elemental_masks` (j = -1
+    for H(Xi|rest)); every other row's tag is in `others`, in row order.
+    """
+
+    start: int
+    elemental: Any  # int64 array of shape (3, rows in the block)
+    others: tuple[tuple[str, ...], ...]
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.elemental.shape[1]
+
+    def format(self, ground: GroundSet, row: int) -> tuple[str, ...]:
+        if row < self.start:
+            return self.others[row]
+        if row >= self.stop:
+            return self.others[row - self.stop + self.start]
+        i, j, kmask = self.elemental[:, row - self.start].tolist()
+        if j < 0:
+            return ("elemental", f"H({ground.labels[i]}|rest)")
+        return (
+            "elemental",
+            f"I({ground.labels[i]};{ground.labels[j]}|{ground.format_subset(kmask)})",
+        )
+
+
 @dataclass(frozen=True)
 class ShannonLP:
+    """A Shannon LP: every row once, as integer arrays over closed coordinates.
+
+    Row i of `rows` is a constraint on the coordinate indices (positions
+    in `coords`); `tag(i)` is its provenance and `constraints` the same
+    rows as `TaggedConstraint` values over closed masks.
+    """
+
     variables: VariableGround
     closures: tuple[int, ...]  # closure of every mask (index = mask)
     coords: tuple[int, ...]  # distinct closed masks, ascending
-    constraints: tuple[TaggedConstraint, ...]
+    rows: RowStore
+    tags: _RowTags
     reduced: bool
+
+    @property
+    def constraints(self) -> Sequence[TaggedConstraint]:
+        return _ConstraintView(self)
+
+    @property
+    def elemental_rows(self) -> range:
+        return range(self.tags.start, self.tags.stop)
+
+    def tag(self, row: int) -> tuple[str, ...]:
+        return self.tags.format(self.ground, range(len(self.rows))[row])
 
     @property
     def ground(self) -> GroundSet:
@@ -132,6 +195,24 @@ class ShannonLP:
             if cl:
                 out[cl] = out.get(cl, Fraction(0)) + c
         return {m: c for m, c in out.items() if c}, const
+
+
+class _ConstraintView(SequenceABC):
+    """The rows of a ShannonLP as TaggedConstraint values, built on access."""
+
+    def __init__(self, lp: ShannonLP):
+        self.lp = lp
+
+    def __len__(self) -> int:
+        return len(self.lp.rows)
+
+    def __getitem__(self, i: int) -> TaggedConstraint:
+        i = range(len(self))[i]
+        row = self.lp.rows[i]
+        coords = self.lp.coords
+        return TaggedConstraint(
+            tuple((coords[j], c) for j, c in row.coeffs.items()), row.sense, row.rhs, self.lp.tag(i)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -376,20 +457,57 @@ def _dependency_rules(
     return rules
 
 
-def _closure_table(n: int, rules: Sequence[tuple[int, int, tuple]]) -> tuple[int, ...]:
-    pairs = [(p, t) for p, t, _ in rules]
-    out = [0] * (1 << n)
-    for mask in range(1 << n):
-        m = mask
-        changed = True
-        while changed:
-            changed = False
-            for p, t in pairs:
-                if p & m == p and t & m != t:
-                    m |= t
-                    changed = True
-        out[mask] = m
-    return tuple(out)
+def _closure_table(n: int, rules: Sequence[tuple[int, int, tuple]]):
+    """Dependency closure of every mask (index = mask), as an int64 array.
+
+    Every mask takes each rule whose premise it holds until none adds
+    anything; the least closed superset does not depend on the order.
+    """
+    import numpy as np
+
+    out = np.arange(1 << n, dtype=np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for premise, target, _ in rules:
+            hit = (out & premise == premise) & (out & target != target)
+            if hit.any():
+                out[hit] |= target
+                changed = True
+    return out
+
+
+def _elemental_block(n: int, closure):
+    """The elemental rows mapped through the closure.
+
+    Each row's four masks (see `entropy._elemental_masks`) are closed,
+    terms on the empty set dropped, equal masks merged and zero terms
+    dropped; empty rows go, and of equal rows only the first stays.
+    Returns the kept rows' (i, j, K) columns and their closed masks and
+    coefficients, four per row: the nonzero terms first, masks ascending.
+    """
+    import numpy as np
+
+    cols = np.array(_elemental_masks(n), dtype=np.int64)
+    masks = closure[cols[3:].T]
+    coef = np.where(masks == 0, 0, np.array([1, 1, -1, -1]))
+    for _ in range(2):
+        # Sort each row by mask and merge runs of equal masks into their
+        # last term.  A zero term's mask then reads as past the end, so the
+        # second pass moves it behind the live ones.
+        order = np.argsort(masks, axis=1, kind="stable")
+        masks = np.take_along_axis(masks, order, axis=1)
+        coef = np.take_along_axis(coef, order, axis=1)
+        for b in range(1, 4):
+            same = masks[:, b] == masks[:, b - 1]
+            coef[same, b] += coef[same, b - 1]
+            coef[same, b - 1] = 0
+        masks = np.where(coef == 0, 1 << n, masks)
+    _, first = np.unique(np.hstack([masks, coef]), axis=0, return_index=True)
+    keep = np.zeros(len(masks), dtype=bool)
+    keep[first] = True
+    rows = np.flatnonzero(keep & (coef[:, 0] != 0))
+    return cols[:3, rows], masks[rows], coef[rows]
 
 
 def build_shannon_lp(
@@ -407,7 +525,15 @@ def build_shannon_lp(
     (used for subnetwork analysis and for extra, e.g. non-Shannon,
     inequalities).  `rate_sessions` selects which session rates become
     constraints ("all", "none", or an explicit collection).
+
+    Rows come in family order (the nullary pin, elemental, dependency
+    equalities when not reducing, capacities, rates, secrecy,
+    independence, axioms); a row equal to an earlier one is dropped.
     """
+    import numpy as np
+
+    from entroflow.rows import RowStore
+
     errors = validate(problem)
     if errors:
         raise ValueError("invalid problem: " + "; ".join(errors))
@@ -419,41 +545,46 @@ def build_shannon_lp(
     if n > ELEMENTAL_GROUND_LIMIT:
         raise GroundTooLargeError(n, ELEMENTAL_GROUND_LIMIT)
     rules = _dependency_rules(problem, vg)
-    closures = _closure_table(n, rules) if reduce else tuple(range(1 << n))
+    closure = _closure_table(n, rules) if reduce else np.arange(1 << n, dtype=np.int64)
+    closures = tuple(closure.tolist())
+    coords = sorted(set(closures[1:]) | ({closures[0]} if closures[0] else set()))
+    col_of = np.full(1 << n, -1, dtype=np.int64)
+    col_of[coords] = np.arange(len(coords))
 
     def cl(mask: int) -> int:
         return closures[mask]
 
-    rows: list[TaggedConstraint] = []
+    ijk, block_masks, block_coef = _elemental_block(n, closure)
+    block_keys: Optional[set] = None  # the block's row terms, built on first need
+    rows: list[tuple] = []  # (terms, sense, rhs, tag) of every other row, in order
     seen: set = set()
 
     def push(coeffs: dict[int, Fraction], sense: str, rhs: Fraction, tag: tuple) -> None:
+        nonlocal block_keys
         coeffs = {m: c for m, c in coeffs.items() if c and m}
         if not coeffs:
             return  # trivially 0 (sense) rhs; nothing to assert for rhs = 0
-        key = (sense, rhs, tuple(sorted(coeffs.items())))
+        terms = tuple(sorted(coeffs.items()))
+        key = (sense, rhs, terms)
         if key in seen:
             return
+        if sense == "ge" and rhs == 0 and len(terms) <= 4:
+            if block_keys is None:
+                block_keys = {
+                    tuple((m, c) for m, c in zip(ms, cs) if c)
+                    for ms, cs in zip(block_masks.tolist(), block_coef.tolist())
+                }
+            if terms in block_keys:
+                return
         seen.add(key)
-        rows.append(TaggedConstraint(tuple(sorted(coeffs.items())), sense, rhs, tag))
+        rows.append((terms, sense, rhs, tag))
 
     one = Fraction(1)
     # The closure of the empty set is a constant tuple; pin it to zero.
     if cl(0):
         push({cl(0): one}, "eq", Fraction(0), ("causality", "nullary"))
-    # Elemental inequalities, mapped through the closure.
-    for i, j, kmask, plus, minus in _elemental_terms(n):
-        coeffs: dict[int, Fraction] = {}
-        for mask in plus:
-            _add(coeffs, cl(mask), one)
-        for mask in minus:
-            _add(coeffs, cl(mask), -one)
-        li = ground.labels[i]
-        if j is None:
-            tag = f"H({li}|rest)"
-        else:
-            tag = f"I({li};{ground.labels[j]}|{ground.format_subset(kmask)})"
-        push(coeffs, "ge", Fraction(0), ("elemental", tag))
+    # The elemental block goes here, after the pin.
+    start = len(rows)
     # Causality and decodability: folded into the closure when reducing,
     # explicit equalities otherwise.
     if not reduce:
@@ -521,12 +652,29 @@ def build_shannon_lp(
         rhs = as_fraction(value) - const
         sense = {"=": "eq", ">=": "ge", "<=": "le"}[relation]
         push(coeffs, sense, rhs, ("axiom", name))
-    coords = sorted({cl(m) for m in range(1, 1 << n)} | ({cl(0)} if cl(0) else set()))
+
+    def stored(part: list[tuple]) -> RowStore:
+        return RowStore.from_rows(
+            LinearRow({int(col_of[m]): c for m, c in terms}, sense, rhs)
+            for terms, sense, rhs, _ in part
+        )
+
+    live = block_coef != 0
+    ones = np.ones(len(live), dtype=np.int64)
+    elemental = RowStore(
+        np.concatenate(([0], np.cumsum(live.sum(axis=1)))),
+        col_of[block_masks[live]],
+        block_coef[live],
+        -ones,  # every elemental row reads >= 0
+        0 * ones,
+        ones,
+    )
     return ShannonLP(
         variables=vg,
         closures=closures,
         coords=tuple(coords),
-        constraints=tuple(rows),
+        rows=RowStore.concat([stored(rows[:start]), elemental, stored(rows[start:])]),
+        tags=_RowTags(start, ijk, tuple(tag for *_, tag in rows)),
         reduced=reduce,
     )
 
@@ -547,58 +695,37 @@ class Certificate:
     pivots: tuple[tuple[int, int], ...]
 
 
-def _triplets(
-    rows: Sequence[tuple[LinearRow, float]],
-) -> tuple[list[float], list[int], list[int], list[float]]:
-    """Sparse (data, row, col) triplets and right sides of sign * row.
-
-    Output row k is the k-th (row, sign) pair, so the caller's order is the
-    matrix's row order.
-    """
-    data: list[float] = []
-    ri: list[int] = []
-    ci: list[int] = []
-    rhs: list[float] = []
-    for k, (row, sign) in enumerate(rows):
-        for j, c in row.coeffs.items():
-            data.append(sign * float(c))
-            ri.append(k)
-            ci.append(j)
-        rhs.append(sign * float(row.rhs))
-    return data, ri, ci, rhs
-
-
 class ShannonSolver:
     """Exact solver bound to one LP; re-use it for chains of objectives.
 
-    Elemental rows are activated lazily: each solve runs on the active
-    subset, the answer is checked exactly against every remaining row,
-    violated rows join in bulk, and the loop repeats.  A returned optimum
-    is therefore an optimum of the full LP (inactive rows carry zero dual
-    multipliers), and the final certificate is re-verified against the
-    complete row list.
+    A float solve over every row proposes each answer, and the proposal
+    stands only after exact verification against every row.  When none
+    verifies, the exact simplex takes over with elemental rows activated
+    lazily: each solve runs on the active subset, the answer is checked
+    exactly against every remaining row, violated rows join in bulk, and
+    the loop repeats.  A returned optimum is therefore an optimum of the
+    full LP (inactive rows carry zero dual multipliers), and the final
+    certificate is re-verified against the complete row list.
 
     The solver is stateful: `active` (the activated rows) and `simplex`
-    (the exact solver with its basis) change with every solve.  Do not
-    share one instance across threads.
+    (the exact solver with its basis, built on the first solve that needs
+    it) change with solves.  Do not share one instance across threads.
     """
 
     def __init__(self, lp: ShannonLP, verify: bool = True):
         self.lp = lp
         self.verify = verify
         self.index = lp.coord_index()
-        self.all_rows = [
-            LinearRow({self.index[m]: c for m, c in con.coeffs}, con.sense, con.rhs)
-            for con in lp.constraints
-        ]
-        self.active: list[int] = [
-            i for i, con in enumerate(lp.constraints) if con.tag[0] != "elemental"
-        ]
-        self._inactive: list[int] = [
-            i for i, con in enumerate(lp.constraints) if con.tag[0] == "elemental"
-        ]
+        elemental = lp.elemental_rows
+        self.active: list[int] = [i for i in range(len(lp.rows)) if i not in elemental]
+        self._inactive: list[int] = list(elemental)
         self._float_model = None
-        self._rebuild()
+        self.simplex: Optional[ExactSimplex] = None
+
+    @property
+    def all_rows(self) -> RowStore:
+        """Every row of the LP over coordinate indices (a sequence of LinearRow)."""
+        return self.lp.rows
 
     # ------------------------------------------------------------------
     # float-guided row seeding
@@ -609,44 +736,59 @@ class ShannonSolver:
     # correctness: the exact lazy loop below re-checks every answer
     # against every row and activates anything the heuristic missed.
 
+    def _float_rows(self, picks, signs, elastic: bool = False):
+        """CSR matrix and rhs of sign * row for each (row, sign) pick, in order.
+
+        With `elastic`, output row k also gets -1 in its own column n + k.
+        """
+        import numpy as np
+        from scipy import sparse
+
+        rows = self.lp.rows.take(picks)
+        data, rhs = rows.floats()
+        lengths = np.diff(rows.indptr)
+        data = data * np.repeat(signs, lengths)
+        col, indptr = rows.col, rows.indptr
+        n, m = len(self.lp.coords), len(picks)
+        if elastic:
+            # One more entry per row, after the row's own (ascending) columns.
+            at = indptr[1:] + np.arange(m)
+            data = np.insert(data, indptr[1:], -1.0)
+            col = np.insert(col, indptr[1:], n + np.arange(m))
+            indptr = np.concatenate(([0], at + 1))
+            n += m
+        return sparse.csr_matrix((data, col, indptr), shape=(m, n)), rhs * signs
+
     def _ensure_float_model(self) -> None:
         if self._float_model is not None:
             return
         import numpy as np
-        from scipy import sparse
 
-        n = len(self.lp.coords)
-        ub_idx = [i for i, row in enumerate(self.all_rows) if row.sense != "eq"]
-        eq_idx = [i for i, row in enumerate(self.all_rows) if row.sense == "eq"]
-
-        def block(idx):
-            if not idx:
-                return None, None
-            data, ri, ci, rhs = _triplets(
-                [(self.all_rows[i], -1.0 if self.all_rows[i].sense == "ge" else 1.0) for i in idx]
-            )
-            return sparse.csr_matrix((data, (ri, ci)), shape=(len(idx), n)), np.array(rhs)
-
-        a_ub, b_ub = block(ub_idx)
-        a_eq, b_eq = block(eq_idx)
+        sense = self.lp.rows.sense
+        ub_idx = np.flatnonzero(sense != 0)
+        eq_idx = np.flatnonzero(sense == 0)
+        a_ub, b_ub = (None, None)
+        if len(ub_idx):
+            a_ub, b_ub = self._float_rows(ub_idx, np.where(sense[ub_idx] == -1, -1.0, 1.0))
+        a_eq, b_eq = (None, None)
+        if len(eq_idx):
+            a_eq, b_eq = self._float_rows(eq_idx, np.ones(len(eq_idx)))
         self._float_model = (a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx)
 
     def _float_seed(self, res) -> list[int]:
         if res is None:
             return []
+        import numpy as np
+
         ub_idx = self._float_model[2]
-        seed: list[int] = []
-        if res.status == 0 and ub_idx:
+        seed = np.zeros(0, dtype=np.int64)
+        if res.status == 0 and len(ub_idx):
             # Rows in the optimal dual support plus rows tight at the
             # optimal vertex: together they describe the optimal face.
-            for pos, y in enumerate(res.ineqlin.marginals):
-                if abs(y) > 1e-9:
-                    seed.append(ub_idx[pos])
-            for pos, s in enumerate(res.ineqlin.residual):
-                if abs(s) < 1e-7:
-                    seed.append(ub_idx[pos])
+            face = (np.abs(res.ineqlin.marginals) > 1e-9) | (np.abs(res.ineqlin.residual) < 1e-7)
+            seed = ub_idx[face]
         inactive = set(self._inactive)
-        return sorted({i for i in seed if i in inactive})
+        return sorted({i for i in seed.tolist() if i in inactive})
 
     _RATIONALIZE_LIMIT = 1 << 24
 
@@ -657,29 +799,33 @@ class ShannonSolver:
 
         The float solver only proposes a primal point and dual
         multipliers; both are rounded to small rationals and the pair is
-        accepted solely when it passes exact substitution verification
-        against every row.  On any mismatch the caller falls back to the
-        exact simplex, so no floating-point value is ever trusted.
+        accepted solely when it passes exact verification against every
+        row.  On any mismatch the caller falls back to the exact simplex,
+        so no floating-point value is ever trusted.
         """
         if res is None or res.status != 0:
             return None
+        import numpy as np
+
         _, _, ub_idx, _, _, eq_idx = self._float_model
         lim = self._RATIONALIZE_LIMIT
-        x: dict[int, Fraction] = {}
-        for j, v in enumerate(res.x):
-            if abs(v) > 1e-11:
-                x[j] = Fraction(float(v)).limit_denominator(lim)
-        duals = [Fraction(0)] * len(self.all_rows)
-        if ub_idx:
-            for pos, y in enumerate(res.ineqlin.marginals):
-                if abs(y) > 1e-11:
-                    yy = -Fraction(float(y)).limit_denominator(lim)
-                    row = self.all_rows[ub_idx[pos]]
-                    duals[ub_idx[pos]] = yy if row.sense == "le" else -yy
-        if eq_idx:
-            for pos, y in enumerate(res.eqlin.marginals):
-                if abs(y) > 1e-11:
-                    duals[eq_idx[pos]] = -Fraction(float(y)).limit_denominator(lim)
+
+        def rational(v) -> Fraction:
+            return Fraction(float(v)).limit_denominator(lim)
+
+        x = {j: rational(res.x[j]) for j in np.flatnonzero(np.abs(res.x) > 1e-11).tolist()}
+        duals = [Fraction(0)] * len(self.lp.rows)
+        sense = self.lp.rows.sense
+        if len(ub_idx):
+            marginals = res.ineqlin.marginals
+            for pos in np.flatnonzero(np.abs(marginals) > 1e-11).tolist():
+                yy = -rational(marginals[pos])
+                i = int(ub_idx[pos])
+                duals[i] = yy if sense[i] == 1 else -yy
+        if len(eq_idx):
+            marginals = res.eqlin.marginals
+            for pos in np.flatnonzero(np.abs(marginals) > 1e-11).tolist():
+                duals[int(eq_idx[pos])] = -rational(marginals[pos])
         value = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
         cert = SimplexCertificate(
             status="optimal",
@@ -691,7 +837,7 @@ class ShannonSolver:
             pivots=(),
         )
         try:
-            verify_certificate(len(self.lp.coords), self.all_rows, dict(objective), cert)
+            verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
         except CertificateError:
             return None
         return cert
@@ -726,21 +872,21 @@ class ShannonSolver:
         multipliers are accepted only after exact verification.
         """
         try:
-            from scipy import optimize, sparse
+            from scipy import optimize
         except ImportError:  # pragma: no cover
             return None
-        # Elastic rows in <=-form: (sign * a) . x - t_k <= sign * b.
-        owners = []
-        for i, row in enumerate(self.all_rows):
-            for sign in (1,) if row.sense == "le" else (-1,) if row.sense == "ge" else (1, -1):
-                owners.append((i, sign))
-        data, ri, ci, rhs = _triplets([(self.all_rows[i], sign) for i, sign in owners])
+        import numpy as np
+
+        # Elastic rows in <=-form: (sign * a) . x - t_k <= sign * b, one
+        # copy of a <= row, one of a >= row, two (+ then -) of an = row.
+        sense = self.lp.rows.sense
+        copies = np.where(sense == 0, 2, 1)
+        owners = np.repeat(np.arange(len(sense)), copies)
+        signs = np.where(sense[owners] == -1, -1.0, 1.0)
+        signs[1:][(owners[1:] == owners[:-1])] = -1.0
+        a, rhs = self._float_rows(owners, signs, elastic=True)
         n = len(self.lp.coords)
         m = len(rhs)
-        data += [-1.0] * m
-        ri += range(m)
-        ci += range(n, n + m)
-        a = sparse.csr_matrix((data, (ri, ci)), shape=(m, n + m))
         c = [0.0] * n + [1.0] * m
         res = optimize.linprog(
             c, A_ub=a, b_ub=rhs, bounds=[(0, None)] * (n + m), method="highs"
@@ -748,12 +894,10 @@ class ShannonSolver:
         if res.status != 0 or res.fun <= 1e-9:
             return None
         lim = self._RATIONALIZE_LIMIT
-        farkas = [Fraction(0)] * len(self.all_rows)
-        for k, marg in enumerate(res.ineqlin.marginals):
-            if abs(marg) > 1e-11:
-                y = -Fraction(float(marg)).limit_denominator(lim)
-                i, sign = owners[k]
-                farkas[i] += sign * y
+        farkas = [Fraction(0)] * len(self.lp.rows)
+        for k in np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-11).tolist():
+            y = -Fraction(float(res.ineqlin.marginals[k])).limit_denominator(lim)
+            farkas[int(owners[k])] += int(signs[k]) * y
         cert = SimplexCertificate(
             status="infeasible",
             value=None,
@@ -764,32 +908,29 @@ class ShannonSolver:
             pivots=(),
         )
         try:
-            verify_certificate(len(self.lp.coords), self.all_rows, {}, cert)
+            verify_certificate(len(self.lp.coords), self.lp.rows, {}, cert)
         except CertificateError:
             return None
         return cert
 
-    def _rebuild(self) -> None:
-        self.simplex = ExactSimplex(
-            len(self.lp.coords),
-            [self.all_rows[i] for i in self.active],
-            verify=False,
-        )
-
     def _violated(self, x: Mapping[int, Fraction], ray: bool = False) -> list[int]:
-        return [i for i in self._inactive if row_violated(self.all_rows[i], x, ray)]
+        import numpy as np
+
+        inactive = np.array(self._inactive, dtype=np.int64)
+        hit = self.lp.rows.violated(len(self.lp.coords), x, ray)
+        return inactive[hit[inactive]].tolist()
 
     def _activate(self, rows: list[int]) -> None:
         self.active.extend(rows)
         taken = set(rows)
         self._inactive = [i for i in self._inactive if i not in taken]
-        self._rebuild()
+        self.simplex = None
 
     def _pad(self, cert: SimplexCertificate) -> SimplexCertificate:
         def spread(values):
             if values is None:
                 return None
-            full = [Fraction(0)] * len(self.all_rows)
+            full = [Fraction(0)] * len(self.lp.rows)
             for pos, i in enumerate(self.active):
                 full[i] = values[pos]
             return tuple(full)
@@ -819,6 +960,10 @@ class ShannonSolver:
         if seed:
             self._activate(seed)
         while True:
+            if self.simplex is None:
+                self.simplex = ExactSimplex(
+                    len(self.lp.coords), self.lp.rows.take(self.active), verify=False
+                )
             cert = self.simplex.maximize(objective)
             if cert.status == "optimal":
                 grow = self._violated(cert.x)
@@ -834,7 +979,7 @@ class ShannonSolver:
                 continue
             out = self._pad(cert)
             if self.verify:
-                verify_certificate(len(self.lp.coords), self.all_rows, dict(objective), out)
+                verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), out)
             return out
 
     def _to_cols(self, coeffs: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -1127,13 +1272,13 @@ def certificate_to_json(lp: ShannonLP, cert: Certificate) -> str:
         }
     if cert.duals is not None:
         doc["duals"] = {
-            ":".join(lp.constraints[i].tag): str(y)
+            ":".join(lp.tag(i)): str(y)
             for i, y in enumerate(cert.duals)
             if y
         }
     if cert.farkas is not None:
         doc["farkas"] = {
-            ":".join(lp.constraints[i].tag): str(y)
+            ":".join(lp.tag(i)): str(y)
             for i, y in enumerate(cert.farkas)
             if y
         }

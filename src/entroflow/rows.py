@@ -1,0 +1,256 @@
+"""The integer row store: linear rows held once, as integer CSR arrays.
+
+`RowStore` is where the Shannon LP writes its rows and what every reader
+works from: the float model, the exact certificate checks
+(`simplex.verify_certificate`), the exact simplex and the LP exports.
+The module, and numpy with it, is loaded on first use: importing the
+command line loads neither.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
+
+from entroflow.simplex import CertificateError, LinearRow
+
+# Exact checks run on int64 only while every partial sum stays below this
+# bound; otherwise the same array code runs on Python ints.
+_INT64_SAFE = 1 << 62
+# Stored coefficients below this magnitude keep the arrays int64, so a
+# row's absolute sum fits as well.
+_SMALL = 1 << 31
+
+_SENSE_CODE = {"le": 1, "ge": -1, "eq": 0}
+_SENSE_NAME = {1: "le", -1: "ge", 0: "eq"}
+
+
+def _int_array(values):
+    """int64 array when every value is below 2^31 in magnitude, else Python ints."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if not values.size or int(np.abs(values).max()) < _SMALL:
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()
+    values = [int(v) for v in values]
+    if all(-_SMALL < v < _SMALL for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _common_denominator(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Nonzero values as integer numerators over their least common denominator."""
+    support = {j: Fraction(v) for j, v in values.items() if v}
+    d = math.lcm(*(v.denominator for v in support.values()))
+    return {j: v.numerator * (d // v.denominator) for j, v in support.items()}, d
+
+
+class RowStore:
+    """Linear rows ``a_i . x (sense_i) b_i`` held once, as integer arrays.
+
+    Compressed sparse rows: row i has integer coefficients ``data[k]`` on
+    columns ``col[k]`` for k in ``indptr[i]:indptr[i + 1]``, columns
+    ascending, an integer right side ``rhs[i]`` and a sense code
+    ``sense[i]`` (1 for <=, -1 for >=, 0 for =).  The row it stands for is
+    that integer row divided by ``scale[i]``, the least common denominator
+    of the row's rational data, so exact checks need no fractions and
+    ``data / scale`` is the float row.  ``data``, ``rhs`` and ``scale`` are
+    int64 arrays when every entry is below 2^31 in magnitude and arrays of
+    Python ints otherwise.
+
+    As a sequence the store yields its rows as `LinearRow` values.
+    """
+
+    def __init__(self, indptr, col, data, sense, rhs, scale):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.col = np.asarray(col, dtype=np.int64)
+        self.sense = np.asarray(sense, dtype=np.int8)
+        self.data = _int_array(data)
+        self.rhs = _int_array(rhs)
+        self.scale = _int_array(scale)
+        self._small = object not in (self.data.dtype, self.rhs.dtype, self.scale.dtype)
+        self._limits: Optional[tuple[int, int, int]] = None
+
+    @classmethod
+    def of(cls, rows: "Sequence[LinearRow] | RowStore") -> "RowStore":
+        return rows if isinstance(rows, RowStore) else cls.from_rows(rows)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[LinearRow]) -> "RowStore":
+        indptr, col, data, sense, rhs, scale = [0], [], [], [], [], []
+        for row in rows:
+            items = sorted((j, c) for j, c in row.coeffs.items() if c)
+            s = math.lcm(row.rhs.denominator, *(c.denominator for _, c in items))
+            col += [j for j, _ in items]
+            data += [int(c * s) for _, c in items]
+            indptr.append(len(col))
+            sense.append(_SENSE_CODE[row.sense])
+            rhs.append(int(row.rhs * s))
+            scale.append(s)
+        return cls(indptr, col, data, sense, rhs, scale)
+
+    @classmethod
+    def concat(cls, parts: Sequence["RowStore"]) -> "RowStore":
+        offsets = np.cumsum([0] + [len(p.col) for p in parts[:-1]])
+        indptr = [np.zeros(1, dtype=np.int64)] + [p.indptr[1:] + o for p, o in zip(parts, offsets)]
+
+        def joined(name):
+            arrays = [getattr(p, name) for p in parts]
+            if any(a.dtype == object for a in arrays):
+                arrays = [a.astype(object) for a in arrays]
+            return np.concatenate(arrays)
+
+        return cls(
+            np.concatenate(indptr),
+            joined("col"),
+            joined("data"),
+            joined("sense"),
+            joined("rhs"),
+            joined("scale"),
+        )
+
+    def __len__(self) -> int:
+        return len(self.sense)
+
+    def __getitem__(self, i: int) -> LinearRow:
+        i = range(len(self))[i]
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
+        s = int(self.scale[i])
+        coeffs = {
+            j: Fraction(c, s) for j, c in zip(self.col[lo:hi].tolist(), self.data[lo:hi].tolist())
+        }
+        return LinearRow(coeffs, _SENSE_NAME[int(self.sense[i])], Fraction(int(self.rhs[i]), s))
+
+    def _entries(self, rows):
+        """Entry positions of the given rows, row by row, and each row's length."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if len(ends) else 0
+        return np.repeat(starts - (ends - lengths), lengths) + np.arange(total), lengths
+
+    def take(self, rows: Sequence[int]) -> "RowStore":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        idx, lengths = self._entries(rows)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        return RowStore(
+            indptr,
+            self.col[idx],
+            self.data[idx],
+            self.sense[rows],
+            self.rhs[rows],
+            self.scale[rows],
+        )
+
+    def floats(self):
+        """(data / scale per entry, rhs / scale per row) as correctly rounded floats."""
+        per_entry = np.repeat(self.scale, np.diff(self.indptr))
+        if self._small:
+            # Both operands are exact in a double, so one IEEE division
+            # rounds the rational value correctly, as float(Fraction) does.
+            return self.data / per_entry, self.rhs / self.scale
+        data = [a / s for a, s in zip(self.data.tolist(), per_entry.tolist())]
+        rhs = [b / s for b, s in zip(self.rhs.tolist(), self.scale.tolist())]
+        return np.array(data, dtype=float), np.array(rhs, dtype=float)
+
+    # ------------------------------------------------------------------
+    # exact checks
+
+    def limits(self) -> tuple[int, int, int]:
+        """Largest absolute row sum, column sum and right side, as Python ints."""
+        if self._limits is None:
+            if not len(self.col):
+                row_sum = col_sum = 0
+            else:
+                mags = np.abs(self.data)
+                row_sum = max(_row_sums(mags, self.indptr).tolist())
+                by_col = np.zeros(int(self.col.max()) + 1, dtype=mags.dtype)
+                np.add.at(by_col, self.col, mags)
+                col_sum = max(by_col.tolist())
+            rhs = max(np.abs(self.rhs).tolist(), default=0)
+            self._limits = (int(row_sum), int(col_sum), int(rhs))
+        return self._limits
+
+    def _arrays(self, fast: bool):
+        if fast:
+            return self.data, self.rhs
+        return self.data.astype(object), self.rhs.astype(object)
+
+    def violated(self, n_vars: int, point: Mapping[int, Fraction], ray: bool = False):
+        """Boolean array: row i is broken by the point (for a ray, rhs is 0).
+
+        The point is scaled to integers over its common denominator D and
+        each row's integer dot product is compared with rhs * D.
+        """
+        nums, d = _common_denominator(point)
+        peak = max(map(abs, nums.values()), default=0)
+        row_sum, _, rhs_max = self.limits()
+        fast = (
+            self._small
+            and max(row_sum, 1) * peak < _INT64_SAFE
+            and max(rhs_max, 1) * d < _INT64_SAFE
+        )
+        data, rhs = self._arrays(fast)
+        p = np.zeros(n_vars, dtype=np.int64 if fast else object)
+        for j, v in nums.items():
+            if not 0 <= j < n_vars:
+                raise CertificateError(f"point has coordinate {j} outside the {n_vars} variables")
+            p[j] = v
+        lhs = _row_sums(data * p[self.col], self.indptr)
+        bound = 0 if ray else rhs * d
+        return np.where(
+            self.sense == 1, lhs > bound, np.where(self.sense == -1, lhs < bound, lhs != bound)
+        )
+
+    def first_violated(
+        self, n_vars: int, point: Mapping[int, Fraction], ray: bool = False
+    ) -> Optional[int]:
+        hit = np.flatnonzero(self.violated(n_vars, point, ray))
+        return int(hit[0]) if hit.size else None
+
+    def combine(self, n_vars: int, mult: Sequence[Fraction], kind: str):
+        """Sum mult_i * row_i after checking each multiplier's sign on its row.
+
+        A <= row takes a nonnegative multiplier, a >= row a nonpositive one.
+        The multipliers (over each row's scale) are brought to a common
+        denominator E; returns E times the combined coefficients (an integer
+        array over the variables), E times the combined right side, and E.
+        """
+        support = [(i, Fraction(y)) for i, y in enumerate(mult) if y]
+        rows = np.array([i for i, _ in support], dtype=np.int64)
+        negative = np.array([y < 0 for _, y in support], dtype=bool)
+        senses = self.sense[rows]
+        wrong = np.flatnonzero(((senses == 1) & negative) | ((senses == -1) & ~negative))
+        if wrong.size:
+            side = "<=" if senses[wrong[0]] == 1 else ">="
+            raise CertificateError(f"{kind} sign violated on a {side} row")
+        scales = self.scale[rows].tolist()
+        z = [y / s for (_, y), s in zip(support, scales)]
+        e = math.lcm(*(v.denominator for v in z))
+        w = [v.numerator * (e // v.denominator) for v in z]
+        peak = max(map(abs, w), default=0)
+        _, col_sum, rhs_max = self.limits()
+        fast = (
+            self._small
+            and max(col_sum, 1) * peak < _INT64_SAFE
+            and max(rhs_max, 1) * sum(map(abs, w)) < _INT64_SAFE
+        )
+        data, rhs = self._arrays(fast)
+        w = np.array(w, dtype=np.int64 if fast else object)
+        idx, lengths = self._entries(rows)
+        combo = np.zeros(n_vars, dtype=np.int64 if fast else object)
+        np.add.at(combo, self.col[idx], data[idx] * np.repeat(w, lengths))
+        return combo, int((w * rhs[rows]).sum()), e
+
+
+def _row_sums(values, indptr):
+    """Per-row sums of CSR entry values (zero for an empty row)."""
+    out = np.zeros(len(indptr) - 1, dtype=values.dtype)
+    nonempty = indptr[1:] > indptr[:-1]
+    if nonempty.any():
+        # Between the starts of two nonempty rows lie exactly the first one's entries.
+        out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
+    return out

@@ -9,8 +9,9 @@ cost, lowest index on ties); after 24 consecutive degenerate pivots it
 switches to Bland's rule until the objective moves again, which keeps the
 pivot sequence deterministic and guarantees termination.
 
-Every answer carries a certificate that is re-verified against the
-original rows by plain rational substitution before it is returned:
+Every answer carries a certificate that is re-verified exactly against
+the original rows before it is returned (`verify_certificate`: integer
+matrix-vector products over the rows' integer form in a `rows.RowStore`):
 
 - optimal: a primal point plus dual multipliers with matching objective,
 - infeasible: a Farkas combination of the rows,
@@ -22,16 +23,19 @@ between calls, so proof chains over one constraint system stay cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from entroflow.rows import RowStore
 
 __all__ = [
     "LinearRow",
     "SimplexCertificate",
     "ExactSimplex",
     "verify_certificate",
-    "row_violated",
     "CertificateError",
 ]
 
@@ -62,76 +66,52 @@ class SimplexCertificate:
     pivots: tuple[tuple[int, int], ...]
 
 
-def row_violated(row: LinearRow, x: Mapping[int, Fraction], ray: bool = False) -> bool:
-    """True when the point x breaks the row; for a ray the rhs is taken as 0."""
-    v = Fraction(0)
-    for j, c in row.coeffs.items():
-        xv = x.get(j)
-        if xv is not None and xv != 0:
-            v += c * xv
-    rhs = 0 if ray else row.rhs
-    if row.sense == "le":
-        return v > rhs
-    if row.sense == "ge":
-        return v < rhs
-    return v != rhs
-
-
-def _combine(
-    n_vars: int, rows: Sequence[LinearRow], mult: Sequence[Fraction], kind: str
-) -> tuple[list[Fraction], Fraction]:
-    """Sum mult_i * row_i after checking each multiplier's sign on its row.
-
-    A <= row takes a nonnegative multiplier, a >= row a nonpositive one;
-    returns the combined coefficients and the combined right side.
-    """
-    combo = [Fraction(0)] * n_vars
-    bound = Fraction(0)
-    for yi, row in zip(mult, rows):
-        if yi == 0:
-            continue
-        if row.sense == "le" and yi < 0:
-            raise CertificateError(f"{kind} sign violated on a <= row")
-        if row.sense == "ge" and yi > 0:
-            raise CertificateError(f"{kind} sign violated on a >= row")
-        for j, c in row.coeffs.items():
-            combo[j] += yi * c
-        bound += yi * row.rhs
-    return combo, bound
-
-
 def verify_certificate(
     n_vars: int,
-    rows: Sequence[LinearRow],
+    rows: Union[Sequence[LinearRow], "RowStore"],
     objective: Mapping[int, Fraction],
     cert: SimplexCertificate,
 ) -> None:
-    """Re-verify a certificate by rational substitution; raises on failure."""
+    """Re-verify a certificate exactly against every row; raises on failure.
+
+    Points, rays and multipliers are scaled to a common denominator and
+    checked by integer matrix-vector products against the rows' integer
+    form (see `rows.RowStore`): no tolerance and no per-term fractions.
+    """
+    from entroflow.rows import RowStore
+
+    store = RowStore.of(rows)
+    for j in objective:
+        if not 0 <= j < n_vars:
+            raise CertificateError(f"objective references unknown variable {j}")
     if cert.status == "optimal":
         x = cert.x
         if any(v < 0 for v in x.values()):
             raise CertificateError("primal point has a negative coordinate")
-        for i, row in enumerate(rows):
-            if row_violated(row, x):
-                raise CertificateError(f"primal point violates row {i}")
+        bad = store.first_violated(n_vars, x)
+        if bad is not None:
+            raise CertificateError(f"primal point violates row {bad}")
         got = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
         if got != cert.value:
             raise CertificateError("primal objective does not match the reported value")
         y = cert.duals
-        if y is None or len(y) != len(rows):
+        if y is None or len(y) != len(store):
             raise CertificateError("optimal certificate lacks dual multipliers")
-        combo, bound = _combine(n_vars, rows, y, "dual")
-        for j in range(n_vars):
-            if combo[j] < objective.get(j, Fraction(0)):
-                raise CertificateError(f"dual infeasible at variable {j}")
-        if bound != cert.value:
+        combo, bound, e = store.combine(n_vars, y, "dual")
+        short = combo < 0
+        for j, c in objective.items():
+            short[j] = int(combo[j]) < c * e
+        bad = short.nonzero()[0]
+        if bad.size:
+            raise CertificateError(f"dual infeasible at variable {bad[0]}")
+        if Fraction(bound, e) != cert.value:
             raise CertificateError("weak-duality bound does not match the value")
     elif cert.status == "infeasible":
         u = cert.farkas
-        if u is None or len(u) != len(rows):
+        if u is None or len(u) != len(store):
             raise CertificateError("infeasibility certificate lacks multipliers")
-        combo, bound = _combine(n_vars, rows, u, "Farkas")
-        if any(v < 0 for v in combo):
+        combo, bound, _ = store.combine(n_vars, u, "Farkas")
+        if (combo < 0).any():
             raise CertificateError("Farkas combination is not componentwise nonnegative")
         if bound >= 0:
             raise CertificateError("Farkas combination fails to witness infeasibility")
@@ -144,29 +124,27 @@ def verify_certificate(
         gain = sum((c * ray.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
         if gain <= 0:
             raise CertificateError("ray does not improve the objective")
-        for i, row in enumerate(rows):
-            if row_violated(row, ray, ray=True):
-                raise CertificateError(f"ray escapes row {i}")
+        bad = store.first_violated(n_vars, ray, ray=True)
+        if bad is not None:
+            raise CertificateError(f"ray escapes row {bad}")
         # The current point must be feasible for the ray to matter.
-        for i, row in enumerate(rows):
-            if row_violated(row, cert.x):
-                raise CertificateError(f"ray base point violates row {i}")
+        bad = store.first_violated(n_vars, cert.x)
+        if bad is not None:
+            raise CertificateError(f"ray base point violates row {bad}")
     else:
         raise CertificateError(f"unknown status {cert.status!r}")
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 class ExactSimplex:
     """Reusable exact solver bound to one constraint system."""
 
-    def __init__(self, n_vars: int, rows: Sequence[LinearRow], verify: bool = True):
+    def __init__(
+        self, n_vars: int, rows: Union[Sequence[LinearRow], "RowStore"], verify: bool = True
+    ):
+        from entroflow.rows import RowStore
+
         self.n = n_vars
-        self.rows = list(rows)
+        self.rows = RowStore.of(rows)
         self.verify = verify
         self._status: Optional[str] = None
         self._farkas: Optional[tuple[Fraction, ...]] = None
@@ -177,29 +155,27 @@ class ExactSimplex:
     # construction
 
     def _build(self) -> None:
-        m = len(self.rows)
+        rows = self.rows
+        m = len(rows)
         n = self.n
-        # Normalize every inequality to <=-form, then flip rows with a
-        # negative right side; a flipped or equality row needs an
-        # artificial basic variable, everything else starts on its slack.
+        # The store already holds each row times its least common
+        # denominator.  Normalize every inequality to <=-form, then flip
+        # rows with a negative right side; a flipped or equality row needs
+        # an artificial basic variable, everything else starts on its slack.
+        indptr, cols, data = rows.indptr.tolist(), rows.col.tolist(), rows.data.tolist()
         prepared = []  # (int coeffs, slack sign or 0, int rhs, row multiplier)
         n_arts = 0
-        for row in self.rows:
-            denoms = [c.denominator for c in row.coeffs.values()] + [row.rhs.denominator]
-            scale = 1
-            for d in denoms:
-                scale = _lcm(scale, d)
-            sign = -1 if row.sense == "ge" else 1
-            coeffs = {j: int(c * scale) * sign for j, c in row.coeffs.items()}
-            rhs = int(row.rhs * scale) * sign
-            slack = 0 if row.sense == "eq" else 1
+        for i, (code, b, scale) in enumerate(
+            zip(rows.sense.tolist(), rows.rhs.tolist(), rows.scale.tolist())
+        ):
+            sign = -1 if code == -1 else 1
+            rhs = b * sign
+            slack = 0 if code == 0 else 1
             flip = -1 if rhs < 0 else 1
-            if flip < 0:
-                coeffs = {j: -c for j, c in coeffs.items()}
-                rhs = -rhs
-                slack = -slack
-            prepared.append((coeffs, slack, rhs, Fraction(scale * sign * flip)))
-            if slack != 1:
+            lo, hi = indptr[i], indptr[i + 1]
+            coeffs = {j: c * sign * flip for j, c in zip(cols[lo:hi], data[lo:hi])}
+            prepared.append((coeffs, slack * flip, rhs * flip, Fraction(scale * sign * flip)))
+            if slack * flip != 1:
                 n_arts += 1
         self.n_slacks = sum(1 for _, s, _, _ in prepared if s != 0)
         art_at = n + self.n_slacks
@@ -440,9 +416,7 @@ class ExactSimplex:
                 ),
                 objective,
             )
-        scale = 1
-        for c in objective.values():
-            scale = _lcm(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in objective.values()))
         c_int = {j: int(c * scale) for j, c in objective.items()}
         self.obj_scale = Fraction(scale)
         self._install_objective(c_int)

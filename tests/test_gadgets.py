@@ -119,6 +119,26 @@ class TestIncrementalCode:
         verdict = check_admissible(code)
         assert verdict, verdict.describe()
 
+    def test_encoder_tables_are_pinned(self):
+        # sha256 prefixes of code_to_json, recorded before the rank tables
+        # were precomputed per member set: the encoders must not change.
+        import hashlib
+
+        from entroflow.codes import code_to_json
+
+        got = {
+            name: hashlib.sha256(code_to_json(incremental_code(q)).encode()).hexdigest()[:16]
+            for name, q in quasi_uniform_library().items()
+        }
+        assert got == {
+            "independent-bits": "b90587cd54613982",
+            "duplicated-bit": "a31e8603e4a0e478",
+            "bit-and-pair": "f005955a79e28800",
+            "xor-triple": "75324278e56c1b3d",
+            "three-independent-bits": "e9303b98486ddb79",
+            "duplicated-plus-independent": "72a3c57ee7bf67d8",
+        }
+
     def test_duplicated_bit_admissible(self):
         code = incremental_code(quasi_uniform_library()["duplicated-bit"])
         assert check_admissible(code)

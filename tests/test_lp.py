@@ -229,9 +229,17 @@ class TestExactFallback:
         want_feasible = feasibility(lp).status
         monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective: None)
         solver = ShannonSolver(lp)
+        assert solver.simplex is None
         got = solver.maximize(objective)
+        assert solver.simplex is not None
         assert (got.status, got.value) == (want.status, want.value)
         assert solver.feasibility().status == want_feasible
+
+    def test_exact_simplex_built_only_on_fallback(self):
+        solver = ShannonSolver(build_shannon_lp(butterfly(), rate_sessions="none"))
+        assert solver.maximize("H(T)").value == 2
+        assert solver.feasibility().status == "feasible"
+        assert solver.simplex is None
 
 
 class TestForcedEquality:
@@ -368,3 +376,327 @@ def is_polymatroid_exact(vec):
     from entroflow.entropy import is_polymatroid
 
     return bool(is_polymatroid(vec, 0))
+
+
+def reference_closures(n, rules):
+    """Dependency closure of every mask by the per-mask fixpoint loop."""
+    out = []
+    for mask in range(1 << n):
+        m, changed = mask, True
+        while changed:
+            changed = False
+            for p, t, _ in rules:
+                if p & m == p and t & m != t:
+                    m |= t
+                    changed = True
+        out.append(m)
+    return tuple(out)
+
+
+def reference_elemental(lp):
+    """The closed elemental rows by a loop over the generator, as (coeffs, tag).
+
+    Terms are mapped through the closure one by one, the empty set dropped,
+    equal rows kept once (the first), exactly as the LP must list them.
+    """
+    from entroflow.entropy import _elemental_masks
+
+    ground = lp.ground
+    rows, seen = [], set()
+    for i, j, k, *masks in zip(*_elemental_masks(ground.size)):
+        coeffs = {}
+        for mask, sign in zip(masks, (1, 1, -1, -1)):
+            cl = lp.closures[mask]
+            if cl:
+                coeffs[cl] = coeffs.get(cl, 0) + sign
+        terms = tuple(sorted((m, F(c)) for m, c in coeffs.items() if c))
+        if not terms or terms in seen:
+            continue
+        seen.add(terms)
+        if j < 0:
+            tag = f"H({ground.labels[i]}|rest)"
+        else:
+            tag = f"I({ground.labels[i]};{ground.labels[j]}|{ground.format_subset(k)})"
+        rows.append((terms, ("elemental", tag)))
+    return rows
+
+
+def reference_float_rows(lp, picks):
+    """Dense float matrix and rhs of sign * row for each (row, sign) pick."""
+    import numpy as np
+
+    index = lp.coord_index()
+    a = np.zeros((len(picks), len(lp.coords)))
+    b = np.zeros(len(picks))
+    for k, (i, sign) in enumerate(picks):
+        con = lp.constraints[i]
+        for m, c in con.coeffs:
+            a[k, index[m]] = sign * float(c)
+        b[k] = sign * float(con.rhs)
+    return a, b
+
+
+def random_nets(count, seed=1111):
+    rng = random.Random(seed)
+    caps = ["1", "1/2", "2", "1/3", "3/2", "0"]
+    for _ in range(count):
+        nodes = ["s"] + [f"m{i}" for i in range(rng.randint(1, 3))] + ["t"]
+        rank = {v: i for i, v in enumerate(nodes)}
+        edges = []
+        for e in range(rng.randint(3, 8)):
+            u, v = rng.sample(nodes, 2)
+            if rank[u] > rank[v]:
+                u, v = v, u
+            edges.append((f"e{e}", u, v, rng.choice(caps)))
+        yield simple_problem(edges, [("S", 1, "s", ("t",))], nodes=nodes)
+
+
+def contract_lps():
+    from entroflow.entropy import EntropyVector
+    from entroflow.gadgets import build_incremental
+
+    gadget = build_incremental(EntropyVector.from_tuple([F(1), F(2), F(3)]))
+    keys = dict.fromkeys(
+        ob.subnetwork for ob in gadget.contract.obligations if ob.kind == "chain-claim"
+    )
+    return [build_shannon_lp(gadget.problem, variables=key) for key in keys]
+
+
+def reference_lps():
+    lps = contract_lps()
+    for problem in list(random_nets(8)) + [butterfly(), pad_problem()]:
+        lps.append(build_shannon_lp(problem))
+        lps.append(build_shannon_lp(problem, rate_sessions="none", reduce=False))
+    return lps
+
+
+class TestRowStoreBuild:
+    def test_closures_match_fixpoint_loop(self):
+        from entroflow.lp import _dependency_rules, _ground_of
+
+        for problem in list(random_nets(8)) + [butterfly(), pad_problem()]:
+            lp = build_shannon_lp(problem)
+            ground = _ground_of(problem, bool(problem.randomness_nodes), None)
+            rules = _dependency_rules(problem, ground)
+            assert lp.closures == reference_closures(lp.ground.size, rules)
+
+    def test_elemental_block_matches_loop(self):
+        for lp in reference_lps():
+            block = lp.elemental_rows
+            got = [(lp.constraints[i].coeffs, lp.constraints[i].tag) for i in block]
+            assert got == reference_elemental(lp)
+            rest = [i for i in range(len(lp.rows)) if i not in block]
+            assert all(lp.constraints[i].tag[0] != "elemental" for i in rest)
+
+    def test_row_equal_to_an_elemental_row_is_dropped(self):
+        p = simple_problem(
+            [("e1", "s", "t", 1), ("e2", "s", "t", 1)], [("S", 1, "s", ("t",))]
+        )
+        plain = build_shannon_lp(p, reduce=False)
+        lp = build_shannon_lp(
+            p, reduce=False, axioms=[("dup", "I(e1;e2)", ">=", 0), ("new", "I(e1;e2)", "<=", 1)]
+        )
+        tags = [c.tag for c in lp.constraints]
+        assert ("axiom", "dup") not in tags and ("axiom", "new") in tags
+        assert len(lp.rows) == len(plain.rows) + 1
+
+    def test_float_model_matches_rows(self):
+        import numpy as np
+
+        for lp in reference_lps():
+            solver = ShannonSolver(lp)
+            solver._ensure_float_model()
+            a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx = solver._float_model
+            senses = [c.sense for c in lp.constraints]
+            assert list(ub_idx) == [i for i, s in enumerate(senses) if s != "eq"]
+            assert list(eq_idx) == [i for i, s in enumerate(senses) if s == "eq"]
+            for matrix, rhs, picks in (
+                (a_ub, b_ub, [(i, -1.0 if senses[i] == "ge" else 1.0) for i in ub_idx]),
+                (a_eq, b_eq, [(i, 1.0) for i in eq_idx]),
+            ):
+                if not picks:
+                    assert matrix is None
+                    continue
+                a, b = reference_float_rows(lp, picks)
+                assert np.array_equal(matrix.toarray(), a) and np.array_equal(rhs, b)
+
+    def test_elastic_model_matches_rows(self, monkeypatch):
+        import numpy as np
+        from scipy import optimize
+
+        lp = build_shannon_lp(simple_problem([("e", "s", "t", "1/3")], [("S", 2, "s", ("t",))]))
+        seen = {}
+        real = optimize.linprog
+
+        def spy(c, A_ub=None, b_ub=None, **kw):
+            seen["a"], seen["b"] = A_ub, b_ub
+            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+        monkeypatch.setattr(optimize, "linprog", spy)
+        assert ShannonSolver(lp)._float_farkas() is not None
+        copies = {"le": (1,), "ge": (-1,), "eq": (1, -1)}
+        picks = [(i, s) for i, con in enumerate(lp.constraints) for s in copies[con.sense]]
+        a, b = reference_float_rows(lp, picks)
+        a = np.hstack([a, -np.eye(len(picks))])
+        assert np.array_equal(seen["a"].toarray(), a) and np.array_equal(seen["b"], b)
+
+
+class TestIntegerChecks:
+    """The exact checks on Shannon LP certificates, through the row store."""
+
+    def column_certificate(self, solver, cert, objective):
+        from entroflow.simplex import SimplexCertificate
+
+        x = {solver.index[m]: v for m, v in (cert.primal or {}).items()}
+        return SimplexCertificate(cert.status, cert.value, x, cert.duals, cert.farkas, None, ())
+
+    def test_butterfly_certificate_tampering_rejected(self):
+        from entroflow.simplex import CertificateError, SimplexCertificate, verify_certificate
+
+        lp = build_shannon_lp(butterfly(), rate_sessions="none")
+        solver = ShannonSolver(lp)
+        objective = solver._to_cols(lp.compile("H(T)")[0])
+        cert = self.column_certificate(solver, solver.maximize("H(T)"), objective)
+        n = len(lp.coords)
+        verify_certificate(n, lp.rows, objective, cert)
+        (j,) = objective
+        for step in (1, -1):
+            x = dict(cert.x)
+            x[j] += F(step, max(v.denominator for v in x.values()))
+            bad = SimplexCertificate("optimal", cert.value, x, cert.duals, None, None, ())
+            with pytest.raises(CertificateError):
+                verify_certificate(n, lp.rows, objective, bad)
+        for i, y in enumerate(cert.duals):
+            if y:
+                duals = list(cert.duals)
+                duals[i] = -y
+                bad = SimplexCertificate("optimal", cert.value, cert.x, tuple(duals), None, None, ())
+                with pytest.raises(CertificateError, match="dual sign violated"):
+                    verify_certificate(n, lp.rows, objective, bad)
+
+    def test_farkas_multiplier_dropped_rejected(self):
+        from entroflow.simplex import CertificateError, SimplexCertificate, verify_certificate
+
+        lp = build_shannon_lp(simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]))
+        cert = feasibility(lp)
+        assert cert.status == "infeasible"
+        support = [i for i, u in enumerate(cert.farkas) if u]
+        assert support
+        for i in support:
+            farkas = list(cert.farkas)
+            farkas[i] = F(0)
+            bad = SimplexCertificate("infeasible", None, {}, None, tuple(farkas), None, ())
+            with pytest.raises(CertificateError, match="Farkas combination"):
+                verify_certificate(len(lp.coords), lp.rows, {}, bad)
+
+
+def _digest(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _guard_outputs():
+    """(label, text) for LP exports and certificates that must stay byte-identical.
+
+    The h=(1,1,2) incremental contract LPs with a certificate per claim
+    bound, one unreduced LP, and the first c11-style random nets.
+    """
+    from entroflow.entropy import EntropyVector
+    from entroflow.gadgets import build_incremental
+
+    out = []
+    gadget = build_incremental(EntropyVector.from_tuple([F(1), F(1), F(2)]))
+    groups = {}
+    for ob in gadget.contract.obligations:
+        if ob.kind == "chain-claim":
+            groups.setdefault(ob.subnetwork, []).append(ob.expression)
+    for key, expressions in groups.items():
+        lp = build_shannon_lp(gadget.problem, variables=key)
+        name = ",".join(key)
+        out.append((f"contract {name} text", export_text(lp)))
+        solver = ShannonSolver(lp)
+        out.append((f"contract {name} feasibility", certificate_to_json(lp, solver.feasibility())))
+        for expr in expressions:
+            for sense in ("max", "min"):
+                cert = solver.maximize(expr) if sense == "max" else solver.minimize(expr)
+                out.append((f"contract {name} {sense} {expr}", certificate_to_json(lp, cert)))
+    relay = simple_problem(
+        [("e1", "s", "a", "3/2"), ("e2", "a", "t", 1), ("e3", "s", "t", "1/2")],
+        [("S", 1, "s", ("t",))],
+    )
+    lp = build_shannon_lp(relay, reduce=False, axioms=[("half", "1/2*H(e1) + H(e3)", "<=", "5/3")])
+    out.append(("unreduced text", export_text(lp)))
+    out.append(("unreduced max H(S)", certificate_to_json(lp, maximize(lp, "H(S)"))))
+    out.append(("unreduced min H(e2)", certificate_to_json(lp, minimize(lp, "H(e2)"))))
+    rng = random.Random(1111)
+    caps = ["1", "1/2", "2", "1/3", "3/2", "0"]
+    for k in range(4):
+        nodes = ["s"] + [f"m{i}" for i in range(rng.randint(1, 3))] + ["t"]
+        rank = {v: i for i, v in enumerate(nodes)}
+        edges = []
+        for e in range(rng.randint(3, 8)):
+            u, v = rng.sample(nodes, 2)
+            if rank[u] > rank[v]:
+                u, v = v, u
+            edges.append((f"e{e}", u, v, rng.choice(caps)))
+        problem = simple_problem(edges, [("S", 1, "s", ("t",))], nodes=nodes)
+        lp = build_shannon_lp(problem, rate_sessions="none")
+        out.append((f"net {k} text", export_text(lp)))
+        out.append((f"net {k} max H(S)", certificate_to_json(lp, maximize(lp, "H(S)"))))
+    return out
+
+
+# sha256 prefixes of _guard_outputs(), recorded before the LP rows moved to
+# integer arrays; the exports and certificates must not change by a byte.
+GUARD_DIGESTS = [
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] text', 'b90ec20431982b98'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] feasibility', 'e864f6437c3bd290'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] max H(U1)', 'c7b16c37c4472512'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] min H(U1)', 'bc92175c568654ed'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] max H(U2)', '72b67497915494f2'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] min H(U2)', '518e41a76cb417cc'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] max H(V1,V2)', '5ca9b850f2e5200a'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] min H(V1,V2)', 'a24e0762f1f96d55'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] max H(U1,U2,V1,V2)', 'f773afe28d4fcfce'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] min H(U1,U2,V1,V2)', '8298f40e560bdd0c'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] max H(V1,V2)', '5ca9b850f2e5200a'),
+    ('contract S0,S1,U1,U2,B,V1,V2,D1[12],M1[12] min H(V1,V2)', 'a24e0762f1f96d55'),
+    ('contract S0,S1,U1,U2,B,V1,D1[1],M1[1] text', 'ee0e722d13e6ee40'),
+    ('contract S0,S1,U1,U2,B,V1,D1[1],M1[1] feasibility', '8ee9bcb67bc7ce40'),
+    ('contract S0,S1,U1,U2,B,V1,D1[1],M1[1] max H(V1)', 'c92e047bc3cce9bc'),
+    ('contract S0,S1,U1,U2,B,V1,D1[1],M1[1] min H(V1)', 'ec8b4311dd054118'),
+    ('contract S0,S1,U1,U2,B,V2,D1[2],M1[2] text', '37ebc0c20f57a6d7'),
+    ('contract S0,S1,U1,U2,B,V2,D1[2],M1[2] feasibility', '7e776e0e36eb12f2'),
+    ('contract S0,S1,U1,U2,B,V2,D1[2],M1[2] max H(V2)', '1ab86f5002b73179'),
+    ('contract S0,S1,U1,U2,B,V2,D1[2],M1[2] min H(V2)', '8ffe29a2e52ae342'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] text', '144fba56c0857cac'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] feasibility', 'ec0143440beb7698'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] max H(V2|V1)', '2875550093123cb2'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] min H(V2|V1)', '8631f9e19d77b4d9'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] max H(U2|W3[1.2])', '2ca11c11e74ea562'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[1.2],W2[1.2],W3[1.2],D2[1.2] min H(U2|W3[1.2])', '653b56a35c406499'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] text', '8269ca0965f62f70'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] feasibility', '8c4a43cbc70dac3d'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] max H(V1|V2)', 'a1ef8e4f1664ea75'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] min H(V1|V2)', '543df8cd4d49ace7'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] max H(U1|W3[2.1])', 'fd08108ffa92227e'),
+    ('contract S0,S1,U1,U2,V1,V2,W1[2.1],W2[2.1],W3[2.1],D2[2.1] min H(U1|W3[2.1])', '66739aee8b034d8d'),
+    ('unreduced text', '19bc28ae28de78d0'),
+    ('unreduced max H(S)', 'a08acedd39838625'),
+    ('unreduced min H(e2)', 'd8e3bf2df162fee9'),
+    ('net 0 text', 'ad16467c71e50052'),
+    ('net 0 max H(S)', 'a7f591a3090a27bd'),
+    ('net 1 text', '6db650c2256000be'),
+    ('net 1 max H(S)', '4fbe78344baf925f'),
+    ('net 2 text', '3720e7298aab9317'),
+    ('net 2 max H(S)', '8867c2f63ff21a99'),
+    ('net 3 text', 'f2189ff5037d2940'),
+    ('net 3 max H(S)', '04caa22e7ce13597'),
+]
+
+
+class TestByteIdentity:
+    def test_exports_and_certificates_are_pinned(self):
+        got = [(label, _digest(text)) for label, text in _guard_outputs()]
+        assert got == GUARD_DIGESTS

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow.simplex import (
     CertificateError,
@@ -10,6 +11,7 @@ from entroflow.simplex import (
     SimplexCertificate,
     verify_certificate,
 )
+from entroflow.rows import RowStore
 
 F = Fraction
 
@@ -197,3 +199,216 @@ class TestAgainstFloatOracle:
             res = scipy.linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
             assert res.status == 0
             assert abs(float(cert.value) + res.fun) < 1e-7
+
+
+# ----------------------------------------------------------------------
+# the integer-exact verifier against plain Fraction substitution
+
+
+def substituted(row, point, ray=False):
+    """Reference row check by Fraction substitution: True when the row breaks."""
+    v = sum((F(c) * F(point.get(j, 0)) for j, c in row.coeffs.items()), F(0))
+    rhs = 0 if ray else F(row.rhs)
+    return v > rhs if row.sense == "le" else v < rhs if row.sense == "ge" else v != rhs
+
+
+def reference_verdict(n_vars, rows, objective, cert):
+    """The certificate checks in Fractions, term by term; True when it holds."""
+
+    def combined(mult):
+        combo, bound = [F(0)] * n_vars, F(0)
+        for y, row in zip(mult, rows):
+            if (row.sense == "le" and y < 0) or (row.sense == "ge" and y > 0):
+                return None
+            for j, c in row.coeffs.items():
+                combo[j] += y * c
+            bound += y * row.rhs
+        return combo, bound
+
+    def value(point):
+        return sum((c * point.get(j, F(0)) for j, c in objective.items()), F(0))
+
+    if cert.status == "optimal":
+        if any(v < 0 for v in cert.x.values()) or any(substituted(r, cert.x) for r in rows):
+            return False
+        if value(cert.x) != cert.value or cert.duals is None or len(cert.duals) != len(rows):
+            return False
+        got = combined(cert.duals)
+        return (
+            got is not None
+            and all(got[0][j] >= objective.get(j, F(0)) for j in range(n_vars))
+            and got[1] == cert.value
+        )
+    if cert.status == "infeasible":
+        if cert.farkas is None or len(cert.farkas) != len(rows):
+            return False
+        got = combined(cert.farkas)
+        return got is not None and all(v >= 0 for v in got[0]) and got[1] < 0
+    ray = cert.ray
+    return (
+        all(v >= 0 for v in ray.values())
+        and value(ray) > 0
+        and not any(substituted(r, ray, ray=True) for r in rows)
+        and not any(substituted(r, cert.x) for r in rows)
+    )
+
+
+def passes(n_vars, rows, objective, cert):
+    try:
+        verify_certificate(n_vars, rows, objective, cert)
+    except CertificateError:
+        return False
+    return True
+
+
+# Mostly small rationals, sometimes numerators and denominators past 2^64,
+# so both the int64 path and the Python-int path run.
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+huge = st.builds(
+    F,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=1, max_value=2**70),
+)
+rational = st.one_of(small, small, small, huge)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = [
+        LinearRow(
+            draw(st.dictionaries(st.integers(0, n - 1), rational, max_size=n)),
+            draw(st.sampled_from(["le", "ge", "eq"])),
+            draw(rational),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+    return n, rows
+
+
+def points(n, values=rational):
+    return st.dictionaries(st.integers(0, n - 1), values, max_size=n)
+
+
+class TestIntegerVerifier:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_checks_match_substitution(self, data):
+        n, rows = data.draw(systems())
+        point = data.draw(points(n))
+        store = RowStore.from_rows(rows)
+        for ray in (False, True):
+            got = store.violated(n, point, ray).tolist()
+            assert got == [substituted(r, point, ray) for r in rows]
+        assert list(store) == [
+            LinearRow({j: c for j, c in sorted(r.coeffs.items()) if c}, r.sense, r.rhs)
+            for r in rows
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_match_substitution(self, data):
+        n, rows = data.draw(systems())
+        objective = data.draw(points(n, small))
+        status = data.draw(st.sampled_from(["optimal", "infeasible", "unbounded"]))
+        mult = tuple(data.draw(st.lists(rational, min_size=len(rows), max_size=len(rows))))
+        x = data.draw(points(n, st.one_of(small.map(abs), huge.map(abs))))
+        ray = data.draw(points(n, small.map(abs)))
+        value = sum((c * x.get(j, F(0)) for j, c in objective.items()), F(0))
+        cert = SimplexCertificate(
+            status,
+            value,
+            x,
+            mult if status == "optimal" else None,
+            mult if status == "infeasible" else None,
+            ray if status == "unbounded" else None,
+            (),
+        )
+        assert passes(n, rows, objective, cert) == reference_verdict(n, rows, objective, cert)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_solver_certificates_match_substitution(self, data):
+        # Certificates the exact simplex returns hold under both checks.
+        n, rows = data.draw(systems())
+        objective = data.draw(points(n, small))
+        cert = ExactSimplex(n, rows, verify=False).maximize(objective)
+        assert passes(n, rows, objective, cert)
+        assert reference_verdict(n, rows, objective, cert)
+
+    def test_empty_rows_anywhere(self):
+        rows = [R({}, "le", 0), R({0: 1}, "ge", 1), R({0: 1, 1: 1}, "le", 1), R({}, "eq", 0)]
+        store = RowStore.from_rows(rows)
+        assert store.violated(2, {0: F(1), 1: F(1)}).tolist() == [False, False, True, False]
+        assert store.violated(2, {0: F(1, 2)}).tolist() == [False, True, False, False]
+        assert store.violated(2, {}).tolist() == [False, True, False, False]
+        assert RowStore.from_rows([R({}, "ge", 1)]).violated(1, {}).tolist() == [True]
+
+    def tilted(self):
+        # max x0 + x1 with x0 + x1 <= 1 and 7^15 x0 = x1: the optimum has
+        # denominator D = 7^15 + 1, too fine for any float tolerance.
+        rows = [R({0: 1, 1: 1}, "le", 1), R({0: 7**15, 1: -1}, "eq", 0)]
+        objective = {0: F(1), 1: F(1)}
+        cert = ExactSimplex(2, rows).maximize(objective)
+        assert cert.x == {0: F(1, 7**15 + 1), 1: F(7**15, 7**15 + 1)}
+        return rows, objective, cert
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_primal_coordinate_off_by_one_over_d_rejected(self, j, step):
+        rows, objective, cert = self.tilted()
+        verify_certificate(2, rows, objective, cert)
+        x = dict(cert.x)
+        x[j] += F(step, 7**15 + 1)
+        bad = SimplexCertificate("optimal", cert.value, x, cert.duals, None, None, ())
+        with pytest.raises(CertificateError, match="primal point violates row"):
+            verify_certificate(2, rows, objective, bad)
+
+    def test_flipped_dual_sign_rejected(self):
+        rows, objective, cert = self.tilted()
+        for i, y in enumerate(cert.duals):
+            if y:
+                duals = list(cert.duals)
+                duals[i] = -y
+                duals = tuple(duals)
+                bad = SimplexCertificate("optimal", cert.value, cert.x, duals, None, None, ())
+                with pytest.raises(CertificateError):
+                    verify_certificate(2, rows, objective, bad)
+        duals = (-cert.duals[0],) + cert.duals[1:]
+        bad = SimplexCertificate("optimal", cert.value, cert.x, duals, None, None, ())
+        with pytest.raises(CertificateError, match="dual sign violated on a <= row"):
+            verify_certificate(2, rows, objective, bad)
+
+    def test_dropped_farkas_multiplier_rejected(self):
+        rows = [R({0: 1, 1: 1}, "ge", 3), R({0: 1}, "le", 1), R({1: 1}, "le", 1)]
+        cert = ExactSimplex(2, rows).maximize({})
+        assert cert.status == "infeasible"
+        support = [i for i, u in enumerate(cert.farkas) if u]
+        assert support == [0, 1, 2]
+        for i in support:
+            farkas = list(cert.farkas)
+            farkas[i] = F(0)
+            bad = SimplexCertificate("infeasible", None, {}, None, tuple(farkas), None, ())
+            with pytest.raises(CertificateError, match="Farkas combination"):
+                verify_certificate(2, rows, {}, bad)
+
+    def test_denominators_past_two_to_the_64_verify_exactly(self):
+        big = 2**64 + 13
+        rows = [
+            R({0: F(1, big), 1: F(1, 3**41)}, "le", F(5, 2**67 + 1)),
+            R({0: 1, 1: F(-1, big)}, "ge", F(1, 3**45)),
+        ]
+        store = RowStore.from_rows(rows)
+        assert store.data.dtype == object and store.scale.dtype == object
+        objective = {0: F(1), 1: F(2, big)}
+        cert = ExactSimplex(2, rows).maximize(objective)
+        assert cert.status == "optimal"
+        assert max(v.denominator for v in cert.x.values()) > 2**64
+        verify_certificate(2, store, objective, cert)
+        assert reference_verdict(2, rows, objective, cert)
+        for j, v in cert.x.items():
+            x = dict(cert.x)
+            x[j] = v + F(1, v.denominator)
+            bad = SimplexCertificate("optimal", cert.value, x, cert.duals, None, None, ())
+            with pytest.raises(CertificateError):
+                verify_certificate(2, store, objective, bad)
