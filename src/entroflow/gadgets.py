@@ -168,10 +168,10 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
             results.append(ObligationResult(ob.name, False, f"unknown kind {ob.kind!r}"))
     for key in order:
         obs = groups[key]
-        lp = build_shannon_lp(problem, variables=key)
-        solver = ShannonSolver(lp)
         claims = [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs]
-        report = verify_proof_chain(solver, claims)
+        # No reference outlives the chain, so the LP and the solver's HiGHS
+        # handle are freed before the next subnetwork's LP is built.
+        report = verify_proof_chain(ShannonSolver(build_shannon_lp(problem, variables=key)), claims)
         for ob, verdict in zip(obs, report.verdicts):
             ok = verdict.status == ob.expected
             detail = verdict.describe()

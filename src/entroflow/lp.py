@@ -29,21 +29,31 @@ compact and are formatted only for `export_text`, `certificate_to_json`
 and the `constraints` view.  Every reader works from the store: the HiGHS
 matrices, the exact verifier, the exact simplex and the exports.
 
-Solving is float-proposed and exactly verified: HiGHS (through scipy)
-proposes an optimum or an infeasibility combination, which is rounded to
-rationals and accepted only when it passes the exact check against every
-row: the point, ray or multipliers are scaled to a common denominator and
-compared with the scaled right sides by integer matrix-vector products
-(int64 under a checked no-overflow bound, Python ints otherwise).  When no
-proposal verifies, or scipy is missing, the lazy exact rational simplex
-settles the LP.  Every returned certificate has been re-verified exactly.
+Solving is float-proposed and exactly verified: HiGHS (through the
+bindings scipy bundles) proposes an optimum or an infeasibility
+combination, which is rounded to rationals and accepted only when it
+passes the exact check against every row: the point, ray or multipliers
+are scaled to a common denominator and compared with the scaled right
+sides by integer matrix-vector products (int64 under a checked no-overflow
+bound, Python ints otherwise).  When no proposal verifies, or scipy or its
+HiGHS bindings are missing, the lazy exact rational simplex settles the
+LP.  Every returned certificate has been re-verified exactly.
+
+A `ShannonSolver` holds one HiGHS handle (`entroflow.highs`, loaded on
+the first float solve): the model is passed once, in
+`scipy.optimize.linprog`'s layout, so the first solve is `linprog`'s;
+each later objective changes the costs only and is re-solved from the
+last basis, and an objective already settled is answered from a memo.
+`ShannonSolver.stats` counts the work and the `entroflow.lp` logger
+writes one debug record per solve.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -77,6 +87,7 @@ __all__ = [
     "ChainVerdict",
     "ChainReport",
     "ShannonSolver",
+    "SolveStats",
     "compile_expression",
     "build_shannon_lp",
     "maximize",
@@ -695,21 +706,48 @@ class Certificate:
     pivots: tuple[tuple[int, int], ...]
 
 
+@dataclass
+class SolveStats:
+    """Running counts of one ShannonSolver's work.
+
+    `highs_runs` counts HiGHS solves (elastic Farkas models included),
+    `simplex_iterations` their simplex iterations and `warm_starts` the
+    runs that started from a basis a previous run left.  `memo_hits`
+    counts objectives answered from the memo; every other solve is settled
+    by exactly one of `float_cert`, `float_farkas` or `exact`.
+    """
+
+    highs_runs: int = 0
+    simplex_iterations: int = 0
+    warm_starts: int = 0
+    memo_hits: int = 0
+    float_cert: int = 0
+    float_farkas: int = 0
+    exact: int = 0
+
+
 class ShannonSolver:
     """Exact solver bound to one LP; re-use it for chains of objectives.
 
     A float solve over every row proposes each answer, and the proposal
-    stands only after exact verification against every row.  When none
-    verifies, the exact simplex takes over with elemental rows activated
-    lazily: each solve runs on the active subset, the answer is checked
-    exactly against every remaining row, violated rows join in bulk, and
-    the loop repeats.  A returned optimum is therefore an optimum of the
-    full LP (inactive rows carry zero dual multipliers), and the final
-    certificate is re-verified against the complete row list.
+    stands only after exact verification against every row.  The float
+    solves go through one HiGHS handle that holds the model: it is passed
+    once, and each later objective changes only the costs and starts from
+    the basis the previous solve left.  When no proposal verifies, the
+    exact simplex takes over with elemental rows activated lazily: each
+    solve runs on the active subset, the answer is checked exactly against
+    every remaining row, violated rows join in bulk, and the loop repeats.
+    A returned optimum is therefore an optimum of the full LP (inactive
+    rows carry zero dual multipliers), and the final certificate is
+    re-verified against the complete row list.  An objective already
+    settled returns the same certificate from a memo.
 
-    The solver is stateful: `active` (the activated rows) and `simplex`
-    (the exact solver with its basis, built on the first solve that needs
-    it) change with solves.  Do not share one instance across threads.
+    The solver is stateful and not shareable (across threads or otherwise
+    concurrent users): it holds the HiGHS handle with its basis, the memo,
+    `active` (the activated rows), `simplex` (the exact solver with its
+    basis, built on the first solve that needs it) and `stats`, the counts
+    of its work.  Which certificate a solve returns can depend on the
+    solves before it, but never its status or optimum.
     """
 
     def __init__(self, lp: ShannonLP, verify: bool = True):
@@ -720,7 +758,10 @@ class ShannonSolver:
         self.active: list[int] = [i for i in range(len(lp.rows)) if i not in elemental]
         self._inactive: list[int] = list(elemental)
         self._float_model = None
+        self._highs = None  # a highs.Highs, made on the first float solve
+        self._memo: dict[tuple, SimplexCertificate] = {}
         self.simplex: Optional[ExactSimplex] = None
+        self.stats = SolveStats()
 
     @property
     def all_rows(self) -> RowStore:
@@ -842,26 +883,31 @@ class ShannonSolver:
             return None
         return cert
 
+    def _run_highs(self, highs, cost):
+        res = highs.solve(cost)
+        self.stats.highs_runs += 1
+        self.stats.simplex_iterations += res.nit
+        self.stats.warm_starts += res.warm
+        return res
+
     def _float_solve(self, objective: Mapping[int, Fraction]):
-        try:
-            from scipy import optimize
-        except ImportError:  # pragma: no cover - scipy is a declared dependency
-            return None
-        self._ensure_float_model()
-        a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx = self._float_model
-        n = len(self.lp.coords)
-        c = [0.0] * n
+        """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
+        without scipy or its HiGHS bindings."""
+        import numpy as np
+
+        if self._highs is None:
+            try:
+                from entroflow.highs import Highs
+
+                self._ensure_float_model()
+                a_ub, b_ub, _, a_eq, b_eq, _ = self._float_model
+                self._highs = Highs(a_ub, b_ub, a_eq, b_eq, len(self.lp.coords))
+            except ImportError:
+                return None
+        cost = np.zeros(len(self.lp.coords))
         for j, v in objective.items():
-            c[j] = -float(v)
-        return optimize.linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
+            cost[j] = -float(v)
+        return self._run_highs(self._highs, cost)
 
     def _float_farkas(self) -> Optional[SimplexCertificate]:
         """Candidate infeasibility certificate from an elastic relaxation.
@@ -871,11 +917,9 @@ class ShannonSolver:
         multipliers are a Farkas combination.  The rationalized
         multipliers are accepted only after exact verification.
         """
-        try:
-            from scipy import optimize
-        except ImportError:  # pragma: no cover
-            return None
         import numpy as np
+
+        from entroflow.highs import Highs
 
         # Elastic rows in <=-form: (sign * a) . x - t_k <= sign * b, one
         # copy of a <= row, one of a >= row, two (+ then -) of an = row.
@@ -887,10 +931,9 @@ class ShannonSolver:
         a, rhs = self._float_rows(owners, signs, elastic=True)
         n = len(self.lp.coords)
         m = len(rhs)
-        c = [0.0] * n + [1.0] * m
-        res = optimize.linprog(
-            c, A_ub=a, b_ub=rhs, bounds=[(0, None)] * (n + m), method="highs"
-        )
+        # A one-shot handle: the elastic model is solved once, cold.
+        highs = Highs(a, rhs, None, None, n + m)
+        res = self._run_highs(highs, np.concatenate((np.zeros(n), np.ones(m))))
         if res.status != 0 or res.fun <= 1e-9:
             return None
         lim = self._RATIONALIZE_LIMIT
@@ -946,16 +989,45 @@ class ShannonSolver:
         )
 
     def _solve_max(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
+        import logging  # here, off the command line's import path
+
+        log = logging.getLogger(__name__)
+        key = tuple(sorted((j, c) for j, c in objective.items() if c))
+        cert = self._memo.get(key)
+        if cert is not None:
+            self.stats.memo_hits += 1
+            log.debug("solve: %s, settled by memo", cert.status)
+            return cert
+        stats, before, start = self.stats, replace(self.stats), time.perf_counter()
+        cert, path = self._settle(objective)
+        setattr(stats, path, getattr(stats, path) + 1)
+        self._memo[key] = cert
+        log.debug(
+            "solve: %s, settled by %s, %d HiGHS runs (%d warm), %d simplex iterations, %.3f s",
+            cert.status,
+            path,
+            stats.highs_runs - before.highs_runs,
+            stats.warm_starts - before.warm_starts,
+            stats.simplex_iterations - before.simplex_iterations,
+            time.perf_counter() - start,
+        )
+        return cert
+
+    def _settle(self, objective: Mapping[int, Fraction]) -> tuple[SimplexCertificate, str]:
+        """A verified certificate and the path that settled it (a `SolveStats` field)."""
         res = self._float_solve(objective)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
                 if fast is not None:
-                    return fast
+                    return fast, "float_cert"
             elif res.status == 2:
                 fast = self._float_farkas()
                 if fast is not None:
-                    return fast
+                    return fast, "float_farkas"
+        return self._exact(objective, res), "exact"
+
+    def _exact(self, objective: Mapping[int, Fraction], res) -> SimplexCertificate:
         seed = self._float_seed(res)
         if seed:
             self._activate(seed)

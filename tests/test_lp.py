@@ -211,35 +211,161 @@ class TestOptima:
         assert second.value == 1
 
 
+FALLBACK_CASES = pytest.mark.parametrize(
+    "problem,kwargs,objective",
+    [
+        (simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))]), {}, "H(S)"),
+        (simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]), {}, "H(S)"),
+        (butterfly(), {"rate_sessions": "none"}, "H(T)"),
+    ],
+    ids=["single-edge", "single-edge-infeasible", "butterfly"],
+)
+
+
 class TestExactFallback:
-    @pytest.mark.parametrize(
-        "problem,kwargs,objective",
-        [
-            (simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))]), {}, "H(S)"),
-            (simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]), {}, "H(S)"),
-            (butterfly(), {"rate_sessions": "none"}, "H(T)"),
-        ],
-        ids=["single-edge", "single-edge-infeasible", "butterfly"],
-    )
-    def test_matches_float_path_without_proposal(self, problem, kwargs, objective, monkeypatch):
-        # Without a float proposal (as without scipy) the lazy exact simplex
-        # settles the LP; it must agree with the float-certified answer.
+    def exact_path_agrees(self, problem, kwargs, objective, disable_proposals):
         lp = build_shannon_lp(problem, **kwargs)
         want = ShannonSolver(lp).maximize(objective)
         want_feasible = feasibility(lp).status
-        monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective: None)
+        disable_proposals()
         solver = ShannonSolver(lp)
         assert solver.simplex is None
         got = solver.maximize(objective)
         assert solver.simplex is not None
         assert (got.status, got.value) == (want.status, want.value)
         assert solver.feasibility().status == want_feasible
+        return solver
+
+    @FALLBACK_CASES
+    def test_matches_float_path_without_proposal(self, problem, kwargs, objective, monkeypatch):
+        # Without a float proposal (as without scipy) the lazy exact simplex
+        # settles the LP; it must agree with the float-certified answer.
+        def disable():
+            monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective: None)
+
+        self.exact_path_agrees(problem, kwargs, objective, disable)
+
+    @FALLBACK_CASES
+    def test_matches_float_path_without_highs_bindings(self, problem, kwargs, objective, monkeypatch):
+        # A scipy without its bundled HiGHS bindings makes no proposal either.
+        import sys
+
+        def disable():
+            monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+
+        solver = self.exact_path_agrees(problem, kwargs, objective, disable)
+        assert (solver.stats.exact, solver.stats.highs_runs) == (2, 0)
 
     def test_exact_simplex_built_only_on_fallback(self):
         solver = ShannonSolver(build_shannon_lp(butterfly(), rate_sessions="none"))
         assert solver.maximize("H(T)").value == 2
         assert solver.feasibility().status == "feasible"
         assert solver.simplex is None
+
+
+def chain_sequences(h):
+    """(lp, steps) per chain-claim subnetwork of the incremental gadget on h.
+
+    The steps are the solves `verify_proof_chain` makes, in its order: the
+    feasibility check, then a maximize and a minimize per claim.
+    """
+    from entroflow.entropy import EntropyVector
+    from entroflow.gadgets import build_incremental
+
+    gadget = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
+    groups = {}
+    for ob in gadget.contract.obligations:
+        if ob.kind == "chain-claim":
+            groups.setdefault(ob.subnetwork, []).append(ob.expression)
+    return [
+        (
+            build_shannon_lp(gadget.problem, variables=key),
+            [("feasibility", None)] + [(sense, e) for e in expressions for sense in ("max", "min")],
+        )
+        for key, expressions in groups.items()
+    ]
+
+
+def solve_step(solver, sense, expression):
+    if sense == "feasibility":
+        return solver.feasibility()
+    return solver.maximize(expression) if sense == "max" else solver.minimize(expression)
+
+
+@pytest.fixture(scope="class", params=[(1, 1, 2), (1, 2, 3), (2, 2, 3)], ids=str)
+def warm_chains(request):
+    """Per LP: its steps, two fresh solvers' warm runs of them, and a cold
+    solve (a fresh solver) per step."""
+    out = []
+    for lp, steps in chain_sequences(request.param):
+        runs = []
+        for _ in range(2):
+            solver = ShannonSolver(lp)
+            runs.append((solver, [solve_step(solver, *step) for step in steps]))
+        cold = {step: solve_step(ShannonSolver(lp), *step) for step in dict.fromkeys(steps)}
+        out.append((lp, steps, runs, [cold[step] for step in steps]))
+    return out
+
+
+class TestWarmStart:
+    """One HiGHS handle per solver, re-solved from its last basis."""
+
+    def test_same_status_and_optimum_as_cold(self, warm_chains):
+        for _, steps, runs, cold in warm_chains:
+            warm = runs[0][1]
+            assert [(c.status, c.value) for c in warm] == [(c.status, c.value) for c in cold]
+            assert all(c.status in ("optimal", "feasible") for c in warm)
+
+    def test_every_certificate_verifies(self, warm_chains):
+        from entroflow.simplex import SimplexCertificate, verify_certificate
+
+        for lp, steps, runs, _ in warm_chains:
+            solver, certs = runs[0]
+            for (sense, expression), cert in zip(steps, certs):
+                coeffs, constant = lp.compile(expression or "0")
+                assert constant == 0
+                sign = -1 if sense == "min" else 1
+                objective = {j: sign * c for j, c in solver._to_cols(coeffs).items()}
+                value = F(0) if cert.status == "feasible" else sign * cert.value
+                x = {solver.index[m]: v for m, v in cert.primal.items()}
+                column = SimplexCertificate("optimal", value, x, cert.duals, None, None, ())
+                verify_certificate(len(lp.coords), lp.rows, objective, column)
+
+    def test_fresh_solvers_agree_byte_for_byte(self, warm_chains):
+        for lp, _, runs, _ in warm_chains:
+            first, second = ([certificate_to_json(lp, c) for c in certs] for _, certs in runs)
+            assert first == second
+
+    def test_each_distinct_objective_costs_one_highs_run(self, warm_chains):
+        for _, steps, runs, _ in warm_chains:
+            stats = runs[0][0].stats
+            distinct = len(set(steps))
+            assert stats.highs_runs == stats.float_cert == distinct
+            assert stats.memo_hits == len(steps) - distinct
+            assert stats.warm_starts == distinct - 1
+            assert stats.float_farkas == stats.exact == 0
+
+    def test_repeated_objective_is_settled_once(self):
+        lp, steps = chain_sequences((1, 1, 2))[0]
+        expression = steps[1][1]
+        solver = ShannonSolver(lp)
+        solver.feasibility()
+        assert (solver.stats.highs_runs, solver.stats.warm_starts) == (1, 0)
+        first = solver.maximize(expression)
+        assert (solver.stats.highs_runs, solver.stats.warm_starts) == (2, 1)
+        again = solver.maximize(expression)
+        assert again == first
+        assert (solver.stats.highs_runs, solver.stats.memo_hits) == (2, 1)
+
+    def test_debug_record_per_solve(self, caplog):
+        solver = ShannonSolver(build_shannon_lp(butterfly(), rate_sessions="none"))
+        with caplog.at_level("DEBUG", logger="entroflow.lp"):
+            solver.maximize("H(T)")
+            solver.maximize("H(T)")
+        messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.lp"]
+        assert len(messages) == 2
+        assert "settled by float_cert, 1 HiGHS runs (0 warm)" in messages[0]
+        assert messages[1] == "solve: optimal, settled by memo"
 
 
 class TestForcedEquality:
@@ -522,17 +648,19 @@ class TestRowStoreBuild:
 
     def test_elastic_model_matches_rows(self, monkeypatch):
         import numpy as np
-        from scipy import optimize
+
+        from entroflow.highs import Highs
 
         lp = build_shannon_lp(simple_problem([("e", "s", "t", "1/3")], [("S", 2, "s", ("t",))]))
         seen = {}
-        real = optimize.linprog
+        real = Highs.__init__
 
-        def spy(c, A_ub=None, b_ub=None, **kw):
-            seen["a"], seen["b"] = A_ub, b_ub
-            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+        def spy(self, a_ub, b_ub, a_eq, b_eq, n):
+            seen["a"], seen["b"] = a_ub, b_ub
+            assert a_eq is None and b_eq is None and n == a_ub.shape[1]
+            real(self, a_ub, b_ub, a_eq, b_eq, n)
 
-        monkeypatch.setattr(optimize, "linprog", spy)
+        monkeypatch.setattr(Highs, "__init__", spy)
         assert ShannonSolver(lp)._float_farkas() is not None
         copies = {"le": (1,), "ge": (-1,), "eq": (1, -1)}
         picks = [(i, s) for i, con in enumerate(lp.constraints) for s in copies[con.sense]]
@@ -600,7 +728,10 @@ def _guard_outputs():
     """(label, text) for LP exports and certificates that must stay byte-identical.
 
     The h=(1,1,2) incremental contract LPs with a certificate per claim
-    bound, one unreduced LP, and the first c11-style random nets.
+    bound, one unreduced LP, and the first c11-style random nets.  Every
+    certificate comes from a fresh solver, so from a cold HiGHS solve, as
+    every certificate the command line prints does; certificates after
+    warm starts are covered by `TestWarmStart`.
     """
     from entroflow.entropy import EntropyVector
     from entroflow.gadgets import build_incremental
@@ -615,11 +746,10 @@ def _guard_outputs():
         lp = build_shannon_lp(gadget.problem, variables=key)
         name = ",".join(key)
         out.append((f"contract {name} text", export_text(lp)))
-        solver = ShannonSolver(lp)
-        out.append((f"contract {name} feasibility", certificate_to_json(lp, solver.feasibility())))
+        out.append((f"contract {name} feasibility", certificate_to_json(lp, feasibility(lp))))
         for expr in expressions:
             for sense in ("max", "min"):
-                cert = solver.maximize(expr) if sense == "max" else solver.minimize(expr)
+                cert = maximize(lp, expr) if sense == "max" else minimize(lp, expr)
                 out.append((f"contract {name} {sense} {expr}", certificate_to_json(lp, cert)))
     relay = simple_problem(
         [("e1", "s", "a", "3/2"), ("e2", "a", "t", 1), ("e3", "s", "t", "1/2")],
