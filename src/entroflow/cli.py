@@ -434,20 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", required=True, help="entropy vector JSON file")
     g.add_argument("--out")
     g.add_argument("--contract")
-    g.add_argument("--json", action="store_true")
+    g.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gadget)
     g = gsub.add_parser("secure")
     g.add_argument("--c", required=True)
     g.add_argument("--d", required=True)
     g.add_argument("--out")
     g.add_argument("--contract")
-    g.add_argument("--json", action="store_true")
+    g.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gadget)
     g = gsub.add_parser("adhere")
     g.add_argument("--inner", required=True, help="inner multicast problem JSON")
     g.add_argument("--out")
     g.add_argument("--contract")
-    g.add_argument("--json", action="store_true")
+    g.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser(

@@ -7,6 +7,12 @@ incident to the edge's tail (sessions originating there, incoming edges,
 the tail's randomness if any), in a canonical order: sessions by id,
 incoming edges by ancestral position, randomness last.
 
+The variable namespace lives on `network.NetworkProblem`, which the
+Shannon LP reads too: a session is named by its id, a distinct message by
+its edge id, and a node's randomness by `V_<node>`.  The problem derives
+each encoder's inputs, each sink's inputs and each wiretap's view once;
+codes and the search look input values up by those names.
+
 All admissibility decisions are exact.  Zero-error decoding and perfect
 secrecy are decided on the induced rational joint distribution; the
 alphabet-versus-capacity and rate checks compare integer powers, never
@@ -18,12 +24,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import JointDistribution, as_fraction, check_independence
-from entroflow.network import Capacity, NetworkProblem, ancestral_order, validate
+from entroflow.network import (
+    Capacity, InputRef, NetworkProblem, ancestral_order, randomness_variable, validate,
+)
 
 __all__ = [
     "DEFAULT_OUTCOME_BUDGET",
@@ -111,9 +120,6 @@ class NodeRandomness:
         return tuple(i for i, p in enumerate(self.pmf) if p > 0)
 
 
-InputRef = tuple[str, str]  # ("session", id) | ("edge", id) | ("randomness", node)
-
-
 @dataclass(frozen=True)
 class LocalEncoder:
     """A total function from the tail's incident variables to an edge symbol.
@@ -145,19 +151,23 @@ class LocalEncoder:
 
 
 def canonical_inputs(problem: NetworkProblem, edge_id: str, has_randomness: Callable[[str], bool]) -> tuple[InputRef, ...]:
-    """The causal input list of an edge: tail sessions, in-edges, randomness."""
-    net = problem.network
-    edge = net.edge(edge_id)
-    refs: list[InputRef] = []
-    for s in sorted(problem.requirement.sessions, key=lambda s: s.id):
-        if s.origin == edge.tail:
-            refs.append(("session", s.id))
-    order = {eid: i for i, eid in enumerate(ancestral_order(problem))}
-    for inc in sorted(net.in_edges(edge.tail), key=lambda e: order[e.id]):
-        refs.append(("edge", inc.id))
-    if has_randomness(edge.tail):
-        refs.append(("randomness", edge.tail))
-    return tuple(refs)
+    """The causal input list of an edge: tail sessions, in-edges, randomness.
+
+    See `NetworkProblem.encoder_inputs`, which this reads.
+    """
+    tail = problem.network.edge(edge_id).tail
+    return problem.encoder_inputs(edge_id, (tail,) if has_randomness(tail) else ())
+
+
+def _variable_sizes(
+    sources: Mapping[str, int],
+    edges: Mapping[str, int],
+    randomness: Mapping[str, NodeRandomness],
+) -> dict[str, int]:
+    """Alphabet size per variable name: session ids, message ids, `V_<node>`."""
+    sizes = {**sources, **edges}
+    sizes.update((randomness_variable(node), rnd.size) for node, rnd in randomness.items())
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -186,26 +196,44 @@ class NetworkCode:
                 raise ValueError("randomness entry bound to the wrong node")
         if set(self.encoders) != messages:
             raise ValueError("encoders must cover exactly the non-forwarding edges")
-        has_rnd = lambda node: node in self.randomness
+        alphabet = _variable_sizes(self.source_alphabets, self.edge_alphabets, self.randomness)
         for eid, enc in self.encoders.items():
-            expected = canonical_inputs(self.problem, eid, has_rnd)
+            expected = self.problem.encoder_inputs(eid, self.randomness)
             if enc.inputs != expected:
                 raise ValueError(
                     f"encoder of {eid} must take exactly its incident variables {expected}"
                 )
-            sizes = tuple(self._input_size(ref) for ref in enc.inputs)
+            sizes = tuple(alphabet[self.problem.input_variable(ref)] for ref in enc.inputs)
             if enc.input_sizes != sizes:
                 raise ValueError(f"encoder of {eid} disagrees with the input alphabets")
             if enc.output_size != self.edge_alphabets[eid]:
                 raise ValueError(f"encoder of {eid} disagrees with the edge alphabet")
 
-    def _input_size(self, ref: InputRef) -> int:
-        kind, name = ref
-        if kind == "session":
-            return self.source_alphabets[name]
-        if kind == "edge":
-            return self.edge_alphabets[self.problem.network.message_of(name)]
-        return self.randomness[name].size
+    @cached_property
+    def _encoder_steps(self) -> tuple[tuple[str, LocalEncoder, tuple[str, ...]], ...]:
+        """(message, encoder, input variables) per message, in ancestral order."""
+        problem = self.problem
+        return tuple(
+            (m, self.encoders[m], tuple(map(problem.input_variable, self.encoders[m].inputs)))
+            for m in problem.messages
+        )
+
+    @cached_property
+    def _edge_messages(self) -> tuple[tuple[str, str], ...]:
+        """(edge, message it carries) per edge, in ancestral order."""
+        problem = self.problem
+        sessions = set(self.session_order())
+        return tuple(
+            (name, problem.network.message_of(name))
+            for name in ancestral_order(problem)
+            if name not in sessions
+        )
+
+    def _encode(self, env: dict[str, int]) -> dict[str, int]:
+        """Add every message to `env`, which holds the sessions and `V_<node>`."""
+        for m, enc, names in self._encoder_steps:
+            env[m] = enc.apply([env[x] for x in names])
+        return env
 
     def session_order(self) -> tuple[str, ...]:
         return tuple(sorted(s.id for s in self.problem.requirement.sessions))
@@ -264,22 +292,12 @@ class CodeBuilder:
 
     def build(self) -> NetworkCode:
         problem = self.problem
-        has_rnd = lambda node: node in self._randomness
+        alphabet = _variable_sizes(self._sources, self._edges, self._randomness)
         encoders: dict[str, LocalEncoder] = {}
         for eid, fn in self._functions.items():
-            refs = canonical_inputs(problem, eid, has_rnd)
-            sizes = []
-            names = []
-            for kind, name in refs:
-                if kind == "session":
-                    sizes.append(self._sources[name])
-                    names.append(name)
-                elif kind == "edge":
-                    sizes.append(self._edges[problem.network.message_of(name)])
-                    names.append(name)
-                else:
-                    sizes.append(self._randomness[name].size)
-                    names.append("V")
+            refs = problem.encoder_inputs(eid, self._randomness)
+            sizes = [alphabet[problem.input_variable(ref)] for ref in refs]
+            names = ["V" if kind == "randomness" else name for kind, name in refs]
             table = []
             for combo in itertools.product(*(range(s) for s in sizes)):
                 table.append(int(fn(dict(zip(names, combo)))))
@@ -316,7 +334,6 @@ def evaluate(
     randomness_tuple: Union[Mapping[str, int], Sequence[int]] = (),
 ) -> dict[str, int]:
     """Forward pass in ancestral order; returns a symbol for every edge."""
-    problem = code.problem
     sources = _normalize_assignment(code.session_order(), source_tuple)
     rnd = _normalize_assignment(code.randomness_order(), randomness_tuple)
     for sid, v in sources.items():
@@ -325,31 +342,10 @@ def evaluate(
     for node, v in rnd.items():
         if not 0 <= v < code.randomness[node].size:
             raise ValueError(f"randomness symbol {v} outside the alphabet at {node}")
-    net = problem.network
-    values: dict[str, int] = {}
-    for name in ancestral_order(problem):
-        if name in sources:
-            continue
-        edge = net.edge(name)
-        if edge.forwards is not None:
-            values[name] = values[edge.forwards]
-            continue
-        enc = code.encoders[name]
-        args = []
-        for kind, ref in enc.inputs:
-            if kind == "session":
-                args.append(sources[ref])
-            elif kind == "edge":
-                args.append(values[ref])
-            else:
-                args.append(rnd[ref])
-        values[name] = enc.apply(args)
-    return values
-
-
-def _message_order(problem: NetworkProblem) -> tuple[str, ...]:
-    messages = {e.id for e in problem.network.edges if e.forwards is None}
-    return tuple(name for name in ancestral_order(problem) if name in messages)
+    env = dict(sources)
+    env.update((randomness_variable(node), v) for node, v in rnd.items())
+    code._encode(env)
+    return {eid: env[m] for eid, m in code._edge_messages}
 
 
 def induced_joint_distribution(
@@ -361,10 +357,9 @@ def induced_joint_distribution(
     independent across nodes with its declared pmf.  Variables are named
     by session id, "V_<node>", and edge id.
     """
-    problem = code.problem
     sessions = code.session_order()
     rnodes = code.randomness_order()
-    messages = _message_order(problem)
+    messages = code.problem.messages
     total = math.prod(code.source_alphabets[s] for s in sessions) if sessions else 1
     supports = {node: code.randomness[node].support() for node in rnodes}
     for node in rnodes:
@@ -375,34 +370,22 @@ def induced_joint_distribution(
         )
     variables: list[tuple[str, int]] = []
     variables += [(s, code.source_alphabets[s]) for s in sessions]
-    variables += [(f"V_{node}", code.randomness[node].size) for node in rnodes]
+    rvars = tuple(randomness_variable(node) for node in rnodes)
+    variables += [(v, code.randomness[node].size) for v, node in zip(rvars, rnodes)]
     variables += [(m, code.edge_alphabets[m]) for m in messages]
     base = Fraction(1)
     for s in sessions:
         base /= code.source_alphabets[s]
     pmf: dict[tuple[int, ...], Fraction] = {}
     for src_combo in itertools.product(*(range(code.source_alphabets[s]) for s in sessions)):
-        srcs = dict(zip(sessions, src_combo))
         for rnd_combo in itertools.product(*(supports[node] for node in rnodes)):
-            rnd = dict(zip(rnodes, rnd_combo))
             p = base
-            for node, v in rnd.items():
+            for node, v in zip(rnodes, rnd_combo):
                 p *= code.randomness[node].pmf[v]
-            values = evaluate(code, srcs, rnd)
-            outcome = src_combo + rnd_combo + tuple(values[m] for m in messages)
+            env = code._encode(dict(zip(sessions + rvars, src_combo + rnd_combo)))
+            outcome = src_combo + rnd_combo + tuple(env[m] for m in messages)
             pmf[outcome] = pmf.get(outcome, Fraction(0)) + p
     return JointDistribution.of(tuple(variables), pmf)
-
-
-def _sink_input_names(problem: NetworkProblem, sink: str) -> tuple[str, ...]:
-    net = problem.network
-    incoming = tuple(net.message_of(e.id) for e in net.in_edges(sink))
-    local = tuple(s.id for s in problem.requirement.sessions if s.origin == sink)
-    seen: list[str] = []
-    for name in incoming + local:
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
 
 
 def check_zero_error(
@@ -416,7 +399,7 @@ def check_zero_error(
     names = dist.names()
     failures: list[tuple[str, str]] = []
     for sink, demanded in problem.demands().items():
-        givens = _sink_input_names(problem, sink)
+        givens = problem.sink_inputs(sink)
         for sid in demanded:
             if sid in givens:
                 continue
@@ -445,18 +428,12 @@ def check_secrecy(
     if not problem.wiretaps.taps:
         return True, []
     dist = dist or induced_joint_distribution(code)
-    net = problem.network
     failures: list[int] = []
-    for i, tap in enumerate(problem.wiretaps.taps):
-        observed: list[str] = []
-        for eid in tap.edges:
-            msg = net.message_of(eid)
-            if msg not in observed:
-                observed.append(msg)
+    for i, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
         targets = tuple(tap.sources)
         if not targets or not observed:
             continue
-        if not check_independence(dist, targets, tuple(observed)):
+        if not check_independence(dist, targets, observed):
             failures.append(i)
     return not failures, failures
 
@@ -514,21 +491,17 @@ def derandomize(code: NetworkCode, target_edge: str) -> DerandomizeResult:
     support point; when it fails, the premise violation is the outcome.
     """
     problem = code.problem
-    net = problem.network
-    msg = net.message_of(target_edge)
+    msg = problem.network.message_of(target_edge)
     enc = code.encoders[msg]
-    rnodes = code.randomness_order()
-    nonrand: list[str] = []
     rand_pos: Optional[int] = None
-    for pos, (kind, name) in enumerate(enc.inputs):
-        if kind == "session":
-            nonrand.append(name)
-        elif kind == "edge":
-            nonrand.append(net.message_of(name))
-        else:
+    nonrand: list[str] = []
+    for pos, ref in enumerate(enc.inputs):
+        if ref[0] == "randomness":
             rand_pos = pos
+        else:
+            nonrand.append(problem.input_variable(ref))
     dist = induced_joint_distribution(code)
-    rand_vars = tuple(f"V_{n}" for n in rnodes)
+    rand_vars = tuple(randomness_variable(n) for n in code.randomness_order())
     group_a = tuple(dict.fromkeys(nonrand + [msg]))
     if rand_vars:
         if not check_independence(dist, group_a, rand_vars):
@@ -552,9 +525,7 @@ def derandomize(code: NetworkCode, target_edge: str) -> DerandomizeResult:
     new_enc = LocalEncoder(msg, new_inputs, new_sizes, tuple(table), enc.output_size)
     # Belt: the projected table must agree with the message on the support.
     names = dist.names()
-    in_idx = []
-    for kind, name in new_inputs:
-        in_idx.append(names.index(name if kind != "edge" else net.message_of(name)))
+    in_idx = [names.index(problem.input_variable(ref)) for ref in new_inputs]
     m_idx = names.index(msg)
     for outcome in dist.pmf:
         args = [outcome[i] for i in in_idx]
@@ -598,17 +569,9 @@ class _SearchPlan:
             bounds = dict(alphabet_bounds)
         edge_default = bounds.get("edges", 2)
         self.sessions = tuple(sorted(s.id for s in problem.requirement.sessions))
-        self.messages = _message_order(problem)
-        if allow_randomness:
-            declared = problem.randomness_nodes
-            if declared:
-                self.rnodes = tuple(sorted(declared))
-            else:
-                self.rnodes = tuple(
-                    sorted({e.tail for e in net.edges if e.forwards is None})
-                )
-        else:
-            self.rnodes = ()
+        self.messages = problem.messages
+        self.rnodes = problem.default_randomness_nodes if allow_randomness else ()
+        self.rvars = tuple(map(randomness_variable, self.rnodes))
         # Per-variable candidate sizes, pruned by rate and by every capacity
         # on the message's forwarding chain.
         by_session = {s.id: s for s in problem.requirement.sessions}
@@ -629,28 +592,25 @@ class _SearchPlan:
                 if all(alphabet_fits_capacity(k, c) for c in caps_by_message[m])
             )
             self.size_options.append((m, opts))
-        for node in self.rnodes:
-            top = bounds.get(f"V_{node}", edge_default)
-            self.size_options.append((f"V_{node}", tuple(range(1, top + 1))))
+        for var in self.rvars:
+            top = bounds.get(var, edge_default)
+            self.size_options.append((var, tuple(range(1, top + 1))))
         # Static evaluation plan over messages in ancestral order.
-        self._input_refs: dict[str, tuple[InputRef, ...]] = {}
-        for m in self.messages:
-            self._input_refs[m] = canonical_inputs(
-                problem, m, lambda node: node in self.rnodes
-            )
+        self._input_vars = {
+            m: tuple(map(problem.input_variable, problem.encoder_inputs(m, self.rnodes)))
+            for m in self.messages
+        }
         self.sink_plan: list[tuple[str, str, tuple[str, ...]]] = []
         for sink, demanded in problem.demands().items():
-            givens = _sink_input_names(problem, sink)
+            givens = problem.sink_inputs(sink)
             for sid in demanded:
                 if sid not in givens:
                     self.sink_plan.append((sink, sid, givens))
-        self.tap_plan: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for tap in problem.wiretaps.taps:
-            observed = tuple(
-                dict.fromkeys(net.message_of(eid) for eid in tap.edges)
-            )
-            if tap.sources and observed:
-                self.tap_plan.append((tuple(tap.sources), observed))
+        self.tap_plan = [
+            (tuple(tap.sources), observed)
+            for tap, observed in zip(problem.wiretaps.taps, problem.wiretap_views)
+            if tap.sources and observed
+        ]
 
     def size_assignments(self):
         names = [name for name, _ in self.size_options]
@@ -662,15 +622,7 @@ class _SearchPlan:
         return sizes[message] ** math.prod(dims) if dims else sizes[message]
 
     def _table_dims(self, sizes: Mapping[str, int], message: str) -> tuple[int, ...]:
-        dims = []
-        for kind, name in self._input_refs[message]:
-            if kind == "session":
-                dims.append(sizes[name])
-            elif kind == "edge":
-                dims.append(sizes[self.problem.network.message_of(name)])
-            else:
-                dims.append(sizes[f"V_{name}"])
-        return tuple(dims)
+        return tuple(sizes[v] for v in self._input_vars[message])
 
     def candidates_for(self, sizes: Mapping[str, int]) -> int:
         total = 1
@@ -690,13 +642,13 @@ class _SearchPlan:
         combination is one equally likely outcome and independence reduces
         to integer count factorization.
         """
-        problem = self.problem
-        net = problem.network
-        sessions = self.sessions
-        rvars = tuple(f"V_{n}" for n in self.rnodes)
+        sessions, rvars = self.sessions, self.rvars
         src_ranges = [range(sizes[s]) for s in sessions]
         rnd_ranges = [range(sizes[v]) for v in rvars]
-        dims = {m: self._table_dims(sizes, m) for m in self.messages}
+        steps = [
+            (m, table, self._input_vars[m], self._table_dims(sizes, m))
+            for m, table in zip(self.messages, tables)
+        ]
         decode: dict[tuple[str, str], dict] = {(d, s): {} for d, s, _ in self.sink_plan}
         tap_counts = [
             (dict(), dict(), dict()) for _ in self.tap_plan
@@ -707,16 +659,10 @@ class _SearchPlan:
             for rnd in itertools.product(*rnd_ranges):
                 n_outcomes += 1
                 values.update(zip(rvars, rnd))
-                for m, table in zip(self.messages, tables):
+                for m, table, names, dims in steps:
                     idx = 0
-                    for (kind, name), dim in zip(self._input_refs[m], dims[m]):
-                        if kind == "session":
-                            v = values[name]
-                        elif kind == "edge":
-                            v = values[net.message_of(name)]
-                        else:
-                            v = values[f"V_{name}"]
-                        idx = idx * dim + v
+                    for name, dim in zip(names, dims):
+                        idx = idx * dim + values[name]
                     values[m] = table[idx]
                 for (sink, sid, givens) in self.sink_plan:
                     key = tuple(values[g] for g in givens)
@@ -740,10 +686,9 @@ class _SearchPlan:
     def realize(self, sizes: Mapping[str, int], tables: Sequence[tuple[int, ...]]) -> NetworkCode:
         encoders = {}
         for m, table in zip(self.messages, tables):
-            refs = self._input_refs[m]
             encoders[m] = LocalEncoder(
                 edge=m,
-                inputs=refs,
+                inputs=self.problem.encoder_inputs(m, self.rnodes),
                 input_sizes=self._table_dims(sizes, m),
                 table=tuple(table),
                 output_size=sizes[m],
@@ -753,8 +698,8 @@ class _SearchPlan:
             source_alphabets={s: sizes[s] for s in self.sessions},
             edge_alphabets={m: sizes[m] for m in self.messages},
             randomness={
-                node: NodeRandomness.uniform(node, sizes[f"V_{node}"])
-                for node in self.rnodes
+                node: NodeRandomness.uniform(node, sizes[var])
+                for node, var in zip(self.rnodes, self.rvars)
             },
             encoders=encoders,
         )
@@ -777,20 +722,13 @@ def exhaustive_search(
     searched = 0
     for sizes in plan.size_assignments():
         block = plan.candidates_for(sizes)
-        if block == 0:
-            continue
-        if searched + block > budget and block > 0:
-            # Partial scan of this block up to the remaining budget.
-            remaining = budget - searched
-            found, scanned = _scan_block(plan, sizes, remaining)
-            searched += scanned
-            if found is not None:
-                return SearchOutcome("found", found, searched, total)
-            return SearchOutcome("budget-exceeded", None, searched, total)
-        found, scanned = _scan_block(plan, sizes, block)
+        limit = min(block, budget - searched)  # a partial scan once the budget runs out
+        found, scanned = _scan_block(plan, sizes, limit)
         searched += scanned
         if found is not None:
             return SearchOutcome("found", found, searched, total)
+        if limit < block:
+            return SearchOutcome("budget-exceeded", None, searched, total)
     return SearchOutcome("exhausted", None, searched, total)
 
 
@@ -860,21 +798,14 @@ def code_from_json(problem: NetworkProblem, text: str) -> NetworkCode:
     }
     sources = {k: int(v) for k, v in doc["sources"].items()}
     edges = {k: int(v) for k, v in doc["edges"].items()}
-    has_rnd = lambda node: node in randomness
+    alphabet = _variable_sizes(sources, edges, randomness)
     encoders = {}
     for eid, entry in doc["encoders"].items():
         refs = tuple((kind, name) for kind, name in entry["inputs"])
-        expected = canonical_inputs(problem, eid, has_rnd)
+        expected = problem.encoder_inputs(eid, randomness)
         if refs != expected:
             raise ValueError(f"encoder of {eid} lists inputs {refs}, expected {expected}")
-        sizes = []
-        for kind, name in refs:
-            if kind == "session":
-                sizes.append(sources[name])
-            elif kind == "edge":
-                sizes.append(edges[problem.network.message_of(name)])
-            else:
-                sizes.append(randomness[name].size)
+        sizes = [alphabet[problem.input_variable(ref)] for ref in refs]
         table = tuple(_flatten(entry["table"], sizes))
         encoders[eid] = LocalEncoder(eid, refs, tuple(sizes), table, edges[eid])
     return NetworkCode(

@@ -26,11 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from entroflow.codes import CodeBuilder, NetworkCode, minimal_source_alphabet
+from entroflow.codes import CodeBuilder, NetworkCode
 from entroflow.entropy import (
     EntropyVector,
     JointDistribution,
@@ -835,7 +835,7 @@ def compose_adhered_code(gadget: AdheredGadget, inner_code: NetworkCode) -> Netw
             raise ValueError(f"inner code must carry {sid} on exactly {size} symbols")
         key_size[sid] = size
     # Decode tables: inner sink inputs -> session value, from the inner code.
-    from entroflow.codes import evaluate as eval_code, _sink_input_names
+    from entroflow.codes import evaluate as eval_code
 
     inner_sessions = inner_code.session_order()
     decode: dict[tuple[str, str], dict[tuple[int, ...], int]] = {}
@@ -848,8 +848,7 @@ def compose_adhered_code(gadget: AdheredGadget, inner_code: NetworkCode) -> Netw
         values = eval_code(inner_code, combo)
         values.update(zip(inner_sessions, combo))
         for (sid, d), table in decode.items():
-            givens = _sink_input_names(inner, d)
-            key = tuple(values[g] for g in givens)
+            key = tuple(values[g] for g in inner.sink_inputs(d))
             table[key] = values[sid]
     problem = gadget.problem
     net = problem.network
@@ -895,7 +894,7 @@ def compose_adhered_code(gadget: AdheredGadget, inner_code: NetworkCode) -> Netw
     # inputs that carry those messages at the adhered node.
     for (sid, d), xsid in gadget.copy_sessions.items():
         tag = f"{sid}.{d}"
-        givens = _sink_input_names(inner, d)
+        givens = inner.sink_inputs(d)
         table = decode[(sid, d)]
         carrier: dict[str, str] = {}
         for e in net.in_edges(d):

@@ -65,7 +65,7 @@ from entroflow.entropy import (
     as_fraction,
     subset_entropy,
 )
-from entroflow.network import NetworkProblem, ancestral_order, validate
+from entroflow.network import NetworkProblem, randomness_variable, validate
 from entroflow.simplex import (
     CertificateError,
     ExactSimplex,
@@ -114,6 +114,8 @@ class GroundTooLargeError(ValueError):
 class VariableGround:
     ground: GroundSet
     kinds: Mapping[str, str]  # label -> "session" | "message" | "randomness"
+    # Nodes whose randomness the LP models, before any subnetwork restriction.
+    randomized: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -387,21 +389,11 @@ def _ground_of(
     include_randomness: bool,
     variables: Optional[Sequence[str]],
 ) -> VariableGround:
-    net = problem.network
     sessions = sorted(s.id for s in problem.requirement.sessions)
-    messages = [
-        name
-        for name in ancestral_order(problem)
-        if name not in sessions and net.edge(name).forwards is None
-    ]
-    if include_randomness:
-        nodes = problem.randomness_nodes or tuple(
-            sorted({e.tail for e in net.edges if e.forwards is None})
-        )
-        randomness = [f"V_{node}" for node in sorted(nodes)]
-    else:
-        randomness = []
-    labels = list(sessions) + messages + randomness
+    messages = list(problem.messages)
+    randomized = problem.default_randomness_nodes if include_randomness else ()
+    randomness = [randomness_variable(node) for node in randomized]
+    labels = sessions + messages + randomness
     kinds = {s: "session" for s in sessions}
     kinds.update({m: "message" for m in messages})
     kinds.update({v: "randomness" for v in randomness})
@@ -412,7 +404,7 @@ def _ground_of(
             raise KeyError(f"unknown subnetwork variables {sorted(unknown)}")
         labels = [lab for lab in labels if lab in wanted]
         kinds = {lab: kinds[lab] for lab in labels}
-    return VariableGround(GroundSet(tuple(labels)), kinds)
+    return VariableGround(GroundSet(tuple(labels)), kinds, randomized)
 
 
 def _dependency_rules(
@@ -422,46 +414,24 @@ def _dependency_rules(
 
     A rule is emitted only when the target and its entire input list are
     ground variables; anything else would weaken the premise unsoundly.
+    An encoder's inputs include its tail's randomness whenever the LP models
+    that randomness (`vg.randomized`), also when a subnetwork leaves it out.
     """
-    net = problem.network
     ground = vg.ground
     labels = set(ground.labels)
     rules: list[tuple[int, int, tuple[str, ...]]] = []
-    randomized = {lab[2:] for lab in labels if vg.kinds.get(lab) == "randomness"}
-    for name in ancestral_order(problem):
-        if name not in labels or vg.kinds[name] != "message":
+    for name in problem.messages:
+        if name not in labels:
             continue
-        edge = net.edge(name)
-        inputs: list[str] = []
-        ok = True
-        for s in problem.requirement.sessions:
-            if s.origin == edge.tail:
-                inputs.append(s.id)
-        for inc in net.in_edges(edge.tail):
-            inputs.append(net.message_of(inc.id))
-        if edge.tail in randomized:
-            inputs.append(f"V_{edge.tail}")
-        for dep in inputs:
-            if dep not in labels:
-                ok = False
-        if ok:
-            rules.append(
-                (ground.mask_of(dict.fromkeys(inputs)), ground.mask_of([name]), ("causality", name))
-            )
+        refs = problem.encoder_inputs(name, vg.randomized)
+        inputs = dict.fromkeys(map(problem.input_variable, refs))
+        if all(dep in labels for dep in inputs):
+            rules.append((ground.mask_of(inputs), ground.mask_of([name]), ("causality", name)))
     for sink, demanded in problem.demands().items():
-        inputs = []
-        ok = True
-        for inc in net.in_edges(sink):
-            inputs.append(net.message_of(inc.id))
-        for s in problem.requirement.sessions:
-            if s.origin == sink:
-                inputs.append(s.id)
-        for dep in inputs:
-            if dep not in labels:
-                ok = False
-        if not ok:
+        inputs = problem.sink_inputs(sink)
+        if any(dep not in labels for dep in inputs):
             continue
-        premise = ground.mask_of(dict.fromkeys(inputs))
+        premise = ground.mask_of(inputs)
         for sid in demanded:
             if sid in labels and sid not in inputs:
                 rules.append((premise, ground.mask_of([sid]), ("decode", sink, sid)))
@@ -629,8 +599,7 @@ def build_shannon_lp(
         if s.id in labels and s.id in rated:
             push({cl(ground.mask_of([s.id])): one}, "ge", s.rate, ("rate", s.id))
     # Secrecy.
-    for r, tap in enumerate(problem.wiretaps.taps):
-        observed = tuple(dict.fromkeys(net.message_of(eid) for eid in tap.edges))
+    for r, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
         names = tuple(tap.sources) + observed
         if not tap.sources or not observed or any(x not in labels for x in names):
             continue

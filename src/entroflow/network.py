@@ -7,6 +7,12 @@ order), a wiretapping pattern, and the per-edge capacities.  Edges marked
 they carry no encoder of their own, which keeps the variable count of the
 LP machinery equal to the number of distinct messages.
 
+`NetworkProblem` also owns the variable namespace that codes, code search
+and the Shannon LP share: a session is named by its id, a distinct message
+by the id of its non-forwarding edge, and a node's randomness by
+`V_<node>`.  What each encoder reads, what each sink decodes from and what
+each wiretap observes are derived there once per problem.
+
 Capacities are exact rationals or the explicit ``UNBOUNDED`` marker, which
 is never approximated by a large number in the data model; only max-flow
 replaces it locally by (sum of finite capacities + 1).
@@ -16,10 +22,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Container, Mapping, NamedTuple, Optional, Union
 
 from entroflow.entropy import as_fraction
 
@@ -34,7 +40,9 @@ __all__ = [
     "WiretapPattern",
     "RateCapacityTuple",
     "NetworkProblem",
+    "InputRef",
     "SchemaError",
+    "randomness_variable",
     "validate",
     "ancestral_order",
     "min_cut",
@@ -218,11 +226,21 @@ class RateCapacityTuple:
         )
 
 
+InputRef = tuple[str, str]  # ("session", id) | ("edge", id) | ("randomness", node)
+
+
+def randomness_variable(node: str) -> str:
+    """The variable name of a node's randomness."""
+    return f"V_{node}"
+
+
 @dataclass(frozen=True)
 class NetworkProblem:
     """A network with its sessions, wiretaps and randomness nodes.
 
-    `validate` and `ancestral_order` derive their results once per
+    `validate`, `ancestral_order` and the variable derivations (`messages`,
+    `encoder_inputs`, `sink_inputs`, `wiretap_views`,
+    `default_randomness_nodes`) work out their results once per
     (immutable) instance and keep them on it; a failed derivation is not
     kept, so it fails again on the next call.
     """
@@ -239,6 +257,77 @@ class NetworkProblem:
     @cached_property
     def _ancestral_order(self) -> tuple[str, ...]:
         return tuple(_derive_ancestral_order(self))
+
+    @cached_property
+    def messages(self) -> tuple[str, ...]:
+        """The distinct messages (non-forwarding edge ids), in ancestral order."""
+        net = self.network
+        edge_order = self._ancestral_order[len(self.requirement.sessions) :]
+        return tuple(eid for eid in edge_order if net.edge(eid).forwards is None)
+
+    @cached_property
+    def _tail_inputs(self) -> dict[str, tuple[InputRef, ...]]:
+        position = {name: i for i, name in enumerate(self._ancestral_order)}
+        net = self.network
+        sessions = sorted(self.requirement.sessions, key=lambda s: s.id)
+        out = {}
+        for node in net.nodes:
+            refs = [("session", s.id) for s in sessions if s.origin == node]
+            into = sorted(net.in_edges(node), key=lambda e: position[e.id])
+            out[node] = tuple(refs + [("edge", e.id) for e in into])
+        return out
+
+    def encoder_inputs(self, edge_id: str, randomized: Container[str]) -> tuple[InputRef, ...]:
+        """The causal inputs of an edge's encoder, in canonical order.
+
+        Sessions originating at the edge's tail (by id), the edges into the
+        tail (in ancestral order), and last the tail's randomness when the
+        tail is one of the `randomized` nodes.
+        """
+        tail = self.network.edge(edge_id).tail
+        refs = self._tail_inputs[tail]
+        return refs + (("randomness", tail),) if tail in randomized else refs
+
+    def input_variable(self, ref: InputRef) -> str:
+        """The variable an input ref names: a session id, the message an
+        edge carries, or `V_<node>`."""
+        kind, name = ref
+        if kind == "session":
+            return name
+        if kind == "edge":
+            return self.network.message_of(name)
+        return randomness_variable(name)
+
+    @cached_property
+    def _sink_inputs(self) -> dict[str, tuple[str, ...]]:
+        net = self.network
+        out = {}
+        for node in net.nodes:
+            names = [net.message_of(e.id) for e in net.in_edges(node)]
+            names += [s.id for s in self.requirement.sessions if s.origin == node]
+            out[node] = tuple(dict.fromkeys(names))
+        return out
+
+    def sink_inputs(self, sink: str) -> tuple[str, ...]:
+        """What a sink decodes from: the messages on its in-edges, then the
+        sessions originating there, each once."""
+        return self._sink_inputs[sink]
+
+    @cached_property
+    def wiretap_views(self) -> tuple[tuple[str, ...], ...]:
+        """Per wiretap, the distinct messages it observes, in edge order."""
+        net = self.network
+        return tuple(
+            tuple(dict.fromkeys(net.message_of(eid) for eid in tap.edges))
+            for tap in self.wiretaps.taps
+        )
+
+    @cached_property
+    def default_randomness_nodes(self) -> tuple[str, ...]:
+        """Nodes that may hold randomness when a caller asks for it: the
+        declared ones, or else every tail of a non-forwarding edge; sorted."""
+        tails = {e.tail for e in self.network.edges if e.forwards is None}
+        return tuple(sorted(self.randomness_nodes or tails))
 
     @property
     def rate_capacity(self) -> RateCapacityTuple:

@@ -142,6 +142,17 @@ class TestGadget:
     def test_bad_parameters(self, tmp_path):
         assert main(["gadget", "secure", "--c", "2", "--d", "1"]) == 64
 
+    @pytest.mark.parametrize("where", ["before", "after", "absent"])
+    def test_json_flag_in_either_position(self, tmp_path, capsys, where):
+        argv = ["gadget", "secure", "--c", "1", "--d", "2", "--out", str(tmp_path / "sec.json")]
+        argv = {"before": ["--json", *argv], "after": [*argv, "--json"], "absent": argv}[where]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if where == "absent":
+            assert out.startswith("PASS problem: written to ")
+        else:
+            assert json.loads(out)["command"] == "gadget-secure"
+
 
 class TestVerify:
     def test_key_forcing(self, capsys):

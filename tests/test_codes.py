@@ -420,6 +420,29 @@ class TestExhaustiveSearch:
         assert out.status == "budget-exceeded"
         assert out.searched == 10
         assert 0 < out.fraction_searched < 1
+        # Butterfly blocks end at 1, 3, 19, 83, 99, ... candidates; a budget
+        # that ends on a boundary still stops before the next block.
+        for budget in (82, 83, 84):
+            out = exhaustive_search(butterfly(), alphabet_bounds=2, budget=budget)
+            assert (out.status, out.searched, out.total) == ("budget-exceeded", budget, 4515)
+        # The tapped single edge has blocks of 1 and 4 candidates and no code.
+        tapped = simple_problem([("e", "s", "t", 1)], [("X", 1, "s", ("t",))])
+        tapped = network.NetworkProblem(
+            tapped.network,
+            tapped.requirement,
+            network.WiretapPattern((network.Wiretap(("X",), ("e",)),)),
+        )
+        expected = {
+            0: ("budget-exceeded", 0, 5),
+            1: ("budget-exceeded", 1, 5),
+            2: ("budget-exceeded", 2, 5),
+            4: ("budget-exceeded", 4, 5),
+            5: ("exhausted", 5, 5),
+            6: ("exhausted", 5, 5),
+        }
+        for budget, pinned in expected.items():
+            out = exhaustive_search(tapped, alphabet_bounds=2, budget=budget)
+            assert (out.status, out.searched, out.total) == pinned
 
     def test_deterministic_reproducible(self):
         a = exhaustive_search(butterfly(), alphabet_bounds=2)

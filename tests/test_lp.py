@@ -134,6 +134,21 @@ class TestBuild:
         lp = build_shannon_lp(pad_problem())
         assert "V_s" in lp.ground.labels
 
+    def test_subnetwork_without_relay_randomness_keeps_it_in_causality(self):
+        # K and W3 are functions of (W1, V_a); a subnetwork without V_a must
+        # drop their causality rules, not assert K and W3 functions of W1.
+        # With them, the one-time pad (an admissible code) reads infeasible.
+        from entroflow.gadgets import build_secure
+
+        problem = build_secure(1, 2).problem
+        sub = ["X", "W1", "W2", "W3", "K", "W4", "W5"]
+        assert feasibility(build_shannon_lp(problem, variables=sub)).status == "feasible"
+        tags = {c.tag for c in build_shannon_lp(problem, variables=sub, reduce=False).constraints}
+        assert ("causality", "K") not in tags and ("causality", "W3") not in tags
+        assert ("causality", "W4") in tags
+        full = {c.tag for c in build_shannon_lp(problem, variables=sub + ["V_a"], reduce=False).constraints}
+        assert {("causality", "K"), ("causality", "W3")} <= full
+
     def test_export_mentions_tags(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         text = export_text(build_shannon_lp(p))

@@ -265,6 +265,179 @@ class TestDerivedTopology:
         assert len(calls) == 2
 
 
+# Reference copies of the per-module derivations that `NetworkProblem` now
+# owns: codes (canonical inputs, input ladders, sink inputs, wiretap views)
+# and the Shannon LP (ground messages, causality and decode inputs, default
+# randomness).
+
+
+def reference_canonical_inputs(problem, edge_id, has_randomness):
+    net = problem.network
+    edge = net.edge(edge_id)
+    refs = [("session", s.id) for s in sorted(problem.requirement.sessions, key=lambda s: s.id)
+            if s.origin == edge.tail]
+    order = {eid: i for i, eid in enumerate(ancestral_order(problem))}
+    refs += [("edge", inc.id) for inc in sorted(net.in_edges(edge.tail), key=lambda e: order[e.id])]
+    if has_randomness(edge.tail):
+        refs.append(("randomness", edge.tail))
+    return tuple(refs)
+
+
+def reference_input_variable(problem, ref):
+    kind, name = ref
+    if kind == "session":
+        return name
+    if kind == "edge":
+        return problem.network.message_of(name)
+    return f"V_{name}"
+
+
+def reference_lp_causality_inputs(problem, edge_id, randomized):
+    net = problem.network
+    edge = net.edge(edge_id)
+    inputs = [s.id for s in problem.requirement.sessions if s.origin == edge.tail]
+    inputs += [net.message_of(inc.id) for inc in net.in_edges(edge.tail)]
+    if edge.tail in randomized:
+        inputs.append(f"V_{edge.tail}")
+    return set(inputs)
+
+
+def reference_sink_inputs(problem, sink):
+    net = problem.network
+    incoming = tuple(net.message_of(e.id) for e in net.in_edges(sink))
+    local = tuple(s.id for s in problem.requirement.sessions if s.origin == sink)
+    seen = []
+    for name in incoming + local:
+        if name not in seen:
+            seen.append(name)
+    return tuple(seen)
+
+
+def reference_wiretap_view(problem, tap):
+    observed = []
+    for eid in tap.edges:
+        msg = problem.network.message_of(eid)
+        if msg not in observed:
+            observed.append(msg)
+    return tuple(observed)
+
+
+def reference_default_randomness(problem):
+    net = problem.network
+    declared = problem.randomness_nodes
+    if declared:
+        return tuple(sorted(declared))
+    return tuple(sorted({e.tail for e in net.edges if e.forwards is None}))
+
+
+@st.composite
+def random_problems(draw):
+    """`random_networks` with drawn wiretaps and declared randomness nodes."""
+    problem = draw(random_networks())
+    edge_ids = [e.id for e in problem.network.edges]
+    session_ids = [s.id for s in problem.requirement.sessions]
+    taps = draw(
+        st.lists(
+            st.builds(
+                Wiretap,
+                st.lists(st.sampled_from(session_ids), max_size=2, unique=True).map(tuple),
+                st.lists(st.sampled_from(edge_ids), max_size=3).map(tuple)
+                if edge_ids
+                else st.just(()),
+            ),
+            max_size=3,
+        )
+    )
+    randomness = draw(st.lists(st.sampled_from(problem.network.nodes), max_size=2, unique=True))
+    return NetworkProblem(
+        problem.network, problem.requirement, WiretapPattern(tuple(taps)), tuple(randomness)
+    )
+
+
+class TestSharedVariables:
+    """Each variable derivation on `NetworkProblem` against the copies it
+    replaced in codes and the Shannon LP."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_problems(), st.data())
+    def test_matches_module_copies(self, problem, data):
+        if validate(problem):
+            return
+        net = problem.network
+        order = ancestral_order(problem)
+        sessions = sorted(s.id for s in problem.requirement.sessions)
+        distinct = {e.id for e in net.edges if e.forwards is None}
+        assert problem.messages == tuple(n for n in order if n in distinct)  # codes
+        assert problem.messages == tuple(  # lp
+            n for n in order if n not in sessions and net.edge(n).forwards is None
+        )
+        default = problem.default_randomness_nodes
+        assert default == reference_default_randomness(problem)
+        randomized = data.draw(st.lists(st.sampled_from(net.nodes), unique=True), "randomized")
+        for e in net.edges:
+            for chosen in (randomized, default, ()):
+                refs = problem.encoder_inputs(e.id, chosen)
+                assert refs == reference_canonical_inputs(problem, e.id, lambda v: v in chosen)
+                names = [problem.input_variable(r) for r in refs]
+                assert names == [reference_input_variable(problem, r) for r in refs]
+                assert set(names) == reference_lp_causality_inputs(problem, e.id, chosen)
+        for node in net.nodes:
+            assert problem.sink_inputs(node) == reference_sink_inputs(problem, node)
+        assert problem.wiretap_views == tuple(
+            reference_wiretap_view(problem, tap) for tap in problem.wiretaps.taps
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_problems(), st.data())
+    def test_evaluate_matches_reference_pass(self, problem, data):
+        # A code whose every encoder sums its inputs mod its alphabet,
+        # evaluated against the input ladder it replaced.
+        from entroflow.codes import CodeBuilder, evaluate
+
+        if validate(problem):
+            return
+        net = problem.network
+        builder = CodeBuilder(problem)
+        for s in problem.requirement.sessions:
+            builder.source(s.id, 2)
+        rnodes = sorted(data.draw(st.lists(st.sampled_from(net.nodes), unique=True), "rnodes"))
+        for node in rnodes:
+            builder.randomness(node, 2)
+        sizes = {e.id: data.draw(st.integers(1, 3), e.id) for e in net.edges if e.forwards is None}
+        for eid, size in sizes.items():
+            builder.edge(eid, size, lambda v, size=size: sum(v.values()) % size)
+        code = builder.build()
+        src = data.draw(st.tuples(*(st.integers(0, 1) for _ in code.session_order())), "src")
+        rnd = data.draw(st.tuples(*(st.integers(0, 1) for _ in rnodes)), "rnd")
+        got = evaluate(code, src, rnd)
+
+        sources = dict(zip(code.session_order(), src))
+        randomness = dict(zip(rnodes, rnd))
+        values = {}
+        for name in ancestral_order(problem):
+            if name in sources:
+                continue
+            edge = net.edge(name)
+            if edge.forwards is not None:
+                values[name] = values[edge.forwards]
+                continue
+            enc = code.encoders[name]
+            args = []
+            for kind, ref in enc.inputs:
+                if kind == "session":
+                    args.append(sources[ref])
+                elif kind == "edge":
+                    args.append(values[ref])
+                else:
+                    args.append(randomness[ref])
+            values[name] = enc.apply(args)
+        assert got == values
+        # A symbol for every edge, forwarding edges included, in ancestral order.
+        assert list(got) == [n for n in ancestral_order(problem) if n not in sources]
+        for e in net.edges:
+            assert got[e.id] == got[net.message_of(e.id)]
+
+
 class TestMinCut:
     def test_single_edge(self):
         p = simple_problem([("e", "s", "t", "3/2")], [("S", 1, "s", ("t",))])
