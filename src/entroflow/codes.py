@@ -31,7 +31,13 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import JointDistribution, as_fraction, check_independence
 from entroflow.network import (
-    Capacity, InputRef, NetworkProblem, ancestral_order, randomness_variable, validate,
+    Capacity,
+    InputRef,
+    NetworkProblem,
+    ancestral_order,
+    name_clashes,
+    randomness_variable,
+    validate,
 )
 
 __all__ = [
@@ -558,7 +564,8 @@ class _SearchPlan:
         alphabet_bounds: Union[int, Mapping[str, int]],
         allow_randomness: bool,
     ) -> None:
-        errors = validate(problem)
+        self.rnodes = problem.default_randomness_nodes if allow_randomness else ()
+        errors = validate(problem) or name_clashes(problem, self.rnodes)
         if errors:
             raise ValueError("invalid problem: " + "; ".join(errors))
         self.problem = problem
@@ -570,7 +577,6 @@ class _SearchPlan:
         edge_default = bounds.get("edges", 2)
         self.sessions = tuple(sorted(s.id for s in problem.requirement.sessions))
         self.messages = problem.messages
-        self.rnodes = problem.default_randomness_nodes if allow_randomness else ()
         self.rvars = tuple(map(randomness_variable, self.rnodes))
         # Per-variable candidate sizes, pruned by rate and by every capacity
         # on the message's forwarding chain.

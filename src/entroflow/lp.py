@@ -24,9 +24,10 @@ The rows are generated once, into one integer row store
 (`rows.RowStore`: CSR arrays over the closed coordinates, a sense code
 and an exact right side per row, rational rows scaled to integers by their
 least common denominator).  The elemental block is generated with numpy
-from the mask columns of `entropy._elemental_masks`; provenance tags stay
-compact and are formatted only for `export_text`, `certificate_to_json`
-and the `constraints` view.  Every reader works from the store: the HiGHS
+from the mask columns of `entropy._elemental_masks` (kept as one read-only
+array per ground size), and equal rows are found through one packed
+integer key per row; provenance tags stay compact and are formatted only
+for `export_text`, `certificate_to_json` and the `constraints` view.  Every reader works from the store: the HiGHS
 matrices, the exact verifier, the exact simplex and the exports.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
@@ -50,6 +51,7 @@ writes one debug record per solve.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections.abc import Sequence as SequenceABC
@@ -65,7 +67,7 @@ from entroflow.entropy import (
     as_fraction,
     subset_entropy,
 )
-from entroflow.network import NetworkProblem, randomness_variable, validate
+from entroflow.network import NetworkProblem, name_clashes, randomness_variable, validate
 from entroflow.simplex import (
     CertificateError,
     ExactSimplex,
@@ -458,6 +460,37 @@ def _closure_table(n: int, rules: Sequence[tuple[int, int, tuple]]):
     return out
 
 
+@functools.cache
+def _elemental_columns(n: int):
+    """The seven columns of `entropy._elemental_masks(n)`, as a read-only
+    int64 array, kept for the process: one per ground size, at most
+    `ELEMENTAL_GROUND_LIMIT` of them."""
+    import numpy as np
+
+    cols = np.array(_elemental_masks(n), dtype=np.int64)
+    cols.setflags(write=False)
+    return cols
+
+
+def _first_of_equal_rows(masks, coef, n: int):
+    """Index of the first of each set of equal (masks, coef) rows.
+
+    A nonzero term's mask lies in 1..2^n - 1 and a dropped term's is 2^n,
+    so a mask's low n bits (0 exactly for a dropped term) and a 2-bit code
+    of a nonzero coefficient (-2, -1, 1 or 2) tell rows apart: 4n + 8 bits,
+    at most 64 for n <= ELEMENTAL_GROUND_LIMIT, in one uint64 key per row.
+    """
+    import numpy as np
+
+    low = masks & ((1 << n) - 1)
+    code = 2 * (coef > 0) + (np.abs(coef) == 2)
+    key = np.zeros(len(masks), dtype=np.uint64)
+    for part, width in ((low, n), (code, 2)):
+        for b in range(4):
+            key = (key << np.uint64(width)) | part[:, b].astype(np.uint64)
+    return np.unique(key, return_index=True)[1]
+
+
 def _elemental_block(n: int, closure):
     """The elemental rows mapped through the closure.
 
@@ -465,11 +498,12 @@ def _elemental_block(n: int, closure):
     terms on the empty set dropped, equal masks merged and zero terms
     dropped; empty rows go, and of equal rows only the first stays.
     Returns the kept rows' (i, j, K) columns and their closed masks and
-    coefficients, four per row: the nonzero terms first, masks ascending.
+    coefficients, four per row: the nonzero terms first, masks ascending,
+    a dropped term read as mask 2^n with coefficient 0.
     """
     import numpy as np
 
-    cols = np.array(_elemental_masks(n), dtype=np.int64)
+    cols = _elemental_columns(n)
     masks = closure[cols[3:].T]
     coef = np.where(masks == 0, 0, np.array([1, 1, -1, -1]))
     for _ in range(2):
@@ -484,11 +518,20 @@ def _elemental_block(n: int, closure):
             coef[same, b] += coef[same, b - 1]
             coef[same, b - 1] = 0
         masks = np.where(coef == 0, 1 << n, masks)
-    _, first = np.unique(np.hstack([masks, coef]), axis=0, return_index=True)
     keep = np.zeros(len(masks), dtype=bool)
-    keep[first] = True
+    keep[_first_of_equal_rows(masks, coef, n)] = True
     rows = np.flatnonzero(keep & (coef[:, 0] != 0))
     return cols[:3, rows], masks[rows], coef[rows]
+
+
+def _in_block(n: int, block_masks, block_coef, terms: tuple) -> bool:
+    """Whether `terms` ((mask, coefficient) pairs, masks ascending) are the
+    terms of a row of the elemental block (see `_elemental_block`)."""
+    if len(terms) > 4 or any(c.denominator != 1 or abs(c) > 2 for _, c in terms):
+        return False  # block rows have at most 4 terms, coefficients in -2..2
+    masks, coef = zip(*terms, *[(1 << n, 0)] * (4 - len(terms)))
+    hit = (block_masks == masks) & (block_coef == [int(c) for c in coef])
+    return bool(hit.all(axis=1).any())
 
 
 def build_shannon_lp(
@@ -515,11 +558,12 @@ def build_shannon_lp(
 
     from entroflow.rows import RowStore
 
-    errors = validate(problem)
-    if errors:
-        raise ValueError("invalid problem: " + "; ".join(errors))
     if include_randomness is None:
         include_randomness = bool(problem.randomness_nodes)
+    randomized = problem.default_randomness_nodes if include_randomness else ()
+    errors = validate(problem) or name_clashes(problem, randomized)
+    if errors:
+        raise ValueError("invalid problem: " + "; ".join(errors))
     vg = _ground_of(problem, include_randomness, variables)
     ground = vg.ground
     n = ground.size
@@ -536,12 +580,10 @@ def build_shannon_lp(
         return closures[mask]
 
     ijk, block_masks, block_coef = _elemental_block(n, closure)
-    block_keys: Optional[set] = None  # the block's row terms, built on first need
     rows: list[tuple] = []  # (terms, sense, rhs, tag) of every other row, in order
     seen: set = set()
 
     def push(coeffs: dict[int, Fraction], sense: str, rhs: Fraction, tag: tuple) -> None:
-        nonlocal block_keys
         coeffs = {m: c for m, c in coeffs.items() if c and m}
         if not coeffs:
             return  # trivially 0 (sense) rhs; nothing to assert for rhs = 0
@@ -549,14 +591,8 @@ def build_shannon_lp(
         key = (sense, rhs, terms)
         if key in seen:
             return
-        if sense == "ge" and rhs == 0 and len(terms) <= 4:
-            if block_keys is None:
-                block_keys = {
-                    tuple((m, c) for m, c in zip(ms, cs) if c)
-                    for ms, cs in zip(block_masks.tolist(), block_coef.tolist())
-                }
-            if terms in block_keys:
-                return
+        if sense == "ge" and rhs == 0 and _in_block(n, block_masks, block_coef, terms):
+            return
         seen.add(key)
         rows.append((terms, sense, rhs, tag))
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Mapping, NamedTuple, Optional, Union
+from typing import Container, Mapping, NamedTuple, Optional, Sequence, Union
 
 from entroflow.entropy import as_fraction
 
@@ -44,6 +44,7 @@ __all__ = [
     "SchemaError",
     "randomness_variable",
     "validate",
+    "name_clashes",
     "ancestral_order",
     "min_cut",
     "parse",
@@ -433,6 +434,34 @@ def _structural_errors(problem: NetworkProblem) -> list[str]:
     for node in problem.randomness_nodes:
         if node not in nodes:
             errors.append(f"randomness declared at unknown node {node!r}")
+    if len(set(problem.randomness_nodes)) != len(problem.randomness_nodes):
+        errors.append("duplicate randomness nodes")
+    errors += name_clashes(problem, problem.randomness_nodes)
+    return errors
+
+
+def name_clashes(problem: NetworkProblem, randomized: Sequence[str]) -> list[str]:
+    """Names shared by a session, an edge and the randomness of a node in
+    `randomized`.
+
+    Codes, the code search and the Shannon LP name sessions, messages (by
+    edge id) and node randomness in one namespace.  `validate` checks the
+    declared randomness nodes; a caller that models randomness at the
+    `default_randomness_nodes` checks those too.
+    """
+    errors = []
+    owners: dict[str, tuple[str, str]] = {}
+    for name, kind, label in (
+        [(s.id, "session", f"session {s.id!r}") for s in problem.requirement.sessions]
+        + [(e.id, "edge", f"edge {e.id!r}") for e in problem.network.edges]
+        + [
+            (randomness_variable(v), "randomness", f"the randomness of node {v!r}")
+            for v in randomized
+        ]
+    ):
+        first_kind, first_label = owners.setdefault(name, (kind, label))
+        if first_kind != kind:
+            errors.append(f"name {name!r} is used by both {first_label} and {label}")
     return errors
 
 

@@ -9,6 +9,19 @@ cost, lowest index on ties); after 24 consecutive degenerate pivots it
 switches to Bland's rule until the objective moves again, which keeps the
 pivot sequence deterministic and guarantees termination.
 
+The tableau is a numpy int64 array while that is provably safe: it is
+built from the row store's CSR arrays when every stored integer is below
+2^31 (`RowStore._small`), and after every pivot and every objective
+install the solver checks that each entry is still below 2^31, so the
+next update ``T * piv - col * row`` stays below 2^63.  Once an entry
+reaches the bound, the tableau is converted once to Python ints (an
+``object`` array) and the same code carries on; a store with larger
+integers starts on Python ints.  Bareiss division is exact, so both
+dtypes hold the same integers and give the same pivots and certificates.
+The ratio test always compares in Python ints.  numpy is imported on the
+first solve, so importing this module (and the command line) does not
+load it.
+
 Every answer carries a certificate that is re-verified exactly against
 the original rows before it is returned (`verify_certificate`: integer
 matrix-vector products over the rows' integer form in a `rows.RowStore`):
@@ -19,12 +32,16 @@ matrix-vector products over the rows' integer form in a `rows.RowStore`):
 
 A solver instance may be re-used with new objectives; the basis persists
 between calls, so proof chains over one constraint system stay cheap.
+`ExactSimplex.stats` counts each phase's pivots, the switches to Bland's
+rule and whether (and after which pivot) the tableau widened, and the
+`entroflow.simplex` logger writes one debug record per `maximize`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
@@ -35,6 +52,7 @@ __all__ = [
     "LinearRow",
     "SimplexCertificate",
     "ExactSimplex",
+    "SimplexStats",
     "verify_certificate",
     "CertificateError",
 ]
@@ -135,8 +153,42 @@ def verify_certificate(
         raise CertificateError(f"unknown status {cert.status!r}")
 
 
+# An int64 tableau keeps every entry below this bound, so one fraction-free
+# update T * piv - col * row (two products below 2^62) cannot overflow.
+_INT64_BOUND = 1 << 31
+
+
+def _reaches_bound(a) -> bool:
+    return a.size > 0 and (a.max() >= _INT64_BOUND or a.min() <= -_INT64_BOUND)
+
+
+@dataclass
+class SimplexStats:
+    """Running counts of one ExactSimplex's work.
+
+    `started_wide` is set when the row store's integers are too large for
+    int64 (`RowStore._small` is false), so the tableau starts on Python
+    ints; `widened_at` is the number of pivots made when an int64 tableau
+    widened to Python ints (None while it has not).
+    """
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    bland_switches: int = 0
+    started_wide: bool = False
+    widened_at: Optional[int] = None
+
+    @property
+    def pivots(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots
+
+
 class ExactSimplex:
-    """Reusable exact solver bound to one constraint system."""
+    """Reusable exact solver bound to one constraint system.
+
+    `stats` counts its work (a `SimplexStats`), and the `entroflow.simplex`
+    logger writes one debug record per `maximize`.
+    """
 
     def __init__(
         self, n_vars: int, rows: Union[Sequence[LinearRow], "RowStore"], verify: bool = True
@@ -146,6 +198,7 @@ class ExactSimplex:
         self.n = n_vars
         self.rows = RowStore.of(rows)
         self.verify = verify
+        self.stats = SimplexStats()
         self._status: Optional[str] = None
         self._farkas: Optional[tuple[Fraction, ...]] = None
         self._pivots: list[tuple[int, int]] = []
@@ -155,158 +208,145 @@ class ExactSimplex:
     # construction
 
     def _build(self) -> None:
+        import numpy as np  # only the tableau needs numpy; keep it off the import path
+
         rows = self.rows
-        m = len(rows)
-        n = self.n
+        m, n = len(rows), self.n
         # The store already holds each row times its least common
         # denominator.  Normalize every inequality to <=-form, then flip
         # rows with a negative right side; a flipped or equality row needs
         # an artificial basic variable, everything else starts on its slack.
-        indptr, cols, data = rows.indptr.tolist(), rows.col.tolist(), rows.data.tolist()
-        prepared = []  # (int coeffs, slack sign or 0, int rhs, row multiplier)
-        n_arts = 0
-        for i, (code, b, scale) in enumerate(
-            zip(rows.sense.tolist(), rows.rhs.tolist(), rows.scale.tolist())
-        ):
-            sign = -1 if code == -1 else 1
-            rhs = b * sign
-            slack = 0 if code == 0 else 1
-            flip = -1 if rhs < 0 else 1
-            lo, hi = indptr[i], indptr[i + 1]
-            coeffs = {j: c * sign * flip for j, c in zip(cols[lo:hi], data[lo:hi])}
-            prepared.append((coeffs, slack * flip, rhs * flip, Fraction(scale * sign * flip)))
-            if slack * flip != 1:
-                n_arts += 1
-        self.n_slacks = sum(1 for _, s, _, _ in prepared if s != 0)
-        art_at = n + self.n_slacks
-        self.width = art_at + n_arts
-        self.slack_col: list[Optional[int]] = []
-        self.art_col: list[Optional[int]] = []
-        self.row_scale: list[Fraction] = []
-        # Witness column per row: a tableau column whose initial content is
-        # e_i; it exposes the i-th dual multiplier at any basis.
-        self._witness: list[tuple[int, int]] = []
-        import numpy as np  # only the tableau needs numpy; keep it off the import path
-
-        T = np.zeros((m + 1, self.width + 1), dtype=object)
-        slack_at = n
-        art_next = art_at
-        self.basis: list[int] = []
-        self.active = [True] * m
-        for i, (coeffs, slack, rhs, mult) in enumerate(prepared):
-            self.row_scale.append(mult)
-            for j, c in coeffs.items():
-                T[i, j] = c
-            T[i, self.width] = rhs
-            if slack != 0:
-                s_col = slack_at
-                slack_at += 1
-                T[i, s_col] = slack
-            else:
-                s_col = None
-            self.slack_col.append(s_col)
-            if slack == 1:
-                self.art_col.append(None)
-                self.basis.append(s_col)
-                self._witness.append((s_col, 1))
-            else:
-                a_col = art_next
-                art_next += 1
-                T[i, a_col] = 1
-                self.art_col.append(a_col)
-                self.basis.append(a_col)
-                self._witness.append((a_col, 1))
+        sign = np.where(rows.sense == -1, -1, 1)
+        flip = np.where(rows.rhs * sign < 0, -1, 1)
+        turn = sign * flip
+        slack = np.where(rows.sense == 0, 0, flip)
+        with_slack = np.flatnonzero(slack != 0)
+        with_art = np.flatnonzero(slack != 1)
+        art_at = n + len(with_slack)
+        self.width = art_at + len(with_art)
+        slack_cols = np.arange(n, art_at)
+        self._arts = list(range(art_at, self.width))
+        basis = np.zeros(m, dtype=np.int64)
+        basis[with_slack] = slack_cols
+        basis[with_art] = self._arts
+        # Python ints from the start when the store's integers are not
+        # small; otherwise int64 until an entry reaches 2^31 (`_widen`).
+        self.stats.started_wide = not rows._small
+        T = np.zeros((m + 1, self.width + 1), dtype=object if self.stats.started_wide else np.int64)
+        owner = np.repeat(np.arange(m), np.diff(rows.indptr))
+        T[owner, rows.col] = rows.data * turn[owner]
+        T[:m, self.width] = rows.rhs * turn
+        T[with_slack, slack_cols] = slack[with_slack]
+        T[with_art, self._arts] = 1
         self.T = T
         self.den = 1
         self.obj_scale = Fraction(1)
-        self._needs_phase1 = any(b >= art_at for b in self.basis)
+        self.basis: list[int] = basis.tolist()
+        self.active = [True] * m
+        # Witness column per row: its initial basic column, whose content
+        # e_i exposes the i-th dual multiplier at any basis.
+        self._witness = list(self.basis)
+        self.row_scale = [Fraction(s * t) for s, t in zip(rows.scale.tolist(), turn.tolist())]
+        self._needs_phase1 = bool(self._arts)
         self._art_start = art_at
+
+    def _widen(self) -> None:
+        """Turn the int64 tableau into Python ints, once an entry reaches 2^31.
+
+        Bareiss division is exact, so both dtypes hold the same integers.
+        """
+        self.T = self.T.astype(object)
+        self.stats.widened_at = self.stats.pivots
 
     # ------------------------------------------------------------------
     # pivoting
 
     def _pivot(self, r: int, c: int) -> None:
+        import numpy as np
+
         T = self.T
-        piv = T[r, c]
+        piv = int(T[r, c])
         if piv == 0:
             raise RuntimeError("zero pivot")
+        # A negative pivot (used only on degenerate rows) negates the pivot
+        # row, so the denominator stays positive.
+        sign = 1 if piv > 0 else -1
+        piv *= sign
         den = self.den
-        col = T[:, c].copy()
+        col = T[:, c] * sign
+        col[r] = 0  # keep the pivot row out of the update
         row_r = T[r, :].copy()
-        col[r] = 0  # keep the pivot row out of the bulk update
-        if piv == 1 and den == 1:
-            # Fast path (the common case on 0/±1 systems): only rows with
-            # a nonzero entry in the pivot column change, by row - f*pivot.
-            for k in range(T.shape[0]):
-                f = col[k]
-                if f != 0:
-                    T[k, :] = T[k, :] - f * row_r
-            self.den = 1
-        elif piv > 0:
-            # Fraction-free update, whole-matrix: every off-pivot row
-            # becomes (row * piv - row[c] * pivot_row) / den, exactly.
-            new_T = (T * piv - col[:, None] * row_r[None, :]) // den
-            new_T[r, :] = row_r
-            self.T = new_T
-            self.den = int(piv)
+        # Fraction-free update: every off-pivot row k becomes
+        # (row_k * piv - col_k * pivot_row) / den, exactly.  When piv equals
+        # den, a row with no entry in the pivot column stays as it is.
+        if piv == den:
+            hit = np.flatnonzero(col)
+            changed = T[hit] * piv - col[hit, None] * row_r
+            if den != 1:
+                changed //= den
+            T[hit] = changed
         else:
-            # Negative pivot (used only on degenerate rows): negate the
-            # pivot row so the denominator stays positive.
-            new_T = (T * (-piv) + col[:, None] * row_r[None, :]) // den
-            new_T[r, :] = -row_r
-            self.T = new_T
-            self.den = int(-piv)
+            T = self.T = changed = (T * piv - col[:, None] * row_r) // den
+        T[r, :] = row_r * sign
+        self.den = piv
         self.basis[r] = c
         self._pivots.append((c, r))
+        if self._needs_phase1:
+            self.stats.phase1_pivots += 1
+        else:
+            self.stats.phase2_pivots += 1
+        if T.dtype != object and _reaches_bound(changed):
+            self._widen()
 
     def _install_objective(self, c_int: dict[int, int]) -> None:
-        T = self.T
         import numpy as np
 
         m = len(self.rows)
-        obj = np.zeros(self.width + 1, dtype=object)
+        cost = np.zeros(self.width + 1, dtype=object)
         for j, c in c_int.items():
-            obj[j] = -c * self.den
-        for i in range(m):
-            cb = c_int.get(self.basis[i], 0)
-            if cb:
-                obj = obj + cb * T[i, :]
-        T[m, :] = obj
+            cost[j] = c
+        cb = cost[self.basis]
+        hit = np.flatnonzero(cb)
+        obj = cb[hit] @ self.T[hit].astype(object) - cost * self.den
+        if self.T.dtype != object and _reaches_bound(obj):
+            self._widen()
+        self.T[m, :] = obj
 
     def _step(self, allow_cols: int, bland: bool) -> Optional[str]:
         """One primal step; returns 'optimal' | 'unbounded' | None (pivoted)."""
+        import numpy as np
+
         T = self.T
         m = len(self.rows)
-        enter = -1
+        reduced = T[m, :allow_cols]
         if bland:
-            for j in range(allow_cols):
-                if T[m, j] < 0:
-                    enter = j
-                    break
+            # Bland's rule: the first column with a negative reduced cost.
+            negative = np.flatnonzero(reduced < 0)
+            enter = int(negative[0]) if negative.size else -1
         else:
-            # Dantzig pricing: most negative reduced cost, lowest index on ties.
-            best = 0
-            for j in range(allow_cols):
-                v = T[m, j]
-                if v < best:
-                    best = v
-                    enter = j
+            # Dantzig pricing: most negative reduced cost; argmin keeps the
+            # lowest index on ties.
+            enter = int(reduced.argmin()) if allow_cols else -1
+            if enter >= 0 and reduced[enter] >= 0:
+                enter = -1
         if enter < 0:
             return "optimal"
+        # Ratio test, exact: cross-multiplied in Python ints; ties go to the
+        # row whose basic column is lower.
+        rows = np.flatnonzero(T[:m, enter] > 0)
+        coefs = T[rows, enter].tolist()
+        rhs = T[rows, self.width].tolist()
         leave = -1
-        best_num = best_den = None
-        for i in range(m):
+        best_num = best_den = 0
+        for i, a, num in zip(rows.tolist(), coefs, rhs):
             if not self.active[i]:
                 continue
-            a = T[i, enter]
-            if a > 0:
-                num, den = T[i, self.width], a
-                if (
-                    leave < 0
-                    or num * best_den < best_num * den
-                    or (num * best_den == best_num * den and self.basis[i] < self.basis[leave])
-                ):
-                    leave, best_num, best_den = i, num, den
+            if (
+                leave < 0
+                or num * best_den < best_num * a
+                or (num * best_den == best_num * a and self.basis[i] < self.basis[leave])
+            ):
+                leave, best_num, best_den = i, num, a
         if leave < 0:
             self._unbounded_col = enter
             return "unbounded"
@@ -322,6 +362,8 @@ class ExactSimplex:
         streak = 0
         last = (int(self.T[m, self.width]), self.den)
         while True:
+            if streak == self.DEGENERACY_STREAK:
+                self.stats.bland_switches += 1
             out = self._step(allow_cols, bland=streak >= self.DEGENERACY_STREAK)
             if out is not None:
                 return out
@@ -337,15 +379,10 @@ class ExactSimplex:
 
     def _phase1(self) -> bool:
         """Returns True when a feasible basis is reached."""
+        import numpy as np
+
         m = len(self.rows)
-        c1 = {
-            self.art_col[i]: -1
-            for i in range(m)
-            if self.art_col[i] is not None
-        }
-        if not c1:
-            self._needs_phase1 = False
-            return True
+        c1 = {a: -1 for a in self._arts}
         self._install_objective(c1)
         out = self._run(self.width)
         if out != "optimal":
@@ -361,15 +398,11 @@ class ExactSimplex:
         for i in range(m):
             if self.basis[i] < self._art_start:
                 continue
-            pivot_col = -1
-            for j in range(self._art_start):
-                if self.T[i, j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                self.active[i] = False
+            nonzero = np.flatnonzero(self.T[i, : self._art_start])
+            if nonzero.size:
+                self._pivot(i, int(nonzero[0]))
             else:
-                self._pivot(i, pivot_col)
+                self.active[i] = False
         if any(self.active[i] and self.basis[i] >= self._art_start for i in range(m)):
             raise RuntimeError("artificial variable stuck in the basis")
         self._needs_phase1 = False
@@ -378,18 +411,17 @@ class ExactSimplex:
     def _row_multipliers(self, c_int: dict[int, int]) -> list[Fraction]:
         """Multipliers for the original rows at the current basis.
 
-        With witness column w of initial content tau * e_i, the solver-row
-        multiplier is tau * (obj_row[w]/den + cost(w)); scaling back by the
-        row's integer multiplier yields the original-row multiplier.
+        With witness column w of initial content e_i, the solver-row
+        multiplier is obj_row[w]/den + cost(w); scaling back by the row's
+        integer multiplier yields the original-row multiplier.
         """
-        m = len(self.rows)
+        obj = self.T[len(self.rows), :].tolist()
         y = []
-        for i in range(m):
+        for i, w in enumerate(self._witness):
             if not self.active[i]:
                 y.append(Fraction(0))
                 continue
-            w, tau = self._witness[i]
-            yi = tau * (Fraction(int(self.T[m, w]), self.den) + Fraction(c_int.get(w, 0)))
+            yi = Fraction(obj[w], self.den) + c_int.get(w, 0)
             y.append(yi * self.row_scale[i])
         return y
 
@@ -397,6 +429,24 @@ class ExactSimplex:
     # public API
 
     def maximize(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
+        import logging  # here, off the command line's import path
+
+        stats = self.stats
+        before, start = replace(stats), time.perf_counter()
+        cert = self._maximize(objective)
+        logging.getLogger(__name__).debug(
+            "exact simplex: %s, %d phase-1 and %d phase-2 pivots, %d Bland switches, "
+            "%s tableau, %.3f s",
+            cert.status,
+            stats.phase1_pivots - before.phase1_pivots,
+            stats.phase2_pivots - before.phase2_pivots,
+            stats.bland_switches - before.bland_switches,
+            "int64" if self.T.dtype != object else "Python-int",
+            time.perf_counter() - start,
+        )
+        return cert
+
+    def _maximize(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
         objective = {j: Fraction(c) for j, c in objective.items() if c != 0}
         for j in objective:
             if not 0 <= j < self.n:
@@ -449,9 +499,10 @@ class ExactSimplex:
 
     def _primal(self) -> dict[int, Fraction]:
         x: dict[int, Fraction] = {}
+        rhs = self.T[: len(self.rows), self.width].tolist()
         for i, b in enumerate(self.basis):
             if b < self.n and self.active[i]:
-                v = Fraction(int(self.T[i, self.width]), self.den)
+                v = Fraction(rhs[i], self.den)
                 if v:
                     x[b] = v
         return x
@@ -460,11 +511,12 @@ class ExactSimplex:
         ray: dict[int, Fraction] = {}
         if col < self.n:
             ray[col] = Fraction(1)
+        entries = self.T[: len(self.rows), col].tolist()
         for i, b in enumerate(self.basis):
             if not self.active[i]:
                 continue
             if b < self.n:
-                v = -Fraction(int(self.T[i, col]), self.den)
+                v = -Fraction(entries[i], self.den)
                 if v:
                     ray[b] = ray.get(b, Fraction(0)) + v
         return {j: v for j, v in ray.items() if v}

@@ -611,6 +611,31 @@ def reference_lps():
     return lps
 
 
+def reference_elemental_block(n, closure):
+    """The elemental block with dedup by np.unique over the stacked rows."""
+    import numpy as np
+
+    from entroflow.entropy import _elemental_masks
+
+    cols = np.array(_elemental_masks(n), dtype=np.int64)
+    masks = closure[cols[3:].T]
+    coef = np.where(masks == 0, 0, np.array([1, 1, -1, -1]))
+    for _ in range(2):
+        order = np.argsort(masks, axis=1, kind="stable")
+        masks = np.take_along_axis(masks, order, axis=1)
+        coef = np.take_along_axis(coef, order, axis=1)
+        for b in range(1, 4):
+            same = masks[:, b] == masks[:, b - 1]
+            coef[same, b] += coef[same, b - 1]
+            coef[same, b - 1] = 0
+        masks = np.where(coef == 0, 1 << n, masks)
+    _, first = np.unique(np.hstack([masks, coef]), axis=0, return_index=True)
+    keep = np.zeros(len(masks), dtype=bool)
+    keep[first] = True
+    rows = np.flatnonzero(keep & (coef[:, 0] != 0))
+    return cols[:3, rows], masks[rows], coef[rows]
+
+
 class TestRowStoreBuild:
     def test_closures_match_fixpoint_loop(self):
         from entroflow.lp import _dependency_rules, _ground_of
@@ -628,6 +653,80 @@ class TestRowStoreBuild:
             assert got == reference_elemental(lp)
             rest = [i for i in range(len(lp.rows)) if i not in block]
             assert all(lp.constraints[i].tag[0] != "elemental" for i in rest)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 14])
+    def test_elemental_block_matches_unique_rows(self, n):
+        # The packed uint64 key (all 64 bits used at n = 14) against
+        # np.unique over the stacked rows, on an identity, a dependency
+        # closure and an arbitrary mask map.
+        import numpy as np
+
+        from entroflow.lp import _closure_table, _elemental_block
+
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        rules = [(rng.randint(0, full), rng.randint(1, full), None) for _ in range(rng.randint(1, 4))]
+        tables = [
+            np.arange(1 << n, dtype=np.int64),
+            _closure_table(n, rules),
+            np.array([rng.randint(0, full) for _ in range(1 << n)], dtype=np.int64),
+        ]
+        for closure in tables:
+            got = _elemental_block(n, closure)
+            want = reference_elemental_block(n, closure)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 3, 14])
+    def test_equal_row_key_tells_coefficients_apart(self, n):
+        # Every coefficient pattern over the same masks, each row twice in
+        # random order: the packed key keeps the same first rows as
+        # np.unique over the stacked rows.
+        import itertools
+
+        import numpy as np
+
+        from entroflow.lp import _first_of_equal_rows
+
+        rng = random.Random(n)
+        pool = sorted({1, (1 << n) - 1, 1 << (n - 1)})
+        rows = []
+        for k in range(1, min(4, len(pool)) + 1):
+            masks = pool[:k] + [1 << n] * (4 - k)
+            for coef in itertools.product([-2, -1, 1, 2], repeat=k):
+                rows.append(masks + list(coef) + [0] * (4 - k))
+        rows += rows
+        rng.shuffle(rows)
+        table = np.array(rows, dtype=np.int64)
+        got = _first_of_equal_rows(table[:, :4], table[:, 4:], n)
+        want = np.unique(table, axis=0, return_index=True)[1]
+        assert sorted(got.tolist()) == sorted(want.tolist())
+
+    def test_block_membership_matches_term_set(self):
+        from entroflow.lp import _closure_table, _elemental_block, _in_block
+
+        rng = random.Random(5)
+        for n in (1, 2, 3, 5, 7):
+            full = (1 << n) - 1
+            rules = [(rng.randint(0, full), rng.randint(1, full), None) for _ in range(2)]
+            _, masks, coef = _elemental_block(n, _closure_table(n, rules))
+            keys = {
+                tuple((m, c) for m, c in zip(ms, cs) if c)
+                for ms, cs in zip(masks.tolist(), coef.tolist())
+            }
+            candidates = [tuple((m, F(c)) for m, c in key) for key in keys]
+            for terms in list(candidates):
+                k = rng.randrange(len(terms))
+                m, c = terms[k]
+                for change in (1, -1, F(1, 2), 3 - c):
+                    if c + change:
+                        candidates.append(terms[:k] + ((m, c + change),) + terms[k + 1 :])
+                candidates.append(terms[:k] + terms[k + 1 :])
+            for _ in range(300):
+                terms = {rng.randint(1, full): F(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 5))}
+                candidates.append(tuple(sorted(terms.items())))
+            for terms in candidates:
+                if terms:
+                    assert _in_block(n, masks, coef, terms) == (terms in keys)
 
     def test_row_equal_to_an_elemental_row_is_dropped(self):
         p = simple_problem(

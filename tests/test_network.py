@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,80 @@ class TestValidate:
     def test_negative_capacity_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Capacity.of("-1")
+
+    def test_session_and_edge_share_a_name(self):
+        # Codes, the search and the LP would read the edge's message as the
+        # session itself: the search used to find a "code" for rate 1 over
+        # capacity 1/2, and the LP builder tripped over equal labels.
+        from entroflow.codes import exhaustive_search
+        from entroflow.lp import build_shannon_lp
+
+        p = simple_problem([("X", "s", "t", "1/2")], [("X", 1, "s", ("t",))])
+        assert validate(p) == ["name 'X' is used by both session 'X' and edge 'X'"]
+        with pytest.raises(ValueError, match="invalid problem: name 'X'"):
+            exhaustive_search(p, 2)
+        with pytest.raises(ValueError, match="invalid problem: name 'X'"):
+            build_shannon_lp(p)
+
+    def test_edge_named_like_declared_randomness(self):
+        edges = [("V_s", "s", "t", 1), ("e", "s", "t", 1)]
+        p = simple_problem(edges, [("S", 1, "s", ("t",))], randomness_nodes=("s",))
+        assert validate(p) == [
+            "name 'V_s' is used by both edge 'V_s' and the randomness of node 's'"
+        ]
+
+    def test_edge_named_like_default_randomness(self):
+        # With no declared randomness nodes the problem is sound, but search
+        # and the LP model randomness at every tail of a non-forwarding edge
+        # when asked to, and V_s then names both an edge and s's randomness.
+        from entroflow.codes import exhaustive_search
+        from entroflow.lp import build_shannon_lp
+
+        clash = "invalid problem: name 'V_s' is used by both edge 'V_s' and the randomness of node 's'"
+        p = simple_problem([("V_s", "s", "t", "1/2")], [("S", 1, "s", ("t",))])
+        assert validate(p) == []
+        assert exhaustive_search(p, 2).status == "exhausted"
+        with pytest.raises(ValueError, match=re.escape(clash)):
+            exhaustive_search(p, 2, allow_randomness=True)
+        q = simple_problem([("V_s", "s", "t", 1), ("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
+        assert validate(q) == []
+        build_shannon_lp(q)
+        with pytest.raises(ValueError, match=re.escape(clash)):
+            build_shannon_lp(q, include_randomness=True)
+
+    def test_session_named_like_declared_randomness(self):
+        p = simple_problem(
+            [("e", "s", "t", 1)], [("V_t", 1, "s", ("t",))], randomness_nodes=("t",)
+        )
+        assert validate(p) == [
+            "name 'V_t' is used by both session 'V_t' and the randomness of node 't'"
+        ]
+
+    def test_duplicate_randomness_nodes(self):
+        p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))], randomness_nodes=("s", "s"))
+        assert validate(p) == ["duplicate randomness nodes"]
+
+    def test_name_clash_rejected_on_parse(self):
+        doc = {
+            "nodes": ["s", "t"],
+            "edges": [{"id": "X", "tail": "s", "head": "t", "capacity": "1/2"}],
+            "sessions": [{"id": "X", "rate": "1", "origin": "s", "sinks": ["t"]}],
+        }
+        with pytest.raises(SchemaError, match="is used by both session 'X' and edge 'X'"):
+            problem_from_dict(doc)
+
+    def test_gadgets_validate(self):
+        from entroflow.entropy import EntropyVector
+        from entroflow.gadgets import adhere, build_incremental, build_secure
+
+        problems = [
+            build_incremental(EntropyVector.from_tuple([Fraction(v) for v in h])).problem
+            for h in [(1, 1, 2), (1, 2, 3), (2, 1, 2), (1, 1, 1)]
+        ]
+        problems += [build_secure(c, d).problem for c, d in [(1, 2), (1, 3), (2, 3)]]
+        problems.append(adhere(butterfly()).problem)
+        for p in problems:
+            assert validate(p) == []
 
 
 class TestDemands:

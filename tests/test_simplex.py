@@ -273,15 +273,15 @@ rational = st.one_of(small, small, small, huge)
 
 
 @st.composite
-def systems(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+def systems(draw, values=rational, max_vars=4, max_rows=5):
+    n = draw(st.integers(min_value=1, max_value=max_vars))
     rows = [
         LinearRow(
-            draw(st.dictionaries(st.integers(0, n - 1), rational, max_size=n)),
+            draw(st.dictionaries(st.integers(0, n - 1), values, max_size=n)),
             draw(st.sampled_from(["le", "ge", "eq"])),
-            draw(rational),
+            draw(values),
         )
-        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+        for _ in range(draw(st.integers(min_value=0, max_value=max_rows)))
     ]
     return n, rows
 
@@ -412,3 +412,136 @@ class TestIntegerVerifier:
             bad = SimplexCertificate("optimal", cert.value, x, cert.duals, None, None, ())
             with pytest.raises(CertificateError):
                 verify_certificate(2, store, objective, bad)
+
+
+# ----------------------------------------------------------------------
+# the int64 tableau against the same solver on Python ints
+
+
+def solve_chain(n, rows, objectives, wide):
+    """Certificates of one solver over a chain of objectives; with `wide`
+    its tableau is turned to Python ints before the first solve."""
+    s = ExactSimplex(n, rows, verify=False)
+    if wide:
+        s.T = s.T.astype(object)
+    return [s.maximize(obj) for obj in objectives], s
+
+
+# Mostly small rationals, sometimes integers up to 2^20, whose
+# fraction-free subdeterminants pass 2^31 after a few pivots.
+moderate = st.one_of(small, small, st.integers(-(2**20), 2**20).map(F))
+
+
+def random_sweep_lp(rng):
+    """The Shannon LP of a random single-session DAG (s, 1-3 relays, t)."""
+    from entroflow.lp import build_shannon_lp
+    from entroflow.network import problem_from_dict
+
+    nodes = ["s"] + [f"m{i}" for i in range(rng.randint(1, 3))] + ["t"]
+    edges = []
+    for k in range(rng.randint(3, 6)):
+        u, v = sorted(rng.sample(range(len(nodes)), 2))
+        cap = rng.choice(["0", "1/3", "1/2", "1", "3/2", "2"])
+        edges.append({"id": f"e{k}", "tail": nodes[u], "head": nodes[v], "capacity": cap})
+    doc = {
+        "nodes": nodes,
+        "edges": edges,
+        "sessions": [{"id": "S", "rate": "0", "origin": "s", "sinks": ["t"]}],
+    }
+    return build_shannon_lp(problem_from_dict(doc))
+
+
+class TestInt64Tableau:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_python_ints_on_random_systems(self, data):
+        n, rows = data.draw(systems(moderate, max_vars=5, max_rows=7))
+        objectives = data.draw(st.lists(points(n, moderate), min_size=1, max_size=3))
+        narrow, solver = solve_chain(n, rows, objectives, wide=False)
+        assert not solver.stats.started_wide
+        wide, _ = solve_chain(n, rows, objectives, wide=True)
+        assert narrow == wide
+        assert [repr(c) for c in narrow] == [repr(c) for c in wide]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_python_ints_on_shannon_lp_slices(self, seed, data):
+        rng = random.Random(seed)
+        lp = random_sweep_lp(rng)
+        rows, n = lp.rows, len(lp.coords)
+        picks = sorted(rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 80))))
+        part = rows.take(picks)
+        coeffs, _ = lp.compile("H(S)")
+        index = lp.coord_index()
+        objectives = [
+            {index[m]: c for m, c in coeffs.items()},
+            data.draw(points(n, small)),
+            {j: F(-1) for j in range(n)},
+        ]
+        narrow, solver = solve_chain(n, part, objectives, wide=False)
+        assert solver.T.dtype != object
+        wide, _ = solve_chain(n, part, objectives, wide=True)
+        assert narrow == wide
+        for cert, objective in zip(narrow, objectives):
+            verify_certificate(n, part, objective, cert)
+
+    def test_widens_once_entries_pass_two_to_the_31(self):
+        rows = [
+            R({0: 1000003, 1: 999983}, "le", 1000000007),
+            R({0: 999979, 1: 1000033}, "le", 999999937),
+            R({0: 1, 1: 1}, "ge", 1),
+        ]
+        objectives = [{0: F(3), 1: F(2)}, {0: F(-1), 1: F(5)}]
+        narrow, solver = solve_chain(2, rows, objectives, wide=False)
+        assert not solver.stats.started_wide
+        assert solver.stats.widened_at is not None and solver.T.dtype == object
+        assert 0 < solver.stats.widened_at <= solver.stats.pivots
+        wide, _ = solve_chain(2, rows, objectives, wide=True)
+        assert narrow == wide
+        for cert, objective in zip(narrow, objectives):
+            assert cert.status == "optimal"
+            verify_certificate(2, rows, objective, cert)
+
+    def test_large_store_starts_on_python_ints(self):
+        rows = [R({0: 2**40, 1: 1}, "le", 3), R({0: 1}, "le", 1)]
+        s = ExactSimplex(2, rows)
+        assert s.stats.started_wide and s.T.dtype == object
+        assert s.maximize({0: F(1), 1: F(1)}).value == 3
+        assert s.stats.widened_at is None
+
+    def test_large_objective_widens_before_it_is_installed(self):
+        rows = [R({0: 1, 1: 1}, "le", 1)]
+        s = ExactSimplex(2, rows)
+        cert = s.maximize({0: F(2**40), 1: F(1, 3)})
+        assert cert.value == 2**40 and s.T.dtype == object
+        assert s.stats.widened_at == 0
+
+
+class TestStats:
+    def test_counts_and_debug_record(self, caplog):
+        import logging
+
+        rows = [R({0: 1, 1: 1}, "ge", 1), R({0: 1}, "le", 3), R({1: 1}, "le", 3)]
+        s = ExactSimplex(2, rows)
+        with caplog.at_level(logging.DEBUG, logger="entroflow.simplex"):
+            first = s.maximize({0: F(1)})
+            second = s.maximize({1: F(1)})
+        stats = s.stats
+        assert stats.phase1_pivots >= 1
+        assert stats.pivots == len(first.pivots) + len(second.pivots)
+        assert stats.bland_switches == 0 and stats.widened_at is None
+        records = [r.getMessage() for r in caplog.records if r.name == "entroflow.simplex"]
+        assert len(records) == 2
+        assert records[0].startswith("exact simplex: optimal, ")
+        assert "int64 tableau" in records[0]
+
+    def test_bland_switch_counted(self):
+        # A degenerate vertex where many pivots leave the objective flat.
+        n = 30
+        rows = [R({j: 1, j + 1: -1}, "le", 0) for j in range(n - 1)]
+        rows.append(R({n - 1: 1}, "le", 1))
+        s = ExactSimplex(n, rows)
+        cert = s.maximize({j: F(1) for j in range(n)})
+        assert cert.value == n
+        assert s.stats.bland_switches >= 1
+        assert s.stats.pivots == len(cert.pivots)
