@@ -157,6 +157,9 @@ def cmd_lp_bound(args) -> int:
     except GroundTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except (KeyError, ValueError) as exc:  # e.g. an unknown --subnetwork variable
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     solver = ShannonSolver(lp)
     if args.dump_lp:
         from entroflow.lp import export_text
@@ -175,6 +178,8 @@ def cmd_lp_bound(args) -> int:
                 )
                 for entry in doc
             ]
+            for claim in claims:
+                lp.compile(claim.expression)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -184,6 +189,11 @@ def cmd_lp_bound(args) -> int:
             report.add(v.claim.name, v.status == "forced", v.describe())
         return _emit(report, args, EXIT_OK if chain.all_forced else EXIT_NEGATIVE)
     if args.objective:
+        try:
+            lp.compile(args.objective)
+        except (KeyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         cert = (
             solver.minimize(args.objective)
             if args.minimize

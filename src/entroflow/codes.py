@@ -54,7 +54,6 @@ __all__ = [
     "alphabet_fits_capacity",
     "alphabet_meets_rate",
     "minimal_source_alphabet",
-    "canonical_inputs",
     "evaluate",
     "induced_joint_distribution",
     "check_zero_error",
@@ -154,15 +153,6 @@ class LocalEncoder:
         for v, size in zip(values, self.input_sizes):
             idx = idx * size + v
         return self.table[idx]
-
-
-def canonical_inputs(problem: NetworkProblem, edge_id: str, has_randomness: Callable[[str], bool]) -> tuple[InputRef, ...]:
-    """The causal input list of an edge: tail sessions, in-edges, randomness.
-
-    See `NetworkProblem.encoder_inputs`, which this reads.
-    """
-    tail = problem.network.edge(edge_id).tail
-    return problem.encoder_inputs(edge_id, (tail,) if has_randomness(tail) else ())
 
 
 def _variable_sizes(

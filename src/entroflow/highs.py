@@ -1,4 +1,4 @@
-"""One HiGHS model per handle, re-solved from its last basis for each new cost.
+"""One HiGHS model per handle, built from a row store and answered per LP row.
 
 The float proposals of `lp.ShannonSolver` come from here.  HiGHS is
 reached through the bindings scipy bundles (`scipy.optimize._highspy`),
@@ -6,62 +6,75 @@ so no separate `highspy` install is needed; a missing binding raises
 `ImportError` when a handle is made.  The module, with numpy and scipy,
 is loaded on the first float solve: importing the command line loads
 none of them.
+
+`Highs` is the only place that knows the model's row layout.  What it
+returns is indexed by the rows of the `rows.RowStore` it was built from,
+each in that row's own sense, so callers never see the layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 from scipy import sparse
 
-
-@dataclass(frozen=True)
-class RowResult:
-    marginals: Any  # row duals, HiGHS sign convention
-    residual: Any  # rhs - row value
+from entroflow.rows import RowStore
 
 
 @dataclass(frozen=True)
 class FloatResult:
-    """One HiGHS run, read out in `scipy.optimize.linprog`'s layout."""
+    """One HiGHS run of ``min cost . x``, read as a proposal for ``max -cost . x``.
+
+    `row_dual` holds the multiplier of each LP row in that maximization:
+    >= 0 on a <= row, <= 0 on a >= row, free on an = row.  `row_slack` is
+    each row's distance from its right side, >= 0 when the row holds
+    (b - a.x for a <= or = row, a.x - b for a >= row).  All three arrays
+    are None unless the run was optimal.
+    """
 
     status: int  # as linprog: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other
-    x: Any  # None unless optimal
-    fun: Optional[float]
-    ineqlin: RowResult
-    eqlin: RowResult
+    x: Any
+    row_dual: Any
+    row_slack: Any
     nit: int  # simplex iterations
     warm: bool  # the run started from a basis an earlier run left
 
 
 class Highs:
-    """One HiGHS model, solved again from its last basis for each new cost.
+    """One HiGHS model of a row store, solved again from its last basis for each new cost.
 
-    The model is the one `linprog(method="highs")` passes HiGHS: the <=
-    rows with lower bound -inf, then the = rows with equal bounds, every
-    column >= 0, dual simplex, presolve on, no output.  Its first run is
-    therefore `linprog`'s solve, bit for bit.  Each later run changes the
-    costs only and starts from the basis the previous run left; a new
-    cost keeps that basis primal feasible, so later runs let HiGHS choose
-    the simplex variant (primal, then), and a valid basis skips presolve.
+    The model is the one `linprog(method="highs")` passes HiGHS for these
+    rows: the <= rows and the negated >= rows, in row order, with lower
+    bound -inf, then the = rows with equal bounds, every column >= 0, dual
+    simplex, presolve on, no output.  Its first run is therefore
+    `linprog`'s solve, bit for bit.  Each later run changes the costs only
+    and starts from the basis the previous run left; a new cost keeps that
+    basis primal feasible, so later runs let HiGHS choose the simplex
+    variant (primal, then), and a valid basis skips presolve.
     """
 
-    def __init__(self, a_ub, b_ub, a_eq, b_eq, n: int):
+    def __init__(self, rows: RowStore, n: int):
         import scipy.optimize._highspy._core as core
 
         self.core = core
-        parts = [(a, b) for a, b in ((a_ub, b_ub), (a_eq, b_eq)) if a is not None]
-        a = sparse.csc_array(sparse.vstack([a for a, _ in parts], format="csr"))
-        self.rhs = np.concatenate([np.asarray(b, dtype=float) for _, b in parts])
-        self.n_ub = 0 if a_ub is None else len(b_ub)
         self.n = n
+        self.m = len(rows)
+        # Model row k is LP row order[k] times flip[k].
+        inequality = rows.sense != 0
+        self.order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
+        self.flip = np.where(rows.sense[self.order] == -1, -1.0, 1.0)
+        picked = rows.take(self.order)
+        data, rhs = picked.floats()
+        data = data * np.repeat(self.flip, np.diff(picked.indptr))
+        a = sparse.csc_array(sparse.csr_matrix((data, picked.col, picked.indptr), shape=(self.m, n)))
+        self.rhs = rhs * self.flip
         lhs = self.rhs.copy()
-        lhs[: self.n_ub] = -core.kHighsInf
+        lhs[: int(inequality.sum())] = -core.kHighsInf
         model = core.HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = n
-        model.num_row_ = model.a_matrix_.num_row_ = len(lhs)
+        model.num_row_ = model.a_matrix_.num_row_ = self.m
         model.a_matrix_.format_ = core.MatrixFormat.kColwise
         model.a_matrix_.start_ = a.indptr
         model.a_matrix_.index_ = a.indices
@@ -82,6 +95,12 @@ class Highs:
         self.highs.passModel(model)
         self.columns = np.arange(n, dtype=np.int32)
 
+    def _by_row(self, values):
+        """Model-row values put back in LP row order."""
+        out = np.empty(self.m)
+        out[self.order] = values
+        return out
+
     def solve(self, cost) -> FloatResult:
         """Minimize cost . x."""
         highs, core = self.highs, self.core
@@ -91,8 +110,7 @@ class Highs:
         if not warm:
             choose = core.simplex_constants.SimplexStrategy.kSimplexStrategyChoose
             highs.setOptionValue("simplex_strategy", int(choose))
-        info = highs.getInfo()
-        nit = info.simplex_iteration_count
+        nit = highs.getInfo().simplex_iteration_count
         codes = core.HighsModelStatus
         status = {
             codes.kOptimal: 0,
@@ -103,18 +121,28 @@ class Highs:
             codes.kUnbounded: 3,
         }.get(highs.getModelStatus(), 4)
         if status != 0:
-            empty = RowResult(None, None)
-            return FloatResult(status, None, None, empty, empty, nit, warm)
+            return FloatResult(status, None, None, None, nit, warm)
         solution = highs.getSolution()
-        slack = self.rhs - np.array(solution.row_value)
-        duals = np.array(solution.row_dual)
-        k = self.n_ub
         return FloatResult(
             0,
             np.array(solution.col_value),
-            info.objective_function_value,
-            RowResult(duals[:k], slack[:k]),
-            RowResult(duals[k:], slack[k:]),
+            self._by_row(-self.flip * np.array(solution.row_dual)),
+            self._by_row(self.rhs - np.array(solution.row_value)),
             nit,
             warm,
         )
+
+    def farkas(self):
+        """Farkas multipliers per LP row after a run that found the model
+        infeasible, or None when HiGHS has no dual ray.
+
+        They follow `FloatResult.row_dual`'s signs: the combination
+        ``sum farkas_i * a_i`` is >= 0 in every column while
+        ``sum farkas_i * b_i`` < 0, up to float error.  When presolve found
+        the infeasibility, HiGHS solves the model once more, without
+        presolve, inside this call to find the ray.
+        """
+        _, has_ray, ray = self.highs.getDualRay()
+        if not has_ray:
+            return None
+        return self._by_row(-self.flip * np.asarray(ray))

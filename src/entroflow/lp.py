@@ -28,21 +28,21 @@ from the mask columns of `entropy._elemental_masks` (kept as one read-only
 array per ground size), and equal rows are found through one packed
 integer key per row; provenance tags stay compact and are formatted only
 for `export_text`, `certificate_to_json` and the `constraints` view.  Every reader works from the store: the HiGHS
-matrices, the exact verifier, the exact simplex and the exports.
+model, the exact verifier, the exact simplex and the exports.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
-bindings scipy bundles) proposes an optimum or an infeasibility
-combination, which is rounded to rationals and accepted only when it
-passes the exact check against every row: the point, ray or multipliers
-are scaled to a common denominator and compared with the scaled right
-sides by integer matrix-vector products (int64 under a checked no-overflow
-bound, Python ints otherwise).  When no proposal verifies, or scipy or its
-HiGHS bindings are missing, the lazy exact rational simplex settles the
-LP.  Every returned certificate has been re-verified exactly.
+bindings scipy bundles) proposes an optimum (a point and row duals) or,
+for an infeasible LP, the Farkas multipliers of its dual ray.  The
+proposal is rounded to rationals and accepted only when it passes the
+exact check against every row: the point, ray or multipliers are scaled
+to a common denominator and compared with the scaled right sides by
+integer matrix-vector products (int64 under a checked no-overflow bound,
+Python ints otherwise).  When no proposal verifies, or scipy or its HiGHS
+bindings are missing, the lazy exact rational simplex settles the LP.
+Every returned certificate has been re-verified exactly.
 
-A `ShannonSolver` holds one HiGHS handle (`entroflow.highs`, loaded on
-the first float solve): the model is passed once, in
-`scipy.optimize.linprog`'s layout, so the first solve is `linprog`'s;
+A `ShannonSolver` holds one HiGHS handle (`entroflow.highs.Highs`, made
+from the row store on the first float solve), which answers per LP row;
 each later objective changes the costs only and is re-solved from the
 last basis, and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
@@ -715,11 +715,12 @@ class Certificate:
 class SolveStats:
     """Running counts of one ShannonSolver's work.
 
-    `highs_runs` counts HiGHS solves (elastic Farkas models included),
-    `simplex_iterations` their simplex iterations and `warm_starts` the
-    runs that started from a basis a previous run left.  `memo_hits`
-    counts objectives answered from the memo; every other solve is settled
-    by exactly one of `float_cert`, `float_farkas` or `exact`.
+    `highs_runs` counts HiGHS solves (at most one per solve, none without
+    scipy's HiGHS bindings), `simplex_iterations` their simplex iterations
+    and `warm_starts` the runs that started from a basis a previous run
+    left.  `memo_hits` counts objectives answered from the memo; every
+    other solve is settled by exactly one of `float_cert`, `float_farkas`
+    or `exact`.
     """
 
     highs_runs: int = 0
@@ -734,9 +735,10 @@ class SolveStats:
 class ShannonSolver:
     """Exact solver bound to one LP; re-use it for chains of objectives.
 
-    A float solve over every row proposes each answer, and the proposal
+    A float solve over every row proposes each answer (an optimum, or the
+    Farkas multipliers of an infeasible run's dual ray), and the proposal
     stands only after exact verification against every row.  The float
-    solves go through one HiGHS handle that holds the model: it is passed
+    solves go through one HiGHS handle that holds the model: it is built
     once, and each later objective changes only the costs and starts from
     the basis the previous solve left.  When no proposal verifies, the
     exact simplex takes over with elemental rows activated lazily: each
@@ -755,14 +757,12 @@ class ShannonSolver:
     solves before it, but never its status or optimum.
     """
 
-    def __init__(self, lp: ShannonLP, verify: bool = True):
+    def __init__(self, lp: ShannonLP):
         self.lp = lp
-        self.verify = verify
         self.index = lp.coord_index()
         elemental = lp.elemental_rows
         self.active: list[int] = [i for i in range(len(lp.rows)) if i not in elemental]
         self._inactive: list[int] = list(elemental)
-        self._float_model = None
         self._highs = None  # a highs.Highs, made on the first float solve
         self._memo: dict[tuple, SimplexCertificate] = {}
         self.simplex: Optional[ExactSimplex] = None
@@ -774,126 +774,17 @@ class ShannonSolver:
         return self.lp.rows
 
     # ------------------------------------------------------------------
-    # float-guided row seeding
+    # float proposals
     #
-    # A floating-point solve over the full row set predicts which rows an
-    # optimal basis touches (nonzero dual multipliers); those rows are
-    # activated before the exact solve.  The prediction has no bearing on
-    # correctness: the exact lazy loop below re-checks every answer
-    # against every row and activates anything the heuristic missed.
-
-    def _float_rows(self, picks, signs, elastic: bool = False):
-        """CSR matrix and rhs of sign * row for each (row, sign) pick, in order.
-
-        With `elastic`, output row k also gets -1 in its own column n + k.
-        """
-        import numpy as np
-        from scipy import sparse
-
-        rows = self.lp.rows.take(picks)
-        data, rhs = rows.floats()
-        lengths = np.diff(rows.indptr)
-        data = data * np.repeat(signs, lengths)
-        col, indptr = rows.col, rows.indptr
-        n, m = len(self.lp.coords), len(picks)
-        if elastic:
-            # One more entry per row, after the row's own (ascending) columns.
-            at = indptr[1:] + np.arange(m)
-            data = np.insert(data, indptr[1:], -1.0)
-            col = np.insert(col, indptr[1:], n + np.arange(m))
-            indptr = np.concatenate(([0], at + 1))
-            n += m
-        return sparse.csr_matrix((data, col, indptr), shape=(m, n)), rhs * signs
-
-    def _ensure_float_model(self) -> None:
-        if self._float_model is not None:
-            return
-        import numpy as np
-
-        sense = self.lp.rows.sense
-        ub_idx = np.flatnonzero(sense != 0)
-        eq_idx = np.flatnonzero(sense == 0)
-        a_ub, b_ub = (None, None)
-        if len(ub_idx):
-            a_ub, b_ub = self._float_rows(ub_idx, np.where(sense[ub_idx] == -1, -1.0, 1.0))
-        a_eq, b_eq = (None, None)
-        if len(eq_idx):
-            a_eq, b_eq = self._float_rows(eq_idx, np.ones(len(eq_idx)))
-        self._float_model = (a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx)
-
-    def _float_seed(self, res) -> list[int]:
-        if res is None:
-            return []
-        import numpy as np
-
-        ub_idx = self._float_model[2]
-        seed = np.zeros(0, dtype=np.int64)
-        if res.status == 0 and len(ub_idx):
-            # Rows in the optimal dual support plus rows tight at the
-            # optimal vertex: together they describe the optimal face.
-            face = (np.abs(res.ineqlin.marginals) > 1e-9) | (np.abs(res.ineqlin.residual) < 1e-7)
-            seed = ub_idx[face]
-        inactive = set(self._inactive)
-        return sorted({i for i in seed.tolist() if i in inactive})
+    # HiGHS proposes each answer over the full row set; a proposal is
+    # rounded to small rationals and stands only after exact verification
+    # against every row, so no floating-point value is ever trusted.  When
+    # no proposal verifies, the rows HiGHS found on the optimal face seed
+    # the exact solve.  The seed has no bearing on correctness: the exact
+    # lazy loop re-checks every answer against every row and activates
+    # anything the seed missed.
 
     _RATIONALIZE_LIMIT = 1 << 24
-
-    def _float_certificate(
-        self, objective: Mapping[int, Fraction], res
-    ) -> Optional[SimplexCertificate]:
-        """Try to certify the optimum from a rationalized float solution.
-
-        The float solver only proposes a primal point and dual
-        multipliers; both are rounded to small rationals and the pair is
-        accepted solely when it passes exact verification against every
-        row.  On any mismatch the caller falls back to the exact simplex,
-        so no floating-point value is ever trusted.
-        """
-        if res is None or res.status != 0:
-            return None
-        import numpy as np
-
-        _, _, ub_idx, _, _, eq_idx = self._float_model
-        lim = self._RATIONALIZE_LIMIT
-
-        def rational(v) -> Fraction:
-            return Fraction(float(v)).limit_denominator(lim)
-
-        x = {j: rational(res.x[j]) for j in np.flatnonzero(np.abs(res.x) > 1e-11).tolist()}
-        duals = [Fraction(0)] * len(self.lp.rows)
-        sense = self.lp.rows.sense
-        if len(ub_idx):
-            marginals = res.ineqlin.marginals
-            for pos in np.flatnonzero(np.abs(marginals) > 1e-11).tolist():
-                yy = -rational(marginals[pos])
-                i = int(ub_idx[pos])
-                duals[i] = yy if sense[i] == 1 else -yy
-        if len(eq_idx):
-            marginals = res.eqlin.marginals
-            for pos in np.flatnonzero(np.abs(marginals) > 1e-11).tolist():
-                duals[int(eq_idx[pos])] = -rational(marginals[pos])
-        value = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
-        cert = SimplexCertificate(
-            status="optimal",
-            value=value,
-            x=x,
-            duals=tuple(duals),
-            farkas=None,
-            ray=None,
-            pivots=(),
-        )
-        try:
-            verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
-        except CertificateError:
-            return None
-        return cert
-
-    def _run_highs(self, highs, cost):
-        res = highs.solve(cost)
-        self.stats.highs_runs += 1
-        self.stats.simplex_iterations += res.nit
-        self.stats.warm_starts += res.warm
-        return res
 
     def _float_solve(self, objective: Mapping[int, Fraction]):
         """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
@@ -904,62 +795,76 @@ class ShannonSolver:
             try:
                 from entroflow.highs import Highs
 
-                self._ensure_float_model()
-                a_ub, b_ub, _, a_eq, b_eq, _ = self._float_model
-                self._highs = Highs(a_ub, b_ub, a_eq, b_eq, len(self.lp.coords))
+                self._highs = Highs(self.lp.rows, len(self.lp.coords))
             except ImportError:
                 return None
         cost = np.zeros(len(self.lp.coords))
         for j, v in objective.items():
             cost[j] = -float(v)
-        return self._run_highs(self._highs, cost)
+        res = self._highs.solve(cost)
+        self.stats.highs_runs += 1
+        self.stats.simplex_iterations += res.nit
+        self.stats.warm_starts += res.warm
+        return res
 
-    def _float_farkas(self) -> Optional[SimplexCertificate]:
-        """Candidate infeasibility certificate from an elastic relaxation.
-
-        Minimize the total constraint violation (one elastic variable per
-        inequality copy); when the optimum is positive, its dual
-        multipliers are a Farkas combination.  The rationalized
-        multipliers are accepted only after exact verification.
-        """
+    def _rational(self, values) -> dict[int, Fraction]:
+        """Each entry of a float array above 1e-11 in magnitude, by index,
+        rounded to the nearest rational with denominator at most 2^24."""
         import numpy as np
 
-        from entroflow.highs import Highs
-
-        # Elastic rows in <=-form: (sign * a) . x - t_k <= sign * b, one
-        # copy of a <= row, one of a >= row, two (+ then -) of an = row.
-        sense = self.lp.rows.sense
-        copies = np.where(sense == 0, 2, 1)
-        owners = np.repeat(np.arange(len(sense)), copies)
-        signs = np.where(sense[owners] == -1, -1.0, 1.0)
-        signs[1:][(owners[1:] == owners[:-1])] = -1.0
-        a, rhs = self._float_rows(owners, signs, elastic=True)
-        n = len(self.lp.coords)
-        m = len(rhs)
-        # A one-shot handle: the elastic model is solved once, cold.
-        highs = Highs(a, rhs, None, None, n + m)
-        res = self._run_highs(highs, np.concatenate((np.zeros(n), np.ones(m))))
-        if res.status != 0 or res.fun <= 1e-9:
-            return None
         lim = self._RATIONALIZE_LIMIT
-        farkas = [Fraction(0)] * len(self.lp.rows)
-        for k in np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-11).tolist():
-            y = -Fraction(float(res.ineqlin.marginals[k])).limit_denominator(lim)
-            farkas[int(owners[k])] += int(signs[k]) * y
-        cert = SimplexCertificate(
-            status="infeasible",
-            value=None,
-            x={},
-            duals=None,
-            farkas=tuple(farkas),
-            ray=None,
-            pivots=(),
-        )
+        return {
+            i: Fraction(float(values[i])).limit_denominator(lim)
+            for i in np.flatnonzero(np.abs(values) > 1e-11).tolist()
+        }
+
+    def _per_row(self, values) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * len(self.lp.rows)
+        for i, v in self._rational(values).items():
+            out[i] = v
+        return tuple(out)
+
+    def _verified(
+        self, objective: Mapping[int, Fraction], cert: SimplexCertificate
+    ) -> Optional[SimplexCertificate]:
         try:
-            verify_certificate(len(self.lp.coords), self.lp.rows, {}, cert)
+            verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
         except CertificateError:
             return None
         return cert
+
+    def _float_certificate(
+        self, objective: Mapping[int, Fraction], res
+    ) -> Optional[SimplexCertificate]:
+        """The optimum HiGHS proposed (primal point and row duals), rationalized,
+        if it passes exact verification."""
+        x = self._rational(res.x)
+        value = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
+        cert = SimplexCertificate("optimal", value, x, self._per_row(res.row_dual), None, None, ())
+        return self._verified(objective, cert)
+
+    def _float_farkas(self) -> Optional[SimplexCertificate]:
+        """The infeasibility HiGHS found (the dual ray of its last run, as
+        Farkas multipliers), rationalized, if it passes exact verification."""
+        farkas = self._highs.farkas()
+        if farkas is None:
+            return None
+        cert = SimplexCertificate("infeasible", None, {}, None, self._per_row(farkas), None, ())
+        return self._verified({}, cert)
+
+    def _float_seed(self, res) -> list[int]:
+        """Inactive rows on the optimal face HiGHS found: inequality rows in
+        its dual support or tight at its vertex."""
+        if res is None or res.status != 0:
+            return []
+        import numpy as np
+
+        face = (self.lp.rows.sense != 0) & (
+            (np.abs(res.row_dual) > 1e-9) | (np.abs(res.row_slack) < 1e-7)
+        )
+        inactive = np.zeros(len(face), dtype=bool)
+        inactive[self._inactive] = True
+        return np.flatnonzero(face & inactive).tolist()
 
     def _violated(self, x: Mapping[int, Fraction], ray: bool = False) -> list[int]:
         import numpy as np
@@ -1055,8 +960,7 @@ class ShannonSolver:
                 self._activate(grow)
                 continue
             out = self._pad(cert)
-            if self.verify:
-                verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), out)
+            verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), out)
             return out
 
     def _to_cols(self, coeffs: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -1129,24 +1033,20 @@ class ShannonSolver:
         return out, constant
 
 
-def _solver_for(lp_or_solver, solver: Optional[ShannonSolver]) -> ShannonSolver:
-    if solver is not None:
-        return solver
-    if isinstance(lp_or_solver, ShannonSolver):
-        return lp_or_solver
-    return ShannonSolver(lp_or_solver)
+def _solver_for(lp: Union[ShannonLP, ShannonSolver]) -> ShannonSolver:
+    return lp if isinstance(lp, ShannonSolver) else ShannonSolver(lp)
 
 
-def maximize(lp: Union[ShannonLP, ShannonSolver], objective, solver: Optional[ShannonSolver] = None) -> Certificate:
-    return _solver_for(lp, solver).maximize(objective)
+def maximize(lp: Union[ShannonLP, ShannonSolver], objective) -> Certificate:
+    return _solver_for(lp).maximize(objective)
 
 
-def minimize(lp: Union[ShannonLP, ShannonSolver], objective, solver: Optional[ShannonSolver] = None) -> Certificate:
-    return _solver_for(lp, solver).minimize(objective)
+def minimize(lp: Union[ShannonLP, ShannonSolver], objective) -> Certificate:
+    return _solver_for(lp).minimize(objective)
 
 
-def feasibility(lp: Union[ShannonLP, ShannonSolver], solver: Optional[ShannonSolver] = None) -> Certificate:
-    return _solver_for(lp, solver).feasibility()
+def feasibility(lp: Union[ShannonLP, ShannonSolver]) -> Certificate:
+    return _solver_for(lp).feasibility()
 
 
 @dataclass(frozen=True)
@@ -1159,18 +1059,14 @@ class ForcedResult:
         return self.forced
 
 
-def prove_forced_equality(
-    lp: Union[ShannonLP, ShannonSolver],
-    expression: str,
-    solver: Optional[ShannonSolver] = None,
-) -> ForcedResult:
+def prove_forced_equality(lp: Union[ShannonLP, ShannonSolver], expression: str) -> ForcedResult:
     """Certify that a Shannon-nonnegative quantity is exactly zero on the LP.
 
     The expression must be a positive combination of conditional entropies
     and (conditional) mutual informations, so its minimum is zero by the
     elemental inequalities; it is forced iff its exact maximum is zero.
     """
-    sol = _solver_for(lp, solver)
+    sol = _solver_for(lp)
     if not expression_is_elemental_nonnegative(sol.lp.ground, expression):
         raise ValueError(
             f"{expression!r} is not recognized as elemental-nonnegative"
@@ -1225,9 +1121,7 @@ class ChainReport:
 
 
 def verify_proof_chain(
-    lp: Union[ShannonLP, ShannonSolver],
-    claims: Iterable[Union[Claim, tuple]],
-    solver: Optional[ShannonSolver] = None,
+    lp: Union[ShannonLP, ShannonSolver], claims: Iterable[Union[Claim, tuple]]
 ) -> ChainReport:
     """Per-claim verdicts via exact maximize/minimize.
 
@@ -1235,7 +1129,7 @@ def verify_proof_chain(
     equality of the stated kind; "consistent" means some do and some do
     not; "contradicted" means none do.
     """
-    sol = _solver_for(lp, solver)
+    sol = _solver_for(lp)
     verdicts: list[ChainVerdict] = []
     feas = sol.feasibility()
     for claim in claims:

@@ -1,7 +1,7 @@
 """The integer row store: linear rows held once, as integer CSR arrays.
 
 `RowStore` is where the Shannon LP writes its rows and what every reader
-works from: the float model, the exact certificate checks
+works from: the HiGHS model (`highs.Highs`), the exact certificate checks
 (`simplex.verify_certificate`), the exact simplex and the LP exports.
 The module, and numpy with it, is loaded on first use: importing the
 command line loads neither.

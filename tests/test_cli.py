@@ -79,6 +79,30 @@ class TestLpBound:
         ) == 0
         assert "forced" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("objective", ["H(Q)", "H(S", "2*", "H(S)+"])
+    def test_bad_objective_is_a_usage_error(self, tmp_path, capsys, objective):
+        assert main(["lp-bound", single_edge_file(tmp_path), "--objective", objective]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("claim", ["H(Q)", "H(S"])
+    def test_bad_chain_claim_is_a_usage_error(self, tmp_path, capsys, claim):
+        chain = write(
+            tmp_path,
+            "chain.json",
+            json.dumps(
+                [
+                    {"claim": "H(S)", "relation": "=", "value": "1"},
+                    {"claim": claim, "relation": "=", "value": "0"},
+                ]
+            ),
+        )
+        assert main(["lp-bound", single_edge_file(tmp_path), "--verify-chain", chain]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_subnetwork_variable_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["lp-bound", single_edge_file(tmp_path), "--subnetwork", "S,Q"]) == 64
+        assert "unknown subnetwork variables" in capsys.readouterr().err
+
     def test_ground_too_large(self, tmp_path):
         p = simple_problem(
             [(f"e{i}", "s", "t", 1) for i in range(16)],

@@ -271,6 +271,32 @@ class TestExactFallback:
         solver = self.exact_path_agrees(problem, kwargs, objective, disable)
         assert (solver.stats.exact, solver.stats.highs_runs) == (2, 0)
 
+    @FALLBACK_CASES
+    def test_matches_float_path_with_rejected_proposal(self, problem, kwargs, objective, monkeypatch):
+        # HiGHS proposes, but the proposal fails verification: the exact
+        # simplex settles the LP, seeded with the rows on HiGHS's optimal face.
+        import numpy as np
+
+        lp = build_shannon_lp(problem, **kwargs)
+        want = ShannonSolver(lp).maximize(objective)
+        proposals = []
+
+        def reject(self, objective, res):
+            proposals.append(res)
+
+        monkeypatch.setattr(ShannonSolver, "_float_certificate", reject)
+        monkeypatch.setattr(ShannonSolver, "_float_farkas", lambda self: None)
+        solver = ShannonSolver(lp)
+        got = solver.maximize(objective)
+        assert (got.status, got.value) == (want.status, want.value)
+        assert (solver.stats.exact, solver.stats.highs_runs) == (1, 1)
+        face = []
+        if proposals:
+            (res,) = proposals
+            tight = (np.abs(res.row_dual) > 1e-9) | (np.abs(res.row_slack) < 1e-7)
+            face = [i for i in lp.elemental_rows if tight[i]]
+        assert sorted(set(solver.active) & set(lp.elemental_rows)) == face
+
     def test_exact_simplex_built_only_on_fallback(self):
         solver = ShannonSolver(build_shannon_lp(butterfly(), rate_sessions="none"))
         assert solver.maximize("H(T)").value == 2
@@ -577,6 +603,17 @@ def reference_float_rows(lp, picks):
     return a, b
 
 
+def infeasible_case(name):
+    """(problem, build_shannon_lp keywords) of an LP that has no feasible point."""
+    from entroflow.gadgets import adhere, build_secure
+
+    if name == "single-edge":
+        return simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]), {}
+    if name == "adhered-half-relay":
+        return adhere(simple_problem([("e", "u", "v", "1/2")], [("S", 1, "u", ("v",))])).problem, {}
+    return build_secure(1, 2).problem, {"include_randomness": False}
+
+
 def random_nets(count, seed=1111):
     rng = random.Random(seed)
     caps = ["1", "1/2", "2", "1/3", "3/2", "0"]
@@ -741,46 +778,45 @@ class TestRowStoreBuild:
         assert len(lp.rows) == len(plain.rows) + 1
 
     def test_float_model_matches_rows(self):
+        # The HiGHS model keeps linprog's layout: the <= rows and the negated
+        # >= rows in row order, with lower bound -inf, then the = rows.
         import numpy as np
-
-        for lp in reference_lps():
-            solver = ShannonSolver(lp)
-            solver._ensure_float_model()
-            a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx = solver._float_model
-            senses = [c.sense for c in lp.constraints]
-            assert list(ub_idx) == [i for i, s in enumerate(senses) if s != "eq"]
-            assert list(eq_idx) == [i for i, s in enumerate(senses) if s == "eq"]
-            for matrix, rhs, picks in (
-                (a_ub, b_ub, [(i, -1.0 if senses[i] == "ge" else 1.0) for i in ub_idx]),
-                (a_eq, b_eq, [(i, 1.0) for i in eq_idx]),
-            ):
-                if not picks:
-                    assert matrix is None
-                    continue
-                a, b = reference_float_rows(lp, picks)
-                assert np.array_equal(matrix.toarray(), a) and np.array_equal(rhs, b)
-
-    def test_elastic_model_matches_rows(self, monkeypatch):
-        import numpy as np
+        from scipy import sparse
 
         from entroflow.highs import Highs
 
-        lp = build_shannon_lp(simple_problem([("e", "s", "t", "1/3")], [("S", 2, "s", ("t",))]))
-        seen = {}
-        real = Highs.__init__
+        for lp in reference_lps():
+            model = Highs(lp.rows, len(lp.coords)).highs.getLp()
+            senses = [c.sense for c in lp.constraints]
+            picks = [(i, -1.0 if s == "ge" else 1.0) for i, s in enumerate(senses) if s != "eq"]
+            picks += [(i, 1.0) for i, s in enumerate(senses) if s == "eq"]
+            a, b = reference_float_rows(lp, picks)
+            matrix = sparse.csc_array(
+                (model.a_matrix_.value_, model.a_matrix_.index_, model.a_matrix_.start_),
+                shape=a.shape,
+            )
+            assert np.array_equal(matrix.toarray(), a)
+            assert np.array_equal(model.row_upper_, b)
+            ub = sum(s != "eq" for s in senses)
+            assert np.array_equal(model.row_lower_, np.concatenate((np.full(ub, -np.inf), b[ub:])))
 
-        def spy(self, a_ub, b_ub, a_eq, b_eq, n):
-            seen["a"], seen["b"] = a_ub, b_ub
-            assert a_eq is None and b_eq is None and n == a_ub.shape[1]
-            real(self, a_ub, b_ub, a_eq, b_eq, n)
+    @pytest.mark.parametrize("name", ["single-edge", "adhered-half-relay", "secure-1-2"])
+    def test_farkas_from_dual_ray(self, name):
+        # One HiGHS run per solve, cold and warm: the Farkas certificate comes
+        # from that run's dual ray, and it verifies exactly.
+        from entroflow.simplex import SimplexCertificate, verify_certificate
 
-        monkeypatch.setattr(Highs, "__init__", spy)
-        assert ShannonSolver(lp)._float_farkas() is not None
-        copies = {"le": (1,), "ge": (-1,), "eq": (1, -1)}
-        picks = [(i, s) for i, con in enumerate(lp.constraints) for s in copies[con.sense]]
-        a, b = reference_float_rows(lp, picks)
-        a = np.hstack([a, -np.eye(len(picks))])
-        assert np.array_equal(seen["a"].toarray(), a) and np.array_equal(seen["b"], b)
+        problem, kwargs = infeasible_case(name)
+        lp = build_shannon_lp(problem, **kwargs)
+        solver = ShannonSolver(lp)
+        objective = f"H({lp.ground.labels[0]})"
+        for runs, solve in enumerate((solver.feasibility, lambda: solver.maximize(objective)), 1):
+            cert = solve()
+            assert cert.status == "infeasible"
+            assert solver.stats.float_farkas == solver.stats.highs_runs == runs
+            assert solver.simplex is None
+            column = SimplexCertificate("infeasible", None, {}, None, cert.farkas, None, ())
+            verify_certificate(len(lp.coords), lp.rows, {}, column)
 
 
 class TestIntegerChecks:
