@@ -29,7 +29,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from entroflow.entropy import JointDistribution, as_fraction, check_independence
+from entroflow.entropy import (
+    JointDistribution,
+    as_fraction,
+    check_functional_dependency,
+    check_independence,
+)
 from entroflow.network import (
     Capacity,
     InputRef,
@@ -385,42 +390,25 @@ def induced_joint_distribution(
 
 
 def check_zero_error(
-    code: NetworkCode,
-    problem: Optional[NetworkProblem] = None,
-    dist: Optional[JointDistribution] = None,
+    code: NetworkCode, dist: Optional[JointDistribution] = None
 ) -> tuple[bool, list[tuple[str, str]]]:
     """Exact decodability at every sink for every demanded session."""
-    problem = problem or code.problem
+    problem = code.problem
     dist = dist or induced_joint_distribution(code)
-    names = dist.names()
     failures: list[tuple[str, str]] = []
     for sink, demanded in problem.demands().items():
         givens = problem.sink_inputs(sink)
         for sid in demanded:
-            if sid in givens:
-                continue
-            g_idx = tuple(names.index(g) for g in givens)
-            t_idx = names.index(sid)
-            seen: dict[tuple[int, ...], int] = {}
-            ok = True
-            for outcome in dist.pmf:
-                key = tuple(outcome[i] for i in g_idx)
-                val = outcome[t_idx]
-                if seen.setdefault(key, val) != val:
-                    ok = False
-                    break
-            if not ok:
+            if sid not in givens and not check_functional_dependency(dist, sid, givens):
                 failures.append((sink, sid))
     return not failures, failures
 
 
 def check_secrecy(
-    code: NetworkCode,
-    problem: Optional[NetworkProblem] = None,
-    dist: Optional[JointDistribution] = None,
+    code: NetworkCode, dist: Optional[JointDistribution] = None
 ) -> tuple[bool, list[int]]:
     """Exact zero-leakage check for every wiretap."""
-    problem = problem or code.problem
+    problem = code.problem
     if not problem.wiretaps.taps:
         return True, []
     dist = dist or induced_joint_distribution(code)
@@ -434,17 +422,15 @@ def check_secrecy(
     return not failures, failures
 
 
-def check_admissible(
-    code: NetworkCode,
-    problem: Optional[NetworkProblem] = None,
-    dist: Optional[JointDistribution] = None,
-) -> Verdict:
+def check_admissible(code: NetworkCode, dist: Optional[JointDistribution] = None) -> Verdict:
     """Alphabet-capacity, rate, zero-error, and secrecy checks, all exact.
 
     `dist`, when given, must be the code's induced joint distribution; it
-    saves computing it again.
+    saves computing it again.  It shares no code with the search's
+    `_SearchPlan.admissible_tables`, so it re-checks what the search finds
+    independently.
     """
-    problem = problem or code.problem
+    problem = code.problem
     net = problem.network
     reasons: list[tuple[str, ...]] = []
     for e in net.edges:
@@ -459,10 +445,10 @@ def check_admissible(
             reasons.append(("rate", s.id, f"alphabet {size} below 2^{s.rate}"))
     if not reasons:
         dist = dist or induced_joint_distribution(code)
-        ok, failures = check_zero_error(code, problem, dist)
+        ok, failures = check_zero_error(code, dist)
         for sink, sid in failures:
             reasons.append(("decode", sink, sid))
-        ok, taps = check_secrecy(code, problem, dist)
+        ok, taps = check_secrecy(code, dist)
         for i in taps:
             reasons.append(("leak", str(i)))
     return Verdict(not reasons, tuple(reasons))

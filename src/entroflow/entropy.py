@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -548,11 +549,14 @@ def check_functional_dependency(
         givens = (givens,)
     t_idx = dist._indices(targets)
     g_idx = dist._indices(givens)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    if not t_idx:
+        return True
+    target = operator.itemgetter(*t_idx)
+    given = operator.itemgetter(*g_idx) if g_idx else lambda outcome: ()
+    seen: dict = {}
     for outcome in dist.pmf:
-        g = tuple(outcome[i] for i in g_idx)
-        t = tuple(outcome[i] for i in t_idx)
-        if seen.setdefault(g, t) != t:
+        t = target(outcome)
+        if seen.setdefault(given(outcome), t) != t:
             return False
     return True
 
@@ -645,26 +649,25 @@ def _canonical_support(points: tuple[tuple[int, ...], ...], sizes: tuple[int, ..
     return True
 
 
+_SEARCH_GROUND_LIMIT = 3
+
+
 def entropic_search(
     h: EntropyVector,
     max_support: int = 4,
     tol: float = DEFAULT_TOL,
     budget: int = 200_000,
-    pmf_grid: Optional[int] = None,
-    small_n_limit: int = 3,
 ) -> EntropicSearchResult:
     """Search for a distribution whose entropy vector matches h within tol.
 
     This is a semi-decision with an explicit budget: "not-found" is a
     statement about the searched family only, never a proof that h is not
-    entropic.  The primary family is uniform-over-support candidates
-    (which covers all quasi-uniform vectors at these sizes); `pmf_grid`
-    optionally adds a coarse rational-grid sweep with denominator
-    `pmf_grid` over two-variable supports.
+    entropic.  The family is uniform-over-support candidates, which covers
+    all quasi-uniform vectors at these sizes, on at most three variables.
     """
     n = h.ground.size
-    if n > small_n_limit:
-        raise ValueError(f"ground of size {n} exceeds the search limit {small_n_limit}")
+    if n > _SEARCH_GROUND_LIMIT:
+        raise ValueError(f"ground of size {n} exceeds the search limit {_SEARCH_GROUND_LIMIT}")
     pre = is_polymatroid(h, tol)
     if not pre:
         return EntropicSearchResult("not-found", None, 0, "not a polymatroid: " + pre.violations[0])
@@ -699,28 +702,6 @@ def entropic_search(
                 cand = JointDistribution.uniform_over(
                     tuple(zip(names, sizes)), combo
                 )
-                if _vector_matches(cand, h, tol):
-                    return EntropicSearchResult("found", cand, tried)
-    if pmf_grid:
-        den = int(pmf_grid)
-        for sizes in itertools.product(*(range(1, max_support + 1) for _ in range(n))):
-            grid = list(itertools.product(*(range(s) for s in sizes)))
-            if len(grid) > 6:
-                continue
-            for weights in itertools.product(range(den + 1), repeat=len(grid)):
-                if sum(weights) != den:
-                    continue
-                if tried >= budget:
-                    return EntropicSearchResult(
-                        "budget-exceeded", None, tried, "pmf grid sweep hit the budget"
-                    )
-                tried += 1
-                pmf = {
-                    pt: Fraction(w, den) for pt, w in zip(grid, weights) if w
-                }
-                if not pmf:
-                    continue
-                cand = JointDistribution.of(tuple(zip(names, sizes)), pmf)
                 if _vector_matches(cand, h, tol):
                     return EntropicSearchResult("found", cand, tried)
     return EntropicSearchResult("not-found", None, tried, "search family exhausted")

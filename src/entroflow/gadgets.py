@@ -4,9 +4,12 @@
 sink requirements whose rate-capacity tuple is the linear image of an
 entropy vector h: a source part emits per-coordinate streams U_i (rate
 h(i) each) and a bottleneck-fanned family V_i, one cut-probe subnetwork
-per nonempty subset, and one increment-probe subnetwork per (subset,
-fresh element) pair.  `incremental_code(q)` builds the explicit code that
-realizes the tuple whenever h comes from a quasi-uniform distribution q.
+per nonempty subset, and one increment-probe subnetwork per (nonempty
+proper subset, fresh element) pair.  One generator lists those probes and
+names their nodes and edges; `build_incremental` makes a single walk over
+it that lays out each probe and writes its contract obligations, and
+`incremental_code(q)`, the explicit code that realizes the tuple whenever
+h comes from a quasi-uniform distribution q, walks the same list.
 
 `build_secure(c, d)` produces the single-session secure network in which
 any admissible code is forced to push a rate-c key onto the relay edge;
@@ -28,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from entroflow.codes import CodeBuilder, NetworkCode
 from entroflow.entropy import (
@@ -190,19 +193,63 @@ class IncrementalGadget:
     problem: NetworkProblem
     contract: ReconstructionContract
     delta: RateCapacityTuple
-    u_messages: tuple[str, ...]
-    v_messages: tuple[str, ...]
 
 
 def _subset_name(members: Sequence[int]) -> str:
     return "".join(str(i + 1) for i in sorted(members))
 
 
-def _subsets(n: int, proper: bool = False, nonempty: bool = True):
-    for mask in range(1 if nonempty else 0, 1 << n):
-        if proper and mask == (1 << n) - 1:
-            continue
-        yield tuple(i for i in range(n) if mask >> i & 1)
+class _Probe(NamedTuple):
+    """One probe subnetwork of the incremental gadget.
+
+    A cut probe tests a nonempty subset (`fresh` is None, tag "a"); an
+    increment probe tests a nonempty proper subset plus a fresh element
+    (tag "a.i").  Every node and edge of the probe is named `at(prefix)`.
+    """
+
+    members: tuple[int, ...]  # ascending
+    mask: int
+    tag: str
+    fresh: Optional[int] = None
+
+    def at(self, prefix: str) -> str:
+        return f"{prefix}[{self.tag}]"
+
+    @property
+    def grown(self) -> tuple[int, ...]:
+        """An increment probe's subset with its fresh element, ascending."""
+        return tuple(sorted(self.members + (self.fresh,)))
+
+
+def _probes(n: int):
+    """Every probe on n coordinates once, in layout order: the cut probes
+    by subset mask, then the increment probes by subset mask and fresh
+    element."""
+    subsets = [(mask, tuple(i for i in range(n) if mask >> i & 1)) for mask in range(1, 1 << n)]
+    for mask, members in subsets:
+        yield _Probe(members, mask, _subset_name(members))
+    for mask, members in subsets[:-1]:
+        for i in range(n):
+            if not mask >> i & 1:
+                yield _Probe(members, mask, f"{_subset_name(members)}.{i + 1}", i)
+
+
+def _forward_id(parent: str, node: str) -> str:
+    """The forwarding edge that carries message `parent` into `node`."""
+    return f"{parent}>{node}"
+
+
+def _claim(
+    name: str, ground: Sequence[str], expression: str, relation: str, value: Union[Fraction, int]
+) -> Obligation:
+    return Obligation(
+        name=name,
+        kind="chain-claim",
+        subnetwork=tuple(ground),
+        expression=expression,
+        relation=relation,
+        value=str(value),
+    )
 
 
 def build_incremental(h: EntropyVector) -> IncrementalGadget:
@@ -211,7 +258,9 @@ def build_incremental(h: EntropyVector) -> IncrementalGadget:
     Requires exact rational coordinates with h(full) the maximum (every
     derived capacity must be nonnegative); the offending subset is named
     otherwise.  The topology depends only on the ground size; h only sets
-    the rates and capacities.
+    the rates and capacities.  One walk over the probes lays out each
+    probe's nodes, edges and forwarding edges and writes its contract
+    obligations.
     """
     if not h.is_rational():
         raise ValueError("the incremental construction needs exact rational coordinates")
@@ -233,70 +282,88 @@ def build_incremental(h: EntropyVector) -> IncrementalGadget:
                 f"negative capacity: h(full) - h{h.ground.format_subset(mask)} < 0"
             )
 
+    u_all = [f"U{i + 1}" for i in range(n)]
+    v_all = [f"V{i + 1}" for i in range(n)]
+    rate0 = sum((hv(1 << i) for i in range(n)), Fraction(0))
     nodes = ["src", "tU", "dB"]
     edges: list[Edge] = []
-    forwards: list[tuple[str, str]] = []  # (parent message, destination node)
-
-    def fwd(parent: str, node: str) -> None:
-        forwards.append((parent, node))
-
-    u_msgs = []
-    v_msgs = []
+    forwards: list[tuple[str, str]] = [(u, "tU") for u in u_all]  # (parent, node)
     for i in range(n):
         nodes.append(f"dU{i + 1}")
-        edges.append(Edge(f"U{i + 1}", "src", f"dU{i + 1}", Capacity(hv(1 << i))))
-        u_msgs.append(f"U{i + 1}")
-        fwd(f"U{i + 1}", "tU")
+        edges.append(Edge(u_all[i], "src", f"dU{i + 1}", Capacity(hv(1 << i))))
     edges.append(Edge("B", "src", "dB", Capacity(hv(full))))
     for i in range(n):
         nodes.append(f"dV{i + 1}")
-        edges.append(Edge(f"V{i + 1}", "dB", f"dV{i + 1}", Capacity(hv(1 << i))))
-        v_msgs.append(f"V{i + 1}")
-    t1_sinks = []
-    for subset in _subsets(n):
-        a = _subset_name(subset)
-        mask = sum(1 << i for i in subset)
-        m_node, t_node = f"m1[{a}]", f"t1[{a}]"
-        nodes += [m_node, t_node]
-        t1_sinks.append(t_node)
-        edges.append(Edge(f"D1[{a}]", "src", t_node, Capacity(hv(full) - hv(mask))))
-        for j in subset:
-            fwd(f"V{j + 1}", m_node)
-        edges.append(Edge(f"M1[{a}]", m_node, t_node, Capacity(hv(mask))))
-        for i in range(n):
-            fwd(f"U{i + 1}", t_node)
-    p0_sinks = []
-    p1_sinks = []
-    for subset in _subsets(n, proper=True):
-        a = _subset_name(subset)
-        mask = sum(1 << i for i in subset)
-        for i in range(n):
-            if i in subset:
-                continue
-            tag = f"{a}.{i + 1}"
-            g, p0, p1 = f"g[{tag}]", f"p0[{tag}]", f"p1[{tag}]"
-            nodes += [g, p0, p1]
-            p0_sinks.append(p0)
-            p1_sinks.append(p1)
-            fwd(f"U{i + 1}", g)
-            fwd(f"V{i + 1}", g)
-            hi = hv(1 << i)
-            edges.append(Edge(f"W1[{tag}]", g, p0, Capacity(hi)))
-            edges.append(Edge(f"W2[{tag}]", g, p0, Capacity(hi)))
-            edges.append(Edge(f"W3[{tag}]", g, p1, Capacity(hi)))
-            edges.append(
-                Edge(f"D2[{tag}]", "src", p0, Capacity(hv(full) - hv(mask | 1 << i)))
+        edges.append(Edge(v_all[i], "dB", f"dV{i + 1}", Capacity(hv(1 << i))))
+    whole = next(p for p in _probes(n) if p.mask == full)  # the full set's cut probe
+    source_ground = ["S0", "S1"] + u_all + ["B"] + v_all + [whole.at("D1"), whole.at("M1")]
+    obligations = [
+        _claim(f"u{i + 1}-rate-pinned", source_ground, f"H(U{i + 1})", "=", hv(1 << i))
+        for i in range(n)
+    ]
+    obligations.append(
+        _claim("v-joint-pinned", source_ground, f"H({','.join(v_all)})", "=", hv(full))
+    )
+    obligations.append(
+        _claim(
+            "streams-decompose",
+            source_ground,
+            f"H({','.join(u_all + v_all)})",
+            "=",
+            rate0 + hv(full),
+        )
+    )
+    t1_sinks: list[str] = []
+    p0_sinks: list[str] = []
+    p1_sinks: list[str] = []
+    for probe in _probes(n):
+        v_sub = [v_all[j] for j in probe.members]
+        if probe.fresh is None:
+            m_node, t_node, d1, m1 = (probe.at(x) for x in ("m1", "t1", "D1", "M1"))
+            nodes += [m_node, t_node]
+            t1_sinks.append(t_node)
+            edges.append(Edge(d1, "src", t_node, Capacity(hv(full) - hv(probe.mask))))
+            forwards += [(v, m_node) for v in v_sub]
+            edges.append(Edge(m1, m_node, t_node, Capacity(hv(probe.mask))))
+            forwards += [(u, t_node) for u in u_all]
+            ground = ["S0", "S1"] + u_all + ["B"] + v_sub + [d1, m1]
+            obligations.append(
+                _claim(
+                    f"v[{probe.tag}]-lower", ground, f"H({','.join(v_sub)})", ">=", hv(probe.mask)
+                )
             )
-            for j in subset:
-                fwd(f"V{j + 1}", p0)
-            for j in range(n):
-                fwd(f"U{j + 1}", p0)
-            for j in range(n):
-                if j != i:
-                    fwd(f"U{j + 1}", p1)
+            continue
+        i = probe.fresh
+        g, p0, p1 = probe.at("g"), probe.at("p0"), probe.at("p1")
+        w1, w2, w3, d2 = (probe.at(x) for x in ("W1", "W2", "W3", "D2"))
+        nodes += [g, p0, p1]
+        p0_sinks.append(p0)
+        p1_sinks.append(p1)
+        forwards += [(u_all[i], g), (v_all[i], g)]
+        hi = hv(1 << i)
+        edges.append(Edge(w1, g, p0, Capacity(hi)))
+        edges.append(Edge(w2, g, p0, Capacity(hi)))
+        edges.append(Edge(w3, g, p1, Capacity(hi)))
+        edges.append(Edge(d2, "src", p0, Capacity(hv(full) - hv(probe.mask | 1 << i))))
+        forwards += [(v, p0) for v in v_sub]
+        forwards += [(u, p0) for u in u_all]
+        forwards += [(u, p1) for j, u in enumerate(u_all) if j != i]
+        ground = ["S0", "S1"] + u_all + [v_all[j] for j in probe.grown] + [w1, w2, w3, d2]
+        obligations.append(
+            _claim(
+                f"increment[{probe.tag}]",
+                ground,
+                f"H(V{i + 1}|{','.join(v_sub)})",
+                "=",
+                hv(probe.mask | 1 << i) - hv(probe.mask),
+            )
+        )
+        obligations.append(
+            _claim(f"lower-receiver-gets-u[{probe.tag}]", ground, f"H(U{i + 1}|{w3})", "=", 0)
+        )
+    head = {e.id: e.head for e in edges}
     for parent, node in forwards:
-        edges.append(Edge(f"{parent}>{node}", _head_of(edges, parent), node, UNBOUNDED, parent))
-    rate0 = sum((hv(1 << i) for i in range(n)), Fraction(0))
+        edges.append(Edge(_forward_id(parent, node), head[parent], node, UNBOUNDED, parent))
     sessions = (
         Session("S0", rate0, "src", tuple(sorted(["tU"] + p1_sinks))),
         Session("S1", hv(full), "src", tuple(sorted(t1_sinks + p0_sinks))),
@@ -308,119 +375,6 @@ def build_incremental(h: EntropyVector) -> IncrementalGadget:
     errors = validate(problem)
     if errors:
         raise AssertionError("construction bug: " + "; ".join(errors))
-    contract = _incremental_contract(h)
-    return IncrementalGadget(
-        problem=problem,
-        contract=contract,
-        delta=problem.rate_capacity,
-        u_messages=tuple(u_msgs),
-        v_messages=tuple(v_msgs),
-    )
-
-
-def _head_of(edges: Sequence[Edge], message: str) -> str:
-    for e in edges:
-        if e.id == message:
-            return e.head
-    raise KeyError(message)
-
-
-def _incremental_contract(h: EntropyVector) -> ReconstructionContract:
-    n = h.ground.size
-    full = h.ground.full_mask
-
-    def hv(mask: int) -> Fraction:
-        return Fraction(h.value_of_mask(mask))
-
-    u_all = [f"U{i + 1}" for i in range(n)]
-    v_all = [f"V{i + 1}" for i in range(n)]
-    full_name = _subset_name(tuple(range(n)))
-    source_ground = tuple(
-        ["S0", "S1"] + u_all + ["B"] + v_all + [f"D1[{full_name}]", f"M1[{full_name}]"]
-    )
-    obligations: list[Obligation] = []
-    for i in range(n):
-        obligations.append(
-            Obligation(
-                name=f"u{i + 1}-rate-pinned",
-                kind="chain-claim",
-                subnetwork=source_ground,
-                expression=f"H(U{i + 1})",
-                relation="=",
-                value=str(hv(1 << i)),
-            )
-        )
-    obligations.append(
-        Obligation(
-            name="v-joint-pinned",
-            kind="chain-claim",
-            subnetwork=source_ground,
-            expression="H(" + ",".join(v_all) + ")",
-            relation="=",
-            value=str(hv(full)),
-        )
-    )
-    obligations.append(
-        Obligation(
-            name="streams-decompose",
-            kind="chain-claim",
-            subnetwork=source_ground,
-            expression="H(" + ",".join(u_all + v_all) + ")",
-            relation="=",
-            value=str(sum((hv(1 << i) for i in range(n)), Fraction(0)) + hv(full)),
-        )
-    )
-    for subset in _subsets(n):
-        a = _subset_name(subset)
-        mask = sum(1 << i for i in subset)
-        ground = tuple(
-            ["S0", "S1"] + u_all + ["B"]
-            + [f"V{j + 1}" for j in subset]
-            + [f"D1[{a}]", f"M1[{a}]"]
-        )
-        obligations.append(
-            Obligation(
-                name=f"v[{a}]-lower",
-                kind="chain-claim",
-                subnetwork=ground,
-                expression="H(" + ",".join(f"V{j + 1}" for j in subset) + ")",
-                relation=">=",
-                value=str(hv(mask)),
-            )
-        )
-    for subset in _subsets(n, proper=True):
-        a = _subset_name(subset)
-        mask = sum(1 << i for i in subset)
-        for i in range(n):
-            if i in subset:
-                continue
-            tag = f"{a}.{i + 1}"
-            ground = tuple(
-                ["S0", "S1"] + u_all
-                + sorted({f"V{j + 1}" for j in subset} | {f"V{i + 1}"})
-                + [f"W1[{tag}]", f"W2[{tag}]", f"W3[{tag}]", f"D2[{tag}]"]
-            )
-            valpha = ",".join(f"V{j + 1}" for j in sorted(subset))
-            obligations.append(
-                Obligation(
-                    name=f"increment[{tag}]",
-                    kind="chain-claim",
-                    subnetwork=ground,
-                    expression=f"H(V{i + 1}|{valpha})",
-                    relation="=",
-                    value=str(hv(mask | 1 << i) - hv(mask)),
-                )
-            )
-            obligations.append(
-                Obligation(
-                    name=f"lower-receiver-gets-u[{tag}]",
-                    kind="chain-claim",
-                    subnetwork=ground,
-                    expression=f"H(U{i + 1}|W3[{tag}])",
-                    relation="=",
-                    value="0",
-                )
-            )
     notes = (
         "The topology depends only on the coordinate count; rates and "
         "capacities are linear in h.",
@@ -430,7 +384,11 @@ def _incremental_contract(h: EntropyVector) -> ReconstructionContract:
         "Increment-probe direct edges carry h(full) - h(subset+element); "
         "the obligations pin exactly the conclusions the construction needs.",
     )
-    return ReconstructionContract(tuple(obligations), notes)
+    return IncrementalGadget(
+        problem=problem,
+        contract=ReconstructionContract(tuple(obligations), notes),
+        delta=problem.rate_capacity,
+    )
 
 
 @dataclass(frozen=True)
@@ -532,40 +490,29 @@ def incremental_code(q: Union[QuasiUniformSpec, JointDistribution]) -> NetworkCo
     builder.edge("B", len(points), lambda v: v["S1"])
     for i in range(n):
         builder.edge(f"V{i + 1}", sizes[i], lambda v, i=i: coord(v["B"], i))
-    for subset in _subsets(n):
-        a = _subset_name(subset)
-        members = tuple(sorted(subset))
-        builder.edge(
-            f"D1[{a}]", class_size(members), lambda v, m=members: class_rank(v["S1"], m)
-        )
-        msize = len(marginal_ranks(members))
-        builder.edge(
-            f"M1[{a}]",
-            msize,
-            lambda v, m=members: marginal_rank({j: v[f"V{j + 1}>m1[{_subset_name(m)}]"] for j in m}),
-        )
-    for subset in _subsets(n, proper=True):
-        a = _subset_name(subset)
-        for i in range(n):
-            if i in subset:
-                continue
-            tag = f"{a}.{i + 1}"
-            k = sizes[i]
-            builder.edge(f"W1[{tag}]", k, lambda v, i=i, tag=tag: v[f"U{i + 1}>g[{tag}]"])
+    for probe in _probes(n):
+        if probe.fresh is None:
+            members = probe.members
             builder.edge(
-                f"W2[{tag}]",
-                k,
-                lambda v, i=i, tag=tag, k=k: (
-                    v[f"U{i + 1}>g[{tag}]"] + v[f"V{i + 1}>g[{tag}]"]
-                )
-                % k,
+                probe.at("D1"), class_size(members), lambda v, m=members: class_rank(v["S1"], m)
             )
-            builder.edge(f"W3[{tag}]", k, lambda v, i=i, tag=tag: v[f"U{i + 1}>g[{tag}]"])
-            members2 = tuple(sorted(subset + (i,)))
-            fiber2 = class_size(members2)
+            ins = {j: _forward_id(f"V{j + 1}", probe.at("m1")) for j in members}
             builder.edge(
-                f"D2[{tag}]", fiber2, lambda v, m=members2: class_rank(v["S1"], m)
+                probe.at("M1"),
+                len(marginal_ranks(members)),
+                lambda v, ins=ins: marginal_rank({j: v[e] for j, e in ins.items()}),
             )
+            continue
+        i = probe.fresh
+        k = sizes[i]
+        u_in = _forward_id(f"U{i + 1}", probe.at("g"))
+        v_in = _forward_id(f"V{i + 1}", probe.at("g"))
+        builder.edge(probe.at("W1"), k, lambda v, u=u_in: v[u])
+        builder.edge(probe.at("W2"), k, lambda v, u=u_in, w=v_in, k=k: (v[u] + v[w]) % k)
+        builder.edge(probe.at("W3"), k, lambda v, u=u_in: v[u])
+        builder.edge(
+            probe.at("D2"), class_size(probe.grown), lambda v, m=probe.grown: class_rank(v["S1"], m)
+        )
     return builder.build()
 
 

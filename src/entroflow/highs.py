@@ -134,15 +134,19 @@ class Highs:
 
     def farkas(self):
         """Farkas multipliers per LP row after a run that found the model
-        infeasible, or None when HiGHS has no dual ray.
+        infeasible (None when HiGHS has no dual ray), and the simplex
+        iterations this call made.
 
-        They follow `FloatResult.row_dual`'s signs: the combination
-        ``sum farkas_i * a_i`` is >= 0 in every column while
+        The multipliers follow `FloatResult.row_dual`'s signs: the
+        combination ``sum farkas_i * a_i`` is >= 0 in every column while
         ``sum farkas_i * b_i`` < 0, up to float error.  When presolve found
-        the infeasibility, HiGHS solves the model once more, without
-        presolve, inside this call to find the ray.
+        the infeasibility, the run left no ray, and HiGHS solves the model
+        once more, without presolve, inside this call to find one; the
+        iterations are that solve's, 0 when there was none.
         """
+        known = self.highs.getDualRayExist()[1]
         _, has_ray, ray = self.highs.getDualRay()
+        nit = 0 if known else self.highs.getInfo().simplex_iteration_count
         if not has_ray:
-            return None
-        return self._by_row(-self.flip * np.asarray(ray))
+            return None, nit
+        return self._by_row(-self.flip * np.asarray(ray)), nit

@@ -538,7 +538,7 @@ def build_shannon_lp(
     problem: NetworkProblem,
     include_randomness: Optional[bool] = None,
     variables: Optional[Sequence[str]] = None,
-    rate_sessions: Union[str, Sequence[str]] = "all",
+    rate_sessions: str = "all",
     axioms: Sequence[tuple[str, str, str, Union[Fraction, int, str]]] = (),
     reduce: bool = True,
 ) -> ShannonLP:
@@ -547,13 +547,15 @@ def build_shannon_lp(
     `axioms` entries are (name, expression, relation, value) with relation
     one of "=", ">=", "<="; they are imported with provenance tag "axiom"
     (used for subnetwork analysis and for extra, e.g. non-Shannon,
-    inequalities).  `rate_sessions` selects which session rates become
-    constraints ("all", "none", or an explicit collection).
+    inequalities).  `rate_sessions` is "all" to make every session
+    rate a constraint or "none" to drop them all.
 
     Rows come in family order (the nullary pin, elemental, dependency
     equalities when not reducing, capacities, rates, secrecy,
     independence, axioms); a row equal to an earlier one is dropped.
     """
+    if rate_sessions not in ("all", "none"):
+        raise ValueError(f"rate_sessions must be 'all' or 'none', not {rate_sessions!r}")
     import numpy as np
 
     from entroflow.rows import RowStore
@@ -625,14 +627,9 @@ def build_shannon_lp(
                 ("capacity", e.id),
             )
     # Rates.
-    if rate_sessions == "all":
-        rated = [s.id for s in problem.requirement.sessions]
-    elif rate_sessions == "none":
-        rated = []
-    else:
-        rated = list(rate_sessions)
-    for s in sorted(problem.requirement.sessions, key=lambda s: s.id):
-        if s.id in labels and s.id in rated:
+    rated = problem.requirement.sessions if rate_sessions == "all" else ()
+    for s in sorted(rated, key=lambda s: s.id):
+        if s.id in labels:
             push({cl(ground.mask_of([s.id])): one}, "ge", s.rate, ("rate", s.id))
     # Secrecy.
     for r, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
@@ -717,6 +714,7 @@ class SolveStats:
 
     `highs_runs` counts HiGHS solves (at most one per solve, none without
     scipy's HiGHS bindings), `simplex_iterations` their simplex iterations
+    together with those of the solve HiGHS repeats to find a dual ray,
     and `warm_starts` the runs that started from a basis a previous run
     left.  `memo_hits` counts objectives answered from the memo; every
     other solve is settled by exactly one of `float_cert`, `float_farkas`
@@ -846,7 +844,8 @@ class ShannonSolver:
     def _float_farkas(self) -> Optional[SimplexCertificate]:
         """The infeasibility HiGHS found (the dual ray of its last run, as
         Farkas multipliers), rationalized, if it passes exact verification."""
-        farkas = self._highs.farkas()
+        farkas, nit = self._highs.farkas()
+        self.stats.simplex_iterations += nit
         if farkas is None:
             return None
         cert = SimplexCertificate("infeasible", None, {}, None, self._per_row(farkas), None, ())

@@ -139,6 +139,41 @@ class TestIncrementalCode:
             "duplicated-plus-independent": "72a3c57ee7bf67d8",
         }
 
+    def test_network_and_contract_are_pinned(self):
+        # sha256 prefixes of the serialized network and the contract JSON,
+        # recorded before the layout and the obligations came from one walk
+        # over the probes: neither may change.
+        import hashlib
+
+        from entroflow.entropy import GroundSet
+        from entroflow.network import serialize
+
+        def vector(n, value):
+            labels = tuple(f"X{i + 1}" for i in range(n))
+            return EntropyVector(GroundSet(labels), {m: value(m) for m in range(1, 1 << n)})
+
+        weights = (F(1), F(1, 2), F(2), F(1))
+        cases = {
+            "n2-h112": h112(),
+            "n3-U23": vector(3, lambda m: F(min(bin(m).count("1"), 2))),
+            "n4-capped": vector(
+                4, lambda m: min(sum(w for i, w in enumerate(weights) if m >> i & 1), F(3))
+            ),
+        }
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        got = {}
+        for name, h in cases.items():
+            gadget = build_incremental(h)
+            got[name] = (digest(serialize(gadget.problem)), digest(gadget.contract.to_json()))
+        assert got == {
+            "n2-h112": ("6db3b83de993e128", "b873d056ec4211af"),
+            "n3-U23": ("413b701fca818d73", "f5bb1b08b48dab26"),
+            "n4-capped": ("c51495476c91c9eb", "e3d4fa3cb94ff523"),
+        }
+
     def test_duplicated_bit_admissible(self):
         code = incremental_code(quasi_uniform_library()["duplicated-bit"])
         assert check_admissible(code)

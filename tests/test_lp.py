@@ -123,6 +123,17 @@ class TestBuild:
         with pytest.raises(GroundTooLargeError):
             build_shannon_lp(p)
 
+    def test_rate_sessions_is_all_or_none(self):
+        p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
+
+        def rate_tags(**kwargs):
+            return {c.tag for c in build_shannon_lp(p, **kwargs).constraints if c.tag[0] == "rate"}
+
+        assert rate_tags() == {("rate", "S")}
+        assert rate_tags(rate_sessions="none") == set()
+        with pytest.raises(ValueError, match="rate_sessions"):
+            build_shannon_lp(p, rate_sessions=("S",))
+
     def test_subnetwork_selection(self):
         p = butterfly()
         lp = build_shannon_lp(p, variables=("T", "e_s1", "e_s2"))
@@ -817,6 +828,16 @@ class TestRowStoreBuild:
             assert solver.simplex is None
             column = SimplexCertificate("infeasible", None, {}, None, cert.farkas, None, ())
             verify_certificate(len(lp.coords), lp.rows, {}, column)
+
+    def test_iterations_count_the_dual_ray_solve(self):
+        # Presolve finds this infeasibility, so HiGHS solves the model once
+        # more inside getDualRay; the stats count that solve's iterations.
+        problem, kwargs = infeasible_case("single-edge")
+        solver = ShannonSolver(build_shannon_lp(problem, **kwargs))
+        assert solver.feasibility().status == "infeasible"
+        iterations = solver._highs.highs.getInfo().simplex_iteration_count
+        assert iterations > 0
+        assert solver.stats.simplex_iterations == iterations
 
 
 class TestIntegerChecks:
