@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -697,9 +698,27 @@ def exhaustive_search(
 
     The first admissible code in the deterministic enumeration order is
     returned.  If the candidate budget is consumed first, the outcome
-    reports the fraction searched.
+    reports the fraction searched.  Each search writes one
+    `entroflow.codes` debug record: its status, candidates searched and
+    total, seconds and candidates per second.
     """
-    plan = _SearchPlan(problem, alphabet_bounds, allow_randomness)
+    import logging  # here, off the command line's import path
+
+    start = time.perf_counter()
+    outcome = _search(_SearchPlan(problem, alphabet_bounds, allow_randomness), budget)
+    seconds = time.perf_counter() - start
+    logging.getLogger(__name__).debug(
+        "search: %s, %d of %d candidates, %.3f s, %.0f candidates/s",
+        outcome.status,
+        outcome.searched,
+        outcome.total,
+        seconds,
+        outcome.searched / seconds if seconds else 0.0,
+    )
+    return outcome
+
+
+def _search(plan: _SearchPlan, budget: int) -> SearchOutcome:
     total = plan.total_candidates()
     searched = 0
     for sizes in plan.size_assignments():

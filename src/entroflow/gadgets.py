@@ -29,6 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
+import os
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -147,12 +150,52 @@ class ReconstructionContract:
         )
 
 
+def _chain_workers(chains: int) -> int:
+    """Threads for `chains` independent proof chains: one per CPU this
+    process may run on, and no more than there are chains."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(chains, cpus))
+
+
+def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], obs: list[Obligation]):
+    """The `ChainReport` of one subnetwork's claims, on an LP and a solver
+    of its own; both are freed when it returns."""
+    import logging  # here, off the command line's import path
+
+    start = time.perf_counter()
+    lp = build_shannon_lp(problem, variables=variables)
+    solver = ShannonSolver(lp)
+    report = verify_proof_chain(solver, [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs])
+    stats = solver.stats
+    logging.getLogger(__name__).debug(
+        "chain on %d variables: %d rows, %d solves, %d HiGHS runs, %d simplex iterations, %.3f s",
+        lp.ground.size,
+        len(lp.rows),
+        stats.solves,
+        stats.highs_runs,
+        stats.simplex_iterations,
+        time.perf_counter() - start,
+    )
+    return report
+
+
 def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -> ContractReport:
-    """Execute every obligation: min-cut values exactly, claim chains by LP."""
+    """Execute every obligation: min-cut values exactly, claim chains by LP.
+
+    The chain claims are grouped by subnetwork, and one LP and solver serve
+    each group.  The groups are independent, so they run concurrently on a
+    thread pool (HiGHS releases the GIL while it solves), one thread per
+    CPU this process may run on, each holding one live HiGHS model at a
+    time; the largest subnetworks start first.  The report lists the
+    results in the same order whatever the schedule.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, off the command line's import path
+
     results: list[ObligationResult] = []
-    # Group chain claims sharing a subnetwork so one solver serves them all.
-    groups: dict[tuple, list[Obligation]] = {}
-    order: list[tuple] = []
+    groups: dict[Optional[tuple[str, ...]], list[Obligation]] = {}
     for ob in contract.obligations:
         if ob.kind == "min-cut":
             got = min_cut(problem, ob.source, ob.sink)
@@ -162,20 +205,22 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
                 ObligationResult(ob.name, ok, f"min_cut({ob.source},{ob.sink}) = {got}, expected {want}")
             )
         elif ob.kind == "chain-claim":
-            key = ob.subnetwork
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(ob)
+            groups.setdefault(ob.subnetwork, []).append(ob)
         else:
             results.append(ObligationResult(ob.name, False, f"unknown kind {ob.kind!r}"))
-    for key in order:
-        obs = groups[key]
-        claims = [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs]
-        # No reference outlives the chain, so the LP and the solver's HiGHS
-        # handle are freed before the next subnetwork's LP is built.
-        report = verify_proof_chain(ShannonSolver(build_shannon_lp(problem, variables=key)), claims)
-        for ob, verdict in zip(obs, report.verdicts):
+    # The chain threads share the problem, so everything it derives and
+    # keeps is derived here, once; the threads only read it.
+    problem.derive()
+    # A subnetwork of None is the whole network.
+    largest_first = sorted(groups, key=lambda key: math.inf if key is None else len(key), reverse=True)
+    pool = ThreadPoolExecutor(_chain_workers(len(groups)))
+    try:
+        running = {key: pool.submit(_prove_chain, problem, key, groups[key]) for key in largest_first}
+        reports = {key: running[key].result() for key in groups}
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for key, obs in groups.items():
+        for ob, verdict in zip(obs, reports[key].verdicts):
             ok = verdict.status == ob.expected
             detail = verdict.describe()
             if detail.startswith(ob.name + ": "):

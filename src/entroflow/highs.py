@@ -3,9 +3,10 @@
 The float proposals of `lp.ShannonSolver` come from here.  HiGHS is
 reached through the bindings scipy bundles (`scipy.optimize._highspy`),
 so no separate `highspy` install is needed; a missing binding raises
-`ImportError` when a handle is made.  The module, with numpy and scipy,
-is loaded on the first float solve: importing the command line loads
-none of them.
+`ImportError` when a handle is made.  The module is loaded on the first
+float solve, with numpy and HiGHS's extension only: the extension file is
+loaded by itself, so neither `scipy.optimize` nor `scipy.sparse` is
+imported, and importing the command line loads none of them.
 
 `Highs` is the only place that knows the model's row layout.  What it
 returns is indexed by the rows of the `rows.RowStore` it was built from,
@@ -14,13 +15,55 @@ each in that row's own sense, so callers never see the layout.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from entroflow.rows import RowStore
+
+_CORE = "scipy.optimize._highspy._core"
+_core_lock = threading.Lock()
+
+
+def _core_file():
+    """Where scipy keeps its HiGHS extension, or None."""
+    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_core():
+    """scipy's HiGHS extension module, registered under its own name.
+
+    The extension file is loaded directly, which skips the package
+    `__init__` files above it (`scipy.optimize`'s imports most of scipy).
+    A later `import scipy.optimize` finds the module in `sys.modules` and
+    uses it.  What `sys.modules` already holds is used as it is (None
+    raises `ImportError`); a file not where scipy keeps it falls back to
+    the plain import.
+    """
+    with _core_lock:
+        path = None if _CORE in sys.modules else _core_file()
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+            spec = importlib.util.spec_from_file_location(_CORE, path, loader=loader)
+            core = importlib.util.module_from_spec(spec)
+            loader.exec_module(core)
+            sys.modules[_CORE] = core
+        return importlib.import_module(_CORE)
 
 
 @dataclass(frozen=True)
@@ -56,9 +99,7 @@ class Highs:
     """
 
     def __init__(self, rows: RowStore, n: int):
-        import scipy.optimize._highspy._core as core
-
-        self.core = core
+        self.core = core = _load_core()
         self.n = n
         self.m = len(rows)
         # Model row k is LP row order[k] times flip[k].
@@ -68,7 +109,9 @@ class Highs:
         picked = rows.take(self.order)
         data, rhs = picked.floats()
         data = data * np.repeat(self.flip, np.diff(picked.indptr))
-        a = sparse.csc_array(sparse.csr_matrix((data, picked.col, picked.indptr), shape=(self.m, n)))
+        # Column-wise, each column's entries in row order.
+        by_col = np.argsort(picked.col, kind="stable")
+        start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))
         self.rhs = rhs * self.flip
         lhs = self.rhs.copy()
         lhs[: int(inequality.sum())] = -core.kHighsInf
@@ -76,9 +119,9 @@ class Highs:
         model.num_col_ = model.a_matrix_.num_col_ = n
         model.num_row_ = model.a_matrix_.num_row_ = self.m
         model.a_matrix_.format_ = core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
+        model.a_matrix_.start_ = start
+        model.a_matrix_.index_ = np.repeat(np.arange(self.m), np.diff(picked.indptr))[by_col]
+        model.a_matrix_.value_ = data[by_col]
         model.col_cost_ = np.zeros(n)
         model.col_lower_ = np.zeros(n)
         model.col_upper_ = np.full(n, core.kHighsInf)

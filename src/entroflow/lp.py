@@ -729,6 +729,11 @@ class SolveStats:
     float_farkas: int = 0
     exact: int = 0
 
+    @property
+    def solves(self) -> int:
+        """Every solve, memo answers included."""
+        return self.memo_hits + self.float_cert + self.float_farkas + self.exact
+
 
 class ShannonSolver:
     """Exact solver bound to one LP; re-use it for chains of objectives.

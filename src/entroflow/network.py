@@ -242,8 +242,9 @@ class NetworkProblem:
     `validate`, `ancestral_order` and the variable derivations (`messages`,
     `encoder_inputs`, `sink_inputs`, `wiretap_views`,
     `default_randomness_nodes`) work out their results once per
-    (immutable) instance and keep them on it; a failed derivation is not
-    kept, so it fails again on the next call.
+    (immutable) instance and keep them on it, on first use or all at once
+    through `derive`; a failed derivation is not kept, so it fails again
+    on the next call.
     """
 
     network: Network
@@ -329,6 +330,16 @@ class NetworkProblem:
         declared ones, or else every tail of a non-forwarding edge; sorted."""
         tails = {e.tail for e in self.network.edges if e.forwards is None}
         return tuple(sorted(self.randomness_nodes or tails))
+
+    def derive(self) -> None:
+        """Work out every kept derivation now, so that later callers
+        (concurrent threads among them) only read them.  A problem that
+        fails `validate` is left as it is: its derivations may raise."""
+        if self._errors:
+            return
+        for name, attr in vars(NetworkProblem).items():
+            if isinstance(attr, cached_property):
+                getattr(self, name)
 
     @property
     def rate_capacity(self) -> RateCapacityTuple:

@@ -266,7 +266,10 @@ class TestDerivedOnce:
     def test_cli_import_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(entroflow.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = "import sys, entroflow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        probe = (
+            "import sys, entroflow.cli; "
+            "print(sorted({'numpy', 'scipy', 'concurrent.futures'} & set(sys.modules)))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
@@ -443,6 +446,17 @@ class TestExhaustiveSearch:
         for budget, pinned in expected.items():
             out = exhaustive_search(tapped, alphabet_bounds=2, budget=budget)
             assert (out.status, out.searched, out.total) == pinned
+
+    def test_debug_record_per_search(self, caplog):
+        with caplog.at_level("DEBUG", logger="entroflow.codes"):
+            found = exhaustive_search(butterfly(), alphabet_bounds=2)
+            cut = exhaustive_search(butterfly(), alphabet_bounds=2, budget=10)
+        messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.codes"]
+        assert len(messages) == 2
+        assert messages[0].startswith(f"search: found, {found.searched} of 4515 candidates, ")
+        assert messages[1].startswith("search: budget-exceeded, 10 of 4515 candidates, ")
+        assert all(m.endswith(" candidates/s") for m in messages)
+        assert cut.searched == 10
 
     def test_deterministic_reproducible(self):
         a = exhaustive_search(butterfly(), alphabet_bounds=2)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,91 @@ class TestIncrementalContract:
         assert not report.all_ok
         failing = {r.name for r in report.results if not r.ok}
         assert any(name.startswith("increment[") for name in failing)
+
+
+CONTRACT_CASES = {
+    "thm1-112": lambda: build_incremental(EntropyVector.from_tuple([F(1), F(1), F(2)])),
+    "thm1-223": lambda: build_incremental(EntropyVector.from_tuple([F(2), F(2), F(3)])),
+    "thm1-122": lambda: build_incremental(EntropyVector.from_tuple([F(1), F(2), F(2)])),
+    "prop1-c2-d3": lambda: build_secure(2, 3),
+}
+
+
+class TestConcurrentChains:
+    """The contract's subnetwork chains run on a thread pool."""
+
+    @staticmethod
+    def in_thread(fn, timeout=120):
+        """fn() in a thread joined with a timeout: (finished, result or exception)."""
+        import threading
+
+        out = []
+
+        def run():
+            try:
+                out.append(fn())
+            except Exception as exc:  # handed back to the test
+                out.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout)
+        return not thread.is_alive(), out[0] if out else None
+
+    @pytest.mark.parametrize("case", list(CONTRACT_CASES))
+    def test_report_does_not_depend_on_workers(self, case, monkeypatch):
+        # One worker, then more workers than cores with threads switching often.
+        import sys
+
+        from entroflow import gadgets
+
+        g = CONTRACT_CASES[case]()
+        reports = []
+        switch = sys.getswitchinterval()
+        for workers in (1, 4):
+            monkeypatch.setattr(gadgets, "_chain_workers", lambda chains, workers=workers: workers)
+            sys.setswitchinterval(1e-5)
+            try:
+                finished, report = self.in_thread(lambda: verify_contract(g.problem, g.contract))
+            finally:
+                sys.setswitchinterval(switch)
+            assert finished
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert len(reports[0].results) == len(g.contract.obligations)
+
+    def test_chain_error_reaches_caller(self, monkeypatch):
+        import threading
+
+        from entroflow import gadgets
+
+        g = build_incremental(h112())
+        failing = g.contract.obligations[-1].subnetwork
+        build = gadgets.build_shannon_lp
+
+        def build_or_fail(problem, variables=None):
+            if variables == failing:
+                raise RuntimeError("chain failed")
+            return build(problem, variables=variables)
+
+        monkeypatch.setattr(gadgets, "build_shannon_lp", build_or_fail)
+        before = threading.active_count()
+        finished, error = self.in_thread(lambda: verify_contract(g.problem, g.contract))
+        assert finished
+        assert isinstance(error, RuntimeError) and str(error) == "chain failed"
+        assert threading.active_count() == before  # the pool's threads are gone
+
+    def test_debug_record_per_chain(self, caplog):
+        g = build_incremental(h112())
+        chains = {ob.subnetwork for ob in g.contract.obligations if ob.kind == "chain-claim"}
+        with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
+            verify_contract(g.problem, g.contract)
+        messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
+        pattern = re.compile(
+            r"chain on (\d+) variables: \d+ rows, \d+ solves, \d+ HiGHS runs, \d+ simplex iterations, [\d.]+ s"
+        )
+        sizes = [int(pattern.fullmatch(m)[1]) for m in messages]
+        assert sorted(sizes) == sorted(len(key) for key in chains)
 
 
 class TestIncrementalCode:

@@ -248,6 +248,44 @@ FALLBACK_CASES = pytest.mark.parametrize(
 )
 
 
+class TestLeanHighsLoad:
+    def test_loads_only_the_extension(self):
+        # A fresh interpreter: entroflow's float solve loads HiGHS's
+        # extension by itself, and a later `import scipy.optimize` uses it.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import entroflow
+
+        src = os.path.dirname(os.path.dirname(entroflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = textwrap.dedent(
+            """
+            import json, sys
+            from entroflow.lp import ShannonSolver, build_shannon_lp
+            from entroflow.network import parse
+
+            net = {
+                "nodes": ["s", "t"],
+                "edges": [{"id": "e", "tail": "s", "head": "t", "capacity": "1"}],
+                "sessions": [{"id": "S", "rate": "1", "origin": "s", "sinks": ["t"]}],
+            }
+            solver = ShannonSolver(build_shannon_lp(parse(json.dumps(net))))
+            print(solver.maximize("H(S)").value, solver.stats.highs_runs)
+            print(sorted({"scipy.optimize", "scipy.sparse"} & set(sys.modules)))
+            import scipy.optimize
+            print(scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs").fun)
+            print(sys.modules["scipy.optimize._highspy._core"] is solver._highs.core)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split("\n") == ["1 1", "[]", "1.0", "True", ""]
+
+
 class TestExactFallback:
     def exact_path_agrees(self, problem, kwargs, objective, disable_proposals):
         lp = build_shannon_lp(problem, **kwargs)
