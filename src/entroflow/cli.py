@@ -37,7 +37,6 @@ from entroflow.gadgets import (
     compose_adhered_code,
     incremental_code,
     otp_code,
-    quasi_uniform_library,
     verify_contract,
 )
 from entroflow.lp import (
@@ -103,7 +102,7 @@ def _read(path: str) -> str:
 
 
 def _budget(args, default: int) -> int:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("ENTROFLOW_BUDGET")
     return int(env) if env else default
@@ -169,6 +168,8 @@ def cmd_lp_bound(args) -> int:
         try:
             chain_text = _read(args.verify_chain)
             doc = json.loads(chain_text)
+            if not (isinstance(doc, list) and all(isinstance(entry, dict) for entry in doc)):
+                raise ValueError("a proof chain is an array of claim objects")
             claims = [
                 Claim.of(
                     entry.get("name", entry["claim"]),
@@ -250,7 +251,7 @@ def cmd_check_code(args) -> int:
         problem = net.parse(ptext)
         ctext = _read(args.code_file)
         code = code_from_json(problem, ctext)
-    except (OSError, ValueError, net.SchemaError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.digest("problem", ptext)
@@ -343,7 +344,6 @@ def _verify_uniform_witness(args, report: _Report) -> bool:
 
 def _verify_adhesion(args, report: _Report) -> bool:
     from entroflow.codes import CodeBuilder
-    from entroflow.lp import feasibility
 
     ok = True
     # Unit-capacity relay: composition with the identity code.
@@ -367,7 +367,7 @@ def _verify_adhesion(args, report: _Report) -> bool:
             "sessions": [{"id": "S", "rate": "1", "origin": "u", "sinks": ["v"]}],
         }
     )
-    cert = feasibility(build_shannon_lp(adhere(thin).problem))
+    cert = ShannonSolver(build_shannon_lp(adhere(thin).problem)).feasibility()
     report.add(
         "half-capacity-infeasible",
         cert.status == "infeasible",

@@ -32,6 +32,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import (
     JointDistribution,
+    _json_object,
+    _json_int,
     as_fraction,
     check_functional_dependency,
     check_independence,
@@ -288,9 +290,6 @@ class CodeBuilder:
         self._edges[edge_id] = int(size)
         self._functions[edge_id] = fn
         return self
-
-    def constant_edge(self, edge_id: str) -> "CodeBuilder":
-        return self.edge(edge_id, 1, lambda _: 0)
 
     def build(self) -> NetworkCode:
         problem = self.problem
@@ -762,14 +761,12 @@ def _nest(table: Sequence[int], dims: Sequence[int]):
 
 
 def _flatten(nested, dims: Sequence[int]) -> list[int]:
+    """A JSON table nested one array deep per input, in row-major order."""
     if not dims:
-        return [int(nested)]
-    if len(dims) == 1:
-        return [int(v) for v in nested]
-    out: list[int] = []
-    for sub in nested:
-        out.extend(_flatten(sub, dims[1:]))
-    return out
+        return [_json_int(nested, "encoder table entry")]
+    if not isinstance(nested, list):
+        raise ValueError(f"encoder table: expected an array, found {nested!r}")
+    return [v for sub in nested for v in _flatten(sub, dims[1:])]
 
 
 def code_to_json(code: NetworkCode) -> str:
@@ -792,17 +789,18 @@ def code_to_json(code: NetworkCode) -> str:
 
 
 def code_from_json(problem: NetworkProblem, text: str) -> NetworkCode:
-    doc = json.loads(text)
-    randomness = {
-        node: NodeRandomness(node, tuple(as_fraction(p) for p in entry["pmf"]))
-        for node, entry in doc.get("randomness", {}).items()
-    }
-    sources = {k: int(v) for k, v in doc["sources"].items()}
-    edges = {k: int(v) for k, v in doc["edges"].items()}
+    doc = _json_object(json.loads(text), "a code", sources=dict, edges=dict, encoders=dict)
+    randomness = {}
+    for node, entry in _json_object(doc.get("randomness", {}), "randomness").items():
+        pmf = _json_object(entry, f"the randomness of {node}", pmf=list)["pmf"]
+        randomness[node] = NodeRandomness(node, tuple(as_fraction(p) for p in pmf))
+    sources = {k: _json_int(v, k) for k, v in doc["sources"].items()}
+    edges = {k: _json_int(v, k) for k, v in doc["edges"].items()}
     alphabet = _variable_sizes(sources, edges, randomness)
     encoders = {}
     for eid, entry in doc["encoders"].items():
-        refs = tuple((kind, name) for kind, name in entry["inputs"])
+        inputs = _json_object(entry, f"the encoder of {eid}", inputs=list)["inputs"]
+        refs = tuple(tuple(ref) if isinstance(ref, list) else ref for ref in inputs)
         expected = problem.encoder_inputs(eid, randomness)
         if refs != expected:
             raise ValueError(f"encoder of {eid} lists inputs {refs}, expected {expected}")

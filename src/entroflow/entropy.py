@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "DEFAULT_TOL",
@@ -57,18 +57,42 @@ _LABEL_FORBIDDEN = set(" \t\n,;|(){}")
 
 
 def as_fraction(value: Union[Fraction, int, str]) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or a string "p/q"."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(value, (Fraction, int)):
+    """Parse an exact rational from an int, Fraction, or a string "p/q".
+
+    Anything else (a bool, a float, None, ...) and a zero denominator raise
+    ValueError, so a malformed document field reads as a parse error.
+    """
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _json_int(value, where: str) -> int:
+    """An integer field of a JSON document (an integer, or a string or a
+    float holding one); anything else raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{where}: expected an integer, found {value!r}")
+    return int(value)
+
+
+def _json_object(value, what: str, **fields: type) -> dict:
+    """A JSON object whose named fields are arrays (list) or objects (dict);
+    any other shape raises ValueError."""
+    if not isinstance(value, dict) or not all(isinstance(value.get(k), t) for k, t in fields.items()):
+        shape = "".join(f", {k!r} an {'array' if t is list else 'object'}" for k, t in fields.items())
+        raise ValueError(f"{what} must be an object{shape}")
+    return value
 
 
 def _check_label(label: str) -> None:
-    if not label or any(ch in _LABEL_FORBIDDEN for ch in label):
+    if not isinstance(label, str) or not label or any(ch in _LABEL_FORBIDDEN for ch in label):
         raise ValueError(f"invalid variable label {label!r}")
 
 
@@ -105,9 +129,6 @@ class GroundSet:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
-
-    def subsets(self, nonempty: bool = True) -> Iterator[int]:
-        return iter(range(1 if nonempty else 0, self.full_mask + 1))
 
     def format_subset(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"
@@ -204,10 +225,9 @@ class EntropyVector:
 
     @classmethod
     def from_json(cls, text: str) -> "EntropyVector":
-        doc = json.loads(text)
-        labels = tuple(doc["labels"])
-        ground = GroundSet(labels)
-        if int(doc["n"]) != ground.size:
+        doc = _json_object(json.loads(text), "an entropy vector", labels=list, values=dict)
+        ground = GroundSet(tuple(doc["labels"]))
+        if _json_int(doc["n"], "n") != ground.size:
             raise ValueError("declared n does not match the label count")
         vals: dict[int, Number] = {}
         for key, raw in doc["values"].items():
@@ -218,8 +238,11 @@ class EntropyVector:
             mask = ground.mask_of(members)
             try:
                 vals[mask] = as_fraction(raw)
-            except (ValueError, ZeroDivisionError, TypeError):
-                vals[mask] = float(raw)
+            except ValueError:
+                value = float(raw) if isinstance(raw, (float, str)) else math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"value of {key}: {raw!r} is not a finite number") from None
+                vals[mask] = value
         return cls(ground, vals)
 
 
@@ -325,8 +348,14 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
-        doc = json.loads(text)
-        variables = [(v["name"], int(v["size"])) for v in doc["variables"]]
+        doc = _json_object(json.loads(text), "a distribution", variables=list, pmf=list)
+        entries = [_json_object(v, "a variable") for v in doc["variables"]]
+        variables = [(v["name"], _json_int(v["size"], "size")) for v in entries]
+        for entry in doc["pmf"]:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+                raise ValueError(f"pmf entry {entry!r} is not an [outcome, probability] pair")
+            if not all(isinstance(sym, int) for sym in entry[0]):
+                raise ValueError(f"outcome {entry[0]!r} is not an array of integers")
         pmf = {tuple(outcome): as_fraction(p) for outcome, p in doc["pmf"]}
         return cls.of(variables, pmf)
 
@@ -373,7 +402,6 @@ class LinearFunctional:
 
     def evaluate(self, h: Union[EntropyVector, Mapping[int, Number]]) -> Number:
         lookup = h.value_of_mask if isinstance(h, EntropyVector) else lambda m: h[m]
-        exact = isinstance(self.constant, Fraction)
         total: Number = self.constant
         for mask, coeff in self.coefficients.items():
             v = lookup(mask)

@@ -221,11 +221,7 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
         pool.shutdown(cancel_futures=True)
     for key, obs in groups.items():
         for ob, verdict in zip(obs, reports[key].verdicts):
-            ok = verdict.status == ob.expected
-            detail = verdict.describe()
-            if detail.startswith(ob.name + ": "):
-                detail = detail[len(ob.name) + 2 :]
-            results.append(ObligationResult(ob.name, ok, detail))
+            results.append(ObligationResult(ob.name, verdict.status == ob.expected, verdict.detail))
     return ContractReport(tuple(results))
 
 

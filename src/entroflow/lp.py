@@ -41,10 +41,17 @@ Python ints otherwise).  When no proposal verifies, or scipy or its HiGHS
 bindings are missing, the lazy exact rational simplex settles the LP.
 Every returned certificate has been re-verified exactly.
 
-A `ShannonSolver` holds one HiGHS handle (`entroflow.highs.Highs`, made
-from the row store on the first float solve), which answers per LP row;
-each later objective changes the costs only and is re-solved from the
-last basis, and an objective already settled is answered from a memo.
+Every question goes through a `ShannonSolver`: the exact maximum or
+minimum of an expression string (`"H(K|W4)"`, `"I(A;B|C) - 2*H(A)"`), or
+feasibility.  `verify_proof_chain` settles each `=`, `>=` or `<=` claim of
+a chain by the exact minimum and maximum of its expression (forced,
+consistent, contradicted, or vacuous on an infeasible LP), which needs no
+sign condition on the expression.
+
+A solver holds one HiGHS handle (`entroflow.highs.Highs`, made from the
+row store on the first float solve), which answers per LP row; each later
+objective changes the costs only and is re-solved from the last basis,
+and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
 writes one debug record per solve.
 """
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
@@ -92,10 +100,6 @@ __all__ = [
     "SolveStats",
     "compile_expression",
     "build_shannon_lp",
-    "maximize",
-    "minimize",
-    "feasibility",
-    "prove_forced_equality",
     "verify_proof_chain",
     "export_text",
     "satisfies",
@@ -192,18 +196,12 @@ class ShannonLP:
     def ground(self) -> GroundSet:
         return self.variables.ground
 
-    def closure(self, mask: int) -> int:
-        return self.closures[mask]
-
     def coord_index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.coords)}
 
-    def compile(self, expr: Union[str, Mapping]) -> tuple[dict[int, Fraction], Fraction]:
+    def compile(self, expr: str) -> tuple[dict[int, Fraction], Fraction]:
         """Compile an expression to closed-coordinate coefficients."""
-        if isinstance(expr, str):
-            raw, const, _ = _parse_expression(self.ground, expr)
-        else:
-            raw, const = {self.ground.mask_of(k): as_fraction(v) for k, v in expr.items()}, Fraction(0)
+        raw, const = compile_expression(self.ground, expr)
         out: dict[int, Fraction] = {}
         for mask, c in raw.items():
             cl = self.closures[mask]
@@ -269,7 +267,6 @@ class _Parser:
         self.ground = ground
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.atoms: list[tuple[Fraction, str]] = []  # (coefficient, kind) per atom
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -303,7 +300,6 @@ class _Parser:
             self.take(")")
             _add(coeffs, a | b, sign)
             _add(coeffs, b, -sign)
-            self.atoms.append((sign, "H"))
             return Fraction(0)
         if tok == "I":
             self.take("(")
@@ -319,10 +315,8 @@ class _Parser:
             _add(coeffs, b | c, sign)
             _add(coeffs, a | b | c, -sign)
             _add(coeffs, c, -sign)
-            self.atoms.append((sign, "I"))
             return Fraction(0)
         if _is_rational(tok):
-            self.atoms.append((sign, "const"))
             return sign * Fraction(tok)
         raise ValueError(f"unexpected token {tok!r} in expression")
 
@@ -355,14 +349,6 @@ def _add(coeffs: dict[int, Fraction], mask: int, c: Fraction) -> None:
     coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
 
 
-def _parse_expression(
-    ground: GroundSet, text: str
-) -> tuple[dict[int, Fraction], Fraction, list[tuple[Fraction, str]]]:
-    parser = _Parser(ground, text)
-    coeffs, constant = parser.parse()
-    return {m: c for m, c in coeffs.items() if c}, constant, parser.atoms
-
-
 def compile_expression(
     ground: GroundSet, text: str
 ) -> tuple[dict[int, Fraction], Fraction]:
@@ -370,16 +356,8 @@ def compile_expression(
 
     Returns raw-subset coefficients plus a constant term.
     """
-    coeffs, constant, _ = _parse_expression(ground, text)
-    return coeffs, constant
-
-
-def expression_is_elemental_nonnegative(ground: GroundSet, text: str) -> bool:
-    """Syntactic check: a positive combination of H(.|.) and I(.;.|.) atoms."""
-    _, constant, atoms = _parse_expression(ground, text)
-    if constant != 0:
-        return False
-    return all(kind in ("H", "I") and sign > 0 for sign, kind in atoms)
+    coeffs, constant = _Parser(ground, text).parse()
+    return {m: c for m, c in coeffs.items() if c}, constant
 
 
 # ----------------------------------------------------------------------
@@ -658,7 +636,7 @@ def build_shannon_lp(
         push(coeffs, "eq", Fraction(0), ("independence",))
     # Caller axioms.
     for name, expr, relation, value in axioms:
-        raw, const, _ = _parse_expression(ground, expr)
+        raw, const = compile_expression(ground, expr)
         coeffs = {}
         for mask, c in raw.items():
             _add(coeffs, cl(mask), c)
@@ -736,7 +714,9 @@ class SolveStats:
 
 
 class ShannonSolver:
-    """Exact solver bound to one LP; re-use it for chains of objectives.
+    """Exact solver bound to one LP, and the only way to ask it a question:
+    `maximize` or `minimize` an expression string, or `feasibility`.
+    Re-use one solver for a chain of objectives.
 
     A float solve over every row proposes each answer (an optimum, or the
     Farkas multipliers of an infeasible run's dual ray), and the proposal
@@ -892,15 +872,7 @@ class ShannonSolver:
                 full[i] = values[pos]
             return tuple(full)
 
-        return SimplexCertificate(
-            status=cert.status,
-            value=cert.value,
-            x=cert.x,
-            duals=spread(cert.duals),
-            farkas=spread(cert.farkas),
-            ray=cert.ray,
-            pivots=cert.pivots,
-        )
+        return replace(cert, duals=spread(cert.duals), farkas=spread(cert.farkas))
 
     def _solve_max(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
         import logging  # here, off the command line's import path
@@ -968,14 +940,8 @@ class ShannonSolver:
             return out
 
     def _to_cols(self, coeffs: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for m, c in coeffs.items():
-            if m not in self.index:
-                raise KeyError(
-                    f"coordinate {self.lp.ground.format_subset(m)} is not a closed subset"
-                )
-            out[self.index[m]] = out.get(self.index[m], Fraction(0)) + c
-        return out
+        """Closed-mask coefficients (as `ShannonLP.compile` returns them) by column."""
+        return {self.index[m]: c for m, c in coeffs.items()}
 
     def _from_cols(self, x: Optional[Mapping[int, Fraction]]) -> Optional[dict[int, Fraction]]:
         if x is None:
@@ -988,9 +954,8 @@ class ShannonSolver:
         value = None
         if cert.status == "optimal":
             value = (-cert.value if negate else cert.value) + constant
-        status = cert.status
         return Certificate(
-            status=status,
+            status=cert.status,
             value=value,
             orientation=orientation,
             primal=self._from_cols(cert.x) if cert.status != "infeasible" else None,
@@ -1000,87 +965,24 @@ class ShannonSolver:
             pivots=cert.pivots,
         )
 
-    def maximize(
-        self, objective: Union[str, Mapping[int, Fraction]], constant: Fraction = Fraction(0)
-    ) -> Certificate:
-        coeffs, const = self._compiled(objective, constant)
+    def maximize(self, objective: str) -> Certificate:
+        """The exact maximum of an expression (see `compile_expression`)."""
+        coeffs, const = self.lp.compile(objective)
         cert = self._solve_max(self._to_cols(coeffs))
         return self._wrap(cert, "max", const, negate=False)
 
-    def minimize(
-        self, objective: Union[str, Mapping[int, Fraction]], constant: Fraction = Fraction(0)
-    ) -> Certificate:
-        coeffs, const = self._compiled(objective, constant)
+    def minimize(self, objective: str) -> Certificate:
+        """The exact minimum of an expression (see `compile_expression`)."""
+        coeffs, const = self.lp.compile(objective)
         cert = self._solve_max({m: -c for m, c in self._to_cols(coeffs).items()})
         return self._wrap(cert, "min", const, negate=True)
 
     def feasibility(self) -> Certificate:
-        cert = self._solve_max({})
+        """Status "feasible" with a point, or "infeasible" with Farkas multipliers."""
+        cert = self._wrap(self._solve_max({}), "feasibility", Fraction(0), negate=False)
         if cert.status == "infeasible":
-            return self._wrap(cert, "feasibility", Fraction(0), negate=False)
-        out = self._wrap(cert, "feasibility", Fraction(0), negate=False)
-        return Certificate(
-            "feasible", None, "feasibility", out.primal, out.duals, None, None, out.pivots
-        )
-
-    def _compiled(
-        self, objective: Union[str, Mapping[int, Fraction]], constant: Fraction
-    ) -> tuple[dict[int, Fraction], Fraction]:
-        if isinstance(objective, str):
-            coeffs, const = self.lp.compile(objective)
-            return coeffs, const + constant
-        out: dict[int, Fraction] = {}
-        for m, c in objective.items():
-            cl = self.lp.closures[m]
-            if cl:
-                out[cl] = out.get(cl, Fraction(0)) + as_fraction(c)
-        return out, constant
-
-
-def _solver_for(lp: Union[ShannonLP, ShannonSolver]) -> ShannonSolver:
-    return lp if isinstance(lp, ShannonSolver) else ShannonSolver(lp)
-
-
-def maximize(lp: Union[ShannonLP, ShannonSolver], objective) -> Certificate:
-    return _solver_for(lp).maximize(objective)
-
-
-def minimize(lp: Union[ShannonLP, ShannonSolver], objective) -> Certificate:
-    return _solver_for(lp).minimize(objective)
-
-
-def feasibility(lp: Union[ShannonLP, ShannonSolver]) -> Certificate:
-    return _solver_for(lp).feasibility()
-
-
-@dataclass(frozen=True)
-class ForcedResult:
-    forced: bool
-    optimum: Optional[Fraction]
-    certificate: Certificate
-
-    def __bool__(self) -> bool:
-        return self.forced
-
-
-def prove_forced_equality(lp: Union[ShannonLP, ShannonSolver], expression: str) -> ForcedResult:
-    """Certify that a Shannon-nonnegative quantity is exactly zero on the LP.
-
-    The expression must be a positive combination of conditional entropies
-    and (conditional) mutual informations, so its minimum is zero by the
-    elemental inequalities; it is forced iff its exact maximum is zero.
-    """
-    sol = _solver_for(lp)
-    if not expression_is_elemental_nonnegative(sol.lp.ground, expression):
-        raise ValueError(
-            f"{expression!r} is not recognized as elemental-nonnegative"
-        )
-    cert = sol.maximize(expression)
-    if cert.status == "infeasible":
-        return ForcedResult(False, None, cert)
-    if cert.status == "unbounded":
-        return ForcedResult(False, None, cert)
-    return ForcedResult(cert.value == 0, cert.value, cert)
+            return cert
+        return replace(cert, status="feasible", value=None, farkas=None, ray=None)
 
 
 @dataclass(frozen=True)
@@ -1094,6 +996,8 @@ class Claim:
     def of(cls, name: str, expression: str, relation: str, value) -> "Claim":
         if relation not in ("=", ">=", "<="):
             raise ValueError(f"unknown relation {relation!r}")
+        if not isinstance(expression, str):
+            raise ValueError(f"claim {name!r}: the expression {expression!r} is not a string")
         return cls(name, expression, relation, as_fraction(value))
 
 
@@ -1104,12 +1008,17 @@ class ChainVerdict:
     lower: Optional[Fraction]  # exact min of the expression, None if unbounded/skipped
     upper: Optional[Fraction]  # exact max, None if unbounded/skipped
 
-    def describe(self) -> str:
+    @property
+    def detail(self) -> str:
+        """The claim, its verdict and the exact range, without the claim's name."""
         if self.status == "vacuous":
             rng = "(LP infeasible)"
         else:
             rng = f"[{self.lower}, {self.upper if self.upper is not None else 'unbounded'}]"
-        return f"{self.claim.name}: {self.claim.expression} {self.claim.relation} {self.claim.value} -> {self.status} {rng}"
+        return f"{self.claim.expression} {self.claim.relation} {self.claim.value} -> {self.status} {rng}"
+
+    def describe(self) -> str:
+        return f"{self.claim.name}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -1125,49 +1034,34 @@ class ChainReport:
 
 
 def verify_proof_chain(
-    lp: Union[ShannonLP, ShannonSolver], claims: Iterable[Union[Claim, tuple]]
+    solver: ShannonSolver, claims: Iterable[Union[Claim, tuple]]
 ) -> ChainReport:
-    """Per-claim verdicts via exact maximize/minimize.
+    """Per-claim verdicts from the claim expression's exact min and max.
 
-    "forced" means every feasible entropy point satisfies the claim with
-    equality of the stated kind; "consistent" means some do and some do
-    not; "contradicted" means none do.
+    "forced" means every feasible entropy point satisfies the claim (an
+    "=" claim: min = max = value); "consistent" means some do and some do
+    not; "contradicted" means none do; "vacuous" means the LP is
+    infeasible.
     """
-    sol = _solver_for(lp)
     verdicts: list[ChainVerdict] = []
-    feas = sol.feasibility()
+    feas = solver.feasibility()
     for claim in claims:
         if not isinstance(claim, Claim):
             claim = Claim.of(*claim)
         if feas.status == "infeasible":
             verdicts.append(ChainVerdict(claim, "vacuous", None, None))
             continue
-        hi_cert = sol.maximize(claim.expression)
-        lo_cert = sol.minimize(claim.expression)
+        hi_cert = solver.maximize(claim.expression)
+        lo_cert = solver.minimize(claim.expression)
         hi = hi_cert.value if hi_cert.status == "optimal" else None
         lo = lo_cert.value if lo_cert.status == "optimal" else None
+        # An unbounded side reads as an infinite bound in the comparisons.
+        low = -math.inf if lo is None else lo
+        high = math.inf if hi is None else hi
         v = claim.value
-        if claim.relation == "=":
-            if hi is not None and lo is not None and hi == lo == v:
-                status = "forced"
-            elif (hi is not None and v > hi) or (lo is not None and v < lo):
-                status = "contradicted"
-            else:
-                status = "consistent"
-        elif claim.relation == ">=":
-            if lo is not None and lo >= v:
-                status = "forced"
-            elif hi is not None and hi < v:
-                status = "contradicted"
-            else:
-                status = "consistent"
-        else:  # "<="
-            if hi is not None and hi <= v:
-                status = "forced"
-            elif lo is not None and lo > v:
-                status = "contradicted"
-            else:
-                status = "consistent"
+        forced = {"=": low == high == v, ">=": low >= v, "<=": high <= v}[claim.relation]
+        contradicted = {"=": not low <= v <= high, ">=": high < v, "<=": low > v}[claim.relation]
+        status = "forced" if forced else "contradicted" if contradicted else "consistent"
         verdicts.append(ChainVerdict(claim, status, lo, hi))
     return ChainReport(tuple(verdicts))
 
@@ -1245,18 +1139,9 @@ def certificate_to_json(lp: ShannonLP, cert: Certificate) -> str:
         doc["primal"] = {
             ground.format_subset(m): str(v) for m, v in sorted(cert.primal.items())
         }
-    if cert.duals is not None:
-        doc["duals"] = {
-            ":".join(lp.tag(i)): str(y)
-            for i, y in enumerate(cert.duals)
-            if y
-        }
-    if cert.farkas is not None:
-        doc["farkas"] = {
-            ":".join(lp.tag(i)): str(y)
-            for i, y in enumerate(cert.farkas)
-            if y
-        }
+    for key, per_row in (("duals", cert.duals), ("farkas", cert.farkas)):
+        if per_row is not None:
+            doc[key] = {":".join(lp.tag(i)): str(y) for i, y in enumerate(per_row) if y}
     if cert.ray is not None:
         doc["ray"] = {ground.format_subset(m): str(v) for m, v in sorted(cert.ray.items())}
     doc["pivots"] = len(cert.pivots)

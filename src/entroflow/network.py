@@ -573,10 +573,6 @@ def min_cut(problem: NetworkProblem, source: str, sink: str) -> Capacity:
     return Capacity(flow)
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def problem_to_dict(problem: NetworkProblem) -> dict:
     doc: dict = {
         "nodes": list(problem.network.nodes),
@@ -597,7 +593,7 @@ def problem_to_dict(problem: NetworkProblem) -> dict:
         doc["sessions"].append(
             {
                 "id": s.id,
-                "rate": _rational_str(s.rate),
+                "rate": str(s.rate),
                 "origin": s.origin,
                 "sinks": list(s.sinks),
             }
@@ -619,20 +615,35 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SchemaError(f"{where}: {msg}")
 
 
+def _array(value, where: str) -> Sequence:
+    """An array (a list or tuple; a string is not one)."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{where}: expected an array, found {value!r}")
+    return value
+
+
+def _objects(value, where: str) -> Sequence:
+    """An array of objects (dicts, as `json.loads` makes them)."""
+    if not all(isinstance(entry, dict) for entry in _array(value, where)):
+        raise SchemaError(f"{where}: expected an array of objects, found {value!r}")
+    return value
+
+
 def problem_from_dict(doc: Mapping) -> NetworkProblem:
     _require(isinstance(doc, Mapping), "document", "expected an object")
     _require("nodes" in doc, "document", "missing field 'nodes'")
     _require("edges" in doc, "document", "missing field 'edges'")
     _require("sessions" in doc, "document", "missing field 'sessions'")
-    nodes = tuple(doc["nodes"])
+    nodes = tuple(_array(doc["nodes"], "nodes"))
+    _require(all(isinstance(node, str) for node in nodes), "nodes", "expected an array of strings")
     edges = []
-    for i, entry in enumerate(doc["edges"]):
+    for i, entry in enumerate(_objects(doc["edges"], "edges")):
         where = f"edges[{i}]"
         for fieldname in ("id", "tail", "head", "capacity"):
             _require(fieldname in entry, where, f"missing field '{fieldname}'")
         try:
             cap = Capacity.of(entry["capacity"])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{where}: bad capacity {entry['capacity']!r} ({exc})")
         edges.append(
             Edge(
@@ -644,28 +655,35 @@ def problem_from_dict(doc: Mapping) -> NetworkProblem:
             )
         )
     sessions = []
-    for i, entry in enumerate(doc["sessions"]):
+    for i, entry in enumerate(_objects(doc["sessions"], "sessions")):
         where = f"sessions[{i}]"
         for fieldname in ("id", "rate", "origin", "sinks"):
             _require(fieldname in entry, where, f"missing field '{fieldname}'")
         try:
             rate = as_fraction(entry["rate"])
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{where}: bad rate {entry['rate']!r} ({exc})")
         sessions.append(
             Session(
                 id=str(entry["id"]),
                 rate=rate,
                 origin=str(entry["origin"]),
-                sinks=tuple(str(x) for x in entry["sinks"]),
+                sinks=tuple(str(x) for x in _array(entry["sinks"], f"{where}.sinks")),
             )
         )
-    order = tuple(str(x) for x in doc["incremental_order"]) if "incremental_order" in doc else None
-    taps = tuple(
-        Wiretap(tuple(str(s) for s in t.get("sources", ())), tuple(str(e) for e in t.get("edges", ())))
-        for t in doc.get("wiretaps", ())
+    order = (
+        tuple(str(x) for x in _array(doc["incremental_order"], "incremental_order"))
+        if "incremental_order" in doc
+        else None
     )
-    randomness = tuple(str(x) for x in doc.get("randomness", ()))
+    taps = tuple(
+        Wiretap(
+            tuple(str(s) for s in _array(t.get("sources", []), f"wiretaps[{i}].sources")),
+            tuple(str(e) for e in _array(t.get("edges", []), f"wiretaps[{i}].edges")),
+        )
+        for i, t in enumerate(_objects(doc.get("wiretaps", []), "wiretaps"))
+    )
+    randomness = tuple(str(x) for x in _array(doc.get("randomness", []), "randomness"))
     problem = NetworkProblem(
         network=Network(nodes, tuple(edges)),
         requirement=ConnectionRequirement(tuple(sessions), order),

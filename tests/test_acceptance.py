@@ -40,9 +40,6 @@ from entroflow.gadgets import (
 from entroflow.lp import (
     ShannonSolver,
     build_shannon_lp,
-    feasibility,
-    maximize,
-    prove_forced_equality,
     verify_proof_chain,
 )
 from entroflow.network import Capacity, min_cut
@@ -91,9 +88,10 @@ def test_c02_key_forcing_mechanization():
         "H(K|W1,W3)",
         "H(K|W4)",
     ]
-    for expr in zero_claims:
-        res = prove_forced_equality(solver, expr)
-        assert res.forced and res.optimum == F(0), expr
+    chain = verify_proof_chain(solver, [(e, e, "=", 0) for e in zero_claims])
+    for verdict, expr in zip(chain.verdicts, zero_claims):
+        assert verdict.status == "forced", expr
+        assert verdict.lower == verdict.upper == F(0), expr
     value_claims = [
         ("H(W1)", F(1)),
         ("H(W2)", F(1)),
@@ -458,7 +456,7 @@ def test_c11_lp_min_cut_agreement():
             edges.append((f"e{k}", u, v, rng.choice(caps)))
         problem = simple_problem(edges, [("S", 1, "s", ("t",))], nodes=nodes)
         lp = build_shannon_lp(problem, rate_sessions="none")
-        got = maximize(lp, "H(S)")
+        got = ShannonSolver(lp).maximize("H(S)")
         assert got.status == "optimal"
         cut = min_cut(problem, "s", "t")
         assert got.value == cut.value, f"instance {done}: {got.value} vs {cut}"

@@ -112,6 +112,76 @@ class TestLpBound:
         assert main(["lp-bound", path, "--objective", "H(S)"]) == 65
 
 
+ONE_EDGE = {
+    "nodes": ["s", "t"],
+    "edges": [{"id": "e", "tail": "s", "head": "t", "capacity": "1"}],
+    "sessions": [{"id": "S", "rate": "1", "origin": "s", "sinks": ["t"]}],
+}
+ONE_EDGE_CODE = {
+    "sources": {"S": 2},
+    "edges": {"e": 2},
+    "encoders": {"e": {"inputs": [["session", "S"]], "table": [0, 1]}},
+}
+
+
+# A wrongly shaped input file is a parse error (exit 64), never a verdict.
+# "{net}" is replaced by the one-edge problem's file, "{doc}" by the case's.
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(["lp-bound", "{doc}"], {**ONE_EDGE, "edges": [1]}, id="edge-not-an-object"),
+        pytest.param(["lp-bound", "{doc}"], {**ONE_EDGE, "nodes": [["s"], "t"]}, id="node-not-a-string"),
+        pytest.param(
+            ["lp-bound", "{doc}"],
+            {**ONE_EDGE, "edges": [{**ONE_EDGE["edges"][0], "capacity": None}]},
+            id="null-capacity",
+        ),
+        pytest.param(["lp-bound", "{doc}"], {**ONE_EDGE, "randomness": "st"}, id="randomness-a-string"),
+        pytest.param(["check-entropic", "{doc}"], [1], id="entropy-vector-an-array"),
+        pytest.param(["check-entropic", "{doc}"], {"n": 1, "labels": ["A"], "values": []}, id="values-an-array"),
+        pytest.param(
+            ["check-entropic", "{doc}"], {"n": 1, "labels": ["A"], "values": {"{A}": None}}, id="null-value"
+        ),
+        pytest.param(
+            ["check-entropic", "{doc}"], {"n": 1, "labels": ["A"], "values": {"{A}": "inf"}}, id="infinite-value"
+        ),
+        pytest.param(
+            ["check-code", "{net}", "{doc}"],
+            {**ONE_EDGE_CODE, "encoders": {"e": {"inputs": [["session", "S"]], "table": 5}}},
+            id="table-a-number",
+        ),
+        pytest.param(
+            ["check-code", "{net}", "{doc}"],
+            {**ONE_EDGE_CODE, "sources": {"S": 2.5}},
+            id="fractional-alphabet",
+        ),
+        pytest.param(
+            ["check-code", "{net}", "{doc}"],
+            {**ONE_EDGE_CODE, "encoders": {**ONE_EDGE_CODE["encoders"], "zz": {"inputs": [], "table": 0}}},
+            id="encoder-of-an-unknown-edge",
+        ),
+        pytest.param(
+            ["lp-bound", "{net}", "--verify-chain", "{doc}"],
+            [{"claim": "H(S)", "relation": "=", "value": None}],
+            id="null-claim-value",
+        ),
+        pytest.param(
+            ["lp-bound", "{net}", "--verify-chain", "{doc}"],
+            {"claim": "H(S)", "relation": "=", "value": "1"},
+            id="chain-an-object",
+        ),
+        pytest.param(["verify", "thm2", "--q", "{doc}"], [1], id="distribution-an-array"),
+    ],
+)
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, doc):
+    files = {
+        "{net}": write(tmp_path, "net.json", json.dumps(ONE_EDGE)),
+        "{doc}": write(tmp_path, "doc.json", json.dumps(doc)),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSearchCode:
     def test_identity_found(self, tmp_path, capsys):
         out_file = str(tmp_path / "code.json")
@@ -234,6 +304,14 @@ class TestBudgetEnv:
         monkeypatch.setenv("ENTROFLOW_BUDGET", "2")
         code = main(["check-entropic", h_file(tmp_path, [1, 1, 1, 2, 2, 2, 2])])
         assert code == 3
+
+    def test_zero_budget_searches_nothing(self, tmp_path, capsys):
+        assert main(["search-code", single_edge_file(tmp_path), "--budget", "0"]) == 3
+        assert "budget-exceeded: 0 of 5 candidates" in capsys.readouterr().out
+
+    def test_zero_budget_finds_no_witness(self, tmp_path, capsys):
+        assert main(["check-entropic", h_file(tmp_path, [1, 1, 2]), "--budget", "0"]) == 3
+        assert "budget exhausted after 0" in capsys.readouterr().out
 
     def test_missing_file_args(self):
         assert main(["verify", "thm1"]) == 64

@@ -30,7 +30,7 @@ from entroflow.gadgets import (
     quasi_uniform_library,
     verify_contract,
 )
-from entroflow.lp import build_shannon_lp, feasibility, satisfies
+from entroflow.lp import ShannonSolver, build_shannon_lp, satisfies
 from entroflow.network import Capacity, min_cut
 
 from test_network import butterfly, simple_problem
@@ -111,6 +111,18 @@ class TestIncrementalContract:
         assert not report.all_ok
         failing = {r.name for r in report.results if not r.ok}
         assert any(name.startswith("increment[") for name in failing)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: on non-modular h the increment and lower-receiver "
+        "obligations of the probes [1.2] and [2.1] come out consistent, not forced",
+    )
+    def test_h111_contract_certifies(self):
+        # (1, 1, 1) is entropic (X1 = X2, one uniform bit), so the theorem covers it.
+        g = build_incremental(EntropyVector.from_tuple([F(1), F(1), F(1)]))
+        report = verify_contract(g.problem, g.contract)
+        assert report.all_ok, report.describe()
 
 
 CONTRACT_CASES = {
@@ -393,7 +405,7 @@ class TestAdhere:
     def test_half_capacity_lp_infeasible(self):
         inner = simple_problem([("e", "u", "v", "1/2")], [("S", 1, "u", ("v",))])
         gadget = adhere(inner)
-        cert = feasibility(build_shannon_lp(gadget.problem))
+        cert = ShannonSolver(build_shannon_lp(gadget.problem)).feasibility()
         assert cert.status == "infeasible"
         assert cert.farkas is not None
 

@@ -13,12 +13,7 @@ from entroflow.lp import (
     build_shannon_lp,
     certificate_to_json,
     compile_expression,
-    expression_is_elemental_nonnegative,
     export_text,
-    feasibility,
-    maximize,
-    minimize,
-    prove_forced_equality,
     satisfies,
     verify_proof_chain,
 )
@@ -72,12 +67,6 @@ class TestExpressionCompiler:
         coeffs, _ = compile_expression(self.g, "H(A,B) - H(A,B)")
         assert coeffs == {}
 
-    def test_nonnegativity_recognition(self):
-        assert expression_is_elemental_nonnegative(self.g, "H(A|B)")
-        assert expression_is_elemental_nonnegative(self.g, "I(A;B|C) + 2*H(C)")
-        assert not expression_is_elemental_nonnegative(self.g, "H(A) - H(B)")
-        assert not expression_is_elemental_nonnegative(self.g, "H(A) + 1")
-
     def test_bad_expression(self):
         with pytest.raises(ValueError):
             compile_expression(self.g, "H(A")
@@ -89,13 +78,13 @@ class TestBuild:
     def test_single_edge_feasible(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p)
-        cert = feasibility(lp)
+        cert = ShannonSolver(lp).feasibility()
         assert cert.status == "feasible"
 
     def test_single_edge_infeasible_with_farkas(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))])
         lp = build_shannon_lp(p)
-        cert = feasibility(lp)
+        cert = ShannonSolver(lp).feasibility()
         assert cert.status == "infeasible"
         assert cert.farkas is not None
         assert any(y for y in cert.farkas)
@@ -153,7 +142,7 @@ class TestBuild:
 
         problem = build_secure(1, 2).problem
         sub = ["X", "W1", "W2", "W3", "K", "W4", "W5"]
-        assert feasibility(build_shannon_lp(problem, variables=sub)).status == "feasible"
+        assert ShannonSolver(build_shannon_lp(problem, variables=sub)).feasibility().status == "feasible"
         tags = {c.tag for c in build_shannon_lp(problem, variables=sub, reduce=False).constraints}
         assert ("causality", "K") not in tags and ("causality", "W3") not in tags
         assert ("causality", "W4") in tags
@@ -172,18 +161,18 @@ class TestOptima:
     def test_capacity_alone(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p, rate_sessions="none")
-        cert = maximize(lp, "H(e)")
+        cert = ShannonSolver(lp).maximize("H(e)")
         assert cert.value == 1
 
     def test_single_edge_rate(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p, rate_sessions="none")
-        assert maximize(lp, "H(S)").value == 1
+        assert ShannonSolver(lp).maximize("H(S)").value == 1
 
     def test_butterfly_multicast_rate(self):
         p = butterfly()
         lp = build_shannon_lp(p, rate_sessions="none")
-        cert = maximize(lp, "H(T)")
+        cert = ShannonSolver(lp).maximize("H(T)")
         assert cert.value == 2
 
     def test_reduced_and_raw_agree(self):
@@ -199,8 +188,8 @@ class TestOptima:
             ),
         ):
             p = simple_problem(edges, sessions)
-            reduced = maximize(build_shannon_lp(p, rate_sessions="none"), "H(S)")
-            raw = maximize(build_shannon_lp(p, rate_sessions="none", reduce=False), "H(S)")
+            reduced = ShannonSolver(build_shannon_lp(p, rate_sessions="none")).maximize("H(S)")
+            raw = ShannonSolver(build_shannon_lp(p, rate_sessions="none", reduce=False)).maximize("H(S)")
             assert reduced.value == raw.value
 
     def test_min_cut_agreement_sample(self):
@@ -217,14 +206,14 @@ class TestOptima:
                 edges.append((f"e{k}", u, v, cap))
             p = simple_problem(edges, [("S", 1, "s", ("t",))], nodes=nodes)
             lp = build_shannon_lp(p, rate_sessions="none")
-            got = maximize(lp, "H(S)").value
+            got = ShannonSolver(lp).maximize("H(S)").value
             cut = min_cut(p, "s", "t")
             assert got == cut.value
 
     def test_minimize(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p)
-        cert = minimize(lp, "H(S)")
+        cert = ShannonSolver(lp).minimize("H(S)")
         assert cert.value == 1  # the rate row forces at least 1
 
     def test_warm_solver_reuse(self):
@@ -290,7 +279,7 @@ class TestExactFallback:
     def exact_path_agrees(self, problem, kwargs, objective, disable_proposals):
         lp = build_shannon_lp(problem, **kwargs)
         want = ShannonSolver(lp).maximize(objective)
-        want_feasible = feasibility(lp).status
+        want_feasible = ShannonSolver(lp).feasibility().status
         disable_proposals()
         solver = ShannonSolver(lp)
         assert solver.simplex is None
@@ -463,21 +452,15 @@ class TestForcedEquality:
         # Decoding pins the source to the pipe: H(S|e) = 0 is forced.
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p)
-        res = prove_forced_equality(lp, "H(S|e)")
-        assert res.forced and res.optimum == 0
+        (v,) = verify_proof_chain(ShannonSolver(lp), [("pinned", "H(S|e)", "=", 0)]).verdicts
+        assert v.status == "forced" and v.lower == v.upper == 0
 
     def test_not_forced(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p, rate_sessions="none")
-        res = prove_forced_equality(lp, "H(S)")
-        assert not res.forced
-        assert res.optimum == 1
-
-    def test_rejects_signed_expression(self):
-        p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
-        lp = build_shannon_lp(p)
-        with pytest.raises(ValueError):
-            prove_forced_equality(lp, "H(S) - H(e)")
+        (v,) = verify_proof_chain(ShannonSolver(lp), [("zero", "H(S)", "=", 0)]).verdicts
+        assert v.status == "consistent"
+        assert v.upper == 1
 
 
 class TestProofChain:
@@ -485,7 +468,7 @@ class TestProofChain:
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p)
         report = verify_proof_chain(
-            lp,
+            ShannonSolver(lp),
             [
                 ("pinned-rate", "H(S)", "=", 1),
                 ("pipe-carries-source", "H(S|e)", "=", 0),
@@ -503,7 +486,7 @@ class TestProofChain:
             [("S", 1, "s", ("t",))],
         )
         lp = build_shannon_lp(p)
-        report = verify_proof_chain(lp, [("maybe", "H(e1)", "=", 1)])
+        report = verify_proof_chain(ShannonSolver(lp), [("maybe", "H(e1)", "=", 1)])
         assert report.verdicts[0].status == "consistent"
         assert report.verdicts[0].lower == 0
         assert report.verdicts[0].upper == 1
@@ -511,7 +494,7 @@ class TestProofChain:
     def test_vacuous_on_infeasible(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))])
         lp = build_shannon_lp(p)
-        report = verify_proof_chain(lp, [("anything", "H(S)", "=", 2)])
+        report = verify_proof_chain(ShannonSolver(lp), [("anything", "H(S)", "=", 2)])
         assert report.verdicts[0].status == "vacuous"
 
     def test_axiom_import(self):
@@ -520,7 +503,7 @@ class TestProofChain:
             [("S", 1, "s", ("t",))],
         )
         lp = build_shannon_lp(p, axioms=[("pin-e1", "H(e1)", "=", "1")])
-        report = verify_proof_chain(lp, [("now-forced", "H(e1)", "=", 1)])
+        report = verify_proof_chain(ShannonSolver(lp), [("now-forced", "H(e1)", "=", 1)])
         assert report.verdicts[0].status == "forced"
 
 
@@ -533,15 +516,15 @@ class TestSoundness:
 
     def test_pad_lp_feasible_with_randomness(self):
         lp = build_shannon_lp(pad_problem())
-        assert feasibility(lp).status == "feasible"
+        assert ShannonSolver(lp).feasibility().status == "feasible"
         # Deterministic relaxation of the same problem is infeasible.
         lp_det = build_shannon_lp(pad_problem(), include_randomness=False)
-        assert feasibility(lp_det).status == "infeasible"
+        assert ShannonSolver(lp_det).feasibility().status == "infeasible"
 
     def test_certificate_json(self):
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
         lp = build_shannon_lp(p)
-        cert = maximize(lp, "H(S)")
+        cert = ShannonSolver(lp).maximize("H(S)")
         doc = json.loads(certificate_to_json(lp, cert))
         assert doc["status"] == "optimal"
         assert doc["value"] == "1"
@@ -550,8 +533,8 @@ class TestSoundness:
 class TestDeterminism:
     def test_identical_runs(self):
         p = butterfly()
-        a = maximize(build_shannon_lp(p, rate_sessions="none"), "H(T)")
-        b = maximize(build_shannon_lp(p, rate_sessions="none"), "H(T)")
+        a = ShannonSolver(build_shannon_lp(p, rate_sessions="none")).maximize("H(T)")
+        b = ShannonSolver(build_shannon_lp(p, rate_sessions="none")).maximize("H(T)")
         assert a.pivots == b.pivots
         assert a.value == b.value
 
@@ -915,7 +898,7 @@ class TestIntegerChecks:
         from entroflow.simplex import CertificateError, SimplexCertificate, verify_certificate
 
         lp = build_shannon_lp(simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]))
-        cert = feasibility(lp)
+        cert = ShannonSolver(lp).feasibility()
         assert cert.status == "infeasible"
         support = [i for i, u in enumerate(cert.farkas) if u]
         assert support
@@ -955,10 +938,10 @@ def _guard_outputs():
         lp = build_shannon_lp(gadget.problem, variables=key)
         name = ",".join(key)
         out.append((f"contract {name} text", export_text(lp)))
-        out.append((f"contract {name} feasibility", certificate_to_json(lp, feasibility(lp))))
+        out.append((f"contract {name} feasibility", certificate_to_json(lp, ShannonSolver(lp).feasibility())))
         for expr in expressions:
-            for sense in ("max", "min"):
-                cert = maximize(lp, expr) if sense == "max" else minimize(lp, expr)
+            for sense, solve in (("max", ShannonSolver.maximize), ("min", ShannonSolver.minimize)):
+                cert = solve(ShannonSolver(lp), expr)
                 out.append((f"contract {name} {sense} {expr}", certificate_to_json(lp, cert)))
     relay = simple_problem(
         [("e1", "s", "a", "3/2"), ("e2", "a", "t", 1), ("e3", "s", "t", "1/2")],
@@ -966,8 +949,8 @@ def _guard_outputs():
     )
     lp = build_shannon_lp(relay, reduce=False, axioms=[("half", "1/2*H(e1) + H(e3)", "<=", "5/3")])
     out.append(("unreduced text", export_text(lp)))
-    out.append(("unreduced max H(S)", certificate_to_json(lp, maximize(lp, "H(S)"))))
-    out.append(("unreduced min H(e2)", certificate_to_json(lp, minimize(lp, "H(e2)"))))
+    out.append(("unreduced max H(S)", certificate_to_json(lp, ShannonSolver(lp).maximize("H(S)"))))
+    out.append(("unreduced min H(e2)", certificate_to_json(lp, ShannonSolver(lp).minimize("H(e2)"))))
     rng = random.Random(1111)
     caps = ["1", "1/2", "2", "1/3", "3/2", "0"]
     for k in range(4):
@@ -982,7 +965,7 @@ def _guard_outputs():
         problem = simple_problem(edges, [("S", 1, "s", ("t",))], nodes=nodes)
         lp = build_shannon_lp(problem, rate_sessions="none")
         out.append((f"net {k} text", export_text(lp)))
-        out.append((f"net {k} max H(S)", certificate_to_json(lp, maximize(lp, "H(S)"))))
+        out.append((f"net {k} max H(S)", certificate_to_json(lp, ShannonSolver(lp).maximize("H(S)"))))
     return out
 
 
