@@ -102,10 +102,20 @@ def _read(path: str) -> str:
 
 
 def _budget(args, default: int) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("ENTROFLOW_BUDGET")
-    return int(env) if env else default
+    """`--budget`, else `ENTROFLOW_BUDGET`, else `default`; ValueError
+    unless the budget is an integer >= 0."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("ENTROFLOW_BUDGET")
+        if not env:
+            return default
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"ENTROFLOW_BUDGET={env!r} is not an integer") from None
+    if budget < 0:
+        raise ValueError(f"the budget must be >= 0, got {budget}")
+    return budget
 
 
 def _emit(report: _Report, args, code: int) -> int:
@@ -116,6 +126,7 @@ def _emit(report: _Report, args, code: int) -> int:
 def cmd_check_entropic(args) -> int:
     report = _Report("check-entropic")
     try:
+        budget = _budget(args, 200_000)
         text = _read(args.h_file)
         h = EntropyVector.from_json(text)
     except (OSError, ValueError, KeyError) as exc:
@@ -128,7 +139,7 @@ def cmd_check_entropic(args) -> int:
         return _emit(report, args, EXIT_PRECONDITION)
     report.add("polymatroid", True, "all Shannon axioms hold")
     result = ent.entropic_search(
-        h, max_support=args.max_support, tol=args.tol, budget=_budget(args, 200_000)
+        h, max_support=args.max_support, tol=args.tol, budget=budget
     )
     if result.status == "found":
         report.add("witness", True, f"found after {result.candidates_tried} candidates")
@@ -215,9 +226,10 @@ def cmd_lp_bound(args) -> int:
 def cmd_search_code(args) -> int:
     report = _Report("search-code")
     try:
+        budget = _budget(args, 10_000_000)
         text = _read(args.problem_file)
         problem = net.parse(text)
-    except (OSError, net.SchemaError) as exc:
+    except (OSError, ValueError) as exc:  # net.SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.digest("problem", text)
@@ -225,7 +237,7 @@ def cmd_search_code(args) -> int:
         problem,
         alphabet_bounds=args.alphabet_max,
         allow_randomness=args.randomness == "on",
-        budget=_budget(args, 10_000_000),
+        budget=budget,
     )
     report.add(
         "search",
@@ -307,14 +319,33 @@ def _verify_key_forcing(args, report: _Report) -> bool:
 
 
 def _verify_incremental(args, report: _Report) -> bool:
+    """The contract of one entropy vector, or of each vector of an array (a
+    region's points) in turn, in one process: every gadget of one ground
+    size has the same topology, so the proof chains of a later vector start
+    from the bases the earlier ones stored (`highs.BASES`).  With an array,
+    vector k's verdicts are named `h<k>/<obligation>`, k from 1."""
     if not args.h:
         raise ValueError("incremental-forcing needs --h <entropy vector file>")
-    h = EntropyVector.from_json(_read(args.h))
-    gadget = build_incremental(h)
-    contract = verify_contract(gadget.problem, gadget.contract)
-    for r in contract.results:
-        report.add(r.name, r.ok, r.detail)
-    return contract.all_ok
+    text = _read(args.h)
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        gadgets = [("", build_incremental(EntropyVector.from_json(text)))]
+    elif not doc:
+        raise ValueError("the array of entropy vectors is empty")
+    else:
+        gadgets = []
+        for k, entry in enumerate(doc, 1):
+            try:
+                gadgets.append((f"h{k}/", build_incremental(EntropyVector.from_json(json.dumps(entry)))))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"entropy vector {k}: {exc}") from None
+    ok = True
+    for prefix, gadget in gadgets:
+        contract = verify_contract(gadget.problem, gadget.contract)
+        for r in contract.results:
+            report.add(prefix + r.name, r.ok, r.detail)
+        ok &= contract.all_ok
+    return ok
 
 
 def _verify_uniform_witness(args, report: _Report) -> bool:
@@ -466,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         "incremental-forcing (thm1), uniform-witness (thm2), adhesion-demo (thm4-demo)",
     )
     p.add_argument("name")
-    p.add_argument("--h", help="entropy vector file (incremental-forcing)")
+    p.add_argument("--h", help="entropy vector file, or an array of vectors (incremental-forcing)")
     p.add_argument("--q", help="distribution file (uniform-witness)")
     p.add_argument("--c", default="1")
     p.add_argument("--d", default="2")

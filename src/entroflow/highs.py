@@ -11,18 +11,34 @@ imported, and importing the command line loads none of them.
 `Highs` is the only place that knows the model's row layout.  What it
 returns is indexed by the rows of the `rows.RowStore` it was built from,
 each in that row's own sense, so callers never see the layout.
+
+`BASES` is the process-wide store of optimal bases (a `BasisStore`).  Its
+key digests a model without its row bounds together with the cost
+vector: the column count and the rows the model was built from without
+their right sides, which fix the row layout and the matrix.  Models that
+differ only in their right-hand sides share entries: one topology under
+many rate and capacity tuples.  A handle makes that digest the first
+time it uses the store, so a handle that never does pays nothing for it.
+A stored basis stays dual feasible when only the right sides change, and
+dual simplex starts from it at almost no cost.  A run asked to use the store (`Highs.solve(cost, BASES)`) starts
+from the basis stored under its key, if any, and records its basis there
+when it ends optimal.  The store is thread-safe and holds at most
+`_BASIS_CAP` basis statuses (one per column and one per row of each
+basis), dropping the least recently used bases first.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -82,7 +98,60 @@ class FloatResult:
     row_dual: Any
     row_slack: Any
     nit: int  # simplex iterations
-    warm: bool  # the run started from a basis an earlier run left
+    warm: bool  # the run started from a basis: an earlier run's, or a stored one
+    stored: bool  # the run started from a basis in a `BasisStore`
+
+
+# The most basis statuses `BASES` holds: about 4 MB of HiGHS basis arrays.
+_BASIS_CAP = 1 << 22
+
+
+class BasisStore:
+    """Optimal HiGHS bases by key, thread-safe, least recently used first out.
+
+    `cap` bounds the basis statuses held in total (one per column and one
+    per row of each basis); storing past it drops the least recently used
+    bases until the rest fit.  A basis is kept as HiGHS returns it
+    (`HighsBasis`) and never changed after it is stored.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._lock = threading.Lock()
+        self._bases: OrderedDict[bytes, tuple[Any, int]] = OrderedDict()  # key -> (basis, statuses)
+        self.size = 0  # statuses held
+
+    def __len__(self) -> int:
+        return len(self._bases)
+
+    def get(self, key: bytes):
+        """The basis stored under `key`, now the most recently used, or None."""
+        with self._lock:
+            entry = self._bases.get(key)
+            if entry is None:
+                return None
+            self._bases.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: bytes, basis, statuses: int) -> None:
+        """Store `basis`, of `statuses` statuses, under `key`, replacing what was there."""
+        with self._lock:
+            old = self._bases.pop(key, None)
+            if old is not None:
+                self.size -= old[1]
+            self._bases[key] = (basis, statuses)
+            self.size += statuses
+            while self.size > self.cap:
+                _, (_, dropped) = self._bases.popitem(last=False)
+                self.size -= dropped
+
+    def clear(self) -> None:
+        with self._lock:
+            self._bases.clear()
+            self.size = 0
+
+
+BASES = BasisStore(_BASIS_CAP)
 
 
 class Highs:
@@ -95,7 +164,10 @@ class Highs:
     `linprog`'s solve, bit for bit.  Each later run changes the costs only
     and starts from the basis the previous run left; a new cost keeps that
     basis primal feasible, so later runs let HiGHS choose the simplex
-    variant (primal, then), and a valid basis skips presolve.
+    variant (primal, then), and a valid basis skips presolve.  A run given
+    a `BasisStore` starts from the basis stored there for this matrix and
+    cost instead, if there is one (dual simplex, then: the basis is dual
+    feasible and only the right sides may differ).
     """
 
     def __init__(self, rows: RowStore, n: int):
@@ -137,6 +209,8 @@ class Highs:
         self.highs.passOptions(options)
         self.highs.passModel(model)
         self.columns = np.arange(n, dtype=np.int32)
+        self._rows = rows
+        self._matrix = None  # digest of the model without its row bounds, made by `_key`
 
     def _by_row(self, values):
         """Model-row values put back in LP row order."""
@@ -144,15 +218,34 @@ class Highs:
         out[self.order] = values
         return out
 
-    def solve(self, cost) -> FloatResult:
-        """Minimize cost . x."""
+    def _key(self, cost) -> bytes:
+        """The `BasisStore` key of this model under `cost`."""
+        if self._matrix is None:
+            # The rows without their right sides fix the matrix and the row
+            # layout; an array of Python ints is hashed by its digits.
+            rows = self._rows
+            self._matrix = hashlib.blake2b(np.array([self.n, self.m]).tobytes())
+            for part in (rows.indptr, rows.col, rows.sense, rows.data, rows.scale):
+                self._matrix.update(repr(part.tolist()).encode() if part.dtype == object else part.tobytes())
+        key = self._matrix.copy()
+        key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        return key.digest()
+
+    def solve(self, cost, bases: Optional[BasisStore] = None) -> FloatResult:
+        """Minimize cost . x; with `bases`, start from the basis stored there
+        for this matrix and cost, if any, and store the basis of an optimal run."""
         highs, core = self.highs, self.core
         highs.changeColsCost(self.n, self.columns, cost)
+        key = stored = None
+        if bases is not None:
+            key = self._key(cost)
+            stored = bases.get(key)
+            if stored is not None:
+                highs.setBasis(stored)
         warm = highs.getBasis().valid
         highs.run()
-        if not warm:
-            choose = core.simplex_constants.SimplexStrategy.kSimplexStrategyChoose
-            highs.setOptionValue("simplex_strategy", int(choose))
+        choose = core.simplex_constants.SimplexStrategy.kSimplexStrategyChoose
+        highs.setOptionValue("simplex_strategy", int(choose))  # for every run after the first
         nit = highs.getInfo().simplex_iteration_count
         codes = core.HighsModelStatus
         status = {
@@ -164,7 +257,9 @@ class Highs:
             codes.kUnbounded: 3,
         }.get(highs.getModelStatus(), 4)
         if status != 0:
-            return FloatResult(status, None, None, None, nit, warm)
+            return FloatResult(status, None, None, None, nit, warm, stored is not None)
+        if key is not None:
+            bases.put(key, highs.getBasis(), self.n + self.m)
         solution = highs.getSolution()
         return FloatResult(
             0,
@@ -173,6 +268,7 @@ class Highs:
             self._by_row(self.rhs - np.array(solution.row_value)),
             nit,
             warm,
+            stored is not None,
         )
 
     def farkas(self):

@@ -54,6 +54,18 @@ objective changes the costs only and is re-solved from the last basis,
 and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
 writes one debug record per solve.
+
+The HiGHS runs of a proof chain, and only those, also use the
+process-wide store of optimal bases `highs.BASES`: a run starts from the
+basis stored for its matrix and cost (the right-hand side is not part of
+the key, so a chain on the same subnetwork under other rates or
+capacities finds it) and records its basis when it ends optimal.  The
+store holds at most 2^22 basis statuses and drops the least recently
+used bases first.  A chain reports only statuses and exact optima, which
+no starting basis changes.  Direct `maximize`, `minimize` and
+`feasibility` calls never read or write the store, so the certificates
+of a solver that has run no chain do not depend on it (see
+`ShannonSolver` for one that has).
 """
 
 from __future__ import annotations
@@ -693,15 +705,17 @@ class SolveStats:
     `highs_runs` counts HiGHS solves (at most one per solve, none without
     scipy's HiGHS bindings), `simplex_iterations` their simplex iterations
     together with those of the solve HiGHS repeats to find a dual ray,
-    and `warm_starts` the runs that started from a basis a previous run
-    left.  `memo_hits` counts objectives answered from the memo; every
-    other solve is settled by exactly one of `float_cert`, `float_farkas`
-    or `exact`.
+    `warm_starts` the runs that started from a basis (a previous run's or
+    a stored one) and `stored_starts` those that started from a basis in
+    the process-wide store `highs.BASES`.  `memo_hits` counts objectives
+    answered from the memo; every other solve is settled by exactly one of
+    `float_cert`, `float_farkas` or `exact`.
     """
 
     highs_runs: int = 0
     simplex_iterations: int = 0
     warm_starts: int = 0
+    stored_starts: int = 0
     memo_hits: int = 0
     float_cert: int = 0
     float_farkas: int = 0
@@ -723,8 +737,11 @@ class ShannonSolver:
     stands only after exact verification against every row.  The float
     solves go through one HiGHS handle that holds the model: it is built
     once, and each later objective changes only the costs and starts from
-    the basis the previous solve left.  When no proposal verifies, the
-    exact simplex takes over with elemental rows activated lazily: each
+    the basis the previous solve left.  Inside `verify_proof_chain` a run
+    starts from the optimal basis stored for its matrix and cost in
+    `highs.BASES`, if there is one, and stores its own; direct calls of
+    `maximize`, `minimize` and `feasibility` never touch that store.  When
+    no proposal verifies, the exact simplex takes over with elemental rows activated lazily: each
     solve runs on the active subset, the answer is checked exactly against
     every remaining row, violated rows join in bulk, and the loop repeats.
     A returned optimum is therefore an optimum of the full LP (inactive
@@ -737,7 +754,11 @@ class ShannonSolver:
     `active` (the activated rows), `simplex` (the exact solver with its
     basis, built on the first solve that needs it) and `stats`, the counts
     of its work.  Which certificate a solve returns can depend on the
-    solves before it, but never its status or optimum.
+    solves before it, but never its status or optimum.  So once a solver
+    has run a proof chain, its later certificates (memo answers for the
+    chain's objectives among them) can depend on the bases the store
+    held; those of a solver that has run no chain cannot.  The command
+    line prints no certificate from a solver that ran a chain.
     """
 
     def __init__(self, lp: ShannonLP):
@@ -769,36 +790,48 @@ class ShannonSolver:
 
     _RATIONALIZE_LIMIT = 1 << 24
 
-    def _float_solve(self, objective: Mapping[int, Fraction]):
+    def _float_solve(self, objective: Mapping[int, Fraction], bases):
         """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
-        without scipy or its HiGHS bindings."""
+        without scipy or its HiGHS bindings; `bases` is the `highs.BasisStore`
+        the run starts from and records into, or None."""
         import numpy as np
+
+        from entroflow import highs
 
         if self._highs is None:
             try:
-                from entroflow.highs import Highs
-
-                self._highs = Highs(self.lp.rows, len(self.lp.coords))
+                self._highs = highs.Highs(self.lp.rows, len(self.lp.coords))
             except ImportError:
                 return None
         cost = np.zeros(len(self.lp.coords))
         for j, v in objective.items():
             cost[j] = -float(v)
-        res = self._highs.solve(cost)
+        res = self._highs.solve(cost, bases)
         self.stats.highs_runs += 1
         self.stats.simplex_iterations += res.nit
         self.stats.warm_starts += res.warm
+        self.stats.stored_starts += res.stored
         return res
 
     def _rational(self, values) -> dict[int, Fraction]:
         """Each entry of a float array above 1e-11 in magnitude, by index,
-        rounded to the nearest rational with denominator at most 2^24."""
+        rounded to the nearest rational with denominator at most 2^24.
+
+        An entry within 2^-26 of an integer k is k itself, without
+        `limit_denominator`: every other fraction with denominator at most
+        2^24 lies at least 2^-24 from k, so more than 2^-26 from the entry,
+        and k is the nearest.  (The difference to the nearest integer is
+        exact in floating point.)
+        """
         import numpy as np
 
         lim = self._RATIONALIZE_LIMIT
+        picked = np.flatnonzero(np.abs(values) > 1e-11)
+        nearest = np.rint(values[picked])
+        integral = np.abs(values[picked] - nearest) <= 2.0**-26
         return {
-            i: Fraction(float(values[i])).limit_denominator(lim)
-            for i in np.flatnonzero(np.abs(values) > 1e-11).tolist()
+            i: Fraction(int(k)) if whole else Fraction(float(values[i])).limit_denominator(lim)
+            for i, k, whole in zip(picked.tolist(), nearest.tolist(), integral.tolist())
         }
 
     def _per_row(self, values) -> tuple[Fraction, ...]:
@@ -874,7 +907,7 @@ class ShannonSolver:
 
         return replace(cert, duals=spread(cert.duals), farkas=spread(cert.farkas))
 
-    def _solve_max(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
+    def _solve_max(self, objective: Mapping[int, Fraction], bases=None) -> SimplexCertificate:
         import logging  # here, off the command line's import path
 
         log = logging.getLogger(__name__)
@@ -885,23 +918,25 @@ class ShannonSolver:
             log.debug("solve: %s, settled by memo", cert.status)
             return cert
         stats, before, start = self.stats, replace(self.stats), time.perf_counter()
-        cert, path = self._settle(objective)
+        cert, path = self._settle(objective, bases)
         setattr(stats, path, getattr(stats, path) + 1)
         self._memo[key] = cert
         log.debug(
-            "solve: %s, settled by %s, %d HiGHS runs (%d warm), %d simplex iterations, %.3f s",
+            "solve: %s, settled by %s, %d HiGHS runs (%d warm, %d from stored bases), "
+            "%d simplex iterations, %.3f s",
             cert.status,
             path,
             stats.highs_runs - before.highs_runs,
             stats.warm_starts - before.warm_starts,
+            stats.stored_starts - before.stored_starts,
             stats.simplex_iterations - before.simplex_iterations,
             time.perf_counter() - start,
         )
         return cert
 
-    def _settle(self, objective: Mapping[int, Fraction]) -> tuple[SimplexCertificate, str]:
+    def _settle(self, objective: Mapping[int, Fraction], bases) -> tuple[SimplexCertificate, str]:
         """A verified certificate and the path that settled it (a `SolveStats` field)."""
-        res = self._float_solve(objective)
+        res = self._float_solve(objective, bases)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
@@ -965,21 +1000,24 @@ class ShannonSolver:
             pivots=cert.pivots,
         )
 
-    def maximize(self, objective: str) -> Certificate:
+    # `_bases` is the `highs.BasisStore` the HiGHS runs start from and record
+    # into; only `verify_proof_chain` passes one.
+
+    def maximize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact maximum of an expression (see `compile_expression`)."""
         coeffs, const = self.lp.compile(objective)
-        cert = self._solve_max(self._to_cols(coeffs))
+        cert = self._solve_max(self._to_cols(coeffs), _bases)
         return self._wrap(cert, "max", const, negate=False)
 
-    def minimize(self, objective: str) -> Certificate:
+    def minimize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact minimum of an expression (see `compile_expression`)."""
         coeffs, const = self.lp.compile(objective)
-        cert = self._solve_max({m: -c for m, c in self._to_cols(coeffs).items()})
+        cert = self._solve_max({m: -c for m, c in self._to_cols(coeffs).items()}, _bases)
         return self._wrap(cert, "min", const, negate=True)
 
-    def feasibility(self) -> Certificate:
+    def feasibility(self, *, _bases=None) -> Certificate:
         """Status "feasible" with a point, or "infeasible" with Farkas multipliers."""
-        cert = self._wrap(self._solve_max({}), "feasibility", Fraction(0), negate=False)
+        cert = self._wrap(self._solve_max({}, _bases), "feasibility", Fraction(0), negate=False)
         if cert.status == "infeasible":
             return cert
         return replace(cert, status="feasible", value=None, farkas=None, ray=None)
@@ -1042,17 +1080,24 @@ def verify_proof_chain(
     "=" claim: min = max = value); "consistent" means some do and some do
     not; "contradicted" means none do; "vacuous" means the LP is
     infeasible.
+
+    The chain's HiGHS runs start from, and record into, the store of
+    optimal bases `highs.BASES` (see the module docstring); a starting
+    basis never changes a status or an exact optimum, the only things a
+    chain reports.
     """
+    from entroflow.highs import BASES  # numpy with it, off the command line's import path
+
     verdicts: list[ChainVerdict] = []
-    feas = solver.feasibility()
+    feas = solver.feasibility(_bases=BASES)
     for claim in claims:
         if not isinstance(claim, Claim):
             claim = Claim.of(*claim)
         if feas.status == "infeasible":
             verdicts.append(ChainVerdict(claim, "vacuous", None, None))
             continue
-        hi_cert = solver.maximize(claim.expression)
-        lo_cert = solver.minimize(claim.expression)
+        hi_cert = solver.maximize(claim.expression, _bases=BASES)
+        lo_cert = solver.minimize(claim.expression, _bases=BASES)
         hi = hi_cert.value if hi_cert.status == "optimal" else None
         lo = lo_cert.value if lo_cert.status == "optimal" else None
         # An unbounded side reads as an infinite bound in the comparisons.

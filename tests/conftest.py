@@ -28,3 +28,12 @@ def random_rational_distribution(
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(autouse=True)
+def empty_basis_store():
+    """Every test starts with no stored optimal bases, so that no test's
+    counts depend on the tests run before it."""
+    from entroflow.highs import BASES
+
+    BASES.clear()

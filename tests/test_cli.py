@@ -317,6 +317,18 @@ class TestBudgetEnv:
         assert main(["verify", "thm1"]) == 64
         assert main(["verify", "thm2"]) == 64
 
+    @pytest.mark.parametrize("command", ["search-code", "check-entropic"])
+    @pytest.mark.parametrize("env, flag", [("abc", None), ("-5", None), (None, "-5")])
+    def test_bad_budget_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, env, flag):
+        if env is not None:
+            monkeypatch.setenv("ENTROFLOW_BUDGET", env)
+        path = single_edge_file(tmp_path) if command == "search-code" else h_file(tmp_path, [1, 1, 2])
+        argv = [command, path] + (["--budget", flag] if flag is not None else [])
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMoreCliPaths:
     def test_verify_incremental_green(self, tmp_path, capsys):
@@ -324,6 +336,36 @@ class TestMoreCliPaths:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "increment[2.1]" in out
+
+    def test_verify_incremental_region(self, tmp_path, capsys):
+        # An array of vectors gives each vector's verdicts, as the command
+        # gives them for that vector alone, named h<k>/<obligation>.
+        region = [[1, 1, 2], [1, 2, 3]]
+        alone = []
+        for values in region:
+            assert main(["--json", "verify", "thm1", "--h", h_file(tmp_path, values)]) == 0
+            alone.append(json.loads(capsys.readouterr().out)["verdicts"])
+        docs = [json.loads(EntropyVector.from_tuple([Fraction(v) for v in h]).to_json()) for h in region]
+        path = write(tmp_path, "region.json", json.dumps(docs))
+        assert main(["--json", "verify", "thm1", "--h", path]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts == [dict(v, name=f"h{k}/{v['name']}") for k, vs in enumerate(alone, 1) for v in vs]
+
+    @pytest.mark.parametrize(
+        "region",
+        [[], [[1, 1, 2], [2, 1, 1]], [[1, 1, 2], "h"], [[1, 1, 2], {"labels": ["1", "2"], "values": {}}]],
+        ids=["empty", "negative-capacity", "not-an-object", "no-n"],
+    )
+    def test_verify_incremental_bad_region(self, tmp_path, capsys, region):
+        docs = [
+            json.loads(EntropyVector.from_tuple([Fraction(v) for v in h]).to_json()) if isinstance(h, list) else h
+            for h in region
+        ]
+        path = write(tmp_path, "region.json", json.dumps(docs))
+        assert main(["verify", "thm1", "--h", path]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("entropy vector 2: " in err) == bool(region)
 
     def test_lp_bound_minimize(self, tmp_path, capsys):
         assert main(

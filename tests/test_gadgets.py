@@ -204,10 +204,53 @@ class TestConcurrentChains:
             verify_contract(g.problem, g.contract)
         messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
         pattern = re.compile(
-            r"chain on (\d+) variables: \d+ rows, \d+ solves, \d+ HiGHS runs, \d+ simplex iterations, [\d.]+ s"
+            r"chain on (\d+) variables: \d+ rows, \d+ solves, \d+ HiGHS runs "
+            r"\(\d+ from stored bases\), \d+ simplex iterations, [\d.]+ s"
         )
         sizes = [int(pattern.fullmatch(m)[1]) for m in messages]
         assert sorted(sizes) == sorted(len(key) for key in chains)
+
+
+# Every n=2 entropy vector with entries in 1..3 that is a polymatroid.
+N2_VECTORS = [
+    (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 3, 3), (2, 1, 2), (2, 1, 3),
+    (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 1, 3), (3, 2, 3), (3, 3, 3),
+]
+
+
+class TestStoredBases:
+    """Contract chains start from the optimal bases earlier chains stored."""
+
+    @staticmethod
+    def contract(h):
+        g = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
+        return verify_contract(g.problem, g.contract)
+
+    def test_reports_do_not_depend_on_the_store(self):
+        from entroflow.highs import BASES
+
+        cold = []
+        for h in N2_VECTORS:
+            BASES.clear()
+            cold.append(self.contract(h).describe())
+        BASES.clear()
+        warm = [self.contract(h).describe() for h in N2_VECTORS]
+        assert warm == cold
+
+    def test_second_h_starts_from_stored_bases(self, caplog):
+        pattern = re.compile(r".* HiGHS runs \((\d+) from stored bases\), (\d+) simplex iterations, .*")
+        counts = []
+        for h in ((1, 1, 2), (2, 2, 3)):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
+                self.contract(h)
+            per_chain = [
+                pattern.fullmatch(r.getMessage()).groups() for r in caplog.records if r.name == "entroflow.gadgets"
+            ]
+            counts.append([sum(int(c[i]) for c in per_chain) for i in (0, 1)])
+        (_, iterations_first), (stored_second, iterations_second) = counts
+        assert stored_second > 0
+        assert iterations_second < iterations_first
 
 
 class TestIncrementalCode:

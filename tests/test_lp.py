@@ -294,7 +294,7 @@ class TestExactFallback:
         # Without a float proposal (as without scipy) the lazy exact simplex
         # settles the LP; it must agree with the float-certified answer.
         def disable():
-            monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective: None)
+            monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective, bases: None)
 
         self.exact_path_agrees(problem, kwargs, objective, disable)
 
@@ -443,8 +443,154 @@ class TestWarmStart:
             solver.maximize("H(T)")
         messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.lp"]
         assert len(messages) == 2
-        assert "settled by float_cert, 1 HiGHS runs (0 warm)" in messages[0]
+        assert "settled by float_cert, 1 HiGHS runs (0 warm, 0 from stored bases)" in messages[0]
         assert messages[1] == "solve: optimal, settled by memo"
+
+
+class TestBasisStore:
+    """`highs.BASES`: optimal bases that proof chains on one matrix share."""
+
+    def test_least_recently_used_bases_go_first(self):
+        from entroflow.highs import BasisStore
+
+        store = BasisStore(cap=10)
+        for key in (b"a", b"b", b"c"):
+            store.put(key, key.decode(), 3)
+        assert store.get(b"a") == "a"  # a is now the most recently used
+        store.put(b"d", "d", 3)  # 12 statuses: b, the least recently used, goes
+        assert (store.get(b"b"), len(store), store.size) == (None, 3, 9)
+        store.put(b"e", "e", 5)  # 14 statuses: c, then a, go
+        assert [store.get(key) for key in (b"a", b"c", b"d", b"e")] == [None, None, "d", "e"]
+        assert store.size == 8
+        store.put(b"d", "d2", 2)  # a new basis under a stored key replaces it
+        assert (store.get(b"d"), len(store), store.size) == ("d2", 2, 7)
+        store.put(b"f", "f", 11)  # larger than the cap: nothing stays
+        assert (len(store), store.size) == (0, 0)
+
+    def test_reads_and_writes_wait_for_the_lock(self):
+        # While another thread holds the store's lock, no get, put or clear
+        # completes; each does once the lock is free.
+        import threading
+
+        from entroflow.highs import BasisStore
+
+        store = BasisStore(cap=10)
+        store.put(b"a", "a", 3)
+        got = []
+        calls = [lambda: store.put(b"b", "b", 4), lambda: got.append(store.get(b"a")), store.clear]
+        for call in calls:
+            started, finished = threading.Event(), threading.Event()
+
+            def run():
+                started.set()
+                call()
+                finished.set()
+
+            with store._lock:
+                thread = threading.Thread(target=run, daemon=True)
+                thread.start()
+                assert started.wait(10)
+                assert not finished.wait(0.2)
+            assert finished.wait(10)
+            thread.join(10)
+            if call is calls[0]:
+                assert (store.get(b"b"), store.size) == ("b", 7)
+        assert got == ["a"]
+        assert (len(store), store.size) == (0, 0)
+
+    @staticmethod
+    def smallest_chain(h):
+        return min(chain_sequences(h), key=lambda chain: len(chain[0].rows))
+
+    @staticmethod
+    def chain(lp, steps):
+        claims = [(f"c{i}", e, ">=", 0) for i, (sense, e) in enumerate(steps) if sense == "max"]
+        solver = ShannonSolver(lp)
+        return verify_proof_chain(solver, claims), solver.stats
+
+    def test_chain_on_another_h_starts_from_stored_bases(self):
+        from entroflow.highs import BASES
+
+        first, second = self.smallest_chain((1, 1, 2)), self.smallest_chain((1, 2, 3))
+        assert first[1] == second[1]  # one subnetwork, the same objectives
+        cold_report, cold = self.chain(*second)
+        BASES.clear()
+        _, seeded = self.chain(*first)
+        assert seeded.stored_starts == 0 and len(BASES) == seeded.highs_runs
+        report, stats = self.chain(*second)
+        assert report == cold_report
+        assert stats.stored_starts == stats.highs_runs > 0
+        assert stats.simplex_iterations < cold.simplex_iterations
+        assert stats.exact == 0
+
+    def test_direct_solves_neither_read_nor_write_the_store(self):
+        from entroflow.highs import BASES
+
+        lp, steps = self.smallest_chain((1, 1, 2))
+
+        def direct():
+            solver = ShannonSolver(lp)
+            certs = [certificate_to_json(lp, solve_step(solver, *step)) for step in steps]
+            assert solver.stats.stored_starts == 0
+            return certs
+
+        alone = direct()
+        assert len(BASES) == 0
+        self.chain(lp, steps)
+        self.chain(*self.smallest_chain((1, 2, 3)))
+        stored = len(BASES)
+        assert stored > 0
+        assert direct() == alone
+        assert len(BASES) == stored
+
+    def test_after_a_chain_only_certificates_can_depend_on_the_store(self):
+        # A solver that ran a chain may answer later solves from stored
+        # bases (and its memo); their statuses and optima stay the same.
+        from entroflow.highs import BASES
+
+        lp, steps = self.smallest_chain((1, 2, 3))
+        claims = [(f"c{i}", e, ">=", 0) for i, (sense, e) in enumerate(steps) if sense == "max"]
+
+        def after_chain():
+            solver = ShannonSolver(lp)
+            report = verify_proof_chain(solver, claims)
+            optima = [(c.status, c.value) for c in (solve_step(solver, *step) for step in steps)]
+            return report, optima, solver.stats.stored_starts
+
+        *cold, none_stored = after_chain()
+        BASES.clear()
+        self.chain(*self.smallest_chain((1, 1, 2)))
+        *warm, stored = after_chain()
+        assert warm == cold
+        assert none_stored == 0 < stored
+
+
+class TestRationalize:
+    def test_same_as_limit_denominator(self):
+        import numpy as np
+
+        solver = ShannonSolver(build_shannon_lp(butterfly(), rate_sessions="none"))
+        rng = random.Random(26)
+        edge = 2.0**-26
+        values = [0.0, 1e-12, -1e-12, 1e-10, edge / 2, 2.0**60 + 2.0**10, -(2.0**40), 1 / 3]
+        for _ in range(500):
+            k = float(rng.randint(-1000, 1000))
+            values += [
+                k + rng.uniform(-1, 1),
+                k + rng.uniform(-edge, edge),
+                rng.randint(-50, 50) / rng.randint(1, 50) + rng.uniform(-1e-9, 1e-9),
+            ]
+            for inside in (k + edge, k - edge):
+                values += [inside, np.nextafter(inside, k), np.nextafter(inside, 2 * inside - k)]
+        values = np.array(values)
+        want = {
+            i: Fraction(float(v)).limit_denominator(1 << 24)
+            for i, v in enumerate(values.tolist())
+            if abs(v) > 1e-11
+        }
+        got = solver._rational(values)
+        assert got == want
+        assert list(got) == list(want)
 
 
 class TestForcedEquality:
