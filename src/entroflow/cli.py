@@ -327,6 +327,7 @@ def _verify_incremental(args, report: _Report) -> bool:
     if not args.h:
         raise ValueError("incremental-forcing needs --h <entropy vector file>")
     text = _read(args.h)
+    report.digest("h", text)
     doc = json.loads(text)
     if not isinstance(doc, list):
         gadgets = [("", build_incremental(EntropyVector.from_json(text)))]
@@ -351,7 +352,9 @@ def _verify_incremental(args, report: _Report) -> bool:
 def _verify_uniform_witness(args, report: _Report) -> bool:
     if not args.q:
         raise ValueError("uniform-witness needs --q <distribution file>")
-    q = JointDistribution.from_json(_read(args.q))
+    text = _read(args.q)
+    report.digest("q", text)
+    q = JointDistribution.from_json(text)
     if not ent.is_quasi_uniform(q):
         report.add("quasi-uniform", False, "input distribution is not quasi-uniform")
         return False

@@ -360,6 +360,15 @@ class JointDistribution:
         return cls.of(variables, pmf)
 
 
+def _signed_terms(ground: GroundSet, terms: Iterable[tuple[int, Fraction]]) -> list[str]:
+    """`+ h{..}`, `- h{..}`, `+ c*h{..}` or `- c*h{..}` per (mask, coefficient) term."""
+    out = []
+    for mask, c in terms:
+        factor = "" if abs(c) == 1 else f"{abs(c)}*"
+        out.append(f"{'+' if c > 0 else '-'} {factor}h{ground.format_subset(mask)}")
+    return out
+
+
 @dataclass(frozen=True)
 class LinearFunctional:
     """A linear expression over subset coordinates, with a comparison sense.
@@ -412,18 +421,8 @@ class LinearFunctional:
         return total
 
     def format(self) -> str:
-        parts = []
-        for mask in sorted(self.coefficients, key=lambda m: (bin(m).count("1"), m)):
-            c = self.coefficients[mask]
-            term = f"h{self.ground.format_subset(mask)}"
-            if c == 1:
-                parts.append(f"+ {term}")
-            elif c == -1:
-                parts.append(f"- {term}")
-            elif c > 0:
-                parts.append(f"+ {c}*{term}")
-            else:
-                parts.append(f"- {-c}*{term}")
+        order = sorted(self.coefficients, key=lambda m: (bin(m).count("1"), m))
+        parts = _signed_terms(self.ground, ((m, self.coefficients[m]) for m in order))
         if self.constant != 0:
             parts.append(f"+ {self.constant}" if self.constant > 0 else f"- {-self.constant}")
         body = " ".join(parts).lstrip("+ ").strip()

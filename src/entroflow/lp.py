@@ -27,19 +27,22 @@ least common denominator).  The elemental block is generated with numpy
 from the mask columns of `entropy._elemental_masks` (kept as one read-only
 array per ground size), and equal rows are found through one packed
 integer key per row; provenance tags stay compact and are formatted only
-for `export_text`, `certificate_to_json` and the `constraints` view.  Every reader works from the store: the HiGHS
-model, the exact verifier, the exact simplex and the exports.
+when `export_text`, `certificate_to_json` or the `constraints` view asks
+for them.  Every reader works from the store: the HiGHS model, the exact
+verifier, the exact simplex and the exports.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
 bindings scipy bundles) proposes an optimum (a point and row duals) or,
 for an infeasible LP, the Farkas multipliers of its dual ray.  The
 proposal is rounded to rationals and accepted only when it passes the
-exact check against every row: the point, ray or multipliers are scaled
-to a common denominator and compared with the scaled right sides by
-integer matrix-vector products (int64 under a checked no-overflow bound,
-Python ints otherwise).  When no proposal verifies, or scipy or its HiGHS
-bindings are missing, the lazy exact rational simplex settles the LP.
-Every returned certificate has been re-verified exactly.
+exact check against every row.  A certificate keeps only nonzero
+entries: its point and ray by coordinate, its row duals or Farkas
+multipliers by LP row.  The check scales them to a common denominator
+and compares integer matrix-vector products with the scaled right sides
+(int64 under a checked no-overflow bound, Python ints otherwise).  When
+no proposal verifies, or scipy or its HiGHS bindings are missing, the
+lazy exact rational simplex settles the LP.  Every returned certificate
+has been re-verified exactly.
 
 Every question goes through a `ShannonSolver`: the exact maximum or
 minimum of an expression string (`"H(K|W4)"`, `"I(A;B|C) - 2*H(A)"`), or
@@ -84,6 +87,7 @@ from entroflow.entropy import (
     GroundSet,
     JointDistribution,
     _elemental_masks,
+    _signed_terms,
     as_fraction,
     subset_entropy,
 )
@@ -692,9 +696,9 @@ class Certificate:
     value: Optional[Fraction]
     orientation: str  # "max" | "min" | "feasibility"
     primal: Optional[dict[int, Fraction]]  # closed mask -> value
-    duals: Optional[tuple[Fraction, ...]]  # per constraint, solver orientation
-    farkas: Optional[tuple[Fraction, ...]]
-    ray: Optional[dict[int, Fraction]]
+    duals: Optional[dict[int, Fraction]]  # nonzero entries by LP row, solver orientation
+    farkas: Optional[dict[int, Fraction]]  # nonzero entries by LP row
+    ray: Optional[dict[int, Fraction]]  # closed mask -> value
     pivots: tuple[tuple[int, int], ...]
 
 
@@ -815,7 +819,8 @@ class ShannonSolver:
 
     def _rational(self, values) -> dict[int, Fraction]:
         """Each entry of a float array above 1e-11 in magnitude, by index,
-        rounded to the nearest rational with denominator at most 2^24.
+        rounded to the nearest rational with denominator at most 2^24; an
+        entry that rounds to 0 is left out.
 
         An entry within 2^-26 of an integer k is k itself, without
         `limit_denominator`: every other fraction with denominator at most
@@ -829,16 +834,11 @@ class ShannonSolver:
         picked = np.flatnonzero(np.abs(values) > 1e-11)
         nearest = np.rint(values[picked])
         integral = np.abs(values[picked] - nearest) <= 2.0**-26
-        return {
-            i: Fraction(int(k)) if whole else Fraction(float(values[i])).limit_denominator(lim)
+        rounded = (
+            (i, Fraction(int(k)) if whole else Fraction(float(values[i])).limit_denominator(lim))
             for i, k, whole in zip(picked.tolist(), nearest.tolist(), integral.tolist())
-        }
-
-    def _per_row(self, values) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * len(self.lp.rows)
-        for i, v in self._rational(values).items():
-            out[i] = v
-        return tuple(out)
+        )
+        return {i: v for i, v in rounded if v}
 
     def _verified(
         self, objective: Mapping[int, Fraction], cert: SimplexCertificate
@@ -856,7 +856,7 @@ class ShannonSolver:
         if it passes exact verification."""
         x = self._rational(res.x)
         value = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
-        cert = SimplexCertificate("optimal", value, x, self._per_row(res.row_dual), None, None, ())
+        cert = SimplexCertificate("optimal", value, x, self._rational(res.row_dual), None, None, ())
         return self._verified(objective, cert)
 
     def _float_farkas(self) -> Optional[SimplexCertificate]:
@@ -866,7 +866,7 @@ class ShannonSolver:
         self.stats.simplex_iterations += nit
         if farkas is None:
             return None
-        cert = SimplexCertificate("infeasible", None, {}, None, self._per_row(farkas), None, ())
+        cert = SimplexCertificate("infeasible", None, {}, None, self._rational(farkas), None, ())
         return self._verified({}, cert)
 
     def _float_seed(self, res) -> list[int]:
@@ -896,16 +896,14 @@ class ShannonSolver:
         self._inactive = [i for i in self._inactive if i not in taken]
         self.simplex = None
 
-    def _pad(self, cert: SimplexCertificate) -> SimplexCertificate:
-        def spread(values):
-            if values is None:
-                return None
-            full = [Fraction(0)] * len(self.lp.rows)
-            for pos, i in enumerate(self.active):
-                full[i] = values[pos]
-            return tuple(full)
+    def _by_lp_row(self, cert: SimplexCertificate) -> SimplexCertificate:
+        """An exact-simplex certificate with its multipliers keyed by LP row
+        instead of by position in `active`."""
 
-        return replace(cert, duals=spread(cert.duals), farkas=spread(cert.farkas))
+        def rekey(values):
+            return None if values is None else {self.active[pos]: y for pos, y in values.items()}
+
+        return replace(cert, duals=rekey(cert.duals), farkas=rekey(cert.farkas))
 
     def _solve_max(self, objective: Mapping[int, Fraction], bases=None) -> SimplexCertificate:
         import logging  # here, off the command line's import path
@@ -970,7 +968,7 @@ class ShannonSolver:
             if grow:
                 self._activate(grow)
                 continue
-            out = self._pad(cert)
+            out = self._by_lp_row(cert)
             verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), out)
             return out
 
@@ -1124,18 +1122,7 @@ def export_text(lp: ShannonLP) -> str:
     ]
     op = {"ge": ">=", "le": "<=", "eq": "="}
     for con in lp.constraints:
-        parts = []
-        for mask, c in con.coeffs:
-            term = f"h{ground.format_subset(mask)}"
-            if c == 1:
-                parts.append(f"+ {term}")
-            elif c == -1:
-                parts.append(f"- {term}")
-            elif c > 0:
-                parts.append(f"+ {c}*{term}")
-            else:
-                parts.append(f"- {-c}*{term}")
-        body = " ".join(parts).lstrip("+ ").strip()
+        body = " ".join(_signed_terms(ground, con.coeffs)).lstrip("+ ").strip()
         lines.append(f"{body} {op[con.sense]} {con.rhs}  # {':'.join(con.tag)}")
     return "\n".join(lines) + "\n"
 
@@ -1184,9 +1171,9 @@ def certificate_to_json(lp: ShannonLP, cert: Certificate) -> str:
         doc["primal"] = {
             ground.format_subset(m): str(v) for m, v in sorted(cert.primal.items())
         }
-    for key, per_row in (("duals", cert.duals), ("farkas", cert.farkas)):
-        if per_row is not None:
-            doc[key] = {":".join(lp.tag(i)): str(y) for i, y in enumerate(per_row) if y}
+    for key, multipliers in (("duals", cert.duals), ("farkas", cert.farkas)):
+        if multipliers is not None:
+            doc[key] = {":".join(lp.tag(i)): str(y) for i, y in sorted(multipliers.items())}
     if cert.ray is not None:
         doc["ray"] = {ground.format_subset(m): str(v) for m, v in sorted(cert.ray.items())}
     doc["pivots"] = len(cert.pivots)

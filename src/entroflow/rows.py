@@ -41,10 +41,11 @@ def _int_array(values):
 
 
 def _common_denominator(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Nonzero values as integer numerators over their least common denominator."""
-    support = {j: Fraction(v) for j, v in values.items() if v}
-    d = math.lcm(*(v.denominator for v in support.values()))
-    return {j: v.numerator * (d // v.denominator) for j, v in support.items()}, d
+    """Nonzero values (Fractions or ints) as integer numerators over their
+    least common denominator."""
+    support = [(j, v) for j, v in values.items() if v]
+    d = math.lcm(*(v.denominator for _, v in support))
+    return {j: v.numerator * (d // v.denominator) for j, v in support}, d
 
 
 class RowStore:
@@ -211,26 +212,33 @@ class RowStore:
         hit = np.flatnonzero(self.violated(n_vars, point, ray))
         return int(hit[0]) if hit.size else None
 
-    def combine(self, n_vars: int, mult: Sequence[Fraction], kind: str):
-        """Sum mult_i * row_i after checking each multiplier's sign on its row.
+    def combine(self, n_vars: int, mult: Mapping[int, Fraction], kind: str):
+        """Sum mult_i * row_i over a map of multipliers by row, after checking
+        each row index and each multiplier's sign on its row.
 
-        A <= row takes a nonnegative multiplier, a >= row a nonpositive one.
-        The multipliers (over each row's scale) are brought to a common
-        denominator E; returns E times the combined coefficients (an integer
-        array over the variables), E times the combined right side, and E.
+        A key outside the rows raises (numpy would wrap -1 silently), a zero
+        multiplier is ignored, a <= row takes a nonnegative multiplier and a
+        >= row a nonpositive one.  The multipliers (over each row's scale)
+        are brought to a common denominator E; returns E times the combined
+        coefficients (an integer array over the variables), E times the
+        combined right side, and E.
         """
-        support = [(i, Fraction(y)) for i, y in enumerate(mult) if y]
-        rows = np.array([i for i, _ in support], dtype=np.int64)
-        negative = np.array([y < 0 for _, y in support], dtype=bool)
+        for i in mult:
+            if not 0 <= i < len(self):
+                raise CertificateError(f"{kind} multiplier on row {i}, outside the {len(self)} rows")
+        support = {i: y for i, y in mult.items() if y}
+        rows = np.fromiter(support, dtype=np.int64, count=len(support))
+        negative = np.array([y < 0 for y in support.values()], dtype=bool)
         senses = self.sense[rows]
         wrong = np.flatnonzero(((senses == 1) & negative) | ((senses == -1) & ~negative))
         if wrong.size:
             side = "<=" if senses[wrong[0]] == 1 else ">="
             raise CertificateError(f"{kind} sign violated on a {side} row")
         scales = self.scale[rows].tolist()
-        z = [y / s for (_, y), s in zip(support, scales)]
-        e = math.lcm(*(v.denominator for v in z))
-        w = [v.numerator * (e // v.denominator) for v in z]
+        nums, e = _common_denominator(
+            {i: Fraction(y, s) for (i, y), s in zip(support.items(), scales)}
+        )
+        w = list(nums.values())
         peak = max(map(abs, w), default=0)
         _, col_sum, rhs_max = self.limits()
         fast = (

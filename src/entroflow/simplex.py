@@ -77,10 +77,10 @@ class LinearRow:
 class SimplexCertificate:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
-    x: dict[int, Fraction]
-    duals: Optional[tuple[Fraction, ...]]
-    farkas: Optional[tuple[Fraction, ...]]
-    ray: Optional[dict[int, Fraction]]
+    x: dict[int, Fraction]  # nonzero entries by column
+    duals: Optional[dict[int, Fraction]]  # nonzero entries by LP row
+    farkas: Optional[dict[int, Fraction]]  # nonzero entries by LP row
+    ray: Optional[dict[int, Fraction]]  # nonzero entries by column
     pivots: tuple[tuple[int, int], ...]
 
 
@@ -92,9 +92,12 @@ def verify_certificate(
 ) -> None:
     """Re-verify a certificate exactly against every row; raises on failure.
 
-    Points, rays and multipliers are scaled to a common denominator and
-    checked by integer matrix-vector products against the rows' integer
-    form (see `rows.RowStore`): no tolerance and no per-term fractions.
+    Points and rays map columns to values, dual and Farkas multipliers map
+    LP rows to values; a missing entry reads as zero, a zero entry is
+    ignored, and a row outside the store raises.  They are scaled to a
+    common denominator and checked by integer matrix-vector products
+    against the rows' integer form (see `rows.RowStore`): no tolerance and
+    no per-term fractions.
     """
     from entroflow.rows import RowStore
 
@@ -112,10 +115,9 @@ def verify_certificate(
         got = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
         if got != cert.value:
             raise CertificateError("primal objective does not match the reported value")
-        y = cert.duals
-        if y is None or len(y) != len(store):
+        if cert.duals is None:
             raise CertificateError("optimal certificate lacks dual multipliers")
-        combo, bound, e = store.combine(n_vars, y, "dual")
+        combo, bound, e = store.combine(n_vars, cert.duals, "dual")
         short = combo < 0
         for j, c in objective.items():
             short[j] = int(combo[j]) < c * e
@@ -125,10 +127,9 @@ def verify_certificate(
         if Fraction(bound, e) != cert.value:
             raise CertificateError("weak-duality bound does not match the value")
     elif cert.status == "infeasible":
-        u = cert.farkas
-        if u is None or len(u) != len(store):
+        if cert.farkas is None:
             raise CertificateError("infeasibility certificate lacks multipliers")
-        combo, bound, _ = store.combine(n_vars, u, "Farkas")
+        combo, bound, _ = store.combine(n_vars, cert.farkas, "Farkas")
         if (combo < 0).any():
             raise CertificateError("Farkas combination is not componentwise nonnegative")
         if bound >= 0:
@@ -200,7 +201,7 @@ class ExactSimplex:
         self.verify = verify
         self.stats = SimplexStats()
         self._status: Optional[str] = None
-        self._farkas: Optional[tuple[Fraction, ...]] = None
+        self._farkas: Optional[dict[int, Fraction]] = None
         self._pivots: list[tuple[int, int]] = []
         self._build()
 
@@ -389,8 +390,7 @@ class ExactSimplex:
             raise RuntimeError("phase 1 cannot be unbounded")
         if self.T[m, self.width] != 0:
             # max of -(sum of artificials) < 0: infeasible.
-            y = self._row_multipliers(c1)
-            self._farkas = tuple(y)
+            self._farkas = self._row_multipliers(c1)
             self._status = "infeasible"
             return False
         # Drive leftover basic artificials (level 0) out of the basis; a
@@ -408,21 +408,21 @@ class ExactSimplex:
         self._needs_phase1 = False
         return True
 
-    def _row_multipliers(self, c_int: dict[int, int]) -> list[Fraction]:
-        """Multipliers for the original rows at the current basis.
+    def _row_multipliers(self, c_int: dict[int, int]) -> dict[int, Fraction]:
+        """The nonzero multipliers for the original rows at the current basis, by row.
 
         With witness column w of initial content e_i, the solver-row
         multiplier is obj_row[w]/den + cost(w); scaling back by the row's
-        integer multiplier yields the original-row multiplier.
+        integer multiplier yields the original-row multiplier.  An inactive
+        (redundant) row has none.
         """
         obj = self.T[len(self.rows), :].tolist()
-        y = []
+        y = {}
         for i, w in enumerate(self._witness):
-            if not self.active[i]:
-                y.append(Fraction(0))
-                continue
-            yi = Fraction(obj[w], self.den) + c_int.get(w, 0)
-            y.append(yi * self.row_scale[i])
+            if self.active[i]:
+                yi = Fraction(obj[w], self.den) + c_int.get(w, 0)
+                if yi:
+                    y[i] = yi * self.row_scale[i]
         return y
 
     # ------------------------------------------------------------------
@@ -483,14 +483,12 @@ class ExactSimplex:
             )
             return self._certify(cert, objective)
         value = Fraction(int(self.T[len(self.rows), self.width]), self.den) / self.obj_scale
-        duals = [
-            y / self.obj_scale for y in self._row_multipliers({})
-        ]
+        duals = {i: y / self.obj_scale for i, y in self._row_multipliers({}).items()}
         cert = SimplexCertificate(
             "optimal",
             value,
             self._primal(),
-            tuple(duals),
+            duals,
             None,
             None,
             tuple(self._pivots),

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,20 @@ class TestReports:
         second.pop("timing")
         assert first == second
         assert list(first) == ["command", "inputs", "verdicts", "certificates"]
+
+    @pytest.mark.parametrize("points", [[(1, 1, 2)], [(1, 1, 2), (1, 2, 3)]], ids=["vector", "array"])
+    def test_incremental_forcing_digests_its_h_file(self, tmp_path, capsys, points):
+        docs = [json.loads(EntropyVector.from_tuple([Fraction(v) for v in h]).to_json()) for h in points]
+        path = write(tmp_path, "h.json", json.dumps(docs if len(docs) > 1 else docs[0]))
+        assert main(["--json", "verify", "thm1", "--h", path]) == 0
+        want = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"h": want}
+
+    def test_uniform_witness_digests_its_q_file(self, tmp_path, capsys):
+        path = write(tmp_path, "q.json", quasi_uniform_library()["independent-bits"].to_json())
+        assert main(["--json", "verify", "thm2", "--q", path]) == 0
+        want = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"q": want}
 
 
 class TestBudgetEnv:

@@ -87,7 +87,7 @@ class TestBuild:
         cert = ShannonSolver(lp).feasibility()
         assert cert.status == "infeasible"
         assert cert.farkas is not None
-        assert any(y for y in cert.farkas)
+        assert cert.farkas and all(cert.farkas.values())
 
     def test_elemental_family_matches_reference(self):
         # Unreduced generation must list exactly the classic elemental set.
@@ -275,7 +275,49 @@ class TestLeanHighsLoad:
         assert out.split("\n") == ["1 1", "[]", "1.0", "True", ""]
 
 
+# certificate_to_json of the exact-simplex certificates on FALLBACK_CASES: the
+# maximum, then feasibility on the same solver.  Recorded while certificates
+# still held one multiplier per LP row; the sparse form prints the same bytes.
+FALLBACK_JSON = {
+    "single-edge": [
+        {"status": "optimal", "orientation": "max", "value": "1", "primal": {"{S,e}": "1"},
+         "duals": {"capacity:e": "1"}, "pivots": 3},
+        {"status": "feasible", "orientation": "feasibility", "value": None,
+         "primal": {"{S,e}": "1"}, "duals": {}, "pivots": 0},
+    ],
+    "single-edge-infeasible": [
+        {"status": "infeasible", "orientation": "max", "value": None,
+         "farkas": {"capacity:e": "1", "rate:S": "-1"}, "pivots": 1},
+        {"status": "infeasible", "orientation": "feasibility", "value": None,
+         "farkas": {"capacity:e": "1", "rate:S": "-1"}, "pivots": 1},
+    ],
+    "butterfly": [
+        {"status": "optimal", "orientation": "max", "value": "2",
+         "primal": {"{e_s1}": "1", "{e_s2}": "1", "{e_34}": "1", "{T,e_s1,e_s2,e_34}": "2"},
+         "duals": {"elemental:I(e_s1;e_s2|{})": "-1", "capacity:e_s1": "1", "capacity:e_s2": "1"},
+         "pivots": 5},
+        {"status": "feasible", "orientation": "feasibility", "value": None,
+         "primal": {"{e_s1}": "1", "{e_s2}": "1", "{e_34}": "1", "{T,e_s1,e_s2,e_34}": "2"},
+         "duals": {}, "pivots": 0},
+    ],
+}
+
+
 class TestExactFallback:
+    @FALLBACK_CASES
+    def test_certificate_json_is_pinned(self, problem, kwargs, objective, monkeypatch, request):
+        monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective, bases: None)
+        lp = build_shannon_lp(problem, **kwargs)
+        solver = ShannonSolver(lp)
+        certs = [solver.maximize(objective), solver.feasibility()]
+        assert solver.stats.exact == 2
+        for cert in certs:
+            for multipliers in filter(None, (cert.duals, cert.farkas)):
+                assert all(multipliers.values())
+                assert set(multipliers) <= set(range(len(lp.rows)))
+        want = FALLBACK_JSON[request.node.callspec.id]
+        assert [certificate_to_json(lp, c) for c in certs] == [json.dumps(d, indent=2) for d in want]
+
     def exact_path_agrees(self, problem, kwargs, objective, disable_proposals):
         lp = build_shannon_lp(problem, **kwargs)
         want = ShannonSolver(lp).maximize(objective)
@@ -583,11 +625,14 @@ class TestRationalize:
             for inside in (k + edge, k - edge):
                 values += [inside, np.nextafter(inside, k), np.nextafter(inside, 2 * inside - k)]
         values = np.array(values)
-        want = {
+        rounded = {
             i: Fraction(float(v)).limit_denominator(1 << 24)
             for i, v in enumerate(values.tolist())
             if abs(v) > 1e-11
         }
+        # An entry that rounds to 0 (1e-10 and 2^-27 among them) is left out.
+        assert 0 in rounded.values()
+        want = {i: f for i, f in rounded.items() if f}
         got = solver._rational(values)
         assert got == want
         assert list(got) == list(want)
@@ -1032,13 +1077,11 @@ class TestIntegerChecks:
             bad = SimplexCertificate("optimal", cert.value, x, cert.duals, None, None, ())
             with pytest.raises(CertificateError):
                 verify_certificate(n, lp.rows, objective, bad)
-        for i, y in enumerate(cert.duals):
-            if y:
-                duals = list(cert.duals)
-                duals[i] = -y
-                bad = SimplexCertificate("optimal", cert.value, cert.x, tuple(duals), None, None, ())
-                with pytest.raises(CertificateError, match="dual sign violated"):
-                    verify_certificate(n, lp.rows, objective, bad)
+        assert cert.duals and all(cert.duals.values())
+        for i, y in cert.duals.items():
+            bad = SimplexCertificate("optimal", cert.value, cert.x, {**cert.duals, i: -y}, None, None, ())
+            with pytest.raises(CertificateError, match="dual sign violated"):
+                verify_certificate(n, lp.rows, objective, bad)
 
     def test_farkas_multiplier_dropped_rejected(self):
         from entroflow.simplex import CertificateError, SimplexCertificate, verify_certificate
@@ -1046,14 +1089,13 @@ class TestIntegerChecks:
         lp = build_shannon_lp(simple_problem([("e", "s", "t", 1)], [("S", 2, "s", ("t",))]))
         cert = ShannonSolver(lp).feasibility()
         assert cert.status == "infeasible"
-        support = [i for i, u in enumerate(cert.farkas) if u]
-        assert support
-        for i in support:
-            farkas = list(cert.farkas)
-            farkas[i] = F(0)
-            bad = SimplexCertificate("infeasible", None, {}, None, tuple(farkas), None, ())
-            with pytest.raises(CertificateError, match="Farkas combination"):
-                verify_certificate(len(lp.coords), lp.rows, {}, bad)
+        assert cert.farkas and all(cert.farkas.values())
+        for i in cert.farkas:
+            dropped = {k: u for k, u in cert.farkas.items() if k != i}
+            for farkas in (dropped, {**cert.farkas, i: F(0)}):
+                bad = SimplexCertificate("infeasible", None, {}, None, farkas, None, ())
+                with pytest.raises(CertificateError, match="Farkas combination"):
+                    verify_certificate(len(lp.coords), lp.rows, {}, bad)
 
 
 def _digest(text):

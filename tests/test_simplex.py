@@ -132,7 +132,7 @@ class TestCertificates:
         s = ExactSimplex(1, rows)
         cert = s.maximize({0: F(1)})
         bad = SimplexCertificate(
-            "infeasible", None, {}, None, (F(0), F(0)), None, cert.pivots
+            "infeasible", None, {}, None, {0: F(0), 1: F(0)}, None, cert.pivots
         )
         with pytest.raises(CertificateError):
             verify_certificate(1, rows, {0: F(1)}, bad)
@@ -143,7 +143,7 @@ class TestCertificates:
         # "+-x (sense) 0", signed so that the ray along x breaks it.
         row = R({0: 1}, sense, rhs)
         point = SimplexCertificate(
-            "optimal", F(bad), {0: F(bad)}, (F(1),), None, None, ()
+            "optimal", F(bad), {0: F(bad)}, {0: F(1)}, None, None, ()
         )
         with pytest.raises(CertificateError, match="primal point violates row 0"):
             verify_certificate(1, [row], {0: F(1)}, point)
@@ -217,7 +217,10 @@ def reference_verdict(n_vars, rows, objective, cert):
 
     def combined(mult):
         combo, bound = [F(0)] * n_vars, F(0)
-        for y, row in zip(mult, rows):
+        for i, y in mult.items():
+            if not 0 <= i < len(rows):
+                return None
+            row = rows[i]
             if (row.sense == "le" and y < 0) or (row.sense == "ge" and y > 0):
                 return None
             for j, c in row.coeffs.items():
@@ -231,7 +234,7 @@ def reference_verdict(n_vars, rows, objective, cert):
     if cert.status == "optimal":
         if any(v < 0 for v in cert.x.values()) or any(substituted(r, cert.x) for r in rows):
             return False
-        if value(cert.x) != cert.value or cert.duals is None or len(cert.duals) != len(rows):
+        if value(cert.x) != cert.value or cert.duals is None:
             return False
         got = combined(cert.duals)
         return (
@@ -240,7 +243,7 @@ def reference_verdict(n_vars, rows, objective, cert):
             and got[1] == cert.value
         )
     if cert.status == "infeasible":
-        if cert.farkas is None or len(cert.farkas) != len(rows):
+        if cert.farkas is None:
             return False
         got = combined(cert.farkas)
         return got is not None and all(v >= 0 for v in got[0]) and got[1] < 0
@@ -311,7 +314,8 @@ class TestIntegerVerifier:
         n, rows = data.draw(systems())
         objective = data.draw(points(n, small))
         status = data.draw(st.sampled_from(["optimal", "infeasible", "unbounded"]))
-        mult = tuple(data.draw(st.lists(rational, min_size=len(rows), max_size=len(rows))))
+        # Multipliers on the first rows, zeros among them.
+        mult = dict(enumerate(data.draw(st.lists(rational, max_size=len(rows)))))
         x = data.draw(points(n, st.one_of(small.map(abs), huge.map(abs))))
         ray = data.draw(points(n, small.map(abs)))
         value = sum((c * x.get(j, F(0)) for j, c in objective.items()), F(0))
@@ -366,15 +370,11 @@ class TestIntegerVerifier:
 
     def test_flipped_dual_sign_rejected(self):
         rows, objective, cert = self.tilted()
-        for i, y in enumerate(cert.duals):
-            if y:
-                duals = list(cert.duals)
-                duals[i] = -y
-                duals = tuple(duals)
-                bad = SimplexCertificate("optimal", cert.value, cert.x, duals, None, None, ())
-                with pytest.raises(CertificateError):
-                    verify_certificate(2, rows, objective, bad)
-        duals = (-cert.duals[0],) + cert.duals[1:]
+        for i, y in cert.duals.items():
+            bad = SimplexCertificate("optimal", cert.value, cert.x, {**cert.duals, i: -y}, None, None, ())
+            with pytest.raises(CertificateError):
+                verify_certificate(2, rows, objective, bad)
+        duals = {**cert.duals, 0: -cert.duals[0]}
         bad = SimplexCertificate("optimal", cert.value, cert.x, duals, None, None, ())
         with pytest.raises(CertificateError, match="dual sign violated on a <= row"):
             verify_certificate(2, rows, objective, bad)
@@ -383,14 +383,47 @@ class TestIntegerVerifier:
         rows = [R({0: 1, 1: 1}, "ge", 3), R({0: 1}, "le", 1), R({1: 1}, "le", 1)]
         cert = ExactSimplex(2, rows).maximize({})
         assert cert.status == "infeasible"
-        support = [i for i, u in enumerate(cert.farkas) if u]
-        assert support == [0, 1, 2]
-        for i in support:
-            farkas = list(cert.farkas)
-            farkas[i] = F(0)
-            bad = SimplexCertificate("infeasible", None, {}, None, tuple(farkas), None, ())
-            with pytest.raises(CertificateError, match="Farkas combination"):
-                verify_certificate(2, rows, {}, bad)
+        assert sorted(cert.farkas) == [0, 1, 2]
+        for i in cert.farkas:
+            dropped = {k: u for k, u in cert.farkas.items() if k != i}
+            for farkas in (dropped, {**cert.farkas, i: F(0)}):
+                bad = SimplexCertificate("infeasible", None, {}, None, farkas, None, ())
+                with pytest.raises(CertificateError, match="Farkas combination"):
+                    verify_certificate(2, rows, {}, bad)
+
+    @pytest.mark.parametrize("row", [-1, 1])
+    def test_dual_on_a_row_outside_the_store_rejected(self, row):
+        # Row -1 would wrap to row 0 in a numpy index and pass; row 1 is past the end.
+        rows = [R({0: 1}, "le", 1)]
+        verify_certificate(1, rows, {0: F(1)}, ExactSimplex(1, rows).maximize({0: F(1)}))
+        bad = SimplexCertificate("optimal", F(1), {0: F(1)}, {row: F(1)}, None, None, ())
+        with pytest.raises(CertificateError, match=f"dual multiplier on row {row}, outside the 1 rows"):
+            verify_certificate(1, rows, {0: F(1)}, bad)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_farkas_on_a_row_outside_the_store_rejected(self, row):
+        # Row -1 would wrap to row 1 in a numpy index and pass; row 2 is past the end.
+        rows = [R({0: 1}, "ge", 1), R({0: 1}, "le", 0)]
+        cert = ExactSimplex(1, rows).maximize({})
+        assert cert.farkas == {0: F(-1), 1: F(1)}
+        bad = SimplexCertificate("infeasible", None, {}, None, {0: F(-1), row: F(1)}, None, ())
+        with pytest.raises(CertificateError, match=f"Farkas multiplier on row {row}, outside the 2 rows"):
+            verify_certificate(1, rows, {}, bad)
+
+    def test_zero_multipliers_keep_their_verdicts(self):
+        # A zero on a >= row is no sign violation; a missing row reads as zero.
+        rows = [R({0: 1}, "le", 1), R({0: 1}, "ge", 0)]
+        for duals in ({0: F(1)}, {0: F(1), 1: F(0)}):
+            cert = SimplexCertificate("optimal", F(1), {0: F(1)}, duals, None, None, ())
+            verify_certificate(1, rows, {0: F(1)}, cert)
+        zero = SimplexCertificate("optimal", F(0), {}, {}, None, None, ())
+        verify_certificate(1, rows, {}, zero)
+        # An empty Farkas map, like all-zero multipliers, witnesses nothing.
+        infeasible = [R({0: 1}, "ge", 1), R({0: 1}, "le", 0)]
+        for farkas in ({}, {0: F(0), 1: F(0)}):
+            bad = SimplexCertificate("infeasible", None, {}, None, farkas, None, ())
+            with pytest.raises(CertificateError, match="fails to witness infeasibility"):
+                verify_certificate(1, infeasible, {}, bad)
 
     def test_denominators_past_two_to_the_64_verify_exactly(self):
         big = 2**64 + 13
