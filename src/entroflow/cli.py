@@ -138,9 +138,11 @@ def cmd_check_entropic(args) -> int:
         report.add("polymatroid", False, poly.violations[0])
         return _emit(report, args, EXIT_PRECONDITION)
     report.add("polymatroid", True, "all Shannon axioms hold")
-    result = ent.entropic_search(
-        h, max_support=args.max_support, tol=args.tol, budget=budget
-    )
+    try:
+        result = ent.entropic_search(h, max_support=args.max_support, tol=args.tol, budget=budget)
+    except ValueError as exc:  # a ground past the search limit
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if result.status == "found":
         report.add("witness", True, f"found after {result.candidates_tried} candidates")
         report.certificates.append(json.loads(result.witness.to_json()))
@@ -233,12 +235,16 @@ def cmd_search_code(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.digest("problem", text)
-    outcome = exhaustive_search(
-        problem,
-        alphabet_bounds=args.alphabet_max,
-        allow_randomness=args.randomness == "on",
-        budget=budget,
-    )
+    try:
+        outcome = exhaustive_search(
+            problem,
+            alphabet_bounds=args.alphabet_max,
+            allow_randomness=args.randomness == "on",
+            budget=budget,
+        )
+    except ValueError as exc:  # e.g. an edge named like a modelled node randomness
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report.add(
         "search",
         outcome.status == "found",
@@ -365,15 +371,12 @@ def _verify_uniform_witness(args, report: _Report) -> bool:
     dist = induced_joint_distribution(code)
     verdict = check_admissible(code, dist=dist)
     report.add("witness-code", verdict.admissible, verdict.describe())
-    names = q.names()
-    h_in = ent.quasi_uniform_vector_of(q)
-    vec = ent.entropy_vector_of(dist, names)
-    drift = max(
-        abs(float(vec.values[m]) - float(h_in.values[m]))
-        for m in range(1, h_in.ground.full_mask + 1)
-    )
-    report.add("induced-streams-match", drift <= 1e-9, f"max coordinate drift {drift:.2e}")
-    return verdict.admissible and drift <= 1e-9
+    marginal = dist.marginal(q.names())  # the V streams, by q's names (KeyError on an unknown one)
+    sizes = dict(dist.variables)
+    streams = JointDistribution(tuple((n, sizes[n]) for n in q.names()), marginal)
+    match = ent.is_quasi_uniform(streams) and ent.quasi_uniform_vector_of(streams) == ent.quasi_uniform_vector_of(q)
+    report.add("induced-streams-match", match, "exact: V-stream marginal quasi-uniform with q's entropy vector")
+    return verdict.admissible and match
 
 
 def _verify_adhesion(args, report: _Report) -> bool:
@@ -443,7 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-entropic", help="polymatroid check plus witness search")
     p.add_argument("h_file")
     p.add_argument("--max-support", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=ent.DEFAULT_TOL,
+        help="tolerance for float coordinates; rational ones are compared exactly",
+    )
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_check_entropic)
 

@@ -3,11 +3,11 @@
 Probabilities are exact rationals (`fractions.Fraction`) and every
 combinatorial decision (functional dependency, independence,
 quasi-uniformity, support counts) is made exactly, never through
-floating-point entropy.  Entropy values themselves involve logarithms and
-are computed in double precision; every comparison that touches an entropy
-value takes an explicit tolerance (default ``1e-9``).  The per-coordinate
-rounding error of `entropy_vector_of` is far below that tolerance for the
-supports this package targets (at most a few thousand outcomes).
+floating-point entropy.  Entropy values compare by one rule: two rationals
+exactly, and within a tolerance (default ``1e-9``) only when a float
+takes part, such as a logarithm from `entropy_vector_of`, whose
+per-coordinate rounding error is far below that tolerance for the supports
+this package targets (at most a few thousand outcomes).
 
 Subsets of a ground set are handled as bitmasks internally; the public
 API speaks in label collections only.
@@ -411,14 +411,8 @@ class LinearFunctional:
 
     def evaluate(self, h: Union[EntropyVector, Mapping[int, Number]]) -> Number:
         lookup = h.value_of_mask if isinstance(h, EntropyVector) else lambda m: h[m]
-        total: Number = self.constant
-        for mask, coeff in self.coefficients.items():
-            v = lookup(mask)
-            if isinstance(v, float):
-                total = float(total) + float(coeff) * v
-            else:
-                total = total + coeff * v
-        return total
+        # A float term makes the sum a float from there on; rationals stay exact.
+        return sum((coeff * lookup(mask) for mask, coeff in self.coefficients.items()), self.constant)
 
     def format(self) -> str:
         order = sorted(self.coefficients, key=lambda m: (bin(m).count("1"), m))
@@ -464,29 +458,31 @@ class PolymatroidReport:
         return self.ok
 
 
-def _ge(a: Number, b: Number, tol: float) -> bool:
-    if tol == 0 and not isinstance(a, float) and not isinstance(b, float):
-        return a >= b
-    return float(a) >= float(b) - tol
+def _at_least(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
+    """a >= b: exactly when both are rational, within tol when a float takes part."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a >= b - tol
+    return a >= b
 
 
 def is_polymatroid(h: EntropyVector, tol: float = DEFAULT_TOL) -> PolymatroidReport:
-    """Check normalization, monotonicity, and submodularity within tol.
+    """Check normalization, monotonicity, and submodularity.
 
-    With tol == 0 and rational coordinates the decision is exact.
+    Rational coordinates are compared exactly; tol applies only where a
+    float coordinate takes part.
     """
     ground = h.ground
     n = ground.size
     violations: list[str] = []
     for mask in range(1, ground.full_mask + 1):
-        if bin(mask).count("1") == 1 and not _ge(h.values[mask], 0, tol):
+        if bin(mask).count("1") == 1 and not _at_least(h.values[mask], 0, tol):
             violations.append(f"nonnegativity: h{ground.format_subset(mask)} < 0")
     # Monotonicity over cover relations implies the full partial order.
     for mask in range(1, ground.full_mask + 1):
         for i in range(n):
             if mask >> i & 1:
                 sub = mask & ~(1 << i)
-                if not _ge(h.values[mask], h.value_of_mask(sub), tol):
+                if not _at_least(h.values[mask], h.value_of_mask(sub), tol):
                     violations.append(
                         "monotonicity: "
                         f"h{ground.format_subset(mask)} < h{ground.format_subset(sub)}"
@@ -497,12 +493,7 @@ def is_polymatroid(h: EntropyVector, tol: float = DEFAULT_TOL) -> PolymatroidRep
         if j < 0:
             continue
         lhs_a, lhs_b, rhs_a, rhs_b = (h.value_of_mask(m) for m in masks)
-        if isinstance(lhs_a, float) or isinstance(lhs_b, float) or \
-                isinstance(rhs_a, float) or isinstance(rhs_b, float) or tol != 0:
-            ok = float(lhs_a) + float(lhs_b) >= float(rhs_a) + float(rhs_b) - tol
-        else:
-            ok = lhs_a + lhs_b >= rhs_a + rhs_b
-        if not ok:
+        if not _at_least(lhs_a + lhs_b, rhs_a + rhs_b, tol):
             li, lj = ground.labels[i], ground.labels[j]
             violations.append(
                 f"submodularity: I({li};{lj}|{ground.format_subset(kmask)}) < 0"
@@ -685,7 +676,10 @@ def entropic_search(
     tol: float = DEFAULT_TOL,
     budget: int = 200_000,
 ) -> EntropicSearchResult:
-    """Search for a distribution whose entropy vector matches h within tol.
+    """Search for a distribution whose entropy vector matches h.
+
+    A candidate's entropies are floats, so they match h within tol; the
+    polymatroid precheck compares rational coordinates exactly.
 
     This is a semi-decision with an explicit budget: "not-found" is a
     statement about the searched family only, never a proof that h is not
@@ -737,29 +731,27 @@ def entropic_search(
 def _vector_matches(dist: JointDistribution, h: EntropyVector, tol: float) -> bool:
     vec = entropy_vector_of(dist, h.ground.labels)
     return all(
-        abs(float(vec.values[m]) - float(h.values[m])) <= tol
+        _at_least(vec.values[m], h.values[m], tol) and _at_least(h.values[m], vec.values[m], tol)
         for m in range(1, h.ground.full_mask + 1)
     )
 
 
-def zhang_yeung_check(h: EntropyVector, tol: float = DEFAULT_TOL) -> bool:
+def zhang_yeung_check(h: EntropyVector) -> bool:
     """Evaluate the Zhang-Yeung non-Shannon inequality on a 4-variable vector.
 
     With variables (A, B, C, D) taken in ground order the inequality reads
     2 I(C;D) <= I(A;B) + I(A;CD) + 3 I(C;D|A) + I(C;D|B).  True iff it
-    holds within tol.  Entropic vectors always satisfy it; some
+    holds: exactly on rational coordinates, within `DEFAULT_TOL` where a
+    float takes part.  Entropic vectors always satisfy it; some
     polymatroids do not.
     """
     if h.ground.size != 4:
         raise ValueError("the Zhang-Yeung check needs exactly 4 variables")
     a, b, c, d = (1 << i for i in range(4))
-
-    def v(mask: int) -> float:
-        return float(h.value_of_mask(mask))
-
-    i_cd = v(c) + v(d) - v(c | d)
-    i_ab = v(a) + v(b) - v(a | b)
-    i_a_cd = v(a) + v(c | d) - v(a | c | d)
-    i_cd_a = v(a | c) + v(a | d) - v(a | c | d) - v(a)
-    i_cd_b = v(b | c) + v(b | d) - v(b | c | d) - v(b)
-    return i_ab + i_a_cd + 3 * i_cd_a + i_cd_b - 2 * i_cd >= -tol
+    # weight * I(x;y|z) = weight * (h(xz) + h(yz) - h(xyz) - h(z)), summed.
+    coeffs: dict[int, Fraction] = {}
+    for x, y, z, weight in ((a, b, 0, 1), (a, c | d, 0, 1), (c, d, a, 3), (c, d, b, 1), (c, d, 0, -2)):
+        for mask, sign in ((x | z, 1), (y | z, 1), (x | y | z, -1), (z, -1)):
+            coeffs[mask] = coeffs.get(mask, Fraction(0)) + sign * weight
+    form = LinearFunctional(h.ground, {m: v for m, v in coeffs.items() if m and v})
+    return _at_least(form.evaluate(h), 0)

@@ -86,6 +86,7 @@ from entroflow.entropy import (
     ELEMENTAL_GROUND_LIMIT,
     GroundSet,
     JointDistribution,
+    _at_least,
     _elemental_masks,
     _signed_terms,
     as_fraction,
@@ -1121,42 +1122,36 @@ def export_text(lp: ShannonLP) -> str:
         + ("" if lp.reduced else " (unreduced)"),
     ]
     op = {"ge": ">=", "le": "<=", "eq": "="}
-    for con in lp.constraints:
-        body = " ".join(_signed_terms(ground, con.coeffs)).lstrip("+ ").strip()
-        lines.append(f"{body} {op[con.sense]} {con.rhs}  # {':'.join(con.tag)}")
+    for i, row in enumerate(lp.rows):
+        terms = ((lp.coords[j], c) for j, c in row.coeffs.items())
+        body = " ".join(_signed_terms(ground, terms)).lstrip("+ ").strip()
+        lines.append(f"{body} {op[row.sense]} {row.rhs}  # {':'.join(lp.tag(i))}")
     return "\n".join(lines) + "\n"
 
 
-def satisfies(
-    lp: ShannonLP, dist: JointDistribution, tol: float = 1e-9
-) -> tuple[bool, list[str]]:
-    """Evaluate every constraint at a distribution's entropy point.
+def satisfies(lp: ShannonLP, dist: JointDistribution) -> tuple[bool, list[str]]:
+    """Evaluate every constraint at a distribution's entropy point, within
+    `entropy.DEFAULT_TOL` (the entropies are floats).
 
     Variable labels must name variables of the distribution (sessions,
     edge messages, and V_<node> randomness, as produced by
     `induced_joint_distribution`).
     """
     ground = lp.ground
-    cache: dict[int, float] = {0: 0.0}
+    cache: dict[int, float] = {}
 
-    def h(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = subset_entropy(dist, ground.labels_of(mask))
-        return cache[mask]
+    def h(j: int) -> float:
+        if j not in cache:
+            cache[j] = subset_entropy(dist, ground.labels_of(lp.coords[j]))
+        return cache[j]
 
     failures = []
-    for con in lp.constraints:
-        value = sum(float(c) * h(m) for m, c in con.coeffs)
-        rhs = float(con.rhs)
-        ok = (
-            value >= rhs - tol
-            if con.sense == "ge"
-            else value <= rhs + tol
-            if con.sense == "le"
-            else abs(value - rhs) <= tol
-        )
-        if not ok:
-            failures.append(":".join(con.tag))
+    for i, row in enumerate(lp.rows):
+        value = sum(c * h(j) for j, c in row.coeffs.items())
+        above = row.sense == "le" or _at_least(value, row.rhs)
+        below = row.sense == "ge" or _at_least(row.rhs, value)
+        if not (above and below):
+            failures.append(":".join(lp.tag(i)))
     return not failures, failures
 
 

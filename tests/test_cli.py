@@ -52,6 +52,30 @@ class TestCheckEntropic:
         bad = write(tmp_path, "bad.json", "{not json")
         assert main(["check-entropic", bad]) == 64
 
+    # A rational coordinate 10^-10 below nonnegativity or past submodularity
+    # is a violation; written as a JSON float it lies within --tol.
+    NEAR_VIOLATORS = [["-1/10000000000", "1", "1"], ["1", "1", "20000000001/10000000000"]]
+
+    @pytest.mark.parametrize("values", NEAR_VIOLATORS, ids=["nonnegativity", "submodularity"])
+    def test_rational_near_violator_is_not_a_polymatroid(self, tmp_path, capsys, values):
+        assert main(["check-entropic", h_file(tmp_path, values)]) == 2
+        assert "FAIL polymatroid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values", NEAR_VIOLATORS, ids=["nonnegativity", "submodularity"])
+    def test_float_near_violator_is_within_tol(self, tmp_path, capsys, values):
+        floats = dict(zip(["{X1}", "{X2}", "{X1,X2}"], (float(Fraction(v)) for v in values)))
+        doc = {"n": 2, "labels": ["X1", "X2"], "values": floats}
+        assert main(["check-entropic", write(tmp_path, "h.json", json.dumps(doc))]) == 0
+        assert "PASS witness" in capsys.readouterr().out
+
+    def test_ground_past_the_search_limit_is_a_usage_error(self, tmp_path, capsys):
+        # Four independent bits: a polymatroid the witness search cannot take.
+        values = [bin(m).count("1") for m in sorted(range(1, 16), key=lambda m: (bin(m).count("1"), m))]
+        assert main(["check-entropic", h_file(tmp_path, values)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ground of size 4 exceeds the search limit 3\n"
+
 
 class TestLpBound:
     def test_objective(self, tmp_path, capsys):
@@ -209,6 +233,18 @@ class TestSearchCode:
         path = write(tmp_path, "bf.json", serialize(butterfly()))
         assert main(["search-code", path, "--budget", "5"]) == 3
 
+    def test_randomness_name_clash_is_a_usage_error(self, tmp_path, capsys):
+        # The problem is sound, but with --randomness on V_s names both the
+        # edge and the randomness of s.
+        p = simple_problem([("V_s", "s", "t", "1/2")], [("S", 1, "s", ("t",))])
+        path = write(tmp_path, "clash.json", serialize(p))
+        assert main(["search-code", path, "--randomness", "on"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: invalid problem: name 'V_s' is used by both edge 'V_s' and the randomness of node 's'\n"
+        )
+
 
 class TestCheckCode:
     def test_round_trip(self, tmp_path):
@@ -261,6 +297,22 @@ class TestVerify:
         q = quasi_uniform_library()["independent-bits"]
         path = write(tmp_path, "q.json", q.to_json())
         assert main(["verify", "thm2", "--q", path]) == 0
+
+    @pytest.mark.parametrize("name", sorted(quasi_uniform_library()))
+    def test_induced_streams_match_exactly(self, tmp_path, capsys, name):
+        q = quasi_uniform_library()[name]
+        assert main(["verify", "thm2", "--q", write(tmp_path, "q.json", q.to_json())]) == 0
+        assert "PASS induced-streams-match: exact:" in capsys.readouterr().out
+
+    def test_induced_streams_of_another_law_fail(self, tmp_path, capsys, monkeypatch):
+        from entroflow import cli
+
+        library = quasi_uniform_library()
+        other = cli.incremental_code(library["duplicated-bit"])
+        monkeypatch.setattr(cli, "incremental_code", lambda q: other)
+        path = write(tmp_path, "q.json", library["independent-bits"].to_json())
+        assert main(["verify", "thm2", "--q", path]) == 1
+        assert "FAIL induced-streams-match" in capsys.readouterr().out
 
     def test_uniform_witness_induces_once(self, tmp_path, capsys, monkeypatch):
         from entroflow import codes

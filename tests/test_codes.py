@@ -268,7 +268,7 @@ class TestDerivedOnce:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = (
             "import sys, entroflow.cli; "
-            "print(sorted({'numpy', 'scipy', 'concurrent.futures'} & set(sys.modules)))"
+            "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'logging'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -110,12 +110,30 @@ class TestPolymatroid:
         assert any("monotonicity" in v for v in report.violations)
 
     def test_exact_mode_on_rationals(self):
+        # Rational coordinates are compared exactly, whatever the tolerance.
         h = EntropyVector.from_tuple([Fraction(1), Fraction(1), Fraction(2)])
-        assert is_polymatroid(h, 0)
-        h_bad = EntropyVector.from_tuple(
-            [Fraction(1), Fraction(1), Fraction(2000000001, 1000000000)]
-        )
-        assert not is_polymatroid(h_bad, 0)
+        assert is_polymatroid(h)
+        e = Fraction(1, 10**12)
+        for bad in ([1, 1, 2 + 1000 * e], [1, 1, 2 + e], [-e, 1, 1], [1, 1 + e, 1]):
+            assert not is_polymatroid(EntropyVector.from_tuple(bad))
+            assert not is_polymatroid(EntropyVector.from_tuple(bad), 0)
+
+    def test_tolerance_only_where_a_float_takes_part(self):
+        assert is_polymatroid(EntropyVector.from_tuple([1.0, 1.0, 2 + 1e-12]))
+        assert is_polymatroid(EntropyVector.from_tuple([-1e-12, 1.0, 1.0]))
+        # One float coordinate in a sum makes that comparison a float one.
+        assert is_polymatroid(EntropyVector.from_tuple([Fraction(1), 1.0, Fraction(2) + Fraction(1, 10**12)]))
+        assert not is_polymatroid(EntropyVector.from_tuple([1.0, 1.0, 2 + 1e-12]), 0)
+        assert not is_polymatroid(EntropyVector.from_tuple([1.0, 1.0, 2.001]))
+
+    def test_evaluate_mixes_rationals_and_floats(self):
+        g = GroundSet(("A", "B"))
+        f = LinearFunctional.build(g, [(("A",), 1), (("B",), "1/3"), (("A", "B"), -1)], constant="1/7")
+        exact = f.evaluate(EntropyVector.from_tuple([Fraction(1), Fraction(1), Fraction(2)]))
+        assert exact == Fraction(1, 3) + Fraction(1, 7) - 1 and isinstance(exact, Fraction)
+        mixed = f.evaluate(EntropyVector.from_tuple([Fraction(1), 0.5, Fraction(2)]))
+        assert isinstance(mixed, float)
+        assert mixed == float(Fraction(8, 7)) + float(Fraction(1, 3)) * 0.5 - 2.0
 
 
 class TestElemental:
@@ -293,6 +311,28 @@ class TestZhangYeung:
     def test_needs_four_variables(self):
         with pytest.raises(ValueError):
             zhang_yeung_check(EntropyVector.from_tuple([1, 1, 2]))
+
+    @staticmethod
+    def violator():
+        # Every singleton 2, {A,B} 4, every other pair 3, triples and the
+        # whole set 4: a polymatroid with 2 I(C;D) = 2 > 1 = the right side.
+        g = GroundSet(("A", "B", "C", "D"))
+        sizes = {m: bin(m).count("1") for m in range(1, 16)}
+        values = {m: Fraction({1: 2, 2: 4 if m == 0b0011 else 3}.get(k, 4)) for m, k in sizes.items()}
+        bits = {m: Fraction(k) for m, k in sizes.items()}
+        return EntropyVector(g, values), EntropyVector(g, bits)
+
+    def test_rational_violation_is_exact(self):
+        viol, bits = self.violator()
+        assert is_polymatroid(viol) and not zhang_yeung_check(viol)
+        assert zhang_yeung_check(bits)
+        # ZY is linear, so this mix violates it by exactly 10^-12.
+        e = Fraction(1, 10**12)
+        mix = viol.scale(e).add(bits.scale(1 - e))
+        assert is_polymatroid(mix)
+        assert not zhang_yeung_check(mix)
+        # As floats the same violation lies within the tolerance.
+        assert zhang_yeung_check(EntropyVector(mix.ground, {m: float(v) for m, v in mix.values.items()}))
 
 
 class TestSerialization:

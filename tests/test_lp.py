@@ -705,6 +705,16 @@ class TestSoundness:
             ok, failures = satisfies(lp, induced_joint_distribution(code))
             assert ok, failures
 
+    def test_satisfies_names_each_broken_row(self):
+        # The relay carries one uniform bit, H(S) = 1: each sense fails off it.
+        axioms = [("pin", "H(S)", "=", "2"), ("cap", "H(S)", "<=", "1/2"), ("floor", "H(S)", ">=", "3")]
+        axioms += [(f"ok{k}", "H(S)", rel, "1") for k, rel in enumerate(["=", "<=", ">="])]
+        lp = build_shannon_lp(relay_code().problem, axioms=axioms)
+        assert satisfies(lp, induced_joint_distribution(relay_code())) == (
+            False,
+            ["axiom:pin", "axiom:cap", "axiom:floor"],
+        )
+
     def test_pad_lp_feasible_with_randomness(self):
         lp = build_shannon_lp(pad_problem())
         assert ShannonSolver(lp).feasibility().status == "feasible"

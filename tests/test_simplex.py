@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,26 @@ class TestIntegerVerifier:
         cert = ExactSimplex(n, rows, verify=False).maximize(objective)
         assert passes(n, rows, objective, cert)
         assert reference_verdict(n, rows, objective, cert)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_edited_solver_multipliers_match_substitution(self, data):
+        # A verified certificate's duals or Farkas multipliers with zeros
+        # added on other rows (a zero on a >= or <= row breaks no sign) and
+        # entries dropped: both checks still agree.
+        n, rows = data.draw(systems())
+        objective = data.draw(points(n, small))
+        cert = ExactSimplex(n, rows, verify=False).maximize(objective)
+        field = "duals" if cert.status == "optimal" else "farkas"
+        mult = getattr(cert, field)
+        if mult is None:
+            return
+        dropped = data.draw(st.sets(st.sampled_from(sorted(mult)))) if mult else set()
+        zeros = data.draw(st.sets(st.integers(0, len(rows) - 1))) if rows else set()
+        edited = {i: y for i, y in mult.items() if i not in dropped}
+        edited.update({i: F(0) for i in zeros if i not in edited})
+        cert = replace(cert, **{field: edited})
+        assert passes(n, rows, objective, cert) == reference_verdict(n, rows, objective, cert)
 
     def test_empty_rows_anywhere(self):
         rows = [R({}, "le", 0), R({0: 1}, "ge", 1), R({0: 1, 1: 1}, "le", 1), R({}, "eq", 0)]
