@@ -678,8 +678,9 @@ def entropic_search(
 ) -> EntropicSearchResult:
     """Search for a distribution whose entropy vector matches h.
 
-    A candidate's entropies are floats, so they match h within tol; the
-    polymatroid precheck compares rational coordinates exactly.
+    A candidate matches h exactly on h's rational coordinates (see
+    `_uniform_entropy_is`) and within tol on its float ones; the
+    polymatroid precheck compares rational coordinates exactly too.
 
     This is a semi-decision with an explicit budget: "not-found" is a
     statement about the searched family only, never a proof that h is not
@@ -699,6 +700,7 @@ def entropic_search(
     target = float(h.value_of_mask(h.ground.full_mask))
     m_est = round(2.0 ** target)
     sizes_iter = itertools.product(*(range(1, max_support + 1) for _ in range(n)))
+    # A prune only: each candidate below is matched by `_vector_matches`.
     if m_est >= 1 and abs(math.log2(m_est) - target) <= tol:
         for sizes in sizes_iter:
             cells = 1
@@ -729,11 +731,34 @@ def entropic_search(
 
 
 def _vector_matches(dist: JointDistribution, h: EntropyVector, tol: float) -> bool:
-    vec = entropy_vector_of(dist, h.ground.labels)
-    return all(
-        _at_least(vec.values[m], h.values[m], tol) and _at_least(h.values[m], vec.values[m], tol)
-        for m in range(1, h.ground.full_mask + 1)
-    )
+    """Whether a uniform-over-support candidate has entropy vector h: exactly
+    on h's rational coordinates, within tol on its float ones."""
+    m = len(dist.pmf)
+    for mask in range(1, h.ground.full_mask + 1):
+        marg = dist.marginal(h.ground.labels_of(mask))
+        want = h.values[mask]
+        if isinstance(want, float):
+            got = -math.fsum(float(p) * math.log2(float(p)) for p in marg.values())
+            if not (_at_least(got, want, tol) and _at_least(want, got, tol)):
+                return False
+        elif not _uniform_entropy_is(m, [int(p * m) for p in marg.values()], want):
+            return False
+    return True
+
+
+def _uniform_entropy_is(m: int, counts: Sequence[int], value: Union[Fraction, int]) -> bool:
+    """Whether a marginal of the uniform law on m points, with these point
+    counts c_i, has the rational entropy `value`, decided in integers.
+
+    Its entropy is log2 m - (1/m) sum c_i log2 c_i, so it equals value iff
+    2^(m * value) = m^m / prod c_i^c_i.  The right side is rational, so
+    e = m * value must be an integer, and then m^m == 2^e * prod c_i^c_i.
+    """
+    e = Fraction(value) * m
+    # The entropy lies in [0, log2 m], so 2^e <= m^m < 2^(m * bit_length(m)).
+    if e.denominator != 1 or not 0 <= e < m * m.bit_length():
+        return False
+    return m**m == 2 ** int(e) * math.prod(c**c for c in counts)
 
 
 def zhang_yeung_check(h: EntropyVector) -> bool:

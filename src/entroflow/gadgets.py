@@ -172,13 +172,14 @@ def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], 
     stats = solver.stats
     logging.getLogger(__name__).debug(
         "chain on %d variables: %d rows, %d solves, %d HiGHS runs (%d from stored bases), "
-        "%d simplex iterations, %.3f s",
+        "%d simplex iterations, %.3f s in HiGHS of %.3f s",
         lp.ground.size,
         len(lp.rows),
         stats.solves,
         stats.highs_runs,
         stats.stored_starts,
         stats.simplex_iterations,
+        stats.highs_seconds,
         time.perf_counter() - start,
     )
     return report

@@ -12,7 +12,11 @@ imported, and importing the command line loads none of them.
 returns is indexed by the rows of the `rows.RowStore` it was built from,
 each in that row's own sense, so callers never see the layout.
 
-`BASES` is the process-wide store of optimal bases (a `BasisStore`).  Its
+The model is loaded through the array form of HiGHS's `passModel`
+(column-wise arrays in `linprog`'s layout, see `Highs`), which copies the
+arrays once instead of through a `HighsLp` object's fields.
+
+`BASES` is the process-wide store of optimal bases (an `LruStore`).  Its
 key digests a model without its row bounds together with the cost
 vector: the column count and the rows the model was built from without
 their right sides, which fix the row layout and the matrix.  Models that
@@ -20,11 +24,22 @@ differ only in their right-hand sides share entries: one topology under
 many rate and capacity tuples.  A handle makes that digest the first
 time it uses the store, so a handle that never does pays nothing for it.
 A stored basis stays dual feasible when only the right sides change, and
-dual simplex starts from it at almost no cost.  A run asked to use the store (`Highs.solve(cost, BASES)`) starts
-from the basis stored under its key, if any, and records its basis there
-when it ends optimal.  The store is thread-safe and holds at most
-`_BASIS_CAP` basis statuses (one per column and one per row of each
-basis), dropping the least recently used bases first.
+dual simplex starts from it at almost no cost.  A run asked to use the
+store (`Highs.solve(cost, BASES)`) starts from the basis stored under its
+key, if any, and records its basis there when it ends optimal.  The store
+is thread-safe and holds at most `_BASIS_CAP` basis statuses (one per
+column and one per row of each basis), dropping the least recently used
+bases first.
+
+A run that starts from a stored basis prices with Devex.  HiGHS's default
+rule, dual steepest edge, first computes an exact weight for every row
+when its starting basis is not the slack basis ("Basis is not logical, so
+compute steepest edge weights"), which on a chain LP of some 6,000 rows
+costs many times a run that needs no iteration.  A stored basis is
+optimal for its cost and is usually optimal, or a few iterations from it,
+for the new right sides, so Devex's unit starting weights lose little.
+Every other run (the first on a handle, and each later one from the
+handle's own basis) keeps the default.
 """
 
 from __future__ import annotations
@@ -37,8 +52,8 @@ import os
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Optional
 
 import numpy as np
 
@@ -89,85 +104,110 @@ class FloatResult:
     `row_dual` holds the multiplier of each LP row in that maximization:
     >= 0 on a <= row, <= 0 on a >= row, free on an = row.  `row_slack` is
     each row's distance from its right side, >= 0 when the row holds
-    (b - a.x for a <= or = row, a.x - b for a >= row).  All three arrays
-    are None unless the run was optimal.
+    (b - a.x for a <= or = row, a.x - b for a >= row); only the exact
+    fallback reads it, so it is computed from the run's solution on
+    demand.  `x`, `row_dual` and `row_slack` are None unless the run was
+    optimal.
     """
 
     status: int  # as linprog: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other
     x: Any
     row_dual: Any
-    row_slack: Any
     nit: int  # simplex iterations
     warm: bool  # the run started from a basis: an earlier run's, or a stored one
-    stored: bool  # the run started from a basis in a `BasisStore`
+    stored: bool  # the run started from a basis in a store of bases (`BASES`)
+    slack: Optional[Callable[[], Any]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def row_slack(self):
+        return None if self.slack is None else self.slack()
+
+
+def _floats(values: list):
+    """A list of floats as an array (`fromiter` makes it in one pass)."""
+    return np.fromiter(values, dtype=float, count=len(values))
 
 
 # The most basis statuses `BASES` holds: about 4 MB of HiGHS basis arrays.
 _BASIS_CAP = 1 << 22
 
 
-class BasisStore:
-    """Optimal HiGHS bases by key, thread-safe, least recently used first out.
+class LruStore:
+    """Values by key, thread-safe, least recently used first out.
 
-    `cap` bounds the basis statuses held in total (one per column and one
-    per row of each basis); storing past it drops the least recently used
-    bases until the rest fit.  A basis is kept as HiGHS returns it
-    (`HighsBasis`) and never changed after it is stored.
+    Each value is stored with its size, in whatever unit the caller
+    chooses; `cap` bounds the total, and storing past it drops the least
+    recently used values until the rest fit (a value larger than `cap`
+    does not stay).  A value is kept as given and never changed after it
+    is stored.  `BASES` holds HiGHS bases sized by their statuses, and
+    `lp` keeps the elemental block of each closure table in another store,
+    sized in bytes.
     """
 
     def __init__(self, cap: int):
         self.cap = cap
         self._lock = threading.Lock()
-        self._bases: OrderedDict[bytes, tuple[Any, int]] = OrderedDict()  # key -> (basis, statuses)
-        self.size = 0  # statuses held
+        self._values: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()  # key -> (value, size)
+        self.size = 0  # total size held
 
     def __len__(self) -> int:
-        return len(self._bases)
+        return len(self._values)
 
-    def get(self, key: bytes):
-        """The basis stored under `key`, now the most recently used, or None."""
+    def get(self, key: Hashable):
+        """The value stored under `key`, now the most recently used, or None."""
         with self._lock:
-            entry = self._bases.get(key)
+            entry = self._values.get(key)
             if entry is None:
                 return None
-            self._bases.move_to_end(key)
+            self._values.move_to_end(key)
             return entry[0]
 
-    def put(self, key: bytes, basis, statuses: int) -> None:
-        """Store `basis`, of `statuses` statuses, under `key`, replacing what was there."""
+    def put(self, key: Hashable, value, size: int) -> None:
+        """Store `value`, of size `size`, under `key`, replacing what was there."""
         with self._lock:
-            old = self._bases.pop(key, None)
+            old = self._values.pop(key, None)
             if old is not None:
                 self.size -= old[1]
-            self._bases[key] = (basis, statuses)
-            self.size += statuses
+            self._values[key] = (value, size)
+            self.size += size
             while self.size > self.cap:
-                _, (_, dropped) = self._bases.popitem(last=False)
+                _, (_, dropped) = self._values.popitem(last=False)
                 self.size -= dropped
 
     def clear(self) -> None:
         with self._lock:
-            self._bases.clear()
+            self._values.clear()
             self.size = 0
 
 
-BASES = BasisStore(_BASIS_CAP)
+BASES = LruStore(_BASIS_CAP)
+
+# The dual pricing rule of a run that starts from a stored basis: Devex,
+# which starts from unit weights.  HiGHS's default (-1, choose) picks dual
+# steepest edge, which first computes an exact weight for every row from a
+# basis that is not the slack basis; on a stored basis that is not optimal
+# for the new right sides that costs more than the iterations themselves.
+# Cold and handle-warm runs keep the default.
+_STORED_PRICING = 1  # kSimplexEdgeWeightStrategyDevex
+_DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 
 
 class Highs:
     """One HiGHS model of a row store, solved again from its last basis for each new cost.
 
     The model is the one `linprog(method="highs")` passes HiGHS for these
-    rows: the <= rows and the negated >= rows, in row order, with lower
-    bound -inf, then the = rows with equal bounds, every column >= 0, dual
-    simplex, presolve on, no output.  Its first run is therefore
+    rows, loaded as arrays in `linprog`'s layout: column-wise, the <= rows
+    and the negated >= rows in row order with lower bound -inf, then the =
+    rows with equal bounds, every column >= 0, every column continuous;
+    dual simplex, presolve on, no output.  Its first run is therefore
     `linprog`'s solve, bit for bit.  Each later run changes the costs only
     and starts from the basis the previous run left; a new cost keeps that
     basis primal feasible, so later runs let HiGHS choose the simplex
     variant (primal, then), and a valid basis skips presolve.  A run given
-    a `BasisStore` starts from the basis stored there for this matrix and
-    cost instead, if there is one (dual simplex, then: the basis is dual
-    feasible and only the right sides may differ).
+    an `LruStore` of bases starts from the basis stored there for this
+    matrix and cost instead, if there is one (dual simplex, then: the basis
+    is dual feasible and only the right sides may differ), and prices with
+    Devex (`_STORED_PRICING`) instead of steepest edge.
     """
 
     def __init__(self, rows: RowStore, n: int):
@@ -181,24 +221,15 @@ class Highs:
         picked = rows.take(self.order)
         data, rhs = picked.floats()
         data = data * np.repeat(self.flip, np.diff(picked.indptr))
-        # Column-wise, each column's entries in row order.
-        by_col = np.argsort(picked.col, kind="stable")
-        start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))
+        # Column-wise, each column's entries in row order (a stable sort,
+        # which numpy does by radix on 16-bit keys).
+        keys = picked.col.astype(np.int16) if n <= 1 << 15 else picked.col
+        by_col = np.argsort(keys, kind="stable")
+        start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))[:n]
         self.rhs = rhs * self.flip
         lhs = self.rhs.copy()
         lhs[: int(inequality.sum())] = -core.kHighsInf
-        model = core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = n
-        model.num_row_ = model.a_matrix_.num_row_ = self.m
-        model.a_matrix_.format_ = core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = start
-        model.a_matrix_.index_ = np.repeat(np.arange(self.m), np.diff(picked.indptr))[by_col]
-        model.a_matrix_.value_ = data[by_col]
-        model.col_cost_ = np.zeros(n)
-        model.col_lower_ = np.zeros(n)
-        model.col_upper_ = np.full(n, core.kHighsInf)
-        model.row_lower_ = lhs
-        model.row_upper_ = self.rhs
+        index = np.repeat(np.arange(self.m, dtype=np.int32), np.diff(picked.indptr))[by_col]
         options = core.HighsOptions()
         options.presolve = "on"
         options.output_flag = False
@@ -207,10 +238,29 @@ class Highs:
         options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         self.highs = core._Highs()
         self.highs.passOptions(options)
-        self.highs.passModel(model)
+        loaded = self.highs.passModel(
+            n,
+            self.m,
+            len(index),
+            int(core.MatrixFormat.kColwise),
+            int(core.ObjSense.kMinimize),
+            0.0,
+            np.zeros(n),  # costs
+            np.zeros(n),  # column lower bounds
+            np.full(n, core.kHighsInf),  # column upper bounds
+            lhs,
+            self.rhs,
+            start.astype(np.int32),
+            index,
+            data[by_col],
+            np.full(n, int(core.HighsVarType.kContinuous), dtype=np.int32),
+        )
+        if loaded == core.HighsStatus.kError:
+            raise RuntimeError("HiGHS did not accept the model")
         self.columns = np.arange(n, dtype=np.int32)
         self._rows = rows
         self._matrix = None  # digest of the model without its row bounds, made by `_key`
+        self._pricing = _DEFAULT_PRICING
 
     def _by_row(self, values):
         """Model-row values put back in LP row order."""
@@ -219,7 +269,7 @@ class Highs:
         return out
 
     def _key(self, cost) -> bytes:
-        """The `BasisStore` key of this model under `cost`."""
+        """The `BASES` key of this model under `cost`."""
         if self._matrix is None:
             # The rows without their right sides fix the matrix and the row
             # layout; an array of Python ints is hashed by its digits.
@@ -231,7 +281,7 @@ class Highs:
         key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
         return key.digest()
 
-    def solve(self, cost, bases: Optional[BasisStore] = None) -> FloatResult:
+    def solve(self, cost, bases: Optional[LruStore] = None) -> FloatResult:
         """Minimize cost . x; with `bases`, start from the basis stored there
         for this matrix and cost, if any, and store the basis of an optimal run."""
         highs, core = self.highs, self.core
@@ -242,6 +292,10 @@ class Highs:
             stored = bases.get(key)
             if stored is not None:
                 highs.setBasis(stored)
+        pricing = _DEFAULT_PRICING if stored is None else _STORED_PRICING
+        if pricing != self._pricing:
+            highs.setOptionValue("simplex_dual_edge_weight_strategy", pricing)
+            self._pricing = pricing
         warm = highs.getBasis().valid
         highs.run()
         choose = core.simplex_constants.SimplexStrategy.kSimplexStrategyChoose
@@ -257,18 +311,18 @@ class Highs:
             codes.kUnbounded: 3,
         }.get(highs.getModelStatus(), 4)
         if status != 0:
-            return FloatResult(status, None, None, None, nit, warm, stored is not None)
+            return FloatResult(status, None, None, nit, warm, stored is not None)
         if key is not None:
             bases.put(key, highs.getBasis(), self.n + self.m)
-        solution = highs.getSolution()
+        solution = highs.getSolution()  # a copy: later runs leave it as it is
         return FloatResult(
             0,
-            np.array(solution.col_value),
-            self._by_row(-self.flip * np.array(solution.row_dual)),
-            self._by_row(self.rhs - np.array(solution.row_value)),
+            _floats(solution.col_value),
+            self._by_row(-self.flip * _floats(solution.row_dual)),
             nit,
             warm,
             stored is not None,
+            lambda: self._by_row(self.rhs - _floats(solution.row_value)),
         )
 
     def farkas(self):
@@ -288,4 +342,4 @@ class Highs:
         nit = 0 if known else self.highs.getInfo().simplex_iteration_count
         if not has_ray:
             return None, nit
-        return self._by_row(-self.flip * np.asarray(ray)), nit
+        return self._by_row(-self.flip * _floats(ray)), nit

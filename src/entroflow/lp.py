@@ -26,22 +26,27 @@ and an exact right side per row, rational rows scaled to integers by their
 least common denominator).  The elemental block is generated with numpy
 from the mask columns of `entropy._elemental_masks` (kept as one read-only
 array per ground size), and equal rows are found through one packed
-integer key per row; provenance tags stay compact and are formatted only
-when `export_text`, `certificate_to_json` or the `constraints` view asks
-for them.  Every reader works from the store: the HiGHS model, the exact
-verifier, the exact simplex and the exports.
+integer key per row.  A block depends only on the ground size and the
+closure table, so it is kept, read-only, in a byte-capped store that every
+later LP on the same topology reads (`_elemental_block`); provenance tags
+stay compact and are formatted only when `export_text`,
+`certificate_to_json` or the `constraints` view asks for them.  Every
+reader works from the store: the HiGHS model, the exact verifier, the
+exact simplex and the exports.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
 bindings scipy bundles) proposes an optimum (a point and row duals) or,
 for an infeasible LP, the Farkas multipliers of its dual ray.  The
-proposal is rounded to rationals and accepted only when it passes the
-exact check against every row.  A certificate keeps only nonzero
-entries: its point and ray by coordinate, its row duals or Farkas
-multipliers by LP row.  The check scales them to a common denominator
-and compares integer matrix-vector products with the scaled right sides
-(int64 under a checked no-overflow bound, Python ints otherwise).  When
-no proposal verifies, or scipy or its HiGHS bindings are missing, the
-lazy exact rational simplex settles the LP.  Every returned certificate
+proposal is rounded to rationals, in the integer sparse form
+`rows.Sparse` (indices, integer numerators, one denominator), and
+accepted only when it passes the exact check against every row; its
+Fractions are made only then.  A certificate keeps only nonzero entries:
+its point and ray by coordinate, its row duals or Farkas multipliers by
+LP row.  The check works on that integer form and compares integer
+matrix-vector products with the scaled right sides (int64 under a checked
+no-overflow bound, Python ints otherwise).  When no proposal verifies, or
+scipy or its HiGHS bindings are missing, the lazy exact rational simplex
+settles the LP.  Every returned certificate
 has been re-verified exactly.
 
 Every question goes through a `ShannonSolver`: the exact maximum or
@@ -102,7 +107,7 @@ from entroflow.simplex import (
 )
 
 if TYPE_CHECKING:
-    from entroflow.rows import RowStore
+    from entroflow.rows import RowStore, Sparse
 
 __all__ = [
     "GroundTooLargeError",
@@ -161,7 +166,7 @@ class _RowTags:
     """
 
     start: int
-    elemental: Any  # int64 array of shape (3, rows in the block)
+    elemental: Any  # int16 array of shape (3, rows in the block)
     others: tuple[tuple[str, ...], ...]
 
     @property
@@ -486,6 +491,21 @@ def _first_of_equal_rows(masks, coef, n: int):
     return np.unique(key, return_index=True)[1]
 
 
+# The most bytes of elemental blocks `_elemental_store` holds: enough for
+# the few closure tables of one gadget (a 10-variable block is about
+# 0.2 MB), small next to a process that builds LPs of many topologies.
+_ELEMENTAL_CAP = 1 << 20
+
+
+@functools.cache
+def _elemental_store():
+    """The process-wide store of elemental blocks by ground size and closure
+    table (a `highs.LruStore` sized in bytes), made on first use."""
+    from entroflow.highs import LruStore  # numpy with it, off the command line's import path
+
+    return LruStore(_ELEMENTAL_CAP)
+
+
 def _elemental_block(n: int, closure):
     """The elemental rows mapped through the closure.
 
@@ -495,9 +515,19 @@ def _elemental_block(n: int, closure):
     Returns the kept rows' (i, j, K) columns and their closed masks and
     coefficients, four per row: the nonzero terms first, masks ascending,
     a dropped term read as mask 2^n with coefficient 0.
+
+    The result depends on n and the closure table only, so it is kept in
+    `_elemental_store` under both: read-only arrays, int16 columns and
+    masks (n <= 14) and int8 coefficients.  Every LP on a topology seen
+    before reuses it.
     """
     import numpy as np
 
+    key = (n, np.asarray(closure, dtype=np.int64).tobytes())
+    memo = _elemental_store()
+    block = memo.get(key)
+    if block is not None:
+        return block
     cols = _elemental_columns(n)
     masks = closure[cols[3:].T]
     coef = np.where(masks == 0, 0, np.array([1, 1, -1, -1]))
@@ -516,7 +546,11 @@ def _elemental_block(n: int, closure):
     keep = np.zeros(len(masks), dtype=bool)
     keep[_first_of_equal_rows(masks, coef, n)] = True
     rows = np.flatnonzero(keep & (coef[:, 0] != 0))
-    return cols[:3, rows], masks[rows], coef[rows]
+    block = (cols[:3, rows].astype(np.int16), masks[rows].astype(np.int16), coef[rows].astype(np.int8))
+    for part in block:
+        part.setflags(write=False)
+    memo.put(key, block, len(key[1]) + sum(part.nbytes for part in block))
+    return block
 
 
 def _in_block(n: int, block_masks, block_coef, terms: tuple) -> bool:
@@ -712,15 +746,19 @@ class SolveStats:
     together with those of the solve HiGHS repeats to find a dual ray,
     `warm_starts` the runs that started from a basis (a previous run's or
     a stored one) and `stored_starts` those that started from a basis in
-    the process-wide store `highs.BASES`.  `memo_hits` counts objectives
-    answered from the memo; every other solve is settled by exactly one of
-    `float_cert`, `float_farkas` or `exact`.
+    the process-wide store `highs.BASES`.  `highs_seconds` is the wall
+    time spent inside `Highs.solve` and `Highs.farkas`; the rest of a
+    solve's time is interpreter work (the model build, rounding, the
+    exact checks).  `memo_hits` counts objectives answered from the memo;
+    every other solve is settled by exactly one of `float_cert`,
+    `float_farkas` or `exact`.
     """
 
     highs_runs: int = 0
     simplex_iterations: int = 0
     warm_starts: int = 0
     stored_starts: int = 0
+    highs_seconds: float = 0.0
     memo_hits: int = 0
     float_cert: int = 0
     float_farkas: int = 0
@@ -770,7 +808,7 @@ class ShannonSolver:
         self.lp = lp
         self.index = lp.coord_index()
         elemental = lp.elemental_rows
-        self.active: list[int] = [i for i in range(len(lp.rows)) if i not in elemental]
+        self.active: list[int] = [*range(elemental.start), *range(elemental.stop, len(lp.rows))]
         self._inactive: list[int] = list(elemental)
         self._highs = None  # a highs.Highs, made on the first float solve
         self._memo: dict[tuple, SimplexCertificate] = {}
@@ -797,8 +835,8 @@ class ShannonSolver:
 
     def _float_solve(self, objective: Mapping[int, Fraction], bases):
         """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
-        without scipy or its HiGHS bindings; `bases` is the `highs.BasisStore`
-        the run starts from and records into, or None."""
+        without scipy or its HiGHS bindings; `bases` is the store of bases
+        (`highs.BASES`) the run starts from and records into, or None."""
         import numpy as np
 
         from entroflow import highs
@@ -811,44 +849,67 @@ class ShannonSolver:
         cost = np.zeros(len(self.lp.coords))
         for j, v in objective.items():
             cost[j] = -float(v)
+        start = time.perf_counter()
         res = self._highs.solve(cost, bases)
+        self.stats.highs_seconds += time.perf_counter() - start
         self.stats.highs_runs += 1
         self.stats.simplex_iterations += res.nit
         self.stats.warm_starts += res.warm
         self.stats.stored_starts += res.stored
         return res
 
-    def _rational(self, values) -> dict[int, Fraction]:
+    def _rational(self, values) -> Sparse:
         """Each entry of a float array above 1e-11 in magnitude, by index,
-        rounded to the nearest rational with denominator at most 2^24; an
-        entry that rounds to 0 is left out.
+        rounded to the nearest rational with denominator at most 2^24, in
+        the integer sparse form `rows.Sparse` (indices ascending, integer
+        numerators, one denominator); an entry that rounds to 0 is left out.
 
         An entry within 2^-26 of an integer k is k itself, without
         `limit_denominator`: every other fraction with denominator at most
         2^24 lies at least 2^-24 from k, so more than 2^-26 from the entry,
         and k is the nearest.  (The difference to the nearest integer is
-        exact in floating point.)
+        exact in floating point.)  Those entries are scaled with numpy;
+        only the others go through `limit_denominator`.
         """
         import numpy as np
 
-        lim = self._RATIONALIZE_LIMIT
+        from entroflow.rows import Sparse
+
         picked = np.flatnonzero(np.abs(values) > 1e-11)
-        nearest = np.rint(values[picked])
-        integral = np.abs(values[picked] - nearest) <= 2.0**-26
-        rounded = (
-            (i, Fraction(int(k)) if whole else Fraction(float(values[i])).limit_denominator(lim))
-            for i, k, whole in zip(picked.tolist(), nearest.tolist(), integral.tolist())
-        )
-        return {i: v for i, v in rounded if v}
+        kept = values[picked]
+        nearest = np.rint(kept)
+        # Written so that a nan or an infinity goes to limit_denominator, which raises.
+        rest = np.flatnonzero(~(np.abs(kept - nearest) <= 2.0**-26))
+        parts = [Fraction(v).limit_denominator(self._RATIONALIZE_LIMIT) for v in kept[rest].tolist()]
+        den = math.lcm(*(f.denominator for f in parts))
+        # Every rounded entry lies within 1 of its nearest integer.
+        if (int(np.abs(nearest).max(initial=0)) + 1) * den < 1 << 62:
+            num = nearest.astype(np.int64) * den
+        else:
+            num = np.array([int(k) * den for k in nearest.tolist()], dtype=object)
+        num[rest] = [f.numerator * (den // f.denominator) for f in parts]
+        live = num != 0
+        return Sparse(picked[live], num[live], den)
 
     def _verified(
         self, objective: Mapping[int, Fraction], cert: SimplexCertificate
     ) -> Optional[SimplexCertificate]:
+        """The certificate with its maps as Fractions by index, if it passes
+        exact verification; `rows.Sparse` maps are checked as they are."""
+        from entroflow.rows import Sparse
+
         try:
             verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
         except CertificateError:
             return None
-        return cert
+        return replace(
+            cert,
+            **{
+                name: value.fractions()
+                for name, value in (("x", cert.x), ("duals", cert.duals), ("farkas", cert.farkas))
+                if isinstance(value, Sparse)
+            },
+        )
 
     def _float_certificate(
         self, objective: Mapping[int, Fraction], res
@@ -856,14 +917,15 @@ class ShannonSolver:
         """The optimum HiGHS proposed (primal point and row duals), rationalized,
         if it passes exact verification."""
         x = self._rational(res.x)
-        value = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
-        cert = SimplexCertificate("optimal", value, x, self._rational(res.row_dual), None, None, ())
+        cert = SimplexCertificate("optimal", x.dot(objective), x, self._rational(res.row_dual), None, None, ())
         return self._verified(objective, cert)
 
     def _float_farkas(self) -> Optional[SimplexCertificate]:
         """The infeasibility HiGHS found (the dual ray of its last run, as
         Farkas multipliers), rationalized, if it passes exact verification."""
+        start = time.perf_counter()
         farkas, nit = self._highs.farkas()
+        self.stats.highs_seconds += time.perf_counter() - start
         self.stats.simplex_iterations += nit
         if farkas is None:
             return None
@@ -887,8 +949,10 @@ class ShannonSolver:
     def _violated(self, x: Mapping[int, Fraction], ray: bool = False) -> list[int]:
         import numpy as np
 
+        from entroflow.rows import Sparse
+
         inactive = np.array(self._inactive, dtype=np.int64)
-        hit = self.lp.rows.violated(len(self.lp.coords), x, ray)
+        hit = self.lp.rows.violated(len(self.lp.coords), Sparse.of(x), ray)
         return inactive[hit[inactive]].tolist()
 
     def _activate(self, rows: list[int]) -> None:
@@ -999,8 +1063,8 @@ class ShannonSolver:
             pivots=cert.pivots,
         )
 
-    # `_bases` is the `highs.BasisStore` the HiGHS runs start from and record
-    # into; only `verify_proof_chain` passes one.
+    # `_bases` is the store of bases (`highs.BASES`) the HiGHS runs start
+    # from and record into; only `verify_proof_chain` passes one.
 
     def maximize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact maximum of an expression (see `compile_expression`)."""

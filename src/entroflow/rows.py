@@ -5,13 +5,21 @@ works from: the HiGHS model (`highs.Highs`), the exact certificate checks
 (`simplex.verify_certificate`), the exact simplex and the LP exports.
 The module, and numpy with it, is loaded on first use: importing the
 command line loads neither.
+
+The exact checks take points, rays and multipliers in one integer sparse
+form, `Sparse`: ascending indices, integer numerators and one positive
+denominator.  `RowStore.violated` scales a point to integers that way and
+`RowStore.combine` weighs the integer rows with a multiplier's
+numerators, so no check makes a Fraction per entry.  Float proposals are
+rounded straight into this form (`lp.ShannonSolver._rational`), and a map
+of Fractions is turned into it once (`Sparse.of`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +31,12 @@ _INT64_SAFE = 1 << 62
 # Stored coefficients below this magnitude keep the arrays int64, so a
 # row's absolute sum fits as well.
 _SMALL = 1 << 31
+
+# Integers up to this magnitude become the shared Fractions in `_SHARED`
+# (Fractions are immutable): most certificate entries are among them, and
+# making a Fraction costs far more than looking one up.
+_SHARED_SPAN = 64
+_SHARED = tuple(Fraction(v) for v in range(-_SHARED_SPAN, _SHARED_SPAN + 1))
 
 _SENSE_CODE = {"le": 1, "ge": -1, "eq": 0}
 _SENSE_NAME = {1: "le", -1: "ge", 0: "eq"}
@@ -40,12 +54,52 @@ def _int_array(values):
     return np.array(values, dtype=object)
 
 
-def _common_denominator(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Nonzero values (Fractions or ints) as integer numerators over their
-    least common denominator."""
-    support = [(j, v) for j, v in values.items() if v]
-    d = math.lcm(*(v.denominator for _, v in support))
-    return {j: v.numerator * (d // v.denominator) for j, v in support}, d
+class Sparse(NamedTuple):
+    """Rational values by index in integer form: entry k is ``num[k] / den``
+    at index ``index[k]``; every other index holds 0.
+
+    ``index`` is an ascending int64 array without repeats, ``num`` an int64
+    array or an array of Python ints, and ``den`` a positive Python int.
+    An entry may be 0.
+    """
+
+    index: Any
+    num: Any
+    den: int
+
+    @classmethod
+    def of(cls, values: "Mapping[int, Fraction] | Sparse") -> "Sparse":
+        """A map of rationals (Fractions or ints) by index, over their least
+        common denominator; a `Sparse` is returned as it is."""
+        if isinstance(values, Sparse):
+            return values
+        items = sorted(values.items())
+        den = math.lcm(*(v.denominator for _, v in items))
+        nums = [v.numerator * (den // v.denominator) for _, v in items]
+        index = np.array([j for j, _ in items], dtype=np.int64)
+        return cls(index, _int_array(nums), den)
+
+    def fractions(self) -> dict[int, Fraction]:
+        """The nonzero entries as a map of Fractions by index, ascending."""
+        pairs = zip(self.index.tolist(), self.num.tolist())
+        if self.den != 1:
+            return {j: Fraction(v, self.den) for j, v in pairs if v}
+        near = _SHARED_SPAN
+        return {j: _SHARED[v + near] if -near <= v <= near else Fraction(v) for j, v in pairs if v}
+
+    def dot(self, coeffs: Mapping[int, Fraction]) -> Fraction:
+        """The sum of coeff * value over a map of coefficients by index."""
+        if not len(self.index):
+            return Fraction(0)
+        keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+        at = np.minimum(np.searchsorted(self.index, keys), len(self.index) - 1)
+        hit = (self.index[at] == keys).tolist()
+        terms = zip(coeffs.values(), self.num[at].tolist(), hit)
+        return Fraction(sum((c * v for c, v, h in terms if h), Fraction(0)), self.den)
+
+    def peak(self) -> int:
+        """The largest numerator magnitude, as a Python int (0 when empty)."""
+        return int(np.abs(self.num).max()) if len(self.num) else 0
 
 
 class RowStore:
@@ -180,78 +234,81 @@ class RowStore:
             return self.data, self.rhs
         return self.data.astype(object), self.rhs.astype(object)
 
-    def violated(self, n_vars: int, point: Mapping[int, Fraction], ray: bool = False):
+    def violated(self, n_vars: int, point: Sparse, ray: bool = False):
         """Boolean array: row i is broken by the point (for a ray, rhs is 0).
 
-        The point is scaled to integers over its common denominator D and
-        each row's integer dot product is compared with rhs * D.
+        The point's integer numerators are the scaled point D * x (D its
+        denominator), and each row's integer dot product with them is
+        compared with rhs * D.
         """
-        nums, d = _common_denominator(point)
-        peak = max(map(abs, nums.values()), default=0)
+        index, num, d = point
+        if len(index) and (index[0] < 0 or index[-1] >= n_vars):
+            j = int(index[0] if index[0] < 0 else index[-1])
+            raise CertificateError(f"point has coordinate {j} outside the {n_vars} variables")
         row_sum, _, rhs_max = self.limits()
         fast = (
             self._small
-            and max(row_sum, 1) * peak < _INT64_SAFE
+            and max(row_sum, 1) * point.peak() < _INT64_SAFE
             and max(rhs_max, 1) * d < _INT64_SAFE
         )
         data, rhs = self._arrays(fast)
         p = np.zeros(n_vars, dtype=np.int64 if fast else object)
-        for j, v in nums.items():
-            if not 0 <= j < n_vars:
-                raise CertificateError(f"point has coordinate {j} outside the {n_vars} variables")
-            p[j] = v
+        p[index] = num
         lhs = _row_sums(data * p[self.col], self.indptr)
         bound = 0 if ray else rhs * d
         return np.where(
             self.sense == 1, lhs > bound, np.where(self.sense == -1, lhs < bound, lhs != bound)
         )
 
-    def first_violated(
-        self, n_vars: int, point: Mapping[int, Fraction], ray: bool = False
-    ) -> Optional[int]:
+    def first_violated(self, n_vars: int, point: Sparse, ray: bool = False) -> Optional[int]:
         hit = np.flatnonzero(self.violated(n_vars, point, ray))
         return int(hit[0]) if hit.size else None
 
-    def combine(self, n_vars: int, mult: Mapping[int, Fraction], kind: str):
-        """Sum mult_i * row_i over a map of multipliers by row, after checking
-        each row index and each multiplier's sign on its row.
+    def combine(self, n_vars: int, mult: Sparse, kind: str):
+        """Sum mult_i * row_i over multipliers by row, after checking each
+        row index and each multiplier's sign on its row.
 
-        A key outside the rows raises (numpy would wrap -1 silently), a zero
-        multiplier is ignored, a <= row takes a nonnegative multiplier and a
-        >= row a nonpositive one.  The multipliers (over each row's scale)
-        are brought to a common denominator E; returns E times the combined
-        coefficients (an integer array over the variables), E times the
-        combined right side, and E.
+        An index outside the rows raises (numpy would wrap -1 silently), a
+        zero multiplier is ignored, a <= row takes a nonnegative multiplier
+        and a >= row a nonpositive one.  Multiplier i is ``num_i / den`` and
+        row i the integer row over ``scale_i``, so with L the least common
+        multiple of the used rows' scales, the integer weights
+        ``num_i * (L / scale_i)`` over E = den * L combine the integer rows
+        exactly.  Returns E times the combined coefficients (an integer
+        array over the variables), E times the combined right side, and E.
         """
-        for i in mult:
-            if not 0 <= i < len(self):
-                raise CertificateError(f"{kind} multiplier on row {i}, outside the {len(self)} rows")
-        support = {i: y for i, y in mult.items() if y}
-        rows = np.fromiter(support, dtype=np.int64, count=len(support))
-        negative = np.array([y < 0 for y in support.values()], dtype=bool)
+        index, num, den = mult
+        outside = (index < 0) | (index >= len(self))
+        if outside.any():
+            i = int(index[outside][0])
+            raise CertificateError(f"{kind} multiplier on row {i}, outside the {len(self)} rows")
+        live = num != 0
+        rows, num = index[live], num[live]
         senses = self.sense[rows]
+        negative = num < 0
         wrong = np.flatnonzero(((senses == 1) & negative) | ((senses == -1) & ~negative))
         if wrong.size:
             side = "<=" if senses[wrong[0]] == 1 else ">="
             raise CertificateError(f"{kind} sign violated on a {side} row")
-        scales = self.scale[rows].tolist()
-        nums, e = _common_denominator(
-            {i: Fraction(y, s) for (i, y), s in zip(support.items(), scales)}
-        )
-        w = list(nums.values())
-        peak = max(map(abs, w), default=0)
+        scales = self.scale[rows]
+        lcm = math.lcm(*np.unique(scales).tolist())
+        if object not in (scales.dtype, num.dtype) and lcm * mult.peak() < _INT64_SAFE:
+            w = num * (lcm // scales)
+        else:
+            w = num.astype(object) * (lcm // scales.astype(object))
+        peak = int(np.abs(w).max(initial=0))
         _, col_sum, rhs_max = self.limits()
         fast = (
             self._small
             and max(col_sum, 1) * peak < _INT64_SAFE
-            and max(rhs_max, 1) * sum(map(abs, w)) < _INT64_SAFE
+            and max(rhs_max, 1) * peak * len(w) < _INT64_SAFE
         )
         data, rhs = self._arrays(fast)
-        w = np.array(w, dtype=np.int64 if fast else object)
+        w = w.astype(np.int64 if fast else object)
         idx, lengths = self._entries(rows)
         combo = np.zeros(n_vars, dtype=np.int64 if fast else object)
         np.add.at(combo, self.col[idx], data[idx] * np.repeat(w, lengths))
-        return combo, int((w * rhs[rows]).sum()), e
+        return combo, int((w * rhs[rows]).sum()), den * lcm
 
 
 def _row_sums(values, indptr):

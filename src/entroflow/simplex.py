@@ -94,30 +94,31 @@ def verify_certificate(
 
     Points and rays map columns to values, dual and Farkas multipliers map
     LP rows to values; a missing entry reads as zero, a zero entry is
-    ignored, and a row outside the store raises.  They are scaled to a
-    common denominator and checked by integer matrix-vector products
-    against the rows' integer form (see `rows.RowStore`): no tolerance and
-    no per-term fractions.
+    ignored, and a row outside the store raises.  Each is a map of
+    Fractions by index or already in the integer sparse form
+    `rows.Sparse` (indices, integer numerators, one denominator); a map is
+    turned into that form once, and every check runs on it: integer
+    matrix-vector products against the rows' integer form (see
+    `rows.RowStore`), no tolerance and no per-term fractions.
     """
-    from entroflow.rows import RowStore
+    from entroflow.rows import RowStore, Sparse
 
     store = RowStore.of(rows)
     for j in objective:
         if not 0 <= j < n_vars:
             raise CertificateError(f"objective references unknown variable {j}")
     if cert.status == "optimal":
-        x = cert.x
-        if any(v < 0 for v in x.values()):
+        x = Sparse.of(cert.x)
+        if (x.num < 0).any():
             raise CertificateError("primal point has a negative coordinate")
         bad = store.first_violated(n_vars, x)
         if bad is not None:
             raise CertificateError(f"primal point violates row {bad}")
-        got = sum((c * x.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
-        if got != cert.value:
+        if x.dot(objective) != cert.value:
             raise CertificateError("primal objective does not match the reported value")
         if cert.duals is None:
             raise CertificateError("optimal certificate lacks dual multipliers")
-        combo, bound, e = store.combine(n_vars, cert.duals, "dual")
+        combo, bound, e = store.combine(n_vars, Sparse.of(cert.duals), "dual")
         short = combo < 0
         for j, c in objective.items():
             short[j] = int(combo[j]) < c * e
@@ -129,25 +130,24 @@ def verify_certificate(
     elif cert.status == "infeasible":
         if cert.farkas is None:
             raise CertificateError("infeasibility certificate lacks multipliers")
-        combo, bound, _ = store.combine(n_vars, cert.farkas, "Farkas")
+        combo, bound, _ = store.combine(n_vars, Sparse.of(cert.farkas), "Farkas")
         if (combo < 0).any():
             raise CertificateError("Farkas combination is not componentwise nonnegative")
         if bound >= 0:
             raise CertificateError("Farkas combination fails to witness infeasibility")
     elif cert.status == "unbounded":
-        ray = cert.ray
-        if ray is None:
+        if cert.ray is None:
             raise CertificateError("unbounded certificate lacks a ray")
-        if any(v < 0 for v in ray.values()):
+        ray = Sparse.of(cert.ray)
+        if (ray.num < 0).any():
             raise CertificateError("ray has a negative coordinate")
-        gain = sum((c * ray.get(j, Fraction(0)) for j, c in objective.items()), Fraction(0))
-        if gain <= 0:
+        if ray.dot(objective) <= 0:
             raise CertificateError("ray does not improve the objective")
         bad = store.first_violated(n_vars, ray, ray=True)
         if bad is not None:
             raise CertificateError(f"ray escapes row {bad}")
         # The current point must be feasible for the ray to matter.
-        bad = store.first_violated(n_vars, cert.x)
+        bad = store.first_violated(n_vars, Sparse.of(cert.x))
         if bad is not None:
             raise CertificateError(f"ray base point violates row {bad}")
     else:

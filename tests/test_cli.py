@@ -68,6 +68,24 @@ class TestCheckEntropic:
         assert main(["check-entropic", write(tmp_path, "h.json", json.dumps(doc))]) == 0
         assert "PASS witness" in capsys.readouterr().out
 
+    # A rational vector 10^-10 away from an entropic one: no witness has
+    # exactly these entropies, so no witness is found.  Written as JSON
+    # floats the same vectors lie within --tol of a witness.
+    NEAR_WITNESSES = [["1", "1", "10000000001/10000000000"], ["1", "10000000001/10000000000", "2"]]
+
+    @pytest.mark.parametrize("values", NEAR_WITNESSES, ids=["joint", "marginal"])
+    def test_rational_near_witness_is_not_matched(self, tmp_path, capsys, values):
+        assert main(["check-entropic", h_file(tmp_path, values)]) == 1
+        out = capsys.readouterr().out
+        assert "PASS polymatroid" in out and "PASS witness" not in out
+
+    @pytest.mark.parametrize("values", NEAR_WITNESSES[:1], ids=["joint"])
+    def test_float_near_witness_is_within_tol(self, tmp_path, capsys, values):
+        floats = dict(zip(["{X1}", "{X2}", "{X1,X2}"], (float(Fraction(v)) for v in values)))
+        doc = {"n": 2, "labels": ["X1", "X2"], "values": floats}
+        assert main(["check-entropic", write(tmp_path, "h.json", json.dumps(doc))]) == 0
+        assert "PASS witness" in capsys.readouterr().out
+
     def test_ground_past_the_search_limit_is_a_usage_error(self, tmp_path, capsys):
         # Four independent bits: a polymatroid the witness search cannot take.
         values = [bin(m).count("1") for m in sorted(range(1, 16), key=lambda m: (bin(m).count("1"), m))]

@@ -205,10 +205,11 @@ class TestConcurrentChains:
         messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
         pattern = re.compile(
             r"chain on (\d+) variables: \d+ rows, \d+ solves, \d+ HiGHS runs "
-            r"\(\d+ from stored bases\), \d+ simplex iterations, [\d.]+ s"
+            r"\(\d+ from stored bases\), \d+ simplex iterations, ([\d.]+) s in HiGHS of ([\d.]+) s"
         )
-        sizes = [int(pattern.fullmatch(m)[1]) for m in messages]
-        assert sorted(sizes) == sorted(len(key) for key in chains)
+        matches = [pattern.fullmatch(m) for m in messages]
+        assert sorted(int(m[1]) for m in matches) == sorted(len(key) for key in chains)
+        assert all(float(m[2]) <= float(m[3]) for m in matches)
 
 
 # Every n=2 entropy vector with entries in 1..3 that is a polymatroid.

@@ -493,9 +493,9 @@ class TestBasisStore:
     """`highs.BASES`: optimal bases that proof chains on one matrix share."""
 
     def test_least_recently_used_bases_go_first(self):
-        from entroflow.highs import BasisStore
+        from entroflow.highs import LruStore
 
-        store = BasisStore(cap=10)
+        store = LruStore(cap=10)
         for key in (b"a", b"b", b"c"):
             store.put(key, key.decode(), 3)
         assert store.get(b"a") == "a"  # a is now the most recently used
@@ -514,9 +514,9 @@ class TestBasisStore:
         # completes; each does once the lock is free.
         import threading
 
-        from entroflow.highs import BasisStore
+        from entroflow.highs import LruStore
 
-        store = BasisStore(cap=10)
+        store = LruStore(cap=10)
         store.put(b"a", "a", 3)
         got = []
         calls = [lambda: store.put(b"b", "b", 4), lambda: got.append(store.get(b"a")), store.clear]
@@ -633,7 +633,7 @@ class TestRationalize:
         # An entry that rounds to 0 (1e-10 and 2^-27 among them) is left out.
         assert 0 in rounded.values()
         want = {i: f for i, f in rounded.items() if f}
-        got = solver._rational(values)
+        got = solver._rational(values).fractions()
         assert got == want
         assert list(got) == list(want)
 
@@ -1220,3 +1220,273 @@ class TestByteIdentity:
     def test_exports_and_certificates_are_pinned(self):
         got = [(label, _digest(text)) for label, text in _guard_outputs()]
         assert got == GUARD_DIGESTS
+
+
+def old_style_model(core, rows, n):
+    """The HiGHS model of a row store built field by field in a `HighsLp`
+    object: the reference that `highs.Highs`'s array load must match."""
+    import numpy as np
+
+    inequality = rows.sense != 0
+    order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
+    flip = np.where(rows.sense[order] == -1, -1.0, 1.0)
+    picked = rows.take(order)
+    data, rhs = picked.floats()
+    data = data * np.repeat(flip, np.diff(picked.indptr))
+    by_col = np.argsort(picked.col, kind="stable")
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))
+    model.a_matrix_.index_ = np.repeat(np.arange(len(rows)), np.diff(picked.indptr))[by_col]
+    model.a_matrix_.value_ = data[by_col]
+    model.col_cost_ = np.zeros(n)
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, core.kHighsInf)
+    lhs = rhs * flip
+    lhs[: int(inequality.sum())] = -core.kHighsInf
+    model.row_lower_ = lhs
+    model.row_upper_ = rhs * flip
+    return model
+
+
+def boundary_lps():
+    """The butterfly, the secure gadget and a 10-variable chain LP of the
+    incremental gadget on h = (1, 2, 3)."""
+    from entroflow.gadgets import build_secure
+
+    chain = next(lp for lp, _ in chain_sequences((1, 2, 3)) if lp.ground.size == 10)
+    return [
+        build_shannon_lp(butterfly(), rate_sessions="none"),
+        build_shannon_lp(build_secure(1, 2).problem, include_randomness=False),
+        chain,
+    ]
+
+
+class TestHighsBoundary:
+    """What `highs.Highs` hands HiGHS, and how it asks it to price."""
+
+    def test_array_load_matches_a_model_object(self):
+        import numpy as np
+
+        from entroflow.highs import Highs
+
+        for lp in boundary_lps():
+            n = len(lp.coords)
+            ours = Highs(lp.rows, n)
+            theirs = ours.core._Highs()
+            theirs.passOptions(ours.highs.getOptions())
+            theirs.passModel(old_style_model(ours.core, lp.rows, n))
+            a, b = ours.highs.getLp(), theirs.getLp()
+            for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            for name in ("start_", "index_", "value_"):
+                assert np.array_equal(getattr(a.a_matrix_, name), getattr(b.a_matrix_, name)), name
+            assert (a.num_col_, a.num_row_) == (b.num_col_, b.num_row_) == (n, len(lp.rows))
+            # The first run: bit-identical point and duals.
+            cost = np.zeros(n)
+            cost[0] = -1.0
+            ours.solve(cost)
+            theirs.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
+            theirs.run()
+            got, want = ours.highs.getSolution(), theirs.getSolution()
+            assert np.array(got.col_value).tobytes() == np.array(want.col_value).tobytes()
+            assert np.array(got.row_dual).tobytes() == np.array(want.row_dual).tobytes()
+
+    def test_stored_basis_runs_price_with_devex(self):
+        import numpy as np
+
+        from entroflow.highs import BASES, Highs, _STORED_PRICING
+
+        assert _STORED_PRICING in (0, 1)  # Dantzig or Devex: neither computes initial weights
+        lp = boundary_lps()[0]
+        n = len(lp.coords)
+
+        def rule(handle):
+            return handle.highs.getOptionValue("simplex_dual_edge_weight_strategy")[1]
+
+        cost = np.zeros(n)
+        cost[0] = -1.0
+        first = Highs(lp.rows, n)
+        res = first.solve(cost, BASES)  # nothing stored yet: a cold run
+        assert (res.stored, rule(first)) == (False, -1)
+        second = Highs(lp.rows, n)
+        res = second.solve(cost, BASES)
+        assert (res.stored, rule(second)) == (True, _STORED_PRICING)
+        res = second.solve(-cost)  # from the handle's own basis
+        assert (res.warm, res.stored, rule(second)) == (True, False, -1)
+
+    def test_row_slack_is_read_on_demand(self):
+        import numpy as np
+
+        from entroflow.highs import Highs
+
+        lp = boundary_lps()[0]
+        n = len(lp.coords)
+        handle = Highs(lp.rows, n)
+        cost = np.zeros(n)
+        cost[0] = -1.0
+        res = handle.solve(cost)
+        x = np.array(res.x)
+        handle.solve(-cost)  # a later run leaves the first run's slack as it was
+        rows = lp.rows
+        data, rhs = rows.floats()
+        activity = np.zeros(len(rows))
+        np.add.at(activity, np.repeat(np.arange(len(rows)), np.diff(rows.indptr)), data * x[rows.col])
+        want = np.where(rows.sense == -1, activity - rhs, rhs - activity)
+        assert np.allclose(res.row_slack, want, atol=1e-9)
+
+    def test_elemental_memo_is_read_only_and_capped(self):
+        import numpy as np
+
+        from entroflow.lp import _closure_table, _elemental_block, _elemental_store
+
+        memo = _elemental_store()
+        memo.clear()
+        first = _elemental_block(10, np.arange(1 << 10, dtype=np.int64))
+        again = _elemental_block(10, np.arange(1 << 10, dtype=np.int64))
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(part.flags.writeable for part in first)
+        with pytest.raises(ValueError):
+            first[1][0, 0] = 0
+        rng = random.Random(14)
+        for n in (14, 12, 8, 10):  # an n = 12 or 14 block alone is past the cap
+            full = (1 << n) - 1
+            for _ in range(3):
+                rules = [(rng.randint(0, full), rng.randint(1, full), None) for _ in range(3)]
+                _elemental_block(n, _closure_table(n, rules))
+                assert memo.size <= memo.cap
+        assert len(memo) > 0
+        memo.clear()
+
+
+def test_elemental_memo_under_concurrent_builds():
+    # More threads than cores build blocks of a few closure tables at once,
+    # with a short switch interval: every block equals the one built alone,
+    # and the memo's size is the sum of what it holds (a lost update in
+    # `LruStore.put` would break that).
+    import sys
+    import threading
+
+    import numpy as np
+
+    from entroflow.lp import _closure_table, _elemental_block, _elemental_store
+
+    memo = _elemental_store()
+    rng = random.Random(9)
+    tables = [np.arange(1 << 9, dtype=np.int64)]
+    for _ in range(3):
+        rules = [(rng.randint(0, 511), rng.randint(1, 511), None) for _ in range(3)]
+        tables.append(_closure_table(9, rules))
+    memo.clear()
+    alone = [tuple(part.copy() for part in _elemental_block(9, t)) for t in tables]
+    memo.clear()
+    wrong = []
+
+    def build(seed):
+        order = random.Random(seed)
+        for _ in range(20):
+            k = order.randrange(len(tables))
+            got = _elemental_block(9, tables[k])
+            if not all(np.array_equal(a, b) for a, b in zip(got, alone[k])):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert memo.size == sum(size for _, size in memo._values.values()) <= memo.cap
+    memo.clear()
+
+
+def verified_proposals():
+    """(lp, objective, certificate) of float proposals that passed the exact
+    check: max and min of a few expressions on the butterfly and on the
+    smallest contract chain LP of h = (1, 2, 3)."""
+    chain, steps = min(chain_sequences((1, 2, 3)), key=lambda c: len(c[0].rows))
+    cases = [
+        (build_shannon_lp(butterfly(), rate_sessions="none"), ["H(T)", "H(e_34)", "H(T|e_s1)", "I(e_s1;e_s2)"]),
+        (chain, sorted({e for _, e in steps if e is not None})),
+    ]
+    out = []
+    for lp, expressions in cases:
+        solver = ShannonSolver(lp)
+        for expression in expressions:
+            coeffs, _ = lp.compile(expression)
+            for sign in (1, -1):
+                objective = {solver.index[m]: sign * c for m, c in coeffs.items()}
+                res = solver._float_solve(objective, None)
+                cert = solver._float_certificate(objective, res)
+                if cert is not None:
+                    out.append((lp, objective, cert))
+    return out
+
+
+class TestIntegerFormCheck:
+    """The exact check on a proposal's integer sparse form agrees with the
+    term-by-term Fraction check on perturbed verified proposals."""
+
+    @pytest.fixture(scope="class")
+    def proposals(self):
+        return verified_proposals()
+
+    def test_perturbed_proposals_match_the_reference(self, proposals):
+        from dataclasses import replace
+
+        from hypothesis import given, settings, strategies as st
+
+        from entroflow.rows import Sparse
+        from entroflow.simplex import CertificateError, verify_certificate
+        from test_simplex import reference_verdict
+
+        assert len(proposals) >= 8
+
+        def passes(lp, objective, cert):
+            try:
+                verify_certificate(len(lp.coords), lp.rows, objective, cert)
+            except CertificateError:
+                return False
+            return True
+
+        @settings(max_examples=60, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            lp, objective, cert = data.draw(st.sampled_from(proposals))
+            x, duals = dict(cert.x), dict(cert.duals)
+            kind = data.draw(st.sampled_from(["none", "flip", "move", "drop", "zero", "fraction"]))
+            if kind == "flip" and duals:
+                i = data.draw(st.sampled_from(sorted(duals)))
+                duals[i] = -duals[i]
+            elif kind in ("move", "fraction"):
+                target = data.draw(st.sampled_from([x, duals]))
+                bound = len(lp.coords) if target is x else len(lp.rows)
+                anywhere = st.integers(0, bound - 1)
+                i = data.draw(st.sampled_from(sorted(target)) | anywhere if target else anywhere)
+                step = F(1, 2**20) if kind == "move" else F(1, 3)
+                target[i] = target.get(i, F(0)) + data.draw(st.sampled_from([step, -step]))
+            elif kind == "drop" and duals:
+                del duals[data.draw(st.sampled_from(sorted(duals)))]
+            elif kind == "zero":
+                ge = [i for i in range(len(lp.rows)) if lp.rows.sense[i] == -1 and i not in duals]
+                duals[data.draw(st.sampled_from(ge))] = F(0)
+            value = cert.value
+            if data.draw(st.booleans()):
+                value = sum((c * x.get(j, F(0)) for j, c in objective.items()), F(0))
+            edited = replace(cert, value=value, x=x, duals=duals)
+            want = reference_verdict(len(lp.coords), lp.rows, objective, edited)
+            assert passes(lp, objective, edited) == want
+            integer = replace(edited, x=Sparse.of(x), duals=Sparse.of(duals))
+            assert passes(lp, objective, integer) == want
+            if kind == "none":
+                assert want
+
+        check()

@@ -12,7 +12,7 @@ from entroflow.simplex import (
     SimplexCertificate,
     verify_certificate,
 )
-from entroflow.rows import RowStore
+from entroflow.rows import RowStore, Sparse
 
 F = Fraction
 
@@ -302,7 +302,7 @@ class TestIntegerVerifier:
         point = data.draw(points(n))
         store = RowStore.from_rows(rows)
         for ray in (False, True):
-            got = store.violated(n, point, ray).tolist()
+            got = store.violated(n, Sparse.of(point), ray).tolist()
             assert got == [substituted(r, point, ray) for r in rows]
         assert list(store) == [
             LinearRow({j: c for j, c in sorted(r.coeffs.items()) if c}, r.sense, r.rhs)
@@ -364,10 +364,10 @@ class TestIntegerVerifier:
     def test_empty_rows_anywhere(self):
         rows = [R({}, "le", 0), R({0: 1}, "ge", 1), R({0: 1, 1: 1}, "le", 1), R({}, "eq", 0)]
         store = RowStore.from_rows(rows)
-        assert store.violated(2, {0: F(1), 1: F(1)}).tolist() == [False, False, True, False]
-        assert store.violated(2, {0: F(1, 2)}).tolist() == [False, True, False, False]
-        assert store.violated(2, {}).tolist() == [False, True, False, False]
-        assert RowStore.from_rows([R({}, "ge", 1)]).violated(1, {}).tolist() == [True]
+        assert store.violated(2, Sparse.of({0: F(1), 1: F(1)})).tolist() == [False, False, True, False]
+        assert store.violated(2, Sparse.of({0: F(1, 2)})).tolist() == [False, True, False, False]
+        assert store.violated(2, Sparse.of({})).tolist() == [False, True, False, False]
+        assert RowStore.from_rows([R({}, "ge", 1)]).violated(1, Sparse.of({})).tolist() == [True]
 
     def tilted(self):
         # max x0 + x1 with x0 + x1 <= 1 and 7^15 x0 = x1: the optimum has
