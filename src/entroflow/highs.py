@@ -137,9 +137,9 @@ class LruStore:
 
     Each value is stored with its size, in whatever unit the caller
     chooses; `cap` bounds the total, and storing past it drops the least
-    recently used values until the rest fit (a value larger than `cap`
-    does not stay).  A value is kept as given and never changed after it
-    is stored.  `BASES` holds HiGHS bases sized by their statuses, and
+    recently used values until the rest fit.  A value larger than `cap` is
+    not stored, and the store is left as it was.  A value is kept as given
+    and never changed after it is stored.  `BASES` holds HiGHS bases sized by their statuses, and
     `lp` keeps the elemental block of each closure table in another store,
     sized in bytes.
     """
@@ -164,6 +164,8 @@ class LruStore:
 
     def put(self, key: Hashable, value, size: int) -> None:
         """Store `value`, of size `size`, under `key`, replacing what was there."""
+        if size > self.cap:
+            return
         with self._lock:
             old = self._values.pop(key, None)
             if old is not None:
@@ -222,9 +224,9 @@ class Highs:
         data, rhs = picked.floats()
         data = data * np.repeat(self.flip, np.diff(picked.indptr))
         # Column-wise, each column's entries in row order (a stable sort,
-        # which numpy does by radix on 16-bit keys).
-        keys = picked.col.astype(np.int16) if n <= 1 << 15 else picked.col
-        by_col = np.argsort(keys, kind="stable")
+        # which numpy does by radix on 16-bit keys: columns are below 2^14,
+        # as no LP has a ground past `ELEMENTAL_GROUND_LIMIT`).
+        by_col = np.argsort(picked.col.astype(np.int16), kind="stable")
         start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))[:n]
         self.rhs = rhs * self.flip
         lhs = self.rhs.copy()

@@ -32,12 +32,6 @@ _INT64_SAFE = 1 << 62
 # row's absolute sum fits as well.
 _SMALL = 1 << 31
 
-# Integers up to this magnitude become the shared Fractions in `_SHARED`
-# (Fractions are immutable): most certificate entries are among them, and
-# making a Fraction costs far more than looking one up.
-_SHARED_SPAN = 64
-_SHARED = tuple(Fraction(v) for v in range(-_SHARED_SPAN, _SHARED_SPAN + 1))
-
 _SENSE_CODE = {"le": 1, "ge": -1, "eq": 0}
 _SENSE_NAME = {1: "le", -1: "ge", 0: "eq"}
 
@@ -82,10 +76,7 @@ class Sparse(NamedTuple):
     def fractions(self) -> dict[int, Fraction]:
         """The nonzero entries as a map of Fractions by index, ascending."""
         pairs = zip(self.index.tolist(), self.num.tolist())
-        if self.den != 1:
-            return {j: Fraction(v, self.den) for j, v in pairs if v}
-        near = _SHARED_SPAN
-        return {j: _SHARED[v + near] if -near <= v <= near else Fraction(v) for j, v in pairs if v}
+        return {j: Fraction(v, self.den) for j, v in pairs if v}
 
     def dot(self, coeffs: Mapping[int, Fraction]) -> Fraction:
         """The sum of coeff * value over a map of coefficients by index."""
@@ -291,7 +282,7 @@ class RowStore:
             side = "<=" if senses[wrong[0]] == 1 else ">="
             raise CertificateError(f"{kind} sign violated on a {side} row")
         scales = self.scale[rows]
-        lcm = math.lcm(*np.unique(scales).tolist())
+        lcm = math.lcm(*set(scales.tolist()))  # not np.unique, which imports numpy.ma (1.3 MB)
         if object not in (scales.dtype, num.dtype) and lcm * mult.peak() < _INT64_SAFE:
             w = num * (lcm // scales)
         else:

@@ -506,8 +506,9 @@ class TestBasisStore:
         assert store.size == 8
         store.put(b"d", "d2", 2)  # a new basis under a stored key replaces it
         assert (store.get(b"d"), len(store), store.size) == ("d2", 2, 7)
-        store.put(b"f", "f", 11)  # larger than the cap: nothing stays
-        assert (len(store), store.size) == (0, 0)
+        store.put(b"f", "f", 11)  # larger than the cap: not stored, the rest stays
+        assert [store.get(key) for key in (b"d", b"e", b"f")] == ["d2", "e", None]
+        assert store.size == 7
 
     def test_reads_and_writes_wait_for_the_lock(self):
         # While another thread holds the store's lock, no get, put or clear
@@ -1358,6 +1359,22 @@ class TestHighsBoundary:
                 _elemental_block(n, _closure_table(n, rules))
                 assert memo.size <= memo.cap
         assert len(memo) > 0
+        memo.clear()
+
+    def test_elemental_block_past_the_cap_leaves_the_memo_as_it_was(self):
+        import numpy as np
+
+        from entroflow.lp import _elemental_block, _elemental_store
+
+        memo = _elemental_store()
+        memo.clear()
+        small = [_elemental_block(n, np.arange(1 << n, dtype=np.int64)) for n in (8, 9, 10)]
+        held = (len(memo), memo.size)
+        big = _elemental_block(12, np.arange(1 << 12, dtype=np.int64))  # 1.25 MB, past the 1 MB cap
+        assert sum(part.nbytes for part in big) > memo.cap
+        assert (len(memo), memo.size) == held
+        again = [_elemental_block(n, np.arange(1 << n, dtype=np.int64)) for n in (8, 9, 10)]
+        assert all(a is b for old, new in zip(small, again) for a, b in zip(old, new))
         memo.clear()
 
 
