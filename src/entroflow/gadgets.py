@@ -171,11 +171,12 @@ def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], 
     report = verify_proof_chain(solver, [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs])
     stats = solver.stats
     logging.getLogger(__name__).debug(
-        "chain on %d variables: %d rows, %d solves, %d HiGHS runs (%d from stored bases), "
-        "%d simplex iterations, %.3f s in HiGHS of %.3f s",
+        "chain on %d variables: %d rows, %d solves (%d settled from stored duals), "
+        "%d HiGHS runs (%d from stored bases), %d simplex iterations, %.3f s in HiGHS of %.3f s",
         lp.ground.size,
         len(lp.rows),
         stats.solves,
+        stats.stored_dual,
         stats.highs_runs,
         stats.stored_starts,
         stats.simplex_iterations,

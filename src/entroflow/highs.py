@@ -16,20 +16,29 @@ The model is loaded through the array form of HiGHS's `passModel`
 (column-wise arrays in `linprog`'s layout, see `Highs`), which copies the
 arrays once instead of through a `HighsLp` object's fields.
 
-`BASES` is the process-wide store of optimal bases (an `LruStore`).  Its
-key digests a model without its row bounds together with the cost
-vector: the column count and the rows the model was built from without
-their right sides, which fix the row layout and the matrix.  Models that
-differ only in their right-hand sides share entries: one topology under
-many rate and capacity tuples.  A handle makes that digest the first
-time it uses the store, so a handle that never does pays nothing for it.
-A stored basis stays dual feasible when only the right sides change, and
-dual simplex starts from it at almost no cost.  A run asked to use the
-store (`Highs.solve(cost, BASES)`) starts from the basis stored under its
-key, if any, and records its basis there when it ends optimal.  The store
-is thread-safe and holds at most `_BASIS_CAP` basis statuses (one per
-column and one per row of each basis), dropping the least recently used
-bases first.
+`BASES` is the process-wide store of optimal bases (an `LruStore` of
+`Stored` entries).  Its key digests a model without its row bounds
+together with the cost vector: the column count and the rows the model
+was built from without their right sides, which fix the row layout and
+the matrix.  Models that differ only in their right-hand sides share
+entries: one topology under many rate and capacity tuples.  A stored
+basis stays dual feasible when only the right sides change, and dual
+simplex starts from it at almost no cost.  A run asked to use the store
+(`Highs.solve(cost, BASES)`) starts from the basis stored under its key,
+if any, and records its basis there when it ends optimal.  Next to the
+basis, `Highs.store_dual` keeps the verified rational row duals of the
+solve: the feasibility of a dual does not depend on the right sides
+either, so `lp.ShannonSolver` tries it, checked again exactly, before it
+runs HiGHS at all.  The store is thread-safe and holds at most
+`_BASIS_CAP` bytes (a basis status counts one byte, a dual its arrays'
+bytes), dropping the least recently used entries first.
+
+A handle made with a matrix key (`lp.ShannonLP.matrix`, which fixes the
+rows without their right sides) takes the column-wise arrays and the
+digest of its model from `_MODELS`, where they are built once per key
+and kept read-only; its `BASES` keys digest that key.  A handle made
+without one builds them itself, and digests its rows the first time it
+uses the store, so a handle that never does pays nothing for it.
 
 A run that starts from a stored basis prices with Devex.  HiGHS's default
 rule, dual steepest edge, first computes an exact weight for every row
@@ -53,7 +62,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,6 +126,8 @@ class FloatResult:
     warm: bool  # the run started from a basis: an earlier run's, or a stored one
     stored: bool  # the run started from a basis in a store of bases (`BASES`)
     slack: Optional[Callable[[], Any]] = field(default=None, repr=False, compare=False)
+    key: Optional[bytes] = field(default=None, repr=False, compare=False)  # its `BASES` key
+    basis: Any = field(default=None, repr=False, compare=False)  # the basis it stored there
 
     @property
     def row_slack(self):
@@ -128,7 +139,7 @@ def _floats(values: list):
     return np.fromiter(values, dtype=float, count=len(values))
 
 
-# The most basis statuses `BASES` holds: about 4 MB of HiGHS basis arrays.
+# The most bytes `BASES` holds: 4 MB of basis statuses and duals.
 _BASIS_CAP = 1 << 22
 
 
@@ -139,9 +150,9 @@ class LruStore:
     chooses; `cap` bounds the total, and storing past it drops the least
     recently used values until the rest fit.  A value larger than `cap` is
     not stored, and the store is left as it was.  A value is kept as given
-    and never changed after it is stored.  `BASES` holds HiGHS bases sized by their statuses, and
-    `lp` keeps the elemental block of each closure table in another store,
-    sized in bytes.
+    and never changed after it is stored.  `BASES` holds HiGHS bases with
+    their duals and `_MODELS` model arrays, and `lp` keeps the elemental
+    block of each closure table in a third store, all sized in bytes.
     """
 
     def __init__(self, cap: int):
@@ -194,6 +205,84 @@ _STORED_PRICING = 1  # kSimplexEdgeWeightStrategyDevex
 _DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 
 
+class Stored(NamedTuple):
+    """A `BASES` entry: the optimal basis of a run, and the verified rational
+    row duals of the solve it settled (a `rows.Sparse` by LP row), or None."""
+
+    basis: Any
+    dual: Any = None
+
+
+class _Model(NamedTuple):
+    """What a HiGHS model takes from its rows without their right sides.
+
+    Model row k is LP row ``order[k]`` times ``flip[k]``: the <= rows and
+    the negated >= rows in row order, then the = rows, so the first
+    `inequalities` model rows are inequalities.  `start`, `index` and
+    `value` are the matrix column-wise, as `passModel` takes it.  `digest`
+    identifies the matrix in `BASES` keys; it is None for a model that is
+    not kept in `_MODELS`, whose handle digests its rows when it first
+    makes a key.
+    """
+
+    order: Any
+    flip: Any
+    inequalities: int
+    start: Any
+    index: Any
+    value: Any
+    digest: Optional[bytes]
+
+
+# The most bytes of model arrays `_MODELS` holds: a chain LP on 10
+# variables takes about 0.3 MB.
+_MODEL_CAP = 1 << 22
+_MODELS = LruStore(_MODEL_CAP)
+
+
+def _digest(rows: RowStore, n: int) -> bytes:
+    """A digest of the rows without their right sides, which fix the matrix
+    and the row layout; an array of Python ints is hashed by its digits."""
+    digest = hashlib.blake2b(np.array([n, len(rows)]).tobytes())
+    for part in (rows.indptr, rows.col, rows.sense, rows.data, rows.scale):
+        digest.update(repr(part.tolist()).encode() if part.dtype == object else part.tobytes())
+    return digest.digest()
+
+
+def _build_model(rows: RowStore, n: int, digest: Optional[bytes]) -> _Model:
+    inequality = rows.sense != 0
+    order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
+    flip = np.where(rows.sense[order] == -1, -1.0, 1.0)
+    picked = rows.take(order)
+    lengths = np.diff(picked.indptr)
+    data = picked.floats()[0] * np.repeat(flip, lengths)
+    # Column-wise, each column's entries in row order (a stable sort,
+    # which numpy does by radix on 16-bit keys: columns are below 2^14,
+    # as no LP has a ground past `ELEMENTAL_GROUND_LIMIT`).
+    by_col = np.argsort(picked.col.astype(np.int16), kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))[:n]
+    index = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)[by_col]
+    return _Model(
+        order, flip, int(inequality.sum()), start.astype(np.int32), index, data[by_col], digest
+    )
+
+
+def _model_of(rows: RowStore, n: int, matrix: Optional[Hashable]) -> _Model:
+    """The model parts of `rows`.  With `matrix`, a key that fixes the rows
+    without their right sides (`lp.ShannonLP.matrix`), they are built once
+    per key, with their digest, and kept read-only in `_MODELS`."""
+    if matrix is None:
+        return _build_model(rows, n, None)
+    model = _MODELS.get(matrix)
+    if model is None:
+        model = _build_model(rows, n, hashlib.blake2b(repr(matrix).encode()).digest())
+        arrays = [part for part in model if isinstance(part, np.ndarray)]
+        for part in arrays:
+            part.setflags(write=False)
+        _MODELS.put(matrix, model, sum(part.nbytes for part in arrays))
+    return model
+
+
 class Highs:
     """One HiGHS model of a row store, solved again from its last basis for each new cost.
 
@@ -209,29 +298,21 @@ class Highs:
     an `LruStore` of bases starts from the basis stored there for this
     matrix and cost instead, if there is one (dual simplex, then: the basis
     is dual feasible and only the right sides may differ), and prices with
-    Devex (`_STORED_PRICING`) instead of steepest edge.
+    Devex (`_STORED_PRICING`) instead of steepest edge.  With `matrix`, a
+    key that fixes the rows without their right sides, the column-wise
+    arrays come from `_MODELS` (see `_model_of`); only the row bounds are
+    the handle's own.
     """
 
-    def __init__(self, rows: RowStore, n: int):
+    def __init__(self, rows: RowStore, n: int, matrix: Optional[Hashable] = None):
         self.core = core = _load_core()
         self.n = n
         self.m = len(rows)
-        # Model row k is LP row order[k] times flip[k].
-        inequality = rows.sense != 0
-        self.order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
-        self.flip = np.where(rows.sense[self.order] == -1, -1.0, 1.0)
-        picked = rows.take(self.order)
-        data, rhs = picked.floats()
-        data = data * np.repeat(self.flip, np.diff(picked.indptr))
-        # Column-wise, each column's entries in row order (a stable sort,
-        # which numpy does by radix on 16-bit keys: columns are below 2^14,
-        # as no LP has a ground past `ELEMENTAL_GROUND_LIMIT`).
-        by_col = np.argsort(picked.col.astype(np.int16), kind="stable")
-        start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))[:n]
-        self.rhs = rhs * self.flip
+        model = _model_of(rows, n, matrix)
+        self.order, self.flip = model.order, model.flip
+        self.rhs = rows.rhs_floats()[model.order] * model.flip
         lhs = self.rhs.copy()
-        lhs[: int(inequality.sum())] = -core.kHighsInf
-        index = np.repeat(np.arange(self.m, dtype=np.int32), np.diff(picked.indptr))[by_col]
+        lhs[: model.inequalities] = -core.kHighsInf
         options = core.HighsOptions()
         options.presolve = "on"
         options.output_flag = False
@@ -243,7 +324,7 @@ class Highs:
         loaded = self.highs.passModel(
             n,
             self.m,
-            len(index),
+            len(model.index),
             int(core.MatrixFormat.kColwise),
             int(core.ObjSense.kMinimize),
             0.0,
@@ -252,16 +333,16 @@ class Highs:
             np.full(n, core.kHighsInf),  # column upper bounds
             lhs,
             self.rhs,
-            start.astype(np.int32),
-            index,
-            data[by_col],
+            model.start,
+            model.index,
+            model.value,
             np.full(n, int(core.HighsVarType.kContinuous), dtype=np.int32),
         )
         if loaded == core.HighsStatus.kError:
             raise RuntimeError("HiGHS did not accept the model")
         self.columns = np.arange(n, dtype=np.int32)
         self._rows = rows
-        self._matrix = None  # digest of the model without its row bounds, made by `_key`
+        self._digest = model.digest  # of the model without its row bounds; None until `_key` needs it
         self._pricing = _DEFAULT_PRICING
 
     def _by_row(self, values):
@@ -272,20 +353,20 @@ class Highs:
 
     def _key(self, cost) -> bytes:
         """The `BASES` key of this model under `cost`."""
-        if self._matrix is None:
-            # The rows without their right sides fix the matrix and the row
-            # layout; an array of Python ints is hashed by its digits.
-            rows = self._rows
-            self._matrix = hashlib.blake2b(np.array([self.n, self.m]).tobytes())
-            for part in (rows.indptr, rows.col, rows.sense, rows.data, rows.scale):
-                self._matrix.update(repr(part.tolist()).encode() if part.dtype == object else part.tobytes())
-        key = self._matrix.copy()
+        if self._digest is None:
+            self._digest = _digest(self._rows, self.n)
+        key = hashlib.blake2b(self._digest)
         key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
         return key.digest()
 
+    def stored(self, cost, bases: LruStore) -> Optional[Stored]:
+        """The entry `bases` holds for this matrix and cost, or None."""
+        return bases.get(self._key(cost))
+
     def solve(self, cost, bases: Optional[LruStore] = None) -> FloatResult:
         """Minimize cost . x; with `bases`, start from the basis stored there
-        for this matrix and cost, if any, and store the basis of an optimal run."""
+        for this matrix and cost, if any, and store the basis of an optimal
+        run (without a dual: see `store_dual`)."""
         highs, core = self.highs, self.core
         highs.changeColsCost(self.n, self.columns, cost)
         key = stored = None
@@ -293,7 +374,7 @@ class Highs:
             key = self._key(cost)
             stored = bases.get(key)
             if stored is not None:
-                highs.setBasis(stored)
+                highs.setBasis(stored.basis)
         pricing = _DEFAULT_PRICING if stored is None else _STORED_PRICING
         if pricing != self._pricing:
             highs.setOptionValue("simplex_dual_edge_weight_strategy", pricing)
@@ -314,8 +395,10 @@ class Highs:
         }.get(highs.getModelStatus(), 4)
         if status != 0:
             return FloatResult(status, None, None, nit, warm, stored is not None)
+        basis = None
         if key is not None:
-            bases.put(key, highs.getBasis(), self.n + self.m)
+            basis = highs.getBasis()
+            bases.put(key, Stored(basis), self.n + self.m)
         solution = highs.getSolution()  # a copy: later runs leave it as it is
         return FloatResult(
             0,
@@ -325,7 +408,16 @@ class Highs:
             warm,
             stored is not None,
             lambda: self._by_row(self.rhs - _floats(solution.row_value)),
+            key,
+            basis,
         )
+
+    def store_dual(self, bases: LruStore, res: FloatResult, dual) -> None:
+        """Keep `dual`, the verified rational row duals (a `rows.Sparse`) of
+        the solve that the optimal run `res` settled, next to the basis
+        that run stored in `bases`."""
+        size = self.n + self.m + dual.index.nbytes + dual.num.nbytes
+        bases.put(res.key, Stored(res.basis, dual), size)
 
     def farkas(self):
         """Farkas multipliers per LP row after a run that found the model

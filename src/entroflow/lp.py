@@ -63,17 +63,25 @@ and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
 writes one debug record per solve.
 
-The HiGHS runs of a proof chain, and only those, also use the
-process-wide store of optimal bases `highs.BASES`: a run starts from the
-basis stored for its matrix and cost (the right-hand side is not part of
-the key, so a chain on the same subnetwork under other rates or
-capacities finds it) and records its basis when it ends optimal.  The
-store holds at most 2^22 basis statuses and drops the least recently
-used bases first.  A chain reports only statuses and exact optima, which
-no starting basis changes.  Direct `maximize`, `minimize` and
-`feasibility` calls never read or write the store, so the certificates
-of a solver that has run no chain do not depend on it (see
-`ShannonSolver` for one that has).
+The solves of a proof chain, and only those, also use the process-wide
+store `highs.BASES`, keyed by matrix and cost (the right-hand side is not
+part of the key, so a chain on the same subnetwork under other rates or
+capacities finds its entries).  An entry holds the optimal basis of a
+HiGHS run and the verified rational row duals of the solve it settled.
+Before HiGHS runs, the stored dual is paired with a point the chain has
+verified (its feasibility point, then its latest optimum) and the pair
+goes through the full exact check against the current rows and
+objective: a dual stays feasible under new right sides, so a feasible
+point that attains its bound is optimal.  Every feasible point attains
+the optimum of a forced claim, so its feasibility point serves whenever
+the stored dual's bound is tight under the new right sides.  When the
+pair fails, HiGHS starts from the stored basis and the entry
+takes the new basis and dual.  The store holds at most 4 MB and drops the
+least recently used entries first.  A chain reports only statuses and
+exact optima, which neither a starting basis nor a stored dual changes.
+Direct `maximize`, `minimize` and `feasibility` calls never read or
+write the store, so the certificates of a solver that has run no chain
+do not depend on it (see `ShannonSolver` for one that has).
 """
 
 from __future__ import annotations
@@ -82,8 +90,8 @@ import functools
 import json
 import math
 import time
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, replace
+from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -193,7 +201,11 @@ class ShannonLP:
 
     Row i of `rows` is a constraint on the coordinate indices (positions
     in `coords`); `tag(i)` is its provenance and `constraints` the same
-    rows as `TaggedConstraint` values over closed masks.
+    rows as `TaggedConstraint` values over closed masks.  `matrix` fixes
+    the rows without their right sides: the ground size and closure table
+    (which fix the elemental block and the coordinates), where the block
+    starts, and every other row's terms and sense.  Two LPs with equal
+    keys differ at most in their right sides.
     """
 
     variables: VariableGround
@@ -202,6 +214,7 @@ class ShannonLP:
     rows: RowStore
     tags: _RowTags
     reduced: bool
+    matrix: tuple = field(repr=False, compare=False)
 
     @property
     def constraints(self) -> Sequence[TaggedConstraint]:
@@ -506,6 +519,13 @@ def _elemental_store():
     return LruStore(_ELEMENTAL_CAP)
 
 
+def _elemental_key(n: int, closure) -> tuple[int, bytes]:
+    """What an elemental block depends on: the ground size and the closure table."""
+    import numpy as np
+
+    return n, np.asarray(closure, dtype=np.int64).tobytes()
+
+
 def _elemental_block(n: int, closure):
     """The elemental rows mapped through the closure.
 
@@ -523,7 +543,7 @@ def _elemental_block(n: int, closure):
     """
     import numpy as np
 
-    key = (n, np.asarray(closure, dtype=np.int64).tobytes())
+    key = _elemental_key(n, closure)
     memo = _elemental_store()
     block = memo.get(key)
     if block is not None:
@@ -718,6 +738,7 @@ def build_shannon_lp(
         rows=RowStore.concat([stored(rows[:start]), elemental, stored(rows[start:])]),
         tags=_RowTags(start, ijk, tuple(tag for *_, tag in rows)),
         reduced=reduce,
+        matrix=(*_elemental_key(n, closure), start, tuple((terms, sense) for terms, sense, *_ in rows)),
     )
 
 
@@ -730,10 +751,11 @@ class Certificate:
     status: str  # "optimal" | "infeasible" | "unbounded" | "feasible"
     value: Optional[Fraction]
     orientation: str  # "max" | "min" | "feasibility"
-    primal: Optional[dict[int, Fraction]]  # closed mask -> value
-    duals: Optional[dict[int, Fraction]]  # nonzero entries by LP row, solver orientation
-    farkas: Optional[dict[int, Fraction]]  # nonzero entries by LP row
-    ray: Optional[dict[int, Fraction]]  # closed mask -> value
+    # The maps below hold Fractions; a float-proposed one is built on first read.
+    primal: Optional[Mapping[int, Fraction]]  # closed mask -> value
+    duals: Optional[Mapping[int, Fraction]]  # nonzero entries by LP row, solver orientation
+    farkas: Optional[Mapping[int, Fraction]]  # nonzero entries by LP row
+    ray: Optional[Mapping[int, Fraction]]  # closed mask -> value
     pivots: tuple[tuple[int, int], ...]
 
 
@@ -750,8 +772,9 @@ class SolveStats:
     time spent inside `Highs.solve` and `Highs.farkas`; the rest of a
     solve's time is interpreter work (the model build, rounding, the
     exact checks).  `memo_hits` counts objectives answered from the memo;
-    every other solve is settled by exactly one of `float_cert`,
-    `float_farkas` or `exact`.
+    every other solve is settled by exactly one of `stored_dual` (a dual
+    stored in `highs.BASES` with a point the solver holds, no HiGHS run),
+    `float_cert`, `float_farkas` or `exact`.
     """
 
     highs_runs: int = 0
@@ -760,6 +783,7 @@ class SolveStats:
     stored_starts: int = 0
     highs_seconds: float = 0.0
     memo_hits: int = 0
+    stored_dual: int = 0
     float_cert: int = 0
     float_farkas: int = 0
     exact: int = 0
@@ -767,7 +791,48 @@ class SolveStats:
     @property
     def solves(self) -> int:
         """Every solve, memo answers included."""
-        return self.memo_hits + self.float_cert + self.float_farkas + self.exact
+        return self.memo_hits + self.stored_dual + self.float_cert + self.float_farkas + self.exact
+
+
+class _Fractions(MappingABC):
+    """The nonzero entries of a `rows.Sparse` as a read-only map of
+    Fractions, each index taken through `keys` when given, built on first
+    read: a proof chain reads only its certificates' values, so its solves
+    build no such map."""
+
+    def __init__(self, values: Sparse, keys: Optional[Sequence[int]] = None):
+        self._values, self._keys, self._map = values, keys, None
+
+    def _built(self) -> dict[int, Fraction]:
+        if self._map is None:
+            got = self._values.fractions()
+            self._map = got if self._keys is None else {self._keys[j]: v for j, v in got.items()}
+        return self._map
+
+    def __getitem__(self, key: int) -> Fraction:
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def _by_key(values, keys: Optional[Sequence[int]] = None) -> Optional[Mapping[int, Fraction]]:
+    """A certificate map (Fractions by index, or a `rows.Sparse`) with each
+    index taken through `keys` when given; a `rows.Sparse` becomes a
+    `_Fractions` view."""
+    from entroflow.rows import Sparse
+
+    if values is None:
+        return None
+    if isinstance(values, Sparse):
+        return _Fractions(values, keys)
+    return values if keys is None else {keys[j]: v for j, v in values.items()}
 
 
 class ShannonSolver:
@@ -780,10 +845,16 @@ class ShannonSolver:
     stands only after exact verification against every row.  The float
     solves go through one HiGHS handle that holds the model: it is built
     once, and each later objective changes only the costs and starts from
-    the basis the previous solve left.  Inside `verify_proof_chain` a run
-    starts from the optimal basis stored for its matrix and cost in
-    `highs.BASES`, if there is one, and stores its own; direct calls of
-    `maximize`, `minimize` and `feasibility` never touch that store.  When
+    the basis the previous solve left.  Inside `verify_proof_chain` a solve
+    first tries the dual stored for its matrix and cost in `highs.BASES`,
+    paired with the chain's feasibility point and then its latest optimum,
+    under the full exact check (settled by `stored_dual`, no HiGHS run);
+    otherwise its run starts from the optimal basis stored there, if there
+    is one, and stores its own basis and verified dual.  Direct calls of
+    `maximize`, `minimize` and `feasibility` never touch that store.  A
+    float-proposed certificate keeps its point and multipliers in the
+    integer form `rows.Sparse`; the Fraction maps of `Certificate` are
+    built on first read.  When
     no proposal verifies, the exact simplex takes over with elemental rows activated lazily: each
     solve runs on the active subset, the answer is checked exactly against
     every remaining row, violated rows join in bulk, and the loop repeats.
@@ -794,13 +865,14 @@ class ShannonSolver:
 
     The solver is stateful and not shareable (across threads or otherwise
     concurrent users): it holds the HiGHS handle with its basis, the memo,
-    `active` (the activated rows), `simplex` (the exact solver with its
-    basis, built on the first solve that needs it) and `stats`, the counts
-    of its work.  Which certificate a solve returns can depend on the
-    solves before it, but never its status or optimum.  So once a solver
-    has run a proof chain, its later certificates (memo answers for the
-    chain's objectives among them) can depend on the bases the store
-    held; those of a solver that has run no chain cannot.  The command
+    the points its chain solves verified, `active` (the activated rows),
+    `simplex` (the exact solver with its basis, built on the first solve
+    that needs it) and `stats`, the counts of its work.  Which certificate
+    a solve returns can depend on the solves before it, but never its
+    status or optimum.  So once a solver has run a proof chain, its later
+    certificates (memo answers for the chain's objectives among them) can
+    depend on the bases and duals the store held; those of a solver that
+    has run no chain cannot.  The command
     line prints no certificate from a solver that ran a chain.
     """
 
@@ -812,6 +884,9 @@ class ShannonSolver:
         self._inactive: list[int] = list(elemental)
         self._highs = None  # a highs.Highs, made on the first float solve
         self._memo: dict[tuple, SimplexCertificate] = {}
+        # Verified points of the chain solves: the feasibility point and the latest optimum.
+        self._feasible: Optional[Sparse] = None
+        self._latest: Optional[Sparse] = None
         self.simplex: Optional[ExactSimplex] = None
         self.stats = SolveStats()
 
@@ -833,22 +908,30 @@ class ShannonSolver:
 
     _RATIONALIZE_LIMIT = 1 << 24
 
-    def _float_solve(self, objective: Mapping[int, Fraction], bases):
-        """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
-        without scipy or its HiGHS bindings; `bases` is the store of bases
-        (`highs.BASES`) the run starts from and records into, or None."""
+    def _cost(self, objective: Mapping[int, Fraction]):
+        """The HiGHS cost vector of `objective`: HiGHS minimizes."""
         import numpy as np
 
-        from entroflow import highs
-
-        if self._highs is None:
-            try:
-                self._highs = highs.Highs(self.lp.rows, len(self.lp.coords))
-            except ImportError:
-                return None
         cost = np.zeros(len(self.lp.coords))
         for j, v in objective.items():
             cost[j] = -float(v)
+        return cost
+
+    def _float_solve(self, objective: Mapping[int, Fraction], bases):
+        """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
+        without scipy or its HiGHS bindings; `bases` is the store of bases
+        (`highs.BASES`) the run starts from and records into, or None.  A
+        handle made for a chain's solve takes its model from the store of
+        models by `ShannonLP.matrix` (`highs._MODELS`)."""
+        from entroflow import highs
+
+        if self._highs is None:
+            matrix = None if bases is None else self.lp.matrix
+            try:
+                self._highs = highs.Highs(self.lp.rows, len(self.lp.coords), matrix)
+            except ImportError:
+                return None
+        cost = self._cost(objective)
         start = time.perf_counter()
         res = self._highs.solve(cost, bases)
         self.stats.highs_seconds += time.perf_counter() - start
@@ -894,22 +977,13 @@ class ShannonSolver:
     def _verified(
         self, objective: Mapping[int, Fraction], cert: SimplexCertificate
     ) -> Optional[SimplexCertificate]:
-        """The certificate with its maps as Fractions by index, if it passes
-        exact verification; `rows.Sparse` maps are checked as they are."""
-        from entroflow.rows import Sparse
-
+        """The certificate, if it passes exact verification; `rows.Sparse`
+        maps are checked and kept as they are (see `_wrap`)."""
         try:
             verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
         except CertificateError:
             return None
-        return replace(
-            cert,
-            **{
-                name: value.fractions()
-                for name, value in (("x", cert.x), ("duals", cert.duals), ("farkas", cert.farkas))
-                if isinstance(value, Sparse)
-            },
-        )
+        return cert
 
     def _float_certificate(
         self, objective: Mapping[int, Fraction], res
@@ -973,6 +1047,8 @@ class ShannonSolver:
     def _solve_max(self, objective: Mapping[int, Fraction], bases=None) -> SimplexCertificate:
         import logging  # here, off the command line's import path
 
+        from entroflow.rows import Sparse
+
         log = logging.getLogger(__name__)
         key = tuple(sorted((j, c) for j, c in objective.items() if c))
         cert = self._memo.get(key)
@@ -984,6 +1060,12 @@ class ShannonSolver:
         cert, path = self._settle(objective, bases)
         setattr(stats, path, getattr(stats, path) + 1)
         self._memo[key] = cert
+        if bases is not None and cert.status == "optimal":
+            x = Sparse.of(cert.x)
+            if objective:
+                self._latest = x
+            else:
+                self._feasible = x
         log.debug(
             "solve: %s, settled by %s, %d HiGHS runs (%d warm, %d from stored bases), "
             "%d simplex iterations, %.3f s",
@@ -998,18 +1080,51 @@ class ShannonSolver:
         return cert
 
     def _settle(self, objective: Mapping[int, Fraction], bases) -> tuple[SimplexCertificate, str]:
-        """A verified certificate and the path that settled it (a `SolveStats` field)."""
+        """A verified certificate and the path that settled it (a `SolveStats`
+        field).  With `bases`, a stored dual is tried before HiGHS runs, and
+        the dual of a verified float optimum is stored next to its basis."""
+        if bases is not None:
+            cert = self._stored_dual(objective, bases)
+            if cert is not None:
+                return cert, "stored_dual"
         res = self._float_solve(objective, bases)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
                 if fast is not None:
+                    if res.key is not None:
+                        self._highs.store_dual(bases, res, fast.duals)
                     return fast, "float_cert"
             elif res.status == 2:
                 fast = self._float_farkas()
                 if fast is not None:
                     return fast, "float_farkas"
         return self._exact(objective, res), "exact"
+
+    def _stored_dual(self, objective: Mapping[int, Fraction], bases) -> Optional[SimplexCertificate]:
+        """The optimum of `objective` from the dual `bases` holds for this
+        matrix and cost, paired with a point the chain has verified (the
+        feasibility point, then the latest optimum), if a pair passes exact
+        verification against every row and the objective; else None.
+
+        A dual's feasibility does not depend on the right sides, so a dual
+        verified for other rates or capacities still bounds the maximum;
+        a feasible point that attains the bound is optimal.
+        """
+        if self._highs is None:
+            return None
+        entry = self._highs.stored(self._cost(objective), bases)
+        if entry is None or entry.dual is None:
+            return None
+        points = [self._feasible]
+        if self._latest is not self._feasible:
+            points.append(self._latest)
+        for x in points:
+            if x is not None:
+                cert = SimplexCertificate("optimal", x.dot(objective), x, entry.dual, None, None, ())
+                if self._verified(objective, cert) is not None:
+                    return cert
+        return None
 
     def _exact(self, objective: Mapping[int, Fraction], res) -> SimplexCertificate:
         seed = self._float_seed(res)
@@ -1041,25 +1156,21 @@ class ShannonSolver:
         """Closed-mask coefficients (as `ShannonLP.compile` returns them) by column."""
         return {self.index[m]: c for m, c in coeffs.items()}
 
-    def _from_cols(self, x: Optional[Mapping[int, Fraction]]) -> Optional[dict[int, Fraction]]:
-        if x is None:
-            return None
-        return {self.lp.coords[j]: v for j, v in x.items()}
-
     def _wrap(
         self, cert: SimplexCertificate, orientation: str, constant: Fraction, negate: bool
     ) -> Certificate:
         value = None
         if cert.status == "optimal":
             value = (-cert.value if negate else cert.value) + constant
+        coords = self.lp.coords
         return Certificate(
             status=cert.status,
             value=value,
             orientation=orientation,
-            primal=self._from_cols(cert.x) if cert.status != "infeasible" else None,
-            duals=cert.duals,
-            farkas=cert.farkas,
-            ray=self._from_cols(cert.ray),
+            primal=_by_key(cert.x, coords) if cert.status != "infeasible" else None,
+            duals=_by_key(cert.duals),
+            farkas=_by_key(cert.farkas),
+            ray=_by_key(cert.ray, coords),
             pivots=cert.pivots,
         )
 
@@ -1144,10 +1255,13 @@ def verify_proof_chain(
     not; "contradicted" means none do; "vacuous" means the LP is
     infeasible.
 
-    The chain's HiGHS runs start from, and record into, the store of
-    optimal bases `highs.BASES` (see the module docstring); a starting
-    basis never changes a status or an exact optimum, the only things a
-    chain reports.
+    The chain's solves read and write the store `highs.BASES` (see the
+    module docstring): each tries the dual stored for its matrix and cost
+    with a point the chain has verified, checked again exactly, before it
+    runs HiGHS from the stored basis.  Neither a starting basis nor a
+    stored dual changes a status or an exact optimum, the only things a
+    chain reports, and the chain reads only those: its certificates'
+    Fraction maps are never built.
     """
     from entroflow.highs import BASES  # numpy with it, off the command line's import path
 

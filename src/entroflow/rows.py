@@ -193,14 +193,11 @@ class RowStore:
 
     def floats(self):
         """(data / scale per entry, rhs / scale per row) as correctly rounded floats."""
-        per_entry = np.repeat(self.scale, np.diff(self.indptr))
-        if self._small:
-            # Both operands are exact in a double, so one IEEE division
-            # rounds the rational value correctly, as float(Fraction) does.
-            return self.data / per_entry, self.rhs / self.scale
-        data = [a / s for a, s in zip(self.data.tolist(), per_entry.tolist())]
-        rhs = [b / s for b, s in zip(self.rhs.tolist(), self.scale.tolist())]
-        return np.array(data, dtype=float), np.array(rhs, dtype=float)
+        return _quotients(self.data, np.repeat(self.scale, np.diff(self.indptr))), self.rhs_floats()
+
+    def rhs_floats(self):
+        """rhs / scale per row as correctly rounded floats."""
+        return _quotients(self.rhs, self.scale)
 
     # ------------------------------------------------------------------
     # exact checks
@@ -300,6 +297,15 @@ class RowStore:
         combo = np.zeros(n_vars, dtype=np.int64 if fast else object)
         np.add.at(combo, self.col[idx], data[idx] * np.repeat(w, lengths))
         return combo, int((w * rhs[rows]).sum()), den * lcm
+
+
+def _quotients(num, den):
+    """num / den elementwise, each quotient correctly rounded, as float(Fraction) rounds it."""
+    if object not in (num.dtype, den.dtype):
+        # Both operands are below 2^31, so exact in a double, and one IEEE
+        # division rounds the rational value correctly.
+        return num / den
+    return np.array([a / b for a, b in zip(num.tolist(), den.tolist())], dtype=float)
 
 
 def _row_sums(values, indptr):

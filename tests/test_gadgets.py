@@ -204,51 +204,90 @@ class TestConcurrentChains:
             verify_contract(g.problem, g.contract)
         messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
         pattern = re.compile(
-            r"chain on (\d+) variables: \d+ rows, \d+ solves, \d+ HiGHS runs "
-            r"\(\d+ from stored bases\), \d+ simplex iterations, ([\d.]+) s in HiGHS of ([\d.]+) s"
+            r"chain on (\d+) variables: \d+ rows, (\d+) solves \((\d+) settled from stored duals\), "
+            r"\d+ HiGHS runs \(\d+ from stored bases\), \d+ simplex iterations, ([\d.]+) s in HiGHS of ([\d.]+) s"
         )
         matches = [pattern.fullmatch(m) for m in messages]
         assert sorted(int(m[1]) for m in matches) == sorted(len(key) for key in chains)
-        assert all(float(m[2]) <= float(m[3]) for m in matches)
+        assert all(int(m[3]) <= int(m[2]) for m in matches)
+        assert all(float(m[4]) <= float(m[5]) for m in matches)
 
 
-# Every n=2 entropy vector with entries in 1..3 that is a polymatroid.
-N2_VECTORS = [
-    (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 3, 3), (2, 1, 2), (2, 1, 3),
-    (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 1, 3), (3, 2, 3), (3, 3, 3),
-]
+def contract_pool():
+    """The vectors of the benchmark's contract workload (`perfbench/inputs.py`):
+    every n=2 entropy vector with entries in 1..3 that is a polymatroid."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.CONTRACT_POOL
+
+
+CHAIN_RECORD = re.compile(
+    r"chain on \d+ variables: \d+ rows, \d+ solves \((\d+) settled from stored duals\), "
+    r"\d+ HiGHS runs \((\d+) from stored bases\), (\d+) simplex iterations, .*"
+)
+
+
+def chain_counts(caplog):
+    """Stored-dual settles, stored-basis starts and simplex iterations, summed
+    over the chain records `caplog` holds."""
+    per_chain = [
+        CHAIN_RECORD.fullmatch(r.getMessage()).groups() for r in caplog.records if r.name == "entroflow.gadgets"
+    ]
+    return [sum(int(c[i]) for c in per_chain) for i in range(3)]
 
 
 class TestStoredBases:
-    """Contract chains start from the optimal bases earlier chains stored."""
+    """Contract chains start from the optimal bases earlier chains stored,
+    and settle claims from the duals stored with them."""
 
     @staticmethod
     def contract(h):
         g = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
         return verify_contract(g.problem, g.contract)
 
-    def test_reports_do_not_depend_on_the_store(self):
+    def test_reports_do_not_depend_on_the_store(self, caplog):
+        # Each vector of the benchmark's pool cold (the store of bases and
+        # duals cleared before it), then all of them as one warm sequence.
         from entroflow.highs import BASES
+        from entroflow.lp import certificate_to_json
+
+        pool = contract_pool()
+        assert len(pool) == 13
+        g = build_incremental(h112())
+        (key, expression), *_ = ((ob.subnetwork, ob.expression) for ob in g.contract.obligations if ob.kind == "chain-claim")
+        lp = build_shannon_lp(g.problem, variables=key)
+
+        def direct():
+            return certificate_to_json(lp, ShannonSolver(lp).maximize(expression))
 
         cold = []
-        for h in N2_VECTORS:
+        for h in pool:
             BASES.clear()
             cold.append(self.contract(h).describe())
         BASES.clear()
-        warm = [self.contract(h).describe() for h in N2_VECTORS]
+        alone = direct()
+        with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
+            warm = [self.contract(h).describe() for h in pool]
         assert warm == cold
+        stored_duals, _, _ = chain_counts(caplog)
+        assert stored_duals > 0
+        assert direct() == alone  # a direct solve neither reads nor writes the store
 
     def test_second_h_starts_from_stored_bases(self, caplog):
-        pattern = re.compile(r".* HiGHS runs \((\d+) from stored bases\), (\d+) simplex iterations, .*")
+        from entroflow.highs import BASES
+
+        BASES.clear()  # the first h starts cold whatever ran before
         counts = []
         for h in ((1, 1, 2), (2, 2, 3)):
             caplog.clear()
             with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
                 self.contract(h)
-            per_chain = [
-                pattern.fullmatch(r.getMessage()).groups() for r in caplog.records if r.name == "entroflow.gadgets"
-            ]
-            counts.append([sum(int(c[i]) for c in per_chain) for i in (0, 1)])
+            counts.append(chain_counts(caplog)[1:])
         (_, iterations_first), (stored_second, iterations_second) = counts
         assert stored_second > 0
         assert iterations_second < iterations_first

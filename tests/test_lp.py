@@ -608,6 +608,128 @@ class TestBasisStore:
         assert none_stored == 0 < stored
 
 
+def contract_chain(h, name):
+    """(lp, claims) of the chain of the incremental gadget on h that proves
+    the obligation `name`: every claim on that subnetwork."""
+    from entroflow.entropy import EntropyVector
+    from entroflow.gadgets import build_incremental
+
+    gadget = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
+    chains = [ob for ob in gadget.contract.obligations if ob.kind == "chain-claim"]
+    (key,) = {ob.subnetwork for ob in chains if ob.name == name}
+    claims = [(ob.name, ob.expression, ob.relation, ob.value) for ob in chains if ob.subnetwork == key]
+    return build_shannon_lp(gadget.problem, variables=key), claims
+
+
+class TestStoredDuals:
+    """Chain claims settled from the duals stored in `highs.BASES`: each is
+    verified again exactly, and a bad one costs only a HiGHS run."""
+
+    @staticmethod
+    def chain(lp, claims):
+        solver = ShannonSolver(lp)
+        return verify_proof_chain(solver, claims), solver
+
+    def test_forced_claims_settle_without_highs(self, caplog):
+        from entroflow.highs import BASES
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        BASES.clear()
+        cold, solver = self.chain(lp, claims)
+        assert solver.stats.stored_dual == 0
+        with caplog.at_level("DEBUG", logger="entroflow.lp"):
+            warm, solver = self.chain(lp, claims)
+        assert warm == cold and warm.all_forced
+        stats = solver.stats
+        # Only the feasibility run reaches HiGHS: both sides of the claim
+        # pair the stored dual with the feasibility point.
+        assert (stats.stored_dual, stats.highs_runs, stats.float_cert) == (2, 1, 1)
+        assert stats.solves == 3
+        paths = [r.getMessage().split(", ")[1] for r in caplog.records if r.name == "entroflow.lp"]
+        assert paths == ["settled by float_cert"] + ["settled by stored_dual"] * 2
+
+    @staticmethod
+    def corrupted(lp, entry, other, kind):
+        """The stored dual of `entry` made wrong: one multiplier on a row with
+        a nonzero right side flipped or moved by 1/2^20, or the dual stored
+        for another cost (`other`)."""
+        from entroflow.rows import Sparse
+
+        if kind == "other-cost":
+            return other.dual
+        dual = entry.dual
+        k = next(k for k, i in enumerate(dual.index.tolist()) if lp.rows.rhs[i] != 0)
+        num, den = dual.num.copy(), dual.den
+        if kind == "flip":
+            num[k] = -num[k]
+        else:
+            num, den = num * 2**20, den * 2**20
+            num[k] += dual.den
+        return Sparse(dual.index, num, den)
+
+    @pytest.mark.parametrize("kind", ["flip", "move", "other-cost"])
+    def test_a_bad_stored_dual_falls_back_to_highs(self, kind):
+        from entroflow.highs import BASES, Stored
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        ((_, expression, _, value),) = claims
+        assert value != 0  # so the bound of a dual for the minimum differs
+        BASES.clear()
+        cold, solver = self.chain(lp, claims)
+        objective = solver._to_cols(lp.compile(expression)[0])
+        handle = solver._highs
+        keys = [handle._key(solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
+        entry, other = (BASES.get(key) for key in keys)
+        assert entry.dual is not None and other.dual is not None
+        bad = self.corrupted(lp, entry, other, kind)
+        BASES.put(keys[0], Stored(entry.basis, bad), 1)
+        report, solver = self.chain(lp, claims)
+        assert report == cold  # the same verdicts and exact optima
+        stats = solver.stats
+        # The maximum fell back to HiGHS; the minimum still settled from its dual.
+        assert (stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 2, 2)
+        assert BASES.get(keys[0]).dual is not bad  # the fallback stored its own verified dual
+
+    def test_concurrent_chains_share_the_stores(self):
+        # More threads than cores run the chain of one obligation on three
+        # vectors at once, with a short switch interval, reading and writing
+        # the same bases, duals and kept model: every report equals the one
+        # a cold store gives, and the stores' sizes are the sums of what
+        # they hold (a lost update in `LruStore.put` would break that).
+        import sys
+        import threading
+
+        from entroflow.highs import _MODELS, BASES
+
+        chains = [contract_chain(h, "v[1]-lower") for h in ((1, 1, 2), (1, 2, 3), (2, 2, 3))]
+        cold = []
+        for lp, claims in chains:
+            BASES.clear()
+            cold.append(self.chain(lp, claims)[0])
+        BASES.clear()
+        wrong = []
+
+        def run(seed):
+            for k in random.Random(seed).choices(range(len(chains)), k=6):
+                if self.chain(*chains[k])[0] != cold[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        for store in (BASES, _MODELS):
+            assert store.size == sum(size for _, size in store._values.values()) <= store.cap
+
+
 class TestRationalize:
     def test_same_as_limit_denominator(self):
         import numpy as np
@@ -1295,6 +1417,32 @@ class TestHighsBoundary:
             assert np.array(got.col_value).tobytes() == np.array(want.col_value).tobytes()
             assert np.array(got.row_dual).tobytes() == np.array(want.row_dual).tobytes()
 
+    def test_kept_model_matches_a_model_object(self):
+        # A model kept in `highs._MODELS` under the LP's matrix key loads the
+        # arrays of the model built field by field, both when it is built and
+        # when an LP with other right sides finds it.
+        import numpy as np
+
+        from entroflow.highs import _MODELS, Highs
+
+        first, second = (min(chain_sequences(h), key=lambda c: len(c[0].rows))[0] for h in ((1, 1, 2), (1, 2, 3)))
+        assert first.matrix == second.matrix
+        assert not np.array_equal(first.rows.rhs, second.rows.rhs)
+        _MODELS.clear()
+        kept = []
+        for lp in (first, second):
+            n = len(lp.coords)
+            ours = Highs(lp.rows, n, lp.matrix)
+            kept.append(_MODELS.get(lp.matrix))
+            a = ours.highs.getLp()
+            b = old_style_model(ours.core, lp.rows, n)
+            for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            for name in ("start_", "index_", "value_"):
+                assert np.array_equal(getattr(a.a_matrix_, name), getattr(b.a_matrix_, name)), name
+        assert kept[0] is kept[1] and len(_MODELS) == 1
+        assert not any(part.flags.writeable for part in kept[0] if isinstance(part, np.ndarray))
+
     def test_stored_basis_runs_price_with_devex(self):
         import numpy as np
 
@@ -1427,8 +1575,11 @@ def test_elemental_memo_under_concurrent_builds():
 
 def verified_proposals():
     """(lp, objective, certificate) of float proposals that passed the exact
-    check: max and min of a few expressions on the butterfly and on the
-    smallest contract chain LP of h = (1, 2, 3)."""
+    check, their point and duals as Fraction maps: max and min of a few
+    expressions on the butterfly and on the smallest contract chain LP of
+    h = (1, 2, 3)."""
+    from dataclasses import replace
+
     chain, steps = min(chain_sequences((1, 2, 3)), key=lambda c: len(c[0].rows))
     cases = [
         (build_shannon_lp(butterfly(), rate_sessions="none"), ["H(T)", "H(e_34)", "H(T|e_s1)", "I(e_s1;e_s2)"]),
@@ -1444,7 +1595,7 @@ def verified_proposals():
                 res = solver._float_solve(objective, None)
                 cert = solver._float_certificate(objective, res)
                 if cert is not None:
-                    out.append((lp, objective, cert))
+                    out.append((lp, objective, replace(cert, x=cert.x.fractions(), duals=cert.duals.fractions())))
     return out
 
 
