@@ -29,25 +29,28 @@ array per ground size), and equal rows are found through one packed
 integer key per row.  A block depends only on the ground size and the
 closure table, so it is kept, read-only, in a byte-capped store that every
 later LP on the same topology reads (`_elemental_block`); provenance tags
-stay compact and are formatted only when `export_text`,
-`certificate_to_json` or the `constraints` view asks for them.  Every
-reader works from the store: the HiGHS model, the exact verifier, the
-exact simplex and the exports.
+stay compact and are formatted only when `ShannonLP.tag`, `export_text`
+or `certificate_to_json` asks for them.  Every reader works from the
+store: the HiGHS model, the exact verifier, the exact simplex and the
+exports.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
 bindings scipy bundles) proposes an optimum (a point and row duals) or,
 for an infeasible LP, the Farkas multipliers of its dual ray.  The
-proposal is rounded to rationals, in the integer sparse form
-`rows.Sparse` (indices, integer numerators, one denominator), and
-accepted only when it passes the exact check against every row; its
-Fractions are made only then.  A certificate keeps only nonzero entries:
-its point and ray by coordinate, its row duals or Farkas multipliers by
-LP row.  The check works on that integer form and compares integer
-matrix-vector products with the scaled right sides (int64 under a checked
-no-overflow bound, Python ints otherwise).  When no proposal verifies, or
-scipy or its HiGHS bindings are missing, the lazy exact rational simplex
-settles the LP.  Every returned certificate
-has been re-verified exactly.
+proposal is rounded to rationals and accepted only when it passes the
+exact check against every row.  When no proposal verifies, or scipy or
+its HiGHS bindings are missing, the lazy exact rational simplex settles
+the LP.  Every returned certificate has been re-verified exactly.
+
+Every point, ray, dual and Farkas vector, whichever path made it, has one
+form, `rows.Sparse`: ascending indices, integer numerators and one
+denominator, read as a mapping of its nonzero entries as Fractions,
+built on first read.  The point and ray of a `Certificate` are keyed by
+closed mask, its row duals or Farkas multipliers by LP row.  The exact
+check works on the integer form and compares integer matrix-vector
+products with the scaled right sides (int64 under a checked no-overflow
+bound, Python ints otherwise), so a solve that is only checked makes no
+Fraction per entry.
 
 Every question goes through a `ShannonSolver`: the exact maximum or
 minimum of an expression string (`"H(K|W4)"`, `"I(A;B|C) - 2*H(A)"`), or
@@ -90,7 +93,6 @@ import functools
 import json
 import math
 import time
-from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
@@ -120,7 +122,6 @@ if TYPE_CHECKING:
 __all__ = [
     "GroundTooLargeError",
     "VariableGround",
-    "TaggedConstraint",
     "ShannonLP",
     "Certificate",
     "Claim",
@@ -152,16 +153,6 @@ class VariableGround:
     kinds: Mapping[str, str]  # label -> "session" | "message" | "randomness"
     # Nodes whose randomness the LP models, before any subnetwork restriction.
     randomized: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TaggedConstraint:
-    """sum(coeff * h(mask)) sense rhs, with a provenance tag."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-    sense: str  # "ge" | "le" | "eq"
-    rhs: Fraction
-    tag: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +191,11 @@ class ShannonLP:
     """A Shannon LP: every row once, as integer arrays over closed coordinates.
 
     Row i of `rows` is a constraint on the coordinate indices (positions
-    in `coords`); `tag(i)` is its provenance and `constraints` the same
-    rows as `TaggedConstraint` values over closed masks.  `matrix` fixes
-    the rows without their right sides: the ground size and closure table
-    (which fix the elemental block and the coordinates), where the block
-    starts, and every other row's terms and sense.  Two LPs with equal
+    in `coords`, whose entries are the closed masks) and `tag(i)` is its
+    provenance.  `matrix` fixes the rows without their right sides: the
+    ground size and closure table (which fix the elemental block and the
+    coordinates), where the block starts, and every other row's terms and
+    sense.  Two LPs with equal
     keys differ at most in their right sides.
     """
 
@@ -217,8 +208,10 @@ class ShannonLP:
     matrix: tuple = field(repr=False, compare=False)
 
     @property
-    def constraints(self) -> Sequence[TaggedConstraint]:
-        return _ConstraintView(self)
+    def constraints(self) -> RowStore:
+        # The same rows: perfbench/tracing.py reads len(lp.constraints)
+        # until the benchmark reads `rows` instead.
+        return self.rows
 
     @property
     def elemental_rows(self) -> range:
@@ -243,24 +236,6 @@ class ShannonLP:
             if cl:
                 out[cl] = out.get(cl, Fraction(0)) + c
         return {m: c for m, c in out.items() if c}, const
-
-
-class _ConstraintView(SequenceABC):
-    """The rows of a ShannonLP as TaggedConstraint values, built on access."""
-
-    def __init__(self, lp: ShannonLP):
-        self.lp = lp
-
-    def __len__(self) -> int:
-        return len(self.lp.rows)
-
-    def __getitem__(self, i: int) -> TaggedConstraint:
-        i = range(len(self))[i]
-        row = self.lp.rows[i]
-        coords = self.lp.coords
-        return TaggedConstraint(
-            tuple((coords[j], c) for j, c in row.coeffs.items()), row.sense, row.rhs, self.lp.tag(i)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -751,11 +726,11 @@ class Certificate:
     status: str  # "optimal" | "infeasible" | "unbounded" | "feasible"
     value: Optional[Fraction]
     orientation: str  # "max" | "min" | "feasibility"
-    # The maps below hold Fractions; a float-proposed one is built on first read.
-    primal: Optional[Mapping[int, Fraction]]  # closed mask -> value
-    duals: Optional[Mapping[int, Fraction]]  # nonzero entries by LP row, solver orientation
-    farkas: Optional[Mapping[int, Fraction]]  # nonzero entries by LP row
-    ray: Optional[Mapping[int, Fraction]]  # closed mask -> value
+    # Each vector is a `rows.Sparse`: Fractions by index, read as a mapping.
+    primal: Optional[Sparse]  # by closed mask
+    duals: Optional[Sparse]  # by LP row, solver orientation
+    farkas: Optional[Sparse]  # by LP row
+    ray: Optional[Sparse]  # by closed mask
     pivots: tuple[tuple[int, int], ...]
 
 
@@ -794,47 +769,6 @@ class SolveStats:
         return self.memo_hits + self.stored_dual + self.float_cert + self.float_farkas + self.exact
 
 
-class _Fractions(MappingABC):
-    """The nonzero entries of a `rows.Sparse` as a read-only map of
-    Fractions, each index taken through `keys` when given, built on first
-    read: a proof chain reads only its certificates' values, so its solves
-    build no such map."""
-
-    def __init__(self, values: Sparse, keys: Optional[Sequence[int]] = None):
-        self._values, self._keys, self._map = values, keys, None
-
-    def _built(self) -> dict[int, Fraction]:
-        if self._map is None:
-            got = self._values.fractions()
-            self._map = got if self._keys is None else {self._keys[j]: v for j, v in got.items()}
-        return self._map
-
-    def __getitem__(self, key: int) -> Fraction:
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
-def _by_key(values, keys: Optional[Sequence[int]] = None) -> Optional[Mapping[int, Fraction]]:
-    """A certificate map (Fractions by index, or a `rows.Sparse`) with each
-    index taken through `keys` when given; a `rows.Sparse` becomes a
-    `_Fractions` view."""
-    from entroflow.rows import Sparse
-
-    if values is None:
-        return None
-    if isinstance(values, Sparse):
-        return _Fractions(values, keys)
-    return values if keys is None else {keys[j]: v for j, v in values.items()}
-
-
 class ShannonSolver:
     """Exact solver bound to one LP, and the only way to ask it a question:
     `maximize` or `minimize` an expression string, or `feasibility`.
@@ -851,17 +785,17 @@ class ShannonSolver:
     under the full exact check (settled by `stored_dual`, no HiGHS run);
     otherwise its run starts from the optimal basis stored there, if there
     is one, and stores its own basis and verified dual.  Direct calls of
-    `maximize`, `minimize` and `feasibility` never touch that store.  A
-    float-proposed certificate keeps its point and multipliers in the
-    integer form `rows.Sparse`; the Fraction maps of `Certificate` are
-    built on first read.  When
-    no proposal verifies, the exact simplex takes over with elemental rows activated lazily: each
-    solve runs on the active subset, the answer is checked exactly against
-    every remaining row, violated rows join in bulk, and the loop repeats.
-    A returned optimum is therefore an optimum of the full LP (inactive
-    rows carry zero dual multipliers), and the final certificate is
-    re-verified against the complete row list.  An objective already
-    settled returns the same certificate from a memo.
+    `maximize`, `minimize` and `feasibility` never touch that store.  When
+    no proposal verifies, the exact simplex takes over with elemental rows
+    activated lazily: each solve runs on the active subset, the answer is
+    checked exactly against every remaining row, violated rows join in
+    bulk, and the loop repeats.  A returned optimum is therefore an optimum
+    of the full LP (inactive rows carry zero dual multipliers), and the
+    final certificate, its multipliers re-keyed from active positions to
+    LP rows, is re-verified against the complete row list.  Every path
+    gives its vectors as `rows.Sparse` values; `Certificate` re-keys the
+    point and ray from columns to closed masks (`Sparse.rekey`).  An
+    objective already settled returns the same certificate from a memo.
 
     The solver is stateful and not shareable (across threads or otherwise
     concurrent users): it holds the HiGHS handle with its basis, the memo,
@@ -977,8 +911,7 @@ class ShannonSolver:
     def _verified(
         self, objective: Mapping[int, Fraction], cert: SimplexCertificate
     ) -> Optional[SimplexCertificate]:
-        """The certificate, if it passes exact verification; `rows.Sparse`
-        maps are checked and kept as they are (see `_wrap`)."""
+        """The certificate, if it passes exact verification."""
         try:
             verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), cert)
         except CertificateError:
@@ -1003,7 +936,11 @@ class ShannonSolver:
         self.stats.simplex_iterations += nit
         if farkas is None:
             return None
-        cert = SimplexCertificate("infeasible", None, {}, None, self._rational(farkas), None, ())
+        from entroflow.rows import Sparse
+
+        cert = SimplexCertificate(
+            "infeasible", None, Sparse.of({}), None, self._rational(farkas), None, ()
+        )
         return self._verified({}, cert)
 
     def _float_seed(self, res) -> list[int]:
@@ -1020,13 +957,11 @@ class ShannonSolver:
         inactive[self._inactive] = True
         return np.flatnonzero(face & inactive).tolist()
 
-    def _violated(self, x: Mapping[int, Fraction], ray: bool = False) -> list[int]:
+    def _violated(self, x: Sparse, ray: bool = False) -> list[int]:
         import numpy as np
 
-        from entroflow.rows import Sparse
-
         inactive = np.array(self._inactive, dtype=np.int64)
-        hit = self.lp.rows.violated(len(self.lp.coords), Sparse.of(x), ray)
+        hit = self.lp.rows.violated(len(self.lp.coords), x, ray)
         return inactive[hit[inactive]].tolist()
 
     def _activate(self, rows: list[int]) -> None:
@@ -1035,19 +970,8 @@ class ShannonSolver:
         self._inactive = [i for i in self._inactive if i not in taken]
         self.simplex = None
 
-    def _by_lp_row(self, cert: SimplexCertificate) -> SimplexCertificate:
-        """An exact-simplex certificate with its multipliers keyed by LP row
-        instead of by position in `active`."""
-
-        def rekey(values):
-            return None if values is None else {self.active[pos]: y for pos, y in values.items()}
-
-        return replace(cert, duals=rekey(cert.duals), farkas=rekey(cert.farkas))
-
     def _solve_max(self, objective: Mapping[int, Fraction], bases=None) -> SimplexCertificate:
         import logging  # here, off the command line's import path
-
-        from entroflow.rows import Sparse
 
         log = logging.getLogger(__name__)
         key = tuple(sorted((j, c) for j, c in objective.items() if c))
@@ -1061,11 +985,10 @@ class ShannonSolver:
         setattr(stats, path, getattr(stats, path) + 1)
         self._memo[key] = cert
         if bases is not None and cert.status == "optimal":
-            x = Sparse.of(cert.x)
             if objective:
-                self._latest = x
+                self._latest = cert.x
             else:
-                self._feasible = x
+                self._feasible = cert.x
         log.debug(
             "solve: %s, settled by %s, %d HiGHS runs (%d warm, %d from stored bases), "
             "%d simplex iterations, %.3f s",
@@ -1148,7 +1071,13 @@ class ShannonSolver:
             if grow:
                 self._activate(grow)
                 continue
-            out = self._by_lp_row(cert)
+            # Multipliers by LP row, not by position in `active`.
+            active = self.active
+            out = replace(
+                cert,
+                duals=None if cert.duals is None else cert.duals.rekey(active),
+                farkas=None if cert.farkas is None else cert.farkas.rekey(active),
+            )
             verify_certificate(len(self.lp.coords), self.lp.rows, dict(objective), out)
             return out
 
@@ -1167,10 +1096,10 @@ class ShannonSolver:
             status=cert.status,
             value=value,
             orientation=orientation,
-            primal=_by_key(cert.x, coords) if cert.status != "infeasible" else None,
-            duals=_by_key(cert.duals),
-            farkas=_by_key(cert.farkas),
-            ray=_by_key(cert.ray, coords),
+            primal=cert.x.rekey(coords) if cert.status != "infeasible" else None,
+            duals=cert.duals,
+            farkas=cert.farkas,
+            ray=None if cert.ray is None else cert.ray.rekey(coords),
             pivots=cert.pivots,
         )
 

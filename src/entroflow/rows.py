@@ -6,20 +6,23 @@ works from: the HiGHS model (`highs.Highs`), the exact certificate checks
 The module, and numpy with it, is loaded on first use: importing the
 command line loads neither.
 
-The exact checks take points, rays and multipliers in one integer sparse
-form, `Sparse`: ascending indices, integer numerators and one positive
-denominator.  `RowStore.violated` scales a point to integers that way and
-`RowStore.combine` weighs the integer rows with a multiplier's
-numerators, so no check makes a Fraction per entry.  Float proposals are
-rounded straight into this form (`lp.ShannonSolver._rational`), and a map
-of Fractions is turned into it once (`Sparse.of`).
+Every point, ray and multiplier vector has one form, `Sparse`: ascending
+indices, integer numerators and one positive denominator, read as a
+mapping of Fractions by index that is built on first read.  The float
+proposals (`lp.ShannonSolver._rational`) and the exact simplex make it,
+and every certificate and stored dual holds it.  `RowStore.violated`
+works on a point's numerators and `RowStore.combine` weighs the integer
+rows with a multiplier's numerators, so no check makes a Fraction per
+entry.  A map of Fractions from elsewhere is turned into it once
+(`Sparse.of`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping as MappingABC
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,35 +51,62 @@ def _int_array(values):
     return np.array(values, dtype=object)
 
 
-class Sparse(NamedTuple):
+class Sparse(MappingABC):
     """Rational values by index in integer form: entry k is ``num[k] / den``
     at index ``index[k]``; every other index holds 0.
 
     ``index`` is an ascending int64 array without repeats, ``num`` an int64
     array or an array of Python ints, and ``den`` a positive Python int.
-    An entry may be 0.
+    An entry may be 0.  As a read-only mapping, a `Sparse` holds its
+    nonzero entries as Fractions by index, built on first read, so a
+    caller that only checks or stores it makes no Fraction per entry.
     """
 
-    index: Any
-    num: Any
-    den: int
+    __slots__ = ("index", "num", "den", "_map")
+
+    def __init__(self, index, num, den: int):
+        self.index, self.num, self.den = index, num, den
+        self._map: Optional[dict[int, Fraction]] = None
 
     @classmethod
-    def of(cls, values: "Mapping[int, Fraction] | Sparse") -> "Sparse":
-        """A map of rationals (Fractions or ints) by index, over their least
-        common denominator; a `Sparse` is returned as it is."""
+    def of(cls, values: "Mapping[int, Fraction]", den: int = 1) -> "Sparse":
+        """A map of rationals (Fractions or ints) by index, each divided by
+        `den`, over their least common denominator; a `Sparse` is returned
+        as it is."""
         if isinstance(values, Sparse):
             return values
         items = sorted(values.items())
-        den = math.lcm(*(v.denominator for _, v in items))
-        nums = [v.numerator * (den // v.denominator) for _, v in items]
+        lcm = math.lcm(*(v.denominator for _, v in items))
+        nums = [v.numerator * (lcm // v.denominator) for _, v in items]
+        g = math.gcd(lcm * den, *nums)
         index = np.array([j for j, _ in items], dtype=np.int64)
-        return cls(index, _int_array(nums), den)
+        return cls(index, _int_array([v // g for v in nums]), lcm * den // g)
 
-    def fractions(self) -> dict[int, Fraction]:
-        """The nonzero entries as a map of Fractions by index, ascending."""
-        pairs = zip(self.index.tolist(), self.num.tolist())
-        return {j: Fraction(v, self.den) for j, v in pairs if v}
+    def _built(self) -> dict[int, Fraction]:
+        # Threads that read a shared `Sparse` (a stored dual) at once may
+        # each build the map; the maps are equal, so either one may stay.
+        if self._map is None:
+            pairs = zip(self.index.tolist(), self.num.tolist())
+            self._map = {j: Fraction(v, self.den) for j, v in pairs if v}
+        return self._map
+
+    def __getitem__(self, key: int) -> Fraction:
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return f"Sparse({self._built()!r})"
+
+    def rekey(self, keys: Sequence[int]) -> "Sparse":
+        """The same values with index i moved to ``keys[i]`` (keys distinct)."""
+        index = np.asarray(keys, dtype=np.int64)[self.index]
+        order = np.argsort(index, kind="stable")
+        return Sparse(index[order], self.num[order], self.den)
 
     def dot(self, coeffs: Mapping[int, Fraction]) -> Fraction:
         """The sum of coeff * value over a map of coefficients by index."""
@@ -229,7 +259,7 @@ class RowStore:
         denominator), and each row's integer dot product with them is
         compared with rhs * D.
         """
-        index, num, d = point
+        index, num, d = point.index, point.num, point.den
         if len(index) and (index[0] < 0 or index[-1] >= n_vars):
             j = int(index[0] if index[0] < 0 else index[-1])
             raise CertificateError(f"point has coordinate {j} outside the {n_vars} variables")
@@ -265,7 +295,7 @@ class RowStore:
         exactly.  Returns E times the combined coefficients (an integer
         array over the variables), E times the combined right side, and E.
         """
-        index, num, den = mult
+        index, num, den = mult.index, mult.num, mult.den
         outside = (index < 0) | (index >= len(self))
         if outside.any():
             i = int(index[outside][0])

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from entroflow.rows import RowStore
+    from entroflow.rows import RowStore, Sparse
 
 __all__ = [
     "LinearRow",
@@ -77,10 +77,11 @@ class LinearRow:
 class SimplexCertificate:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
-    x: dict[int, Fraction]  # nonzero entries by column
-    duals: Optional[dict[int, Fraction]]  # nonzero entries by LP row
-    farkas: Optional[dict[int, Fraction]]  # nonzero entries by LP row
-    ray: Optional[dict[int, Fraction]]  # nonzero entries by column
+    # Each vector is a `rows.Sparse`: Fractions by index, read as a mapping.
+    x: Sparse  # by column (empty when infeasible)
+    duals: Optional[Sparse]  # by LP row
+    farkas: Optional[Sparse]  # by LP row
+    ray: Optional[Sparse]  # by column
     pivots: tuple[tuple[int, int], ...]
 
 
@@ -94,21 +95,23 @@ def verify_certificate(
 
     Points and rays map columns to values, dual and Farkas multipliers map
     LP rows to values; a missing entry reads as zero, a zero entry is
-    ignored, and a row outside the store raises.  Each is a map of
-    Fractions by index or already in the integer sparse form
-    `rows.Sparse` (indices, integer numerators, one denominator); a map is
-    turned into that form once, and every check runs on it: integer
+    ignored, and a row outside the store raises.  Each is a `rows.Sparse`
+    (indices, integer numerators, one denominator) or, from a caller
+    outside the solvers, a map of Fractions by index, turned into that
+    form once.  Every check runs on the integer form: integer
     matrix-vector products against the rows' integer form (see
     `rows.RowStore`), no tolerance and no per-term fractions.
     """
     from entroflow.rows import RowStore, Sparse
 
     store = RowStore.of(rows)
+    x, duals, farkas, ray = (
+        None if v is None else Sparse.of(v) for v in (cert.x, cert.duals, cert.farkas, cert.ray)
+    )
     for j in objective:
         if not 0 <= j < n_vars:
             raise CertificateError(f"objective references unknown variable {j}")
     if cert.status == "optimal":
-        x = Sparse.of(cert.x)
         if (x.num < 0).any():
             raise CertificateError("primal point has a negative coordinate")
         bad = store.first_violated(n_vars, x)
@@ -116,9 +119,9 @@ def verify_certificate(
             raise CertificateError(f"primal point violates row {bad}")
         if x.dot(objective) != cert.value:
             raise CertificateError("primal objective does not match the reported value")
-        if cert.duals is None:
+        if duals is None:
             raise CertificateError("optimal certificate lacks dual multipliers")
-        combo, bound, e = store.combine(n_vars, Sparse.of(cert.duals), "dual")
+        combo, bound, e = store.combine(n_vars, duals, "dual")
         short = combo < 0
         for j, c in objective.items():
             short[j] = int(combo[j]) < c * e
@@ -128,17 +131,16 @@ def verify_certificate(
         if Fraction(bound, e) != cert.value:
             raise CertificateError("weak-duality bound does not match the value")
     elif cert.status == "infeasible":
-        if cert.farkas is None:
+        if farkas is None:
             raise CertificateError("infeasibility certificate lacks multipliers")
-        combo, bound, _ = store.combine(n_vars, Sparse.of(cert.farkas), "Farkas")
+        combo, bound, _ = store.combine(n_vars, farkas, "Farkas")
         if (combo < 0).any():
             raise CertificateError("Farkas combination is not componentwise nonnegative")
         if bound >= 0:
             raise CertificateError("Farkas combination fails to witness infeasibility")
     elif cert.status == "unbounded":
-        if cert.ray is None:
+        if ray is None:
             raise CertificateError("unbounded certificate lacks a ray")
-        ray = Sparse.of(cert.ray)
         if (ray.num < 0).any():
             raise CertificateError("ray has a negative coordinate")
         if ray.dot(objective) <= 0:
@@ -147,7 +149,7 @@ def verify_certificate(
         if bad is not None:
             raise CertificateError(f"ray escapes row {bad}")
         # The current point must be feasible for the ray to matter.
-        bad = store.first_violated(n_vars, Sparse.of(cert.x))
+        bad = store.first_violated(n_vars, x)
         if bad is not None:
             raise CertificateError(f"ray base point violates row {bad}")
     else:
@@ -201,7 +203,7 @@ class ExactSimplex:
         self.verify = verify
         self.stats = SimplexStats()
         self._status: Optional[str] = None
-        self._farkas: Optional[dict[int, Fraction]] = None
+        self._farkas: Optional[Sparse] = None
         self._pivots: list[tuple[int, int]] = []
         self._build()
 
@@ -241,13 +243,12 @@ class ExactSimplex:
         T[with_art, self._arts] = 1
         self.T = T
         self.den = 1
-        self.obj_scale = Fraction(1)
         self.basis: list[int] = basis.tolist()
         self.active = [True] * m
         # Witness column per row: its initial basic column, whose content
         # e_i exposes the i-th dual multiplier at any basis.
         self._witness = list(self.basis)
-        self.row_scale = [Fraction(s * t) for s, t in zip(rows.scale.tolist(), turn.tolist())]
+        self.row_scale = [s * t for s, t in zip(rows.scale.tolist(), turn.tolist())]
         self._needs_phase1 = bool(self._arts)
         self._art_start = art_at
 
@@ -408,22 +409,25 @@ class ExactSimplex:
         self._needs_phase1 = False
         return True
 
-    def _row_multipliers(self, c_int: dict[int, int]) -> dict[int, Fraction]:
-        """The nonzero multipliers for the original rows at the current basis, by row.
+    def _row_multipliers(self, c_int: dict[int, int], scale: int = 1) -> Sparse:
+        """The multipliers for the original rows at the current basis, by
+        row, divided by `scale` (the objective's integer scale).
 
         With witness column w of initial content e_i, the solver-row
         multiplier is obj_row[w]/den + cost(w); scaling back by the row's
         integer multiplier yields the original-row multiplier.  An inactive
         (redundant) row has none.
         """
+        from entroflow.rows import Sparse
+
         obj = self.T[len(self.rows), :].tolist()
-        y = {}
-        for i, w in enumerate(self._witness):
-            if self.active[i]:
-                yi = Fraction(obj[w], self.den) + c_int.get(w, 0)
-                if yi:
-                    y[i] = yi * self.row_scale[i]
-        return y
+        den = self.den
+        y = {
+            i: (obj[w] + c_int.get(w, 0) * den) * self.row_scale[i]
+            for i, w in enumerate(self._witness)
+            if self.active[i]
+        }
+        return Sparse.of(y, den * scale)
 
     # ------------------------------------------------------------------
     # public API
@@ -447,28 +451,20 @@ class ExactSimplex:
         return cert
 
     def _maximize(self, objective: Mapping[int, Fraction]) -> SimplexCertificate:
+        from entroflow.rows import Sparse
+
         objective = {j: Fraction(c) for j, c in objective.items() if c != 0}
         for j in objective:
             if not 0 <= j < self.n:
                 raise ValueError(f"objective references unknown variable {j}")
-        if self._status == "infeasible":
-            return self._certify(
-                SimplexCertificate(
-                    "infeasible", None, {}, None, self._farkas, None, tuple(self._pivots)
-                ),
-                objective,
-            )
         self._pivots = []
-        if self._needs_phase1 and not self._phase1():
-            return self._certify(
-                SimplexCertificate(
-                    "infeasible", None, {}, None, self._farkas, None, tuple(self._pivots)
-                ),
-                objective,
+        if self._status == "infeasible" or (self._needs_phase1 and not self._phase1()):
+            cert = SimplexCertificate(
+                "infeasible", None, Sparse.of({}), None, self._farkas, None, tuple(self._pivots)
             )
+            return self._certify(cert, objective)
         scale = math.lcm(*(c.denominator for c in objective.values()))
         c_int = {j: int(c * scale) for j, c in objective.items()}
-        self.obj_scale = Fraction(scale)
         self._install_objective(c_int)
         out = self._run(self._art_start)
         if out == "unbounded":
@@ -482,48 +478,40 @@ class ExactSimplex:
                 tuple(self._pivots),
             )
             return self._certify(cert, objective)
-        value = Fraction(int(self.T[len(self.rows), self.width]), self.den) / self.obj_scale
-        duals = {i: y / self.obj_scale for i, y in self._row_multipliers({}).items()}
+        value = Fraction(int(self.T[len(self.rows), self.width]), self.den * scale)
         cert = SimplexCertificate(
             "optimal",
             value,
             self._primal(),
-            duals,
+            self._row_multipliers({}, scale),
             None,
             None,
             tuple(self._pivots),
         )
         return self._certify(cert, objective)
 
-    def _primal(self) -> dict[int, Fraction]:
-        x: dict[int, Fraction] = {}
-        rhs = self.T[: len(self.rows), self.width].tolist()
-        for i, b in enumerate(self.basis):
-            if b < self.n and self.active[i]:
-                v = Fraction(rhs[i], self.den)
-                if v:
-                    x[b] = v
-        return x
-
-    def _ray(self, col: int) -> dict[int, Fraction]:
-        ray: dict[int, Fraction] = {}
-        if col < self.n:
-            ray[col] = Fraction(1)
+    def _basic(self, col: int) -> dict[int, int]:
+        """Tableau column `col` by basic structural column (active rows only)."""
         entries = self.T[: len(self.rows), col].tolist()
-        for i, b in enumerate(self.basis):
-            if not self.active[i]:
-                continue
-            if b < self.n:
-                v = -Fraction(entries[i], self.den)
-                if v:
-                    ray[b] = ray.get(b, Fraction(0)) + v
-        return {j: v for j, v in ray.items() if v}
+        return {b: entries[i] for i, b in enumerate(self.basis) if b < self.n and self.active[i]}
+
+    def _primal(self) -> Sparse:
+        from entroflow.rows import Sparse
+
+        return Sparse.of(self._basic(self.width), self.den)
+
+    def _ray(self, col: int) -> Sparse:
+        """The improving ray along nonbasic column `col`."""
+        from entroflow.rows import Sparse
+
+        ray = {b: -v for b, v in self._basic(col).items()}
+        if col < self.n:
+            ray[col] = self.den
+        return Sparse.of(ray, self.den)
 
     def _certify(
         self, cert: SimplexCertificate, objective: Mapping[int, Fraction]
     ) -> SimplexCertificate:
         if self.verify:
             verify_certificate(self.n, self.rows, objective, cert)
-        if cert.status == "infeasible":
-            self._status = "infeasible"
         return cert

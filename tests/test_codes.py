@@ -267,8 +267,8 @@ class TestDerivedOnce:
         src = os.path.dirname(os.path.dirname(entroflow.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = (
-            "import sys, entroflow.cli; "
-            "print(sorted({'numpy', 'scipy', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+            "import sys, entroflow.cli; print(sorted({'numpy', 'scipy', 'concurrent.futures', "
+            "'logging', 'entroflow.rows'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

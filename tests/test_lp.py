@@ -26,6 +26,16 @@ from test_codes import butterfly_code, pad_code, pad_problem, relay_code, relay_
 F = Fraction
 
 
+def row_tags(lp):
+    """The provenance tag of every row of an LP, in row order."""
+    return [lp.tag(i) for i in range(len(lp.rows))]
+
+
+def mask_terms(lp, i):
+    """Row i's (closed mask, coefficient) terms, masks ascending."""
+    return tuple((lp.coords[j], c) for j, c in lp.rows[i].coeffs.items())
+
+
 class TestExpressionCompiler:
     def setup_method(self):
         self.g = GroundSet(("A", "B", "C"))
@@ -97,9 +107,9 @@ class TestBuild:
         )
         lp = build_shannon_lp(p, reduce=False)
         got = {
-            frozenset(c.coeffs)
-            for c in lp.constraints
-            if c.tag[0] == "elemental"
+            frozenset(mask_terms(lp, i))
+            for i, tag in enumerate(row_tags(lp))
+            if tag[0] == "elemental"
         }
         want = set()
         for f in elemental_inequalities(GroundSet(lp.ground.labels)):
@@ -116,7 +126,7 @@ class TestBuild:
         p = simple_problem([("e", "s", "t", 1)], [("S", 1, "s", ("t",))])
 
         def rate_tags(**kwargs):
-            return {c.tag for c in build_shannon_lp(p, **kwargs).constraints if c.tag[0] == "rate"}
+            return {tag for tag in row_tags(build_shannon_lp(p, **kwargs)) if tag[0] == "rate"}
 
         assert rate_tags() == {("rate", "S")}
         assert rate_tags(rate_sessions="none") == set()
@@ -128,7 +138,7 @@ class TestBuild:
         lp = build_shannon_lp(p, variables=("T", "e_s1", "e_s2"))
         assert lp.ground.labels == ("T", "e_s1", "e_s2")
         # Decode rules fall away (their inputs are outside the ground).
-        assert all(c.tag[0] != "decode" for c in lp.constraints)
+        assert all(tag[0] != "decode" for tag in row_tags(lp))
 
     def test_randomness_auto_included(self):
         lp = build_shannon_lp(pad_problem())
@@ -143,10 +153,10 @@ class TestBuild:
         problem = build_secure(1, 2).problem
         sub = ["X", "W1", "W2", "W3", "K", "W4", "W5"]
         assert ShannonSolver(build_shannon_lp(problem, variables=sub)).feasibility().status == "feasible"
-        tags = {c.tag for c in build_shannon_lp(problem, variables=sub, reduce=False).constraints}
+        tags = set(row_tags(build_shannon_lp(problem, variables=sub, reduce=False)))
         assert ("causality", "K") not in tags and ("causality", "W3") not in tags
         assert ("causality", "W4") in tags
-        full = {c.tag for c in build_shannon_lp(problem, variables=sub + ["V_a"], reduce=False).constraints}
+        full = set(row_tags(build_shannon_lp(problem, variables=sub + ["V_a"], reduce=False)))
         assert {("causality", "K"), ("causality", "W3")} <= full
 
     def test_export_mentions_tags(self):
@@ -278,6 +288,7 @@ class TestLeanHighsLoad:
 # certificate_to_json of the exact-simplex certificates on FALLBACK_CASES: the
 # maximum, then feasibility on the same solver.  Recorded while certificates
 # still held one multiplier per LP row; the sparse form prints the same bytes.
+# A repeat solve of an infeasible LP makes no pivot, so it reports none.
 FALLBACK_JSON = {
     "single-edge": [
         {"status": "optimal", "orientation": "max", "value": "1", "primal": {"{S,e}": "1"},
@@ -289,7 +300,7 @@ FALLBACK_JSON = {
         {"status": "infeasible", "orientation": "max", "value": None,
          "farkas": {"capacity:e": "1", "rate:S": "-1"}, "pivots": 1},
         {"status": "infeasible", "orientation": "feasibility", "value": None,
-         "farkas": {"capacity:e": "1", "rate:S": "-1"}, "pivots": 1},
+         "farkas": {"capacity:e": "1", "rate:S": "-1"}, "pivots": 0},
     ],
     "butterfly": [
         {"status": "optimal", "orientation": "max", "value": "2",
@@ -648,6 +659,38 @@ class TestStoredDuals:
         paths = [r.getMessage().split(", ")[1] for r in caplog.records if r.name == "entroflow.lp"]
         assert paths == ["settled by float_cert"] + ["settled by stored_dual"] * 2
 
+    def test_every_path_returns_sparse_certificates_that_compare_as_maps(self, monkeypatch):
+        from dataclasses import replace
+
+        from entroflow.highs import BASES
+        from entroflow.rows import Sparse
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        ((_, expression, _, _),) = claims
+        BASES.clear()
+        _, cold = self.chain(lp, claims)
+        _, warm = self.chain(lp, claims)
+        assert warm.stats.stored_dual == 2
+        # A chain reads no certificate as a mapping, so it builds no Fraction per entry.
+        chained = [*cold._memo.values(), *warm._memo.values()]
+        assert all(v._map is None for c in chained for v in (c.x, c.duals) if v is not None)
+        stored = warm.maximize(expression)  # the chain's answer, from the memo
+        solvers = [ShannonSolver(lp) for _ in range(2)]
+        floats = [solver.maximize(expression) for solver in solvers]
+        infeasible = ShannonSolver(build_shannon_lp(*infeasible_case("single-edge"))).feasibility()
+        monkeypatch.setattr(ShannonSolver, "_float_solve", lambda self, objective, bases: None)
+        exact = ShannonSolver(lp).maximize(expression)
+        assert floats[0] == floats[1]
+        # The solvers' own certificates (by column and LP row) compare too.
+        assert list(solvers[0]._memo.values()) == list(solvers[1]._memo.values())
+        assert stored.value == floats[0].value == exact.value
+        assert infeasible.farkas
+        for cert in (stored, *floats, exact, infeasible):
+            vectors = {k: getattr(cert, k) for k in ("primal", "duals", "farkas", "ray")}
+            assert all(v is None or isinstance(v, Sparse) for v in vectors.values())
+            as_dicts = replace(cert, **{k: v if v is None else dict(v) for k, v in vectors.items()})
+            assert cert == as_dicts and as_dicts == cert
+
     @staticmethod
     def corrupted(lp, entry, other, kind):
         """The stored dual of `entry` made wrong: one multiplier on a row with
@@ -756,7 +799,7 @@ class TestRationalize:
         # An entry that rounds to 0 (1e-10 and 2^-27 among them) is left out.
         assert 0 in rounded.values()
         want = {i: f for i, f in rounded.items() if f}
-        got = solver._rational(values).fractions()
+        got = dict(solver._rational(values))
         assert got == want
         assert list(got) == list(want)
 
@@ -952,10 +995,9 @@ def reference_float_rows(lp, picks):
     a = np.zeros((len(picks), len(lp.coords)))
     b = np.zeros(len(picks))
     for k, (i, sign) in enumerate(picks):
-        con = lp.constraints[i]
-        for m, c in con.coeffs:
+        for m, c in mask_terms(lp, i):
             a[k, index[m]] = sign * float(c)
-        b[k] = sign * float(con.rhs)
+        b[k] = sign * float(lp.rows[i].rhs)
     return a, b
 
 
@@ -1042,10 +1084,10 @@ class TestRowStoreBuild:
     def test_elemental_block_matches_loop(self):
         for lp in reference_lps():
             block = lp.elemental_rows
-            got = [(lp.constraints[i].coeffs, lp.constraints[i].tag) for i in block]
+            got = [(mask_terms(lp, i), lp.tag(i)) for i in block]
             assert got == reference_elemental(lp)
             rest = [i for i in range(len(lp.rows)) if i not in block]
-            assert all(lp.constraints[i].tag[0] != "elemental" for i in rest)
+            assert all(lp.tag(i)[0] != "elemental" for i in rest)
 
     @pytest.mark.parametrize("n", [*range(1, 13), 14])
     def test_elemental_block_matches_unique_rows(self, n):
@@ -1129,7 +1171,7 @@ class TestRowStoreBuild:
         lp = build_shannon_lp(
             p, reduce=False, axioms=[("dup", "I(e1;e2)", ">=", 0), ("new", "I(e1;e2)", "<=", 1)]
         )
-        tags = [c.tag for c in lp.constraints]
+        tags = row_tags(lp)
         assert ("axiom", "dup") not in tags and ("axiom", "new") in tags
         assert len(lp.rows) == len(plain.rows) + 1
 
@@ -1143,7 +1185,7 @@ class TestRowStoreBuild:
 
         for lp in reference_lps():
             model = Highs(lp.rows, len(lp.coords)).highs.getLp()
-            senses = [c.sense for c in lp.constraints]
+            senses = [row.sense for row in lp.rows]
             picks = [(i, -1.0 if s == "ge" else 1.0) for i, s in enumerate(senses) if s != "eq"]
             picks += [(i, 1.0) for i, s in enumerate(senses) if s == "eq"]
             a, b = reference_float_rows(lp, picks)
@@ -1595,7 +1637,7 @@ def verified_proposals():
                 res = solver._float_solve(objective, None)
                 cert = solver._float_certificate(objective, res)
                 if cert is not None:
-                    out.append((lp, objective, replace(cert, x=cert.x.fractions(), duals=cert.duals.fractions())))
+                    out.append((lp, objective, replace(cert, x=dict(cert.x), duals=dict(cert.duals))))
     return out
 
 

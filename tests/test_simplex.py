@@ -588,6 +588,15 @@ class TestStats:
         assert len(records) == 2
         assert records[0].startswith("exact simplex: optimal, ")
         assert "int64 tableau" in records[0]
+        # A repeat solve of an infeasible system pivots no more, and says so.
+        rows = [R({0: 1}, "ge", 2), R({0: 1}, "le", 1), R({1: 1}, "le", 3)]
+        s = ExactSimplex(2, rows)
+        first = s.maximize({0: F(1)})
+        second = s.maximize({1: F(1)})
+        assert first.status == second.status == "infeasible"
+        assert first.pivots and second.pivots == ()
+        assert s.stats.pivots == len(first.pivots) + len(second.pivots)
+        assert second.farkas == first.farkas
 
     def test_bland_switch_counted(self):
         # A degenerate vertex where many pivots leave the objective flat.
