@@ -2,7 +2,10 @@
 
 Subcommands tie the modules together and emit human-readable reports or,
 with --json, a machine-readable run report with a stable field order
-(identical inputs give byte-identical JSON apart from the timing field).
+(identical inputs give byte-identical JSON apart from the timing field,
+and from the stats field of a `verify` command that ran proof chains:
+the sums of their `lp.SolveStats`, which depend on what earlier chains
+in the process stored).
 
 Exit codes: 0 success / witness found; 1 definitive negative; 2
 precondition failed (e.g. not a polymatroid); 3 budget exhausted; 64
@@ -12,6 +15,7 @@ usage or parse error; 65 variable ground too large.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -71,6 +75,7 @@ class _Report:
         self.inputs: dict[str, str] = {}
         self.verdicts: list[dict] = []
         self.certificates: list = []
+        self.stats = None  # the summed `SolveStats` of the proof chains run, if any
         self.started = time.time()
 
     def digest(self, name: str, text: str) -> None:
@@ -78,6 +83,13 @@ class _Report:
 
     def add(self, name: str, passed: Optional[bool], detail: str) -> None:
         self.verdicts.append({"name": name, "pass": passed, "detail": detail})
+
+    def add_contract(self, prefix: str, contract) -> None:
+        """The verdicts of a `gadgets.ContractReport`, each name after
+        `prefix`, and the work of its proof chains."""
+        for r in contract.results:
+            self.add(prefix + r.name, r.ok, r.detail)
+        self.stats = contract.stats if self.stats is None else self.stats + contract.stats
 
     def render(self, as_json: bool) -> str:
         if as_json:
@@ -88,6 +100,8 @@ class _Report:
                 "certificates": self.certificates,
                 "timing": {"seconds": round(time.time() - self.started, 6)},
             }
+            if self.stats is not None:
+                doc["stats"] = {k: round(v, 6) for k, v in dataclasses.asdict(self.stats).items()}
             return json.dumps(doc, indent=2)
         lines = []
         for v in self.verdicts:
@@ -312,8 +326,7 @@ def cmd_gadget(args) -> int:
 def _verify_key_forcing(args, report: _Report) -> bool:
     gadget = build_secure(args.c, args.d)
     contract = verify_contract(gadget.problem, gadget.contract)
-    for r in contract.results:
-        report.add(r.name, r.ok, r.detail)
+    report.add_contract("", contract)
     c = ent.as_fraction(args.c)
     d = ent.as_fraction(args.d)
     if c.denominator == 1 and d.denominator == 1:
@@ -349,8 +362,7 @@ def _verify_incremental(args, report: _Report) -> bool:
     ok = True
     for prefix, gadget in gadgets:
         contract = verify_contract(gadget.problem, gadget.contract)
-        for r in contract.results:
-            report.add(prefix + r.name, r.ok, r.detail)
+        report.add_contract(prefix, contract)
         ok &= contract.all_ok
     return ok
 

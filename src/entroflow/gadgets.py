@@ -32,7 +32,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -44,7 +44,7 @@ from entroflow.entropy import (
     is_quasi_uniform,
     quasi_uniform_vector_of,
 )
-from entroflow.lp import ShannonSolver, build_shannon_lp, verify_proof_chain
+from entroflow.lp import ShannonSolver, SolveStats, build_shannon_lp, verify_proof_chain
 from entroflow.network import (
     UNBOUNDED,
     Capacity,
@@ -124,6 +124,9 @@ class ObligationResult:
 @dataclass(frozen=True)
 class ContractReport:
     results: tuple[ObligationResult, ...]
+    # The work of the proof chains, summed; it depends on what the store
+    # of bases held, so reports compare by their results alone.
+    stats: SolveStats = field(default_factory=SolveStats, compare=False)
 
     @property
     def all_ok(self) -> bool:
@@ -161,8 +164,9 @@ def _chain_workers(chains: int) -> int:
 
 
 def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], obs: list[Obligation]):
-    """The `ChainReport` of one subnetwork's claims, on an LP and a solver
-    of its own; both are freed when it returns."""
+    """The `ChainReport` of one subnetwork's claims and the `SolveStats` of
+    its solver, on an LP and a solver of its own; both are freed when it
+    returns."""
     import logging  # here, off the command line's import path
 
     start = time.perf_counter()
@@ -172,7 +176,8 @@ def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], 
     stats = solver.stats
     logging.getLogger(__name__).debug(
         "chain on %d variables: %d rows, %d solves (%d settled from stored duals), "
-        "%d HiGHS runs (%d from stored bases), %d simplex iterations, %.3f s in HiGHS of %.3f s",
+        "%d HiGHS runs (%d from stored bases), %d simplex iterations, "
+        "%d settled from stored points, %.3f s in HiGHS of %.3f s",
         lp.ground.size,
         len(lp.rows),
         stats.solves,
@@ -180,10 +185,11 @@ def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], 
         stats.highs_runs,
         stats.stored_starts,
         stats.simplex_iterations,
+        stats.stored_point,
         stats.highs_seconds,
         time.perf_counter() - start,
     )
-    return report
+    return report, stats
 
 
 def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -> ContractReport:
@@ -194,7 +200,8 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
     thread pool (HiGHS releases the GIL while it solves), one thread per
     CPU this process may run on, each holding one live HiGHS model at a
     time; the largest subnetworks start first.  The report lists the
-    results in the same order whatever the schedule.
+    results in the same order whatever the schedule, and the sums of the
+    chains' `SolveStats`, which can depend on the schedule.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, off the command line's import path
 
@@ -223,10 +230,13 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
         reports = {key: running[key].result() for key in groups}
     finally:
         pool.shutdown(cancel_futures=True)
+    stats = SolveStats()
     for key, obs in groups.items():
-        for ob, verdict in zip(obs, reports[key].verdicts):
+        report, chain_stats = reports[key]
+        stats += chain_stats
+        for ob, verdict in zip(obs, report.verdicts):
             results.append(ObligationResult(ob.name, verdict.status == ob.expected, verdict.detail))
-    return ContractReport(tuple(results))
+    return ContractReport(tuple(results), stats)
 
 
 # ----------------------------------------------------------------------

@@ -16,29 +16,39 @@ The model is loaded through the array form of HiGHS's `passModel`
 (column-wise arrays in `linprog`'s layout, see `Highs`), which copies the
 arrays once instead of through a `HighsLp` object's fields.
 
-`BASES` is the process-wide store of optimal bases (an `LruStore` of
-`Stored` entries).  Its key digests a model without its row bounds
-together with the cost vector: the column count and the rows the model
-was built from without their right sides, which fix the row layout and
-the matrix.  Models that differ only in their right-hand sides share
-entries: one topology under many rate and capacity tuples.  A stored
-basis stays dual feasible when only the right sides change, and dual
-simplex starts from it at almost no cost.  A run asked to use the store
-(`Highs.solve(cost, BASES)`) starts from the basis stored under its key,
-if any, and records its basis there when it ends optimal.  Next to the
-basis, `Highs.store_dual` keeps the verified rational row duals of the
-solve: the feasibility of a dual does not depend on the right sides
-either, so `lp.ShannonSolver` tries it, checked again exactly, before it
-runs HiGHS at all.  The store is thread-safe and holds at most
-`_BASIS_CAP` bytes (a basis status counts one byte, a dual its arrays'
-bytes), dropping the least recently used entries first.
+`BASES` is the process-wide store of what proof chains verified, one
+`Stored` entry per matrix and cost.  Its key (`entry_key`) digests the
+cost vector together with the digest of `lp.ShannonLP.matrix`, which
+fixes the rows without their right sides (`matrix_digest`); a chain
+solver reads that digest once per LP, so it finds its entries without a
+HiGHS handle.  Models that differ only in their right sides share
+entries: one topology under many rate and capacity tuples.  An entry
+holds the optimal basis of the last HiGHS run for its key, the verified
+rational row duals of the solve that run settled, and the entry's
+generators: the right sides of the solves settled there, as rationals on
+the rows where they are nonzero (`right_sides`), each with the solve's
+verified point.  Each stays useful under new right sides.  A stored
+basis stays dual feasible, and dual simplex starts from it at almost no
+cost; a dual stays feasible, so it still bounds the optimum; and the
+right sides enter the rows linearly, so a nonnegative combination of
+generators is a point feasible for the same combination of their right
+sides (`combination`).  `lp.ShannonSolver` pairs such a point with the
+entry's dual, checks the pair again exactly, and runs HiGHS only when
+that fails.  A run asked to use the store (`Highs.solve(cost, BASES,
+key)`) starts from the basis stored under its key, if any, and records
+its basis there when it ends optimal; `join` then adds the verified dual
+and generator, and adds a new combination that settled a solve.  Entries
+are replaced, never changed, so a chain that reads one while another
+chain writes it sees the old entry or the new one; each write reads the
+entry and replaces it in one step (`LruStore.update`), so a generator
+another chain adds is not lost.  The store is thread-safe and holds at most
+`_BASIS_CAP` bytes (a basis status counts one byte, a dual, right side or
+point its arrays' bytes), dropping the least recently used entries first.
 
-A handle made with a matrix key (`lp.ShannonLP.matrix`, which fixes the
-rows without their right sides) takes the column-wise arrays and the
-digest of its model from `_MODELS`, where they are built once per key
-and kept read-only; its `BASES` keys digest that key.  A handle made
-without one builds them itself, and digests its rows the first time it
-uses the store, so a handle that never does pays nothing for it.
+A handle made with a matrix key (a chain solver passes the digest of
+`lp.ShannonLP.matrix`) takes the column-wise arrays of its model from
+`_MODELS`, where they are built once per key and kept read-only.  A
+handle made without one builds them itself.
 
 A run that starts from a stored basis prices with Devex.  HiGHS's default
 rule, dual steepest edge, first computes an exact weight for every row
@@ -62,11 +72,13 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
-from entroflow.rows import RowStore
+from entroflow.rows import RowStore, Sparse
+from entroflow.simplex import ExactSimplex, LinearRow
 
 _CORE = "scipy.optimize._highspy._core"
 _core_lock = threading.Lock()
@@ -126,8 +138,7 @@ class FloatResult:
     warm: bool  # the run started from a basis: an earlier run's, or a stored one
     stored: bool  # the run started from a basis in a store of bases (`BASES`)
     slack: Optional[Callable[[], Any]] = field(default=None, repr=False, compare=False)
-    key: Optional[bytes] = field(default=None, repr=False, compare=False)  # its `BASES` key
-    basis: Any = field(default=None, repr=False, compare=False)  # the basis it stored there
+    basis: Any = field(default=None, repr=False, compare=False)  # the basis it stored in `BASES`
 
     @property
     def row_slack(self):
@@ -139,8 +150,11 @@ def _floats(values: list):
     return np.fromiter(values, dtype=float, count=len(values))
 
 
-# The most bytes `BASES` holds: 4 MB of basis statuses and duals.
+# The most bytes `BASES` holds: 4 MB of basis statuses, duals and generators.
 _BASIS_CAP = 1 << 22
+# The most generators one entry keeps, the latest: this bounds the exact
+# solve `combination` makes (one column per generator).
+_POINTS = 32
 
 
 class LruStore:
@@ -175,14 +189,23 @@ class LruStore:
 
     def put(self, key: Hashable, value, size: int) -> None:
         """Store `value`, of size `size`, under `key`, replacing what was there."""
-        if size > self.cap:
-            return
+        self.update(key, lambda _: (value, size))
+
+    def update(self, key: Hashable, change: Callable[[Any], Optional[tuple[Any, int]]]) -> None:
+        """Store ``change(old)`` under `key`, `old` being the value stored
+        there or None, in one step: no other thread's store falls between
+        the read and the write.  `change` returns a (value, size) pair, or
+        None to leave the store as it is."""
         with self._lock:
-            old = self._values.pop(key, None)
+            old = self._values.get(key)
+            new = change(None if old is None else old[0])
+            if new is None or new[1] > self.cap:
+                return
             if old is not None:
+                del self._values[key]
                 self.size -= old[1]
-            self._values[key] = (value, size)
-            self.size += size
+            self._values[key] = new
+            self.size += new[1]
             while self.size > self.cap:
                 _, (_, dropped) = self._values.popitem(last=False)
                 self.size -= dropped
@@ -206,11 +229,106 @@ _DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 
 
 class Stored(NamedTuple):
-    """A `BASES` entry: the optimal basis of a run, and the verified rational
-    row duals of the solve it settled (a `rows.Sparse` by LP row), or None."""
+    """A `BASES` entry, for one matrix and cost.
+
+    `basis` is the optimal basis of the last HiGHS run for the key, `dual`
+    the verified rational row duals of the solve that run settled (a
+    `rows.Sparse` by LP row), or None.  `points` are the entry's
+    generators, the latest last: one ``(rhs, x)`` pair per right side a
+    solve was settled on (by HiGHS, or by a new combination of the
+    generators), ``rhs`` the right sides as rationals on the rows where
+    they are nonzero (`right_sides`) and ``x`` the solve's verified point,
+    both `rows.Sparse`.
+    """
 
     basis: Any
     dual: Any = None
+    points: tuple = ()
+
+
+def matrix_digest(matrix: Hashable) -> bytes:
+    """A digest of `lp.ShannonLP.matrix`, which fixes an LP's rows without
+    their right sides."""
+    return hashlib.blake2b(repr(matrix).encode()).digest()
+
+
+def entry_key(digest: bytes, cost) -> bytes:
+    """The `BASES` key of the matrix with digest `digest` (`matrix_digest`)
+    under the cost vector `cost`."""
+    key = hashlib.blake2b(digest)
+    key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+    return key.digest()
+
+
+def right_sides(rows: RowStore) -> Sparse:
+    """The right sides of `rows` as rationals (``rhs / scale``, so two
+    stores of one matrix compare however they scaled a row), by row, on
+    the rows where they are nonzero."""
+    at = np.flatnonzero(rows.rhs != 0).tolist()
+    return Sparse.of({i: Fraction(int(rows.rhs[i]), int(rows.scale[i])) for i in at})
+
+
+def _same(a: Sparse, b: Sparse) -> bool:
+    """Whether two right sides made by `right_sides` are equal."""
+    return a.den == b.den and np.array_equal(a.index, b.index) and np.array_equal(a.num, b.num)
+
+
+def combination(points: tuple, rhs: Sparse) -> Optional[Sparse]:
+    """A point for the right sides `rhs` from the generators `points` of an
+    entry (see `Stored`), or None.
+
+    The point is ``sum lambda_i x_i`` for some lambda >= 0 with ``sum
+    lambda_i rhs_i = rhs``; each row is linear in the point and in its
+    right side, so the point satisfies every row that each ``x_i``
+    satisfies for ``rhs_i``.  A generator whose right sides equal `rhs` is
+    returned as it is; otherwise one exact solve, with a column per
+    generator and a row per row where some right side is nonzero, finds
+    lambda.  The caller checks the point again against every row.
+    """
+    for b, x in points:
+        if _same(b, rhs):
+            return x
+    # Row r of the system: sum_i lambda_i rhs_i[r] = rhs[r].  The values
+    # are read from the arrays, so no stored right side builds its map.
+    coeffs: dict[int, dict[int, Fraction]] = {}
+    for i, (b, _) in enumerate(points):
+        for r, v in zip(b.index.tolist(), b.num.tolist()):
+            coeffs.setdefault(r, {})[i] = Fraction(v, b.den)
+    want = dict(zip(rhs.index.tolist(), rhs.num.tolist()))
+    if not points or not set(coeffs).issuperset(want):
+        return None
+    system = [LinearRow(c, "eq", Fraction(want.get(r, 0), rhs.den)) for r, c in sorted(coeffs.items())]
+    weights = ExactSimplex(len(points), system).maximize({})
+    if weights.status != "optimal":
+        return None
+    return Sparse.weighted([(w, points[i][1]) for i, w in weights.x.items()])
+
+
+def _sized(entry: Stored, statuses: int) -> tuple[Stored, int]:
+    """`entry` with its size in bytes: `statuses`, a byte per basis status
+    (columns plus rows), and the arrays of its dual and generators."""
+    vectors = [v for v in (entry.dual, *(v for point in entry.points for v in point)) if v is not None]
+    return entry, statuses + sum(v.index.nbytes + v.num.nbytes for v in vectors)
+
+
+def join(bases: LruStore, key: bytes, statuses: int, rhs: Sparse, x: Sparse, basis=None, dual=None) -> None:
+    """Add the generator ``(rhs, x)``, right sides and a point verified for
+    them, to the entry under `key`: a new entry replaces the old one in one
+    step (`LruStore.update`), so no generator another chain adds is lost.
+    It replaces a generator with the same right sides, and the entry keeps
+    the latest `_POINTS`.  With `basis`, the optimal basis of a HiGHS run,
+    the entry also takes that basis and `dual`, the verified duals of the
+    solve the run settled; without one, a missing entry stays missing.
+    `statuses` is the size of a basis (see `_sized`)."""
+
+    def joined(entry: Optional[Stored]):
+        if basis is None and entry is None:
+            return None
+        kept = () if entry is None else tuple(p for p in entry.points if not _same(p[0], rhs))
+        base = entry if basis is None else Stored(basis, dual)
+        return _sized(base._replace(points=(*kept, (rhs, x))[-_POINTS:]), statuses)
+
+    bases.update(key, joined)
 
 
 class _Model(NamedTuple):
@@ -219,10 +337,7 @@ class _Model(NamedTuple):
     Model row k is LP row ``order[k]`` times ``flip[k]``: the <= rows and
     the negated >= rows in row order, then the = rows, so the first
     `inequalities` model rows are inequalities.  `start`, `index` and
-    `value` are the matrix column-wise, as `passModel` takes it.  `digest`
-    identifies the matrix in `BASES` keys; it is None for a model that is
-    not kept in `_MODELS`, whose handle digests its rows when it first
-    makes a key.
+    `value` are the matrix column-wise, as `passModel` takes it.
     """
 
     order: Any
@@ -231,7 +346,6 @@ class _Model(NamedTuple):
     start: Any
     index: Any
     value: Any
-    digest: Optional[bytes]
 
 
 # The most bytes of model arrays `_MODELS` holds: a chain LP on 10
@@ -240,16 +354,7 @@ _MODEL_CAP = 1 << 22
 _MODELS = LruStore(_MODEL_CAP)
 
 
-def _digest(rows: RowStore, n: int) -> bytes:
-    """A digest of the rows without their right sides, which fix the matrix
-    and the row layout; an array of Python ints is hashed by its digits."""
-    digest = hashlib.blake2b(np.array([n, len(rows)]).tobytes())
-    for part in (rows.indptr, rows.col, rows.sense, rows.data, rows.scale):
-        digest.update(repr(part.tolist()).encode() if part.dtype == object else part.tobytes())
-    return digest.digest()
-
-
-def _build_model(rows: RowStore, n: int, digest: Optional[bytes]) -> _Model:
+def _build_model(rows: RowStore, n: int) -> _Model:
     inequality = rows.sense != 0
     order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
     flip = np.where(rows.sense[order] == -1, -1.0, 1.0)
@@ -262,20 +367,19 @@ def _build_model(rows: RowStore, n: int, digest: Optional[bytes]) -> _Model:
     by_col = np.argsort(picked.col.astype(np.int16), kind="stable")
     start = np.concatenate(([0], np.cumsum(np.bincount(picked.col, minlength=n))))[:n]
     index = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)[by_col]
-    return _Model(
-        order, flip, int(inequality.sum()), start.astype(np.int32), index, data[by_col], digest
-    )
+    return _Model(order, flip, int(inequality.sum()), start.astype(np.int32), index, data[by_col])
 
 
 def _model_of(rows: RowStore, n: int, matrix: Optional[Hashable]) -> _Model:
     """The model parts of `rows`.  With `matrix`, a key that fixes the rows
-    without their right sides (`lp.ShannonLP.matrix`), they are built once
-    per key, with their digest, and kept read-only in `_MODELS`."""
+    without their right sides (a chain solver passes `matrix_digest` of
+    `lp.ShannonLP.matrix`), they are built once per key and kept
+    read-only in `_MODELS`."""
     if matrix is None:
-        return _build_model(rows, n, None)
+        return _build_model(rows, n)
     model = _MODELS.get(matrix)
     if model is None:
-        model = _build_model(rows, n, hashlib.blake2b(repr(matrix).encode()).digest())
+        model = _build_model(rows, n)
         arrays = [part for part in model if isinstance(part, np.ndarray)]
         for part in arrays:
             part.setflags(write=False)
@@ -295,13 +399,13 @@ class Highs:
     and starts from the basis the previous run left; a new cost keeps that
     basis primal feasible, so later runs let HiGHS choose the simplex
     variant (primal, then), and a valid basis skips presolve.  A run given
-    an `LruStore` of bases starts from the basis stored there for this
-    matrix and cost instead, if there is one (dual simplex, then: the basis
-    is dual feasible and only the right sides may differ), and prices with
-    Devex (`_STORED_PRICING`) instead of steepest edge.  With `matrix`, a
-    key that fixes the rows without their right sides, the column-wise
-    arrays come from `_MODELS` (see `_model_of`); only the row bounds are
-    the handle's own.
+    an `LruStore` of bases and a key (`entry_key`) starts from the basis
+    stored there under the key instead, if there is one (dual simplex,
+    then: the basis is dual feasible and only the right sides may differ),
+    and prices with Devex (`_STORED_PRICING`) instead of steepest edge.
+    With `matrix`, a key that fixes the rows without their right sides,
+    the column-wise arrays come from `_MODELS` (see `_model_of`); only the
+    row bounds are the handle's own.
     """
 
     def __init__(self, rows: RowStore, n: int, matrix: Optional[Hashable] = None):
@@ -341,8 +445,6 @@ class Highs:
         if loaded == core.HighsStatus.kError:
             raise RuntimeError("HiGHS did not accept the model")
         self.columns = np.arange(n, dtype=np.int32)
-        self._rows = rows
-        self._digest = model.digest  # of the model without its row bounds; None until `_key` needs it
         self._pricing = _DEFAULT_PRICING
 
     def _by_row(self, values):
@@ -351,27 +453,15 @@ class Highs:
         out[self.order] = values
         return out
 
-    def _key(self, cost) -> bytes:
-        """The `BASES` key of this model under `cost`."""
-        if self._digest is None:
-            self._digest = _digest(self._rows, self.n)
-        key = hashlib.blake2b(self._digest)
-        key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
-        return key.digest()
-
-    def stored(self, cost, bases: LruStore) -> Optional[Stored]:
-        """The entry `bases` holds for this matrix and cost, or None."""
-        return bases.get(self._key(cost))
-
-    def solve(self, cost, bases: Optional[LruStore] = None) -> FloatResult:
-        """Minimize cost . x; with `bases`, start from the basis stored there
-        for this matrix and cost, if any, and store the basis of an optimal
-        run (without a dual: see `store_dual`)."""
+    def solve(self, cost, bases: Optional[LruStore] = None, key: Optional[bytes] = None) -> FloatResult:
+        """Minimize cost . x; with `bases` and `key`, start from the basis
+        stored there under `key`, if any, and store the basis of an optimal
+        run in its place, with the entry's generators (and no dual: see
+        `join`)."""
         highs, core = self.highs, self.core
         highs.changeColsCost(self.n, self.columns, cost)
-        key = stored = None
+        stored = None
         if bases is not None:
-            key = self._key(cost)
             stored = bases.get(key)
             if stored is not None:
                 highs.setBasis(stored.basis)
@@ -396,9 +486,11 @@ class Highs:
         if status != 0:
             return FloatResult(status, None, None, nit, warm, stored is not None)
         basis = None
-        if key is not None:
+        if bases is not None:
             basis = highs.getBasis()
-            bases.put(key, Stored(basis), self.n + self.m)
+            size = self.n + self.m
+            # The generators stored now, not those at the start of the run.
+            bases.update(key, lambda now: _sized(Stored(basis, None, () if now is None else now.points), size))
         solution = highs.getSolution()  # a copy: later runs leave it as it is
         return FloatResult(
             0,
@@ -408,16 +500,8 @@ class Highs:
             warm,
             stored is not None,
             lambda: self._by_row(self.rhs - _floats(solution.row_value)),
-            key,
             basis,
         )
-
-    def store_dual(self, bases: LruStore, res: FloatResult, dual) -> None:
-        """Keep `dual`, the verified rational row duals (a `rows.Sparse`) of
-        the solve that the optimal run `res` settled, next to the basis
-        that run stored in `bases`."""
-        size = self.n + self.m + dual.index.nbytes + dual.num.nbytes
-        bases.put(res.key, Stored(res.basis, dual), size)
 
     def farkas(self):
         """Farkas multipliers per LP row after a run that found the model

@@ -60,31 +60,36 @@ consistent, contradicted, or vacuous on an infeasible LP), which needs no
 sign condition on the expression.
 
 A solver holds one HiGHS handle (`entroflow.highs.Highs`, made from the
-row store on the first float solve), which answers per LP row; each later
+row store before its first HiGHS run), which answers per LP row; each later
 objective changes the costs only and is re-solved from the last basis,
 and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
 writes one debug record per solve.
 
 The solves of a proof chain, and only those, also use the process-wide
-store `highs.BASES`, keyed by matrix and cost (the right-hand side is not
-part of the key, so a chain on the same subnetwork under other rates or
-capacities finds its entries).  An entry holds the optimal basis of a
-HiGHS run and the verified rational row duals of the solve it settled.
-Before HiGHS runs, the stored dual is paired with a point the chain has
-verified (its feasibility point, then its latest optimum) and the pair
+store `highs.BASES`, one entry per matrix and cost (the right-hand side is
+not part of the key, so a chain on the same subnetwork under other rates
+or capacities finds its entries).  The solver reads the matrix digest and
+the rational right sides once per LP, and finds entries without a HiGHS
+handle.  An entry holds the optimal basis of a HiGHS run, the verified
+rational row duals of the solve it settled, and its generators: the
+right sides of the solves settled there, with their verified points.
+The right sides enter every row linearly, so a nonnegative combination of
+stored points is feasible for the same combination of their right sides.
+Before HiGHS runs, a feasibility solve combines the stored points whose
+right sides add up to its own (`highs.combination`); a claim pairs the
+stored dual with a point the chain has verified (its feasibility point,
+then its latest optimum), then with such a combination.  Each candidate
 goes through the full exact check against the current rows and
 objective: a dual stays feasible under new right sides, so a feasible
-point that attains its bound is optimal.  Every feasible point attains
-the optimum of a forced claim, so its feasibility point serves whenever
-the stored dual's bound is tight under the new right sides.  When the
-pair fails, HiGHS starts from the stored basis and the entry
-takes the new basis and dual.  The store holds at most 4 MB and drops the
-least recently used entries first.  A chain reports only statuses and
-exact optima, which neither a starting basis nor a stored dual changes.
-Direct `maximize`, `minimize` and `feasibility` calls never read or
-write the store, so the certificates of a solver that has run no chain
-do not depend on it (see `ShannonSolver` for one that has).
+point that attains its bound is optimal.  Only when every candidate
+fails does the solver build its HiGHS handle and run it from the stored
+basis; the entry then takes the new basis, dual and generator.  The
+store holds at most 4 MB and drops the least recently used entries
+first.  A chain reports only statuses and exact optima, which nothing
+stored changes.  Direct `maximize`, `minimize` and `feasibility` calls
+never read or write the store, so the certificates of a solver that has
+run no chain do not depend on it (see `ShannonSolver` for one that has).
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -747,9 +752,13 @@ class SolveStats:
     time spent inside `Highs.solve` and `Highs.farkas`; the rest of a
     solve's time is interpreter work (the model build, rounding, the
     exact checks).  `memo_hits` counts objectives answered from the memo;
-    every other solve is settled by exactly one of `stored_dual` (a dual
-    stored in `highs.BASES` with a point the solver holds, no HiGHS run),
-    `float_cert`, `float_farkas` or `exact`.
+    every other solve is settled by exactly one of `stored_point` (a
+    feasibility solve, by a combination of the points stored in
+    `highs.BASES`, no HiGHS run), `stored_dual` (a claim, by the dual
+    stored there with a point the solver holds or a combination of the
+    stored points, no HiGHS run), `float_cert`, `float_farkas` or
+    `exact`.  Stats add up field by field (the sums of a contract's
+    chains, say).
     """
 
     highs_runs: int = 0
@@ -758,15 +767,20 @@ class SolveStats:
     stored_starts: int = 0
     highs_seconds: float = 0.0
     memo_hits: int = 0
+    stored_point: int = 0
     stored_dual: int = 0
     float_cert: int = 0
     float_farkas: int = 0
     exact: int = 0
 
+    def __add__(self, other: "SolveStats") -> "SolveStats":
+        return SolveStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+
     @property
     def solves(self) -> int:
         """Every solve, memo answers included."""
-        return self.memo_hits + self.stored_dual + self.float_cert + self.float_farkas + self.exact
+        settled = self.stored_point + self.stored_dual + self.float_cert + self.float_farkas + self.exact
+        return self.memo_hits + settled
 
 
 class ShannonSolver:
@@ -778,16 +792,20 @@ class ShannonSolver:
     Farkas multipliers of an infeasible run's dual ray), and the proposal
     stands only after exact verification against every row.  The float
     solves go through one HiGHS handle that holds the model: it is built
-    once, and each later objective changes only the costs and starts from
-    the basis the previous solve left.  Inside `verify_proof_chain` a solve
-    first tries the dual stored for its matrix and cost in `highs.BASES`,
-    paired with the chain's feasibility point and then its latest optimum,
-    under the full exact check (settled by `stored_dual`, no HiGHS run);
-    otherwise its run starts from the optimal basis stored there, if there
-    is one, and stores its own basis and verified dual.  Direct calls of
-    `maximize`, `minimize` and `feasibility` never touch that store.  When
-    no proposal verifies, the exact simplex takes over with elemental rows
-    activated lazily: each solve runs on the active subset, the answer is
+    before the first HiGHS run, and each later objective changes only the
+    costs and starts from the basis the previous solve left.  Inside
+    `verify_proof_chain` a solve first tries the entry stored for its
+    matrix and cost in `highs.BASES`, found by the matrix digest without a
+    handle, under the full exact check and with no HiGHS run: a
+    feasibility solve a combination of the stored points (settled by
+    `stored_point`), a claim the stored dual paired with the chain's
+    feasibility point, its latest optimum, then such a combination
+    (settled by `stored_dual`).  Otherwise its run starts from the optimal
+    basis stored there, if there is one, and the entry takes its basis,
+    verified dual and point.  Direct calls of `maximize`, `minimize` and
+    `feasibility` never touch that store.  When no proposal verifies, the
+    exact simplex takes over with elemental rows activated lazily: each
+    solve runs on the active subset, the answer is
     checked exactly against every remaining row, violated rows join in
     bulk, and the loop repeats.  A returned optimum is therefore an optimum
     of the full LP (inactive rows carry zero dual multipliers), and the
@@ -799,15 +817,16 @@ class ShannonSolver:
 
     The solver is stateful and not shareable (across threads or otherwise
     concurrent users): it holds the HiGHS handle with its basis, the memo,
-    the points its chain solves verified, `active` (the activated rows),
+    the points its chain solves verified, the matrix digest and rational
+    right sides of a chain's LP, `active` (the activated rows),
     `simplex` (the exact solver with its basis, built on the first solve
     that needs it) and `stats`, the counts of its work.  Which certificate
     a solve returns can depend on the solves before it, but never its
     status or optimum.  So once a solver has run a proof chain, its later
     certificates (memo answers for the chain's objectives among them) can
-    depend on the bases and duals the store held; those of a solver that
-    has run no chain cannot.  The command
-    line prints no certificate from a solver that ran a chain.
+    depend on the bases, duals and points the store held; those of a
+    solver that has run no chain cannot.  The command line prints no
+    certificate from a solver that ran a chain.
     """
 
     def __init__(self, lp: ShannonLP):
@@ -816,7 +835,9 @@ class ShannonSolver:
         elemental = lp.elemental_rows
         self.active: list[int] = [*range(elemental.start), *range(elemental.stop, len(lp.rows))]
         self._inactive: list[int] = list(elemental)
-        self._highs = None  # a highs.Highs, made on the first float solve
+        self._highs = None  # a highs.Highs, made before the first HiGHS run
+        # The digest of `lp.matrix` and the rational right sides, read on the first chain solve.
+        self._store: Optional[tuple[bytes, Sparse]] = None
         self._memo: dict[tuple, SimplexCertificate] = {}
         # Verified points of the chain solves: the feasibility point and the latest optimum.
         self._feasible: Optional[Sparse] = None
@@ -853,21 +874,22 @@ class ShannonSolver:
 
     def _float_solve(self, objective: Mapping[int, Fraction], bases):
         """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
-        without scipy or its HiGHS bindings; `bases` is the store of bases
+        without scipy or its HiGHS bindings; `bases` is the store
         (`highs.BASES`) the run starts from and records into, or None.  A
         handle made for a chain's solve takes its model from the store of
-        models by `ShannonLP.matrix` (`highs._MODELS`)."""
+        models by the matrix digest (`highs._MODELS`)."""
         from entroflow import highs
 
         if self._highs is None:
-            matrix = None if bases is None else self.lp.matrix
+            matrix = None if bases is None else self._store[0]
             try:
                 self._highs = highs.Highs(self.lp.rows, len(self.lp.coords), matrix)
             except ImportError:
                 return None
         cost = self._cost(objective)
+        key = None if bases is None else highs.entry_key(self._store[0], cost)
         start = time.perf_counter()
-        res = self._highs.solve(cost, bases)
+        res = self._highs.solve(cost, bases, key)
         self.stats.highs_seconds += time.perf_counter() - start
         self.stats.highs_runs += 1
         self.stats.simplex_iterations += res.nit
@@ -1004,19 +1026,27 @@ class ShannonSolver:
 
     def _settle(self, objective: Mapping[int, Fraction], bases) -> tuple[SimplexCertificate, str]:
         """A verified certificate and the path that settled it (a `SolveStats`
-        field).  With `bases`, a stored dual is tried before HiGHS runs, and
-        the dual of a verified float optimum is stored next to its basis."""
+        field).  With `bases`, the entry stored for this matrix and cost is
+        tried before HiGHS runs (`_stored`), and a verified float optimum
+        joins it: its basis, dual, right sides and point."""
+        key = None
         if bases is not None:
-            cert = self._stored_dual(objective, bases)
-            if cert is not None:
-                return cert, "stored_dual"
+            from entroflow import highs
+
+            if self._store is None:
+                self._store = highs.matrix_digest(self.lp.matrix), highs.right_sides(self.lp.rows)
+            key = highs.entry_key(self._store[0], self._cost(objective))
+            settled = self._stored(objective, bases, key)
+            if settled is not None:
+                return settled
         res = self._float_solve(objective, bases)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
                 if fast is not None:
-                    if res.key is not None:
-                        self._highs.store_dual(bases, res, fast.duals)
+                    if key is not None:
+                        statuses = len(self.lp.coords) + len(self.lp.rows)
+                        highs.join(bases, key, statuses, self._store[1], fast.x, res.basis, fast.duals)
                     return fast, "float_cert"
             elif res.status == 2:
                 fast = self._float_farkas()
@@ -1024,30 +1054,57 @@ class ShannonSolver:
                     return fast, "float_farkas"
         return self._exact(objective, res), "exact"
 
-    def _stored_dual(self, objective: Mapping[int, Fraction], bases) -> Optional[SimplexCertificate]:
-        """The optimum of `objective` from the dual `bases` holds for this
-        matrix and cost, paired with a point the chain has verified (the
-        feasibility point, then the latest optimum), if a pair passes exact
-        verification against every row and the objective; else None.
+    def _stored(
+        self, objective: Mapping[int, Fraction], bases, key: bytes
+    ) -> Optional[tuple[SimplexCertificate, str]]:
+        """The optimum of `objective` from the `highs.Stored` entry under
+        `key`, and the path that settled it; None when no pair passes exact
+        verification against every row and the objective.
 
-        A dual's feasibility does not depend on the right sides, so a dual
-        verified for other rates or capacities still bounds the maximum;
-        a feasible point that attains the bound is optimal.
+        The dual is the entry's for a claim and the empty dual for the
+        zero-cost feasibility objective.  A claim pairs it with the points
+        the chain has verified (the feasibility point, then the latest
+        optimum) and then with a combination of the entry's generators
+        (`highs.combination`); a feasibility solve with the combination
+        only.  A dual's feasibility does not depend on the right sides, so a
+        dual verified for other rates or capacities still bounds the
+        maximum; a feasible point that attains the bound is optimal.  A
+        new combination that settles the solve joins the entry, so the
+        next solve on these right sides finds it as it is.
         """
-        if self._highs is None:
+        from entroflow import highs
+        from entroflow.rows import Sparse
+
+        entry = bases.get(key)
+        dual = None if entry is None else entry.dual if objective else Sparse.of({})
+        if dual is None:
             return None
-        entry = self._highs.stored(self._cost(objective), bases)
-        if entry is None or entry.dual is None:
+        path = "stored_dual" if objective else "stored_point"
+        own = [self._feasible] if objective else []
+        if objective and self._latest is not self._feasible:
+            own.append(self._latest)
+        for x in own:
+            cert = self._paired(objective, x, dual)
+            if cert is not None:
+                return cert, path
+        rhs = self._store[1]
+        x = highs.combination(entry.points, rhs)
+        cert = self._paired(objective, x, dual)
+        if cert is None:
             return None
-        points = [self._feasible]
-        if self._latest is not self._feasible:
-            points.append(self._latest)
-        for x in points:
-            if x is not None:
-                cert = SimplexCertificate("optimal", x.dot(objective), x, entry.dual, None, None, ())
-                if self._verified(objective, cert) is not None:
-                    return cert
-        return None
+        if not any(x is point for _, point in entry.points):
+            highs.join(bases, key, len(self.lp.coords) + len(self.lp.rows), rhs, x)
+        return cert, path
+
+    def _paired(
+        self, objective: Mapping[int, Fraction], x: Optional[Sparse], dual: Sparse
+    ) -> Optional[SimplexCertificate]:
+        """The optimum that the point `x` and `dual` certify, if they pass
+        exact verification; None without a point."""
+        if x is None:
+            return None
+        cert = SimplexCertificate("optimal", x.dot(objective), x, dual, None, None, ())
+        return self._verified(objective, cert)
 
     def _exact(self, objective: Mapping[int, Fraction], res) -> SimplexCertificate:
         seed = self._float_seed(res)
@@ -1185,12 +1242,11 @@ def verify_proof_chain(
     infeasible.
 
     The chain's solves read and write the store `highs.BASES` (see the
-    module docstring): each tries the dual stored for its matrix and cost
-    with a point the chain has verified, checked again exactly, before it
-    runs HiGHS from the stored basis.  Neither a starting basis nor a
-    stored dual changes a status or an exact optimum, the only things a
-    chain reports, and the chain reads only those: its certificates'
-    Fraction maps are never built.
+    module docstring): each tries the points and dual stored for its
+    matrix and cost, checked again exactly, before it runs HiGHS from the
+    stored basis.  Nothing stored changes a status or an exact optimum,
+    the only things a chain reports, and the chain reads only those: its
+    certificates' Fraction maps are never built.
     """
     from entroflow.highs import BASES  # numpy with it, off the command line's import path
 

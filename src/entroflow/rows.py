@@ -10,7 +10,8 @@ Every point, ray and multiplier vector has one form, `Sparse`: ascending
 indices, integer numerators and one positive denominator, read as a
 mapping of Fractions by index that is built on first read.  The float
 proposals (`lp.ShannonSolver._rational`) and the exact simplex make it,
-and every certificate and stored dual holds it.  `RowStore.violated`
+every certificate, stored dual and stored generator holds it, and
+`Sparse.weighted` combines stored points.  `RowStore.violated`
 works on a point's numerators and `RowStore.combine` weighs the integer
 rows with a multiplier's numerators, so no check makes a Fraction per
 entry.  A map of Fractions from elsewhere is turned into it once
@@ -81,6 +82,20 @@ class Sparse(MappingABC):
         g = math.gcd(lcm * den, *nums)
         index = np.array([j for j, _ in items], dtype=np.int64)
         return cls(index, _int_array([v // g for v in nums]), lcm * den // g)
+
+    @classmethod
+    def weighted(cls, terms: "Iterable[tuple[Fraction, Sparse]]") -> "Sparse":
+        """The sum of ``w * v`` over (rational weight, `Sparse`) pairs, over
+        the least common denominator of its entries."""
+        terms = [(Fraction(w), v) for w, v in terms]
+        den = math.lcm(*(w.denominator * v.den for w, v in terms))
+        size = max((int(v.index[-1]) + 1 for _, v in terms if len(v.index)), default=0)
+        total = np.zeros(size, dtype=object)
+        for w, v in terms:
+            total[v.index] += v.num.astype(object) * (w.numerator * (den // (w.denominator * v.den)))
+        index = np.flatnonzero(total)
+        g = math.gcd(den, *total[index].tolist())
+        return cls(index.astype(np.int64), _int_array(total[index] // g), den // g)
 
     def _built(self) -> dict[int, Fraction]:
         # Threads that read a shared `Sparse` (a stored dual) at once may

@@ -370,6 +370,23 @@ class TestReports:
         assert first == second
         assert list(first) == ["command", "inputs", "verdicts", "certificates"]
 
+    def test_incremental_forcing_json_reproducible(self, tmp_path, capsys):
+        # The second run finds what the first stored: its stats differ (no
+        # HiGHS run at all), its verdicts and certificates do not.
+        path = h_file(tmp_path, [1, 1, 2])
+        docs = []
+        for _ in range(2):
+            assert main(["--json", "verify", "thm1", "--h", path]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        first, second = docs
+        assert list(first) == ["command", "inputs", "verdicts", "certificates", "timing", "stats"]
+        assert second["stats"]["highs_runs"] == 0
+        assert second["stats"]["stored_point"] > 0
+        for doc in docs:
+            doc.pop("timing")
+            doc.pop("stats")
+        assert first == second
+
     @pytest.mark.parametrize("points", [[(1, 1, 2)], [(1, 1, 2), (1, 2, 3)]], ids=["vector", "array"])
     def test_incremental_forcing_digests_its_h_file(self, tmp_path, capsys, points):
         docs = [json.loads(EntropyVector.from_tuple([Fraction(v) for v in h]).to_json()) for h in points]

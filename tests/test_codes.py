@@ -268,7 +268,7 @@ class TestDerivedOnce:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = (
             "import sys, entroflow.cli; print(sorted({'numpy', 'scipy', 'concurrent.futures', "
-            "'logging', 'entroflow.rows'} & set(sys.modules)))"
+            "'logging', 'entroflow.rows', 'entroflow.highs'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

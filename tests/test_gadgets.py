@@ -205,7 +205,8 @@ class TestConcurrentChains:
         messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
         pattern = re.compile(
             r"chain on (\d+) variables: \d+ rows, (\d+) solves \((\d+) settled from stored duals\), "
-            r"\d+ HiGHS runs \(\d+ from stored bases\), \d+ simplex iterations, ([\d.]+) s in HiGHS of ([\d.]+) s"
+            r"\d+ HiGHS runs \(\d+ from stored bases\), \d+ simplex iterations, \d+ settled from stored points, "
+            r"([\d.]+) s in HiGHS of ([\d.]+) s"
         )
         matches = [pattern.fullmatch(m) for m in messages]
         assert sorted(int(m[1]) for m in matches) == sorted(len(key) for key in chains)
@@ -276,7 +277,34 @@ class TestStoredBases:
         assert warm == cold
         stored_duals, _, _ = chain_counts(caplog)
         assert stored_duals > 0
+        # Every vector's right sides are stored now, with points for them.
+        again = [self.contract(h) for h in pool]
+        assert [report.describe() for report in again] == cold
+        assert sum(report.stats.highs_runs for report in again) == 0
         assert direct() == alone  # a direct solve neither reads nor writes the store
+
+    def test_points_add_up(self):
+        # (2,3,5) = (1,1,2) + (1,2,3) and (3,5,8) = (1,1,2) + 2 (1,2,3): each
+        # chain's right sides are the same sums of the first two vectors'
+        # chains' right sides, so their stored points give a feasible point.
+        from entroflow.highs import BASES
+
+        sums = ((2, 3, 5), (3, 5, 8))
+        cold = {}
+        for h in sums:
+            BASES.clear()
+            cold[h] = self.contract(h).describe()
+        BASES.clear()
+        for h in ((1, 1, 2), (1, 2, 3)):
+            self.contract(h)
+        for h in sums:
+            g = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
+            chains = {ob.subnetwork for ob in g.contract.obligations if ob.kind == "chain-claim"}
+            report = verify_contract(g.problem, g.contract)
+            assert report.describe() == cold[h]
+            # Every chain's feasibility solve settled from stored points,
+            # so none of them ran HiGHS.
+            assert report.stats.stored_point == len(chains)
 
     def test_second_h_starts_from_stored_bases(self, caplog):
         from entroflow.highs import BASES

@@ -521,6 +521,35 @@ class TestBasisStore:
         assert [store.get(key) for key in (b"d", b"e", b"f")] == ["d2", "e", None]
         assert store.size == 7
 
+    def test_updates_are_not_lost(self):
+        # More threads than cores each add their own items to the value
+        # under one key, with a short switch interval: every item is there
+        # at the end, which a read and a write in two steps would break.
+        import sys
+        import threading
+
+        from entroflow.highs import LruStore
+
+        store = LruStore(cap=1 << 20)
+
+        def run(t):
+            for i in range(200):
+                store.update(b"k", lambda old: ((*(old or ()), (t, i)), 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(store.get(b"k")) == [(t, i) for t in range(6) for i in range(200)]
+        assert (len(store), store.size) == (1, 1)
+
     def test_reads_and_writes_wait_for_the_lock(self):
         # While another thread holds the store's lock, no get, put or clear
         # completes; each does once the lock is free.
@@ -652,12 +681,13 @@ class TestStoredDuals:
             warm, solver = self.chain(lp, claims)
         assert warm == cold and warm.all_forced
         stats = solver.stats
-        # Only the feasibility run reaches HiGHS: both sides of the claim
-        # pair the stored dual with the feasibility point.
-        assert (stats.stored_dual, stats.highs_runs, stats.float_cert) == (2, 1, 1)
+        # No solve reaches HiGHS: the feasibility point is the stored one,
+        # and both sides of the claim pair the stored dual with it.
+        assert (stats.stored_point, stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 2, 0, 0)
         assert stats.solves == 3
+        assert solver._highs is None  # no HiGHS run, so no handle either
         paths = [r.getMessage().split(", ")[1] for r in caplog.records if r.name == "entroflow.lp"]
-        assert paths == ["settled by float_cert"] + ["settled by stored_dual"] * 2
+        assert paths == ["settled by stored_point"] + ["settled by stored_dual"] * 2
 
     def test_every_path_returns_sparse_certificates_that_compare_as_maps(self, monkeypatch):
         from dataclasses import replace
@@ -670,7 +700,7 @@ class TestStoredDuals:
         BASES.clear()
         _, cold = self.chain(lp, claims)
         _, warm = self.chain(lp, claims)
-        assert warm.stats.stored_dual == 2
+        assert (warm.stats.stored_point, warm.stats.stored_dual) == (1, 2)
         # A chain reads no certificate as a mapping, so it builds no Fraction per entry.
         chained = [*cold._memo.values(), *warm._memo.values()]
         assert all(v._map is None for c in chained for v in (c.x, c.duals) if v is not None)
@@ -712,7 +742,7 @@ class TestStoredDuals:
 
     @pytest.mark.parametrize("kind", ["flip", "move", "other-cost"])
     def test_a_bad_stored_dual_falls_back_to_highs(self, kind):
-        from entroflow.highs import BASES, Stored
+        from entroflow.highs import BASES, Stored, entry_key
 
         lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
         ((_, expression, _, value),) = claims
@@ -720,18 +750,55 @@ class TestStoredDuals:
         BASES.clear()
         cold, solver = self.chain(lp, claims)
         objective = solver._to_cols(lp.compile(expression)[0])
-        handle = solver._highs
-        keys = [handle._key(solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
+        digest = solver._store[0]
+        keys = [entry_key(digest, solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
         entry, other = (BASES.get(key) for key in keys)
         assert entry.dual is not None and other.dual is not None
         bad = self.corrupted(lp, entry, other, kind)
-        BASES.put(keys[0], Stored(entry.basis, bad), 1)
+        BASES.put(keys[0], Stored(entry.basis, bad, entry.points), 1)
         report, solver = self.chain(lp, claims)
         assert report == cold  # the same verdicts and exact optima
         stats = solver.stats
-        # The maximum fell back to HiGHS; the minimum still settled from its dual.
-        assert (stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 2, 2)
+        # The maximum fell back to HiGHS: no point pairs with the bad dual.
+        # The feasibility solve settled from its stored point, the minimum
+        # from its dual.
+        assert (stats.stored_point, stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 1, 1, 1)
         assert BASES.get(keys[0]).dual is not bad  # the fallback stored its own verified dual
+
+    @pytest.mark.parametrize("kind", ["point", "rhs"])
+    def test_a_bad_stored_point_falls_back_to_highs(self, kind):
+        # The feasibility entry's one generator made wrong: a coordinate of
+        # its point moved by 1/2^20 (to one that breaks a row), or one entry
+        # of its right sides changed.
+        from entroflow.highs import BASES, entry_key
+        from entroflow.rows import Sparse
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        BASES.clear()
+        cold, solver = self.chain(lp, claims)
+        key = entry_key(solver._store[0], solver._cost({}))
+        entry = BASES.get(key)
+        ((rhs, x),) = entry.points
+        if kind == "point":
+            n = len(lp.coords)
+            moved = []
+            for k in range(len(x.index)):
+                num = x.num * 2**20
+                num[k] += x.den
+                moved.append(Sparse(x.index, num, x.den * 2**20))
+            x = next(p for p in moved if lp.rows.violated(n, p).any())
+        else:
+            num = rhs.num.copy()
+            num[0] += rhs.den
+            rhs = Sparse(rhs.index, num, rhs.den)
+        BASES.put(key, entry._replace(points=((rhs, x),)), 1)
+        report, solver = self.chain(lp, claims)
+        assert report == cold  # the same verdicts and exact optima
+        stats = solver.stats
+        # The feasibility solve fell back to HiGHS; the claim still settled
+        # from its stored duals and the new feasibility point.
+        assert (stats.stored_point, stats.highs_runs, stats.float_cert, stats.stored_dual) == (0, 1, 1, 2)
+        assert BASES.get(key).points[-1][1] is not x  # the fallback stored its own verified point
 
     def test_concurrent_chains_share_the_stores(self):
         # More threads than cores run the chain of one obligation on three
