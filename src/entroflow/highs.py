@@ -23,42 +23,38 @@ fixes the rows without their right sides (`matrix_digest`); a chain
 solver reads that digest once per LP, so it finds its entries without a
 HiGHS handle.  Models that differ only in their right sides share
 entries: one topology under many rate and capacity tuples.  An entry
-holds the optimal basis of the last HiGHS run for its key, the verified
-rational row duals of the solve that run settled, and the entry's
-generators: the right sides of the solves settled there, as rationals on
-the rows where they are nonzero (`right_sides`), each with the solve's
-verified point.  Each stays useful under new right sides.  A stored
-basis stays dual feasible, and dual simplex starts from it at almost no
-cost; a dual stays feasible, so it still bounds the optimum; and the
-right sides enter the rows linearly, so a nonnegative combination of
-generators is a point feasible for the same combination of their right
-sides (`combination`).  `lp.ShannonSolver` pairs such a point with the
-entry's dual, checks the pair again exactly, and runs HiGHS only when
-that fails.  A run asked to use the store (`Highs.solve(cost, BASES,
-key)`) starts from the basis stored under its key, if any, and records
-its basis there when it ends optimal; `join` then adds the verified dual
-and generator, and adds a new combination that settled a solve.  Entries
-are replaced, never changed, so a chain that reads one while another
-chain writes it sees the old entry or the new one; each write reads the
-entry and replaces it in one step (`LruStore.update`), so a generator
-another chain adds is not lost.  The store is thread-safe and holds at most
-`_BASIS_CAP` bytes (a basis status counts one byte, a dual, right side or
-point its arrays' bytes), dropping the least recently used entries first.
+holds an optimal basis of a HiGHS run for its key, the verified rational
+row duals of the solve that run settled, and the entry's generators: the
+right sides of the solves settled there, as rationals on the rows where
+they are nonzero (`right_sides`), each with the solve's verified point.
+Each stays useful under new right sides.  A stored basis stays dual
+feasible, and dual simplex starts from it at almost no cost; a dual
+stays feasible, so it still bounds the optimum; and the right sides
+enter the rows linearly, so a nonnegative combination of generators is
+a point feasible for the same combination of their right sides
+(`combination`).  `lp.ShannonSolver` is the store's only reader and
+writer: it pairs such a point with the entry's dual, checks the pair
+again exactly, and runs HiGHS from the stored basis only when that
+fails; `join` then records the run's basis, verified dual and generator
+in one write, or adds a new combination that settled a solve.  `Highs`
+knows nothing of the store: it starts from a basis it is handed.
+Entries are replaced, never changed, so a chain that reads one while
+another chain writes it sees the old entry or the new one; each write
+reads the entry and replaces it in one step (`LruStore.update`), so a
+generator another chain adds is not lost.  The store is thread-safe and
+holds at most `_BASIS_CAP` bytes (a basis status counts one byte, a
+dual, right side or point its arrays' bytes), dropping the least
+recently used entries first.
 
-A handle made with a matrix key (a chain solver passes the digest of
-`lp.ShannonLP.matrix`) takes the column-wise arrays of its model from
-`_MODELS`, where they are built once per key and kept read-only.  A
-handle made without one builds them itself.
-
-A run that starts from a stored basis prices with Devex.  HiGHS's default
-rule, dual steepest edge, first computes an exact weight for every row
-when its starting basis is not the slack basis ("Basis is not logical, so
-compute steepest edge weights"), which on a chain LP of some 6,000 rows
-costs many times a run that needs no iteration.  A stored basis is
-optimal for its cost and is usually optimal, or a few iterations from it,
-for the new right sides, so Devex's unit starting weights lose little.
-Every other run (the first on a handle, and each later one from the
-handle's own basis) keeps the default.
+A run that starts from a basis it is handed prices with Devex.  HiGHS's
+default rule, dual steepest edge, first computes an exact weight for
+every row when its starting basis is not the slack basis ("Basis is not
+logical, so compute steepest edge weights"), which on a chain LP of some
+6,000 rows costs many times a run that needs no iteration.  A stored
+basis is optimal for its cost and is usually optimal, or a few
+iterations from it, for the new right sides, so Devex's unit starting
+weights lose little.  Every other run (the first on a handle, and each
+later one from the handle's own basis) keeps the default.
 """
 
 from __future__ import annotations
@@ -135,10 +131,8 @@ class FloatResult:
     x: Any
     row_dual: Any
     nit: int  # simplex iterations
-    warm: bool  # the run started from a basis: an earlier run's, or a stored one
-    stored: bool  # the run started from a basis in a store of bases (`BASES`)
+    warm: bool  # the run started from a basis: an earlier run's, or one it was handed
     slack: Optional[Callable[[], Any]] = field(default=None, repr=False, compare=False)
-    basis: Any = field(default=None, repr=False, compare=False)  # the basis it stored in `BASES`
 
     @property
     def row_slack(self):
@@ -164,9 +158,9 @@ class LruStore:
     chooses; `cap` bounds the total, and storing past it drops the least
     recently used values until the rest fit.  A value larger than `cap` is
     not stored, and the store is left as it was.  A value is kept as given
-    and never changed after it is stored.  `BASES` holds HiGHS bases with
-    their duals and `_MODELS` model arrays, and `lp` keeps the elemental
-    block of each closure table in a third store, all sized in bytes.
+    and never changed after it is stored.  `BASES` holds the entries of
+    proof chains, and `lp` keeps the elemental block of each closure table
+    in a second store, both sized in bytes.
     """
 
     def __init__(self, cap: int):
@@ -218,12 +212,12 @@ class LruStore:
 
 BASES = LruStore(_BASIS_CAP)
 
-# The dual pricing rule of a run that starts from a stored basis: Devex,
-# which starts from unit weights.  HiGHS's default (-1, choose) picks dual
-# steepest edge, which first computes an exact weight for every row from a
-# basis that is not the slack basis; on a stored basis that is not optimal
-# for the new right sides that costs more than the iterations themselves.
-# Cold and handle-warm runs keep the default.
+# The dual pricing rule of a run that starts from a basis it is handed:
+# Devex, which starts from unit weights.  HiGHS's default (-1, choose)
+# picks dual steepest edge, which first computes an exact weight for every
+# row from a basis that is not the slack basis; on a stored basis that is
+# not optimal for the new right sides that costs more than the iterations
+# themselves.  Cold and handle-warm runs keep the default.
 _STORED_PRICING = 1  # kSimplexEdgeWeightStrategyDevex
 _DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 
@@ -231,18 +225,18 @@ _DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 class Stored(NamedTuple):
     """A `BASES` entry, for one matrix and cost.
 
-    `basis` is the optimal basis of the last HiGHS run for the key, `dual`
-    the verified rational row duals of the solve that run settled (a
-    `rows.Sparse` by LP row), or None.  `points` are the entry's
-    generators, the latest last: one ``(rhs, x)`` pair per right side a
-    solve was settled on (by HiGHS, or by a new combination of the
-    generators), ``rhs`` the right sides as rationals on the rows where
-    they are nonzero (`right_sides`) and ``x`` the solve's verified point,
-    both `rows.Sparse`.
+    `basis` is the optimal basis of the last HiGHS run for the key whose
+    optimum verified, and `dual` the verified rational row duals of the
+    solve that run settled (a `rows.Sparse` by LP row); both are written
+    together.  `points` are the entry's generators, the latest last: one
+    ``(rhs, x)`` pair per right side a solve was settled on (by HiGHS, or
+    by a new combination of the generators), ``rhs`` the right sides as
+    rationals on the rows where they are nonzero (`right_sides`) and ``x``
+    the solve's verified point, both `rows.Sparse`.
     """
 
     basis: Any
-    dual: Any = None
+    dual: Any
     points: tuple = ()
 
 
@@ -348,12 +342,6 @@ class _Model(NamedTuple):
     value: Any
 
 
-# The most bytes of model arrays `_MODELS` holds: a chain LP on 10
-# variables takes about 0.3 MB.
-_MODEL_CAP = 1 << 22
-_MODELS = LruStore(_MODEL_CAP)
-
-
 def _build_model(rows: RowStore, n: int) -> _Model:
     inequality = rows.sense != 0
     order = np.concatenate((np.flatnonzero(inequality), np.flatnonzero(~inequality)))
@@ -370,23 +358,6 @@ def _build_model(rows: RowStore, n: int) -> _Model:
     return _Model(order, flip, int(inequality.sum()), start.astype(np.int32), index, data[by_col])
 
 
-def _model_of(rows: RowStore, n: int, matrix: Optional[Hashable]) -> _Model:
-    """The model parts of `rows`.  With `matrix`, a key that fixes the rows
-    without their right sides (a chain solver passes `matrix_digest` of
-    `lp.ShannonLP.matrix`), they are built once per key and kept
-    read-only in `_MODELS`."""
-    if matrix is None:
-        return _build_model(rows, n)
-    model = _MODELS.get(matrix)
-    if model is None:
-        model = _build_model(rows, n)
-        arrays = [part for part in model if isinstance(part, np.ndarray)]
-        for part in arrays:
-            part.setflags(write=False)
-        _MODELS.put(matrix, model, sum(part.nbytes for part in arrays))
-    return model
-
-
 class Highs:
     """One HiGHS model of a row store, solved again from its last basis for each new cost.
 
@@ -398,21 +369,18 @@ class Highs:
     `linprog`'s solve, bit for bit.  Each later run changes the costs only
     and starts from the basis the previous run left; a new cost keeps that
     basis primal feasible, so later runs let HiGHS choose the simplex
-    variant (primal, then), and a valid basis skips presolve.  A run given
-    an `LruStore` of bases and a key (`entry_key`) starts from the basis
-    stored there under the key instead, if there is one (dual simplex,
-    then: the basis is dual feasible and only the right sides may differ),
-    and prices with Devex (`_STORED_PRICING`) instead of steepest edge.
-    With `matrix`, a key that fixes the rows without their right sides,
-    the column-wise arrays come from `_MODELS` (see `_model_of`); only the
-    row bounds are the handle's own.
+    variant (primal, then), and a valid basis skips presolve.  A run
+    handed a basis (`start`, which `basis` returned on this handle or on
+    another of the same rows) starts from it instead (dual simplex, then:
+    the basis is dual feasible and only the right sides may differ), and
+    prices with Devex (`_STORED_PRICING`) instead of steepest edge.
     """
 
-    def __init__(self, rows: RowStore, n: int, matrix: Optional[Hashable] = None):
+    def __init__(self, rows: RowStore, n: int):
         self.core = core = _load_core()
         self.n = n
         self.m = len(rows)
-        model = _model_of(rows, n, matrix)
+        model = _build_model(rows, n)
         self.order, self.flip = model.order, model.flip
         self.rhs = rows.rhs_floats()[model.order] * model.flip
         lhs = self.rhs.copy()
@@ -453,19 +421,14 @@ class Highs:
         out[self.order] = values
         return out
 
-    def solve(self, cost, bases: Optional[LruStore] = None, key: Optional[bytes] = None) -> FloatResult:
-        """Minimize cost . x; with `bases` and `key`, start from the basis
-        stored there under `key`, if any, and store the basis of an optimal
-        run in its place, with the entry's generators (and no dual: see
-        `join`)."""
+    def solve(self, cost, start=None) -> FloatResult:
+        """Minimize cost . x, from the basis `start` when one is given (see
+        `basis`) and from the handle's last basis otherwise."""
         highs, core = self.highs, self.core
         highs.changeColsCost(self.n, self.columns, cost)
-        stored = None
-        if bases is not None:
-            stored = bases.get(key)
-            if stored is not None:
-                highs.setBasis(stored.basis)
-        pricing = _DEFAULT_PRICING if stored is None else _STORED_PRICING
+        if start is not None:
+            highs.setBasis(start)
+        pricing = _DEFAULT_PRICING if start is None else _STORED_PRICING
         if pricing != self._pricing:
             highs.setOptionValue("simplex_dual_edge_weight_strategy", pricing)
             self._pricing = pricing
@@ -484,13 +447,7 @@ class Highs:
             codes.kUnbounded: 3,
         }.get(highs.getModelStatus(), 4)
         if status != 0:
-            return FloatResult(status, None, None, nit, warm, stored is not None)
-        basis = None
-        if bases is not None:
-            basis = highs.getBasis()
-            size = self.n + self.m
-            # The generators stored now, not those at the start of the run.
-            bases.update(key, lambda now: _sized(Stored(basis, None, () if now is None else now.points), size))
+            return FloatResult(status, None, None, nit, warm)
         solution = highs.getSolution()  # a copy: later runs leave it as it is
         return FloatResult(
             0,
@@ -498,10 +455,13 @@ class Highs:
             self._by_row(-self.flip * _floats(solution.row_dual)),
             nit,
             warm,
-            stored is not None,
             lambda: self._by_row(self.rhs - _floats(solution.row_value)),
-            basis,
         )
+
+    def basis(self):
+        """The handle's current basis (a copy): after an optimal run, a basis
+        that `solve` can start another handle of the same rows from."""
+        return self.highs.getBasis()
 
     def farkas(self):
         """Farkas multipliers per LP row after a run that found the model

@@ -69,8 +69,9 @@ writes one debug record per solve.
 The solves of a proof chain, and only those, also use the process-wide
 store `highs.BASES`, one entry per matrix and cost (the right-hand side is
 not part of the key, so a chain on the same subnetwork under other rates
-or capacities finds its entries).  The solver reads the matrix digest and
-the rational right sides once per LP, and finds entries without a HiGHS
+or capacities finds its entries).  The solver is the store's only reader
+and writer.  It reads the matrix digest and the rational right sides once
+per LP, and each chain solve reads its entry once, without a HiGHS
 handle.  An entry holds the optimal basis of a HiGHS run, the verified
 rational row duals of the solve it settled, and its generators: the
 right sides of the solves settled there, with their verified points.
@@ -78,18 +79,18 @@ The right sides enter every row linearly, so a nonnegative combination of
 stored points is feasible for the same combination of their right sides.
 Before HiGHS runs, a feasibility solve combines the stored points whose
 right sides add up to its own (`highs.combination`); a claim pairs the
-stored dual with a point the chain has verified (its feasibility point,
-then its latest optimum), then with such a combination.  Each candidate
-goes through the full exact check against the current rows and
-objective: a dual stays feasible under new right sides, so a feasible
-point that attains its bound is optimal.  Only when every candidate
-fails does the solver build its HiGHS handle and run it from the stored
-basis; the entry then takes the new basis, dual and generator.  The
-store holds at most 4 MB and drops the least recently used entries
-first.  A chain reports only statuses and exact optima, which nothing
-stored changes.  Direct `maximize`, `minimize` and `feasibility` calls
-never read or write the store, so the certificates of a solver that has
-run no chain do not depend on it (see `ShannonSolver` for one that has).
+stored dual with the chain's feasibility point, then with such a
+combination.  Each candidate goes through the full exact check against
+the current rows and objective: a dual stays feasible under new right
+sides, so a feasible point that attains its bound is optimal.  Only when
+every candidate fails does the solver build its HiGHS handle and run it
+from the stored basis; once that run's optimum verifies, the entry takes
+the new basis, dual and generator in one write.  The store holds at most
+4 MB and drops the least recently used entries first.  A chain reports
+only statuses and exact optima, which nothing stored changes.  Direct
+`maximize`, `minimize` and `feasibility` calls never read or write the
+store, so the certificates of a solver that has run no chain do not
+depend on it (see `ShannonSolver` for one that has).
 """
 
 from __future__ import annotations
@@ -747,16 +748,16 @@ class SolveStats:
     scipy's HiGHS bindings), `simplex_iterations` their simplex iterations
     together with those of the solve HiGHS repeats to find a dual ray,
     `warm_starts` the runs that started from a basis (a previous run's or
-    a stored one) and `stored_starts` those that started from a basis in
-    the process-wide store `highs.BASES`.  `highs_seconds` is the wall
+    a stored one) and `stored_starts` those that started from a basis read
+    from the process-wide store `highs.BASES`.  `highs_seconds` is the wall
     time spent inside `Highs.solve` and `Highs.farkas`; the rest of a
     solve's time is interpreter work (the model build, rounding, the
     exact checks).  `memo_hits` counts objectives answered from the memo;
     every other solve is settled by exactly one of `stored_point` (a
     feasibility solve, by a combination of the points stored in
     `highs.BASES`, no HiGHS run), `stored_dual` (a claim, by the dual
-    stored there with a point the solver holds or a combination of the
-    stored points, no HiGHS run), `float_cert`, `float_farkas` or
+    stored there with the chain's feasibility point or a combination of
+    the stored points, no HiGHS run), `float_cert`, `float_farkas` or
     `exact`.  Stats add up field by field (the sums of a contract's
     chains, say).
     """
@@ -794,20 +795,20 @@ class ShannonSolver:
     solves go through one HiGHS handle that holds the model: it is built
     before the first HiGHS run, and each later objective changes only the
     costs and starts from the basis the previous solve left.  Inside
-    `verify_proof_chain` a solve first tries the entry stored for its
-    matrix and cost in `highs.BASES`, found by the matrix digest without a
-    handle, under the full exact check and with no HiGHS run: a
+    `verify_proof_chain` a solve reads the entry stored for its matrix and
+    cost in `highs.BASES` once, found by the matrix digest without a
+    handle, and tries it under the full exact check with no HiGHS run: a
     feasibility solve a combination of the stored points (settled by
     `stored_point`), a claim the stored dual paired with the chain's
-    feasibility point, its latest optimum, then such a combination
-    (settled by `stored_dual`).  Otherwise its run starts from the optimal
-    basis stored there, if there is one, and the entry takes its basis,
-    verified dual and point.  Direct calls of `maximize`, `minimize` and
-    `feasibility` never touch that store.  When no proposal verifies, the
-    exact simplex takes over with elemental rows activated lazily: each
-    solve runs on the active subset, the answer is
-    checked exactly against every remaining row, violated rows join in
-    bulk, and the loop repeats.  A returned optimum is therefore an optimum
+    feasibility point, then such a combination (settled by
+    `stored_dual`).  Otherwise its run starts from the optimal basis of
+    that entry, if there is one, and once the run's optimum verifies the
+    entry takes its basis, verified dual and point in one write.  Direct
+    calls of `maximize`, `minimize` and `feasibility` never touch that
+    store.  When no proposal verifies, the exact simplex takes over with
+    elemental rows activated lazily: each solve runs on the active subset,
+    the answer is checked exactly against every remaining row, violated
+    rows join in bulk, and the loop repeats.  A returned optimum is therefore an optimum
     of the full LP (inactive rows carry zero dual multipliers), and the
     final certificate, its multipliers re-keyed from active positions to
     LP rows, is re-verified against the complete row list.  Every path
@@ -817,8 +818,8 @@ class ShannonSolver:
 
     The solver is stateful and not shareable (across threads or otherwise
     concurrent users): it holds the HiGHS handle with its basis, the memo,
-    the points its chain solves verified, the matrix digest and rational
-    right sides of a chain's LP, `active` (the activated rows),
+    the feasibility point its chain verified, the matrix digest and
+    rational right sides of a chain's LP, `active` (the activated rows),
     `simplex` (the exact solver with its basis, built on the first solve
     that needs it) and `stats`, the counts of its work.  Which certificate
     a solve returns can depend on the solves before it, but never its
@@ -839,9 +840,7 @@ class ShannonSolver:
         # The digest of `lp.matrix` and the rational right sides, read on the first chain solve.
         self._store: Optional[tuple[bytes, Sparse]] = None
         self._memo: dict[tuple, SimplexCertificate] = {}
-        # Verified points of the chain solves: the feasibility point and the latest optimum.
-        self._feasible: Optional[Sparse] = None
-        self._latest: Optional[Sparse] = None
+        self._feasible: Optional[Sparse] = None  # the verified point of the chain's feasibility solve
         self.simplex: Optional[ExactSimplex] = None
         self.stats = SolveStats()
 
@@ -872,29 +871,26 @@ class ShannonSolver:
             cost[j] = -float(v)
         return cost
 
-    def _float_solve(self, objective: Mapping[int, Fraction], bases):
-        """The HiGHS proposal for `objective` (a `highs.FloatResult`), or None
-        without scipy or its HiGHS bindings; `bases` is the store
-        (`highs.BASES`) the run starts from and records into, or None.  A
-        handle made for a chain's solve takes its model from the store of
-        models by the matrix digest (`highs._MODELS`)."""
-        from entroflow import highs
-
+    def _float_solve(self, cost, entry=None):
+        """The HiGHS proposal for the cost vector `cost` (a
+        `highs.FloatResult`), or None without scipy or its HiGHS bindings.
+        With `entry`, the `highs.Stored` entry a chain solve read, the run
+        starts from its basis."""
         if self._highs is None:
-            matrix = None if bases is None else self._store[0]
+            from entroflow import highs
+
             try:
-                self._highs = highs.Highs(self.lp.rows, len(self.lp.coords), matrix)
+                self._highs = highs.Highs(self.lp.rows, len(self.lp.coords))
             except ImportError:
                 return None
-        cost = self._cost(objective)
-        key = None if bases is None else highs.entry_key(self._store[0], cost)
+        basis = None if entry is None else entry.basis
         start = time.perf_counter()
-        res = self._highs.solve(cost, bases, key)
+        res = self._highs.solve(cost, basis)
         self.stats.highs_seconds += time.perf_counter() - start
         self.stats.highs_runs += 1
         self.stats.simplex_iterations += res.nit
         self.stats.warm_starts += res.warm
-        self.stats.stored_starts += res.stored
+        self.stats.stored_starts += basis is not None
         return res
 
     def _rational(self, values) -> Sparse:
@@ -1006,11 +1002,8 @@ class ShannonSolver:
         cert, path = self._settle(objective, bases)
         setattr(stats, path, getattr(stats, path) + 1)
         self._memo[key] = cert
-        if bases is not None and cert.status == "optimal":
-            if objective:
-                self._latest = cert.x
-            else:
-                self._feasible = cert.x
+        if bases is not None and not objective and cert.status == "optimal":
+            self._feasible = cert.x
         log.debug(
             "solve: %s, settled by %s, %d HiGHS runs (%d warm, %d from stored bases), "
             "%d simplex iterations, %.3f s",
@@ -1027,26 +1020,31 @@ class ShannonSolver:
     def _settle(self, objective: Mapping[int, Fraction], bases) -> tuple[SimplexCertificate, str]:
         """A verified certificate and the path that settled it (a `SolveStats`
         field).  With `bases`, the entry stored for this matrix and cost is
-        tried before HiGHS runs (`_stored`), and a verified float optimum
-        joins it: its basis, dual, right sides and point."""
-        key = None
+        read once and tried before HiGHS runs (`_stored`), the run starts
+        from its basis, and a verified float optimum joins it: its basis,
+        dual, right sides and point."""
+        cost = self._cost(objective)
+        entry = None
         if bases is not None:
             from entroflow import highs
 
             if self._store is None:
                 self._store = highs.matrix_digest(self.lp.matrix), highs.right_sides(self.lp.rows)
-            key = highs.entry_key(self._store[0], self._cost(objective))
-            settled = self._stored(objective, bases, key)
-            if settled is not None:
-                return settled
-        res = self._float_solve(objective, bases)
+            key = highs.entry_key(self._store[0], cost)
+            entry = bases.get(key)
+            if entry is not None:
+                settled = self._stored(objective, entry, bases, key)
+                if settled is not None:
+                    return settled
+        res = self._float_solve(cost, entry)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
                 if fast is not None:
-                    if key is not None:
+                    if bases is not None:
                         statuses = len(self.lp.coords) + len(self.lp.rows)
-                        highs.join(bases, key, statuses, self._store[1], fast.x, res.basis, fast.duals)
+                        basis = self._highs.basis()  # the run's: nothing has run since
+                        highs.join(bases, key, statuses, self._store[1], fast.x, basis, fast.duals)
                     return fast, "float_cert"
             elif res.status == 2:
                 fast = self._float_farkas()
@@ -1055,36 +1053,29 @@ class ShannonSolver:
         return self._exact(objective, res), "exact"
 
     def _stored(
-        self, objective: Mapping[int, Fraction], bases, key: bytes
+        self, objective: Mapping[int, Fraction], entry, bases, key: bytes
     ) -> Optional[tuple[SimplexCertificate, str]]:
-        """The optimum of `objective` from the `highs.Stored` entry under
-        `key`, and the path that settled it; None when no pair passes exact
-        verification against every row and the objective.
+        """The optimum of `objective` from `entry`, the `highs.Stored` entry
+        under `key` in `bases`, and the path that settled it; None when no
+        pair passes exact verification against every row and the objective.
 
         The dual is the entry's for a claim and the empty dual for the
-        zero-cost feasibility objective.  A claim pairs it with the points
-        the chain has verified (the feasibility point, then the latest
-        optimum) and then with a combination of the entry's generators
-        (`highs.combination`); a feasibility solve with the combination
-        only.  A dual's feasibility does not depend on the right sides, so a
-        dual verified for other rates or capacities still bounds the
-        maximum; a feasible point that attains the bound is optimal.  A
-        new combination that settles the solve joins the entry, so the
-        next solve on these right sides finds it as it is.
+        zero-cost feasibility objective.  A claim pairs it with the chain's
+        feasibility point and then with a combination of the entry's
+        generators (`highs.combination`); a feasibility solve with the
+        combination only.  A dual's feasibility does not depend on the
+        right sides, so a dual verified for other rates or capacities still
+        bounds the maximum; a feasible point that attains the bound is
+        optimal.  A new combination that settles the solve joins the entry,
+        so the next solve on these right sides finds it as it is.
         """
         from entroflow import highs
         from entroflow.rows import Sparse
 
-        entry = bases.get(key)
-        dual = None if entry is None else entry.dual if objective else Sparse.of({})
-        if dual is None:
-            return None
         path = "stored_dual" if objective else "stored_point"
-        own = [self._feasible] if objective else []
-        if objective and self._latest is not self._feasible:
-            own.append(self._latest)
-        for x in own:
-            cert = self._paired(objective, x, dual)
+        dual = entry.dual if objective else Sparse.of({})
+        if objective:
+            cert = self._paired(objective, self._feasible, dual)
             if cert is not None:
                 return cert, path
         rhs = self._store[1]
@@ -1160,8 +1151,8 @@ class ShannonSolver:
             pivots=cert.pivots,
         )
 
-    # `_bases` is the store of bases (`highs.BASES`) the HiGHS runs start
-    # from and record into; only `verify_proof_chain` passes one.
+    # `_bases` is the store (`highs.BASES`) the solve reads and writes;
+    # only `verify_proof_chain` passes one.
 
     def maximize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact maximum of an expression (see `compile_expression`)."""

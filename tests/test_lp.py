@@ -765,6 +765,49 @@ class TestStoredDuals:
         assert (stats.stored_point, stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 1, 1, 1)
         assert BASES.get(keys[0]).dual is not bad  # the fallback stored its own verified dual
 
+    def test_an_unverified_run_leaves_the_entry_it_read(self, monkeypatch):
+        # The maximum's stored dual broken, and the proposal of its HiGHS
+        # run from the stored basis rejected once: the exact simplex settles
+        # the claim.  Nothing unverified is stored, so the entry stays the
+        # one the solve read, and that solve reads the store once.
+        from entroflow.highs import BASES, LruStore, entry_key
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        ((_, expression, _, _),) = claims
+        BASES.clear()
+        cold, solver = self.chain(lp, claims)
+        objective = solver._to_cols(lp.compile(expression)[0])
+        digest = solver._store[0]
+        keys = [entry_key(digest, solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
+        entry, other = (BASES.get(key) for key in keys)
+        broken = entry._replace(dual=self.corrupted(lp, entry, other, "flip"))
+        BASES.put(keys[0], broken, 1)
+        reads, writes = [], []
+        for name, log in (("get", reads), ("update", writes)):
+
+            def counted(store, key, *args, original=getattr(LruStore, name), log=log):
+                if store is BASES and key == keys[0]:
+                    log.append(key)
+                return original(store, key, *args)
+
+            monkeypatch.setattr(LruStore, name, counted)
+        rejected = []
+        certify = ShannonSolver._float_certificate
+
+        def reject_once(self, objective, res):
+            if rejected:
+                return certify(self, objective, res)
+            rejected.append(res)
+            return None
+
+        monkeypatch.setattr(ShannonSolver, "_float_certificate", reject_once)
+        report, solver = self.chain(lp, claims)
+        assert report == cold  # the same verdicts and exact optima
+        stats = solver.stats
+        assert (len(rejected), stats.highs_runs, stats.stored_starts, stats.exact) == (1, 1, 1, 1)
+        assert (len(reads), len(writes)) == (1, 0)
+        assert BASES.get(keys[0]) is broken
+
     @pytest.mark.parametrize("kind", ["point", "rhs"])
     def test_a_bad_stored_point_falls_back_to_highs(self, kind):
         # The feasibility entry's one generator made wrong: a coordinate of
@@ -803,13 +846,13 @@ class TestStoredDuals:
     def test_concurrent_chains_share_the_stores(self):
         # More threads than cores run the chain of one obligation on three
         # vectors at once, with a short switch interval, reading and writing
-        # the same bases, duals and kept model: every report equals the one
-        # a cold store gives, and the stores' sizes are the sums of what
-        # they hold (a lost update in `LruStore.put` would break that).
+        # the same bases, duals and points: every report equals the one a
+        # cold store gives, and the store's size is the sum of what it
+        # holds (a lost update in `LruStore.put` would break that).
         import sys
         import threading
 
-        from entroflow.highs import _MODELS, BASES
+        from entroflow.highs import BASES
 
         chains = [contract_chain(h, "v[1]-lower") for h in ((1, 1, 2), (1, 2, 3), (2, 2, 3))]
         cold = []
@@ -836,8 +879,7 @@ class TestStoredDuals:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        for store in (BASES, _MODELS):
-            assert store.size == sum(size for _, size in store._values.values()) <= store.cap
+        assert BASES.size == sum(size for _, size in BASES._values.values()) <= BASES.cap
 
 
 class TestRationalize:
@@ -1526,36 +1568,10 @@ class TestHighsBoundary:
             assert np.array(got.col_value).tobytes() == np.array(want.col_value).tobytes()
             assert np.array(got.row_dual).tobytes() == np.array(want.row_dual).tobytes()
 
-    def test_kept_model_matches_a_model_object(self):
-        # A model kept in `highs._MODELS` under the LP's matrix key loads the
-        # arrays of the model built field by field, both when it is built and
-        # when an LP with other right sides finds it.
-        import numpy as np
-
-        from entroflow.highs import _MODELS, Highs
-
-        first, second = (min(chain_sequences(h), key=lambda c: len(c[0].rows))[0] for h in ((1, 1, 2), (1, 2, 3)))
-        assert first.matrix == second.matrix
-        assert not np.array_equal(first.rows.rhs, second.rows.rhs)
-        _MODELS.clear()
-        kept = []
-        for lp in (first, second):
-            n = len(lp.coords)
-            ours = Highs(lp.rows, n, lp.matrix)
-            kept.append(_MODELS.get(lp.matrix))
-            a = ours.highs.getLp()
-            b = old_style_model(ours.core, lp.rows, n)
-            for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-            for name in ("start_", "index_", "value_"):
-                assert np.array_equal(getattr(a.a_matrix_, name), getattr(b.a_matrix_, name)), name
-        assert kept[0] is kept[1] and len(_MODELS) == 1
-        assert not any(part.flags.writeable for part in kept[0] if isinstance(part, np.ndarray))
-
     def test_stored_basis_runs_price_with_devex(self):
         import numpy as np
 
-        from entroflow.highs import BASES, Highs, _STORED_PRICING
+        from entroflow.highs import Highs, _STORED_PRICING
 
         assert _STORED_PRICING in (0, 1)  # Dantzig or Devex: neither computes initial weights
         lp = boundary_lps()[0]
@@ -1567,13 +1583,13 @@ class TestHighsBoundary:
         cost = np.zeros(n)
         cost[0] = -1.0
         first = Highs(lp.rows, n)
-        res = first.solve(cost, BASES)  # nothing stored yet: a cold run
-        assert (res.stored, rule(first)) == (False, -1)
+        res = first.solve(cost)  # no basis handed: a cold run
+        assert (res.warm, rule(first)) == (False, -1)
         second = Highs(lp.rows, n)
-        res = second.solve(cost, BASES)
-        assert (res.stored, rule(second)) == (True, _STORED_PRICING)
+        res = second.solve(cost, start=first.basis())
+        assert (res.warm, rule(second)) == (True, _STORED_PRICING)
         res = second.solve(-cost)  # from the handle's own basis
-        assert (res.warm, res.stored, rule(second)) == (True, False, -1)
+        assert (res.warm, rule(second)) == (True, -1)
 
     def test_row_slack_is_read_on_demand(self):
         import numpy as np
@@ -1701,7 +1717,7 @@ def verified_proposals():
             coeffs, _ = lp.compile(expression)
             for sign in (1, -1):
                 objective = {solver.index[m]: sign * c for m, c in coeffs.items()}
-                res = solver._float_solve(objective, None)
+                res = solver._float_solve(solver._cost(objective))
                 cert = solver._float_certificate(objective, res)
                 if cert is not None:
                     out.append((lp, objective, replace(cert, x=dict(cert.x), duals=dict(cert.duals))))
