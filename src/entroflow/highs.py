@@ -158,9 +158,11 @@ class LruStore:
     chooses; `cap` bounds the total, and storing past it drops the least
     recently used values until the rest fit.  A value larger than `cap` is
     not stored, and the store is left as it was.  A value is kept as given
-    and never changed after it is stored.  `BASES` holds the entries of
-    proof chains, and `lp` keeps the elemental block of each closure table
-    in a second store, both sized in bytes.
+    and never changed after it is stored (a template only fills in what it
+    derives from itself: its compiled expressions and its matrix digest).
+    Two stores are made, both sized in bytes: `BASES` holds the entries of
+    proof chains, and `lp._template_store` the LP template of each
+    topology and set of build arguments (`lp._Template`).
     """
 
     def __init__(self, cap: int):

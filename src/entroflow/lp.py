@@ -26,13 +26,21 @@ and an exact right side per row, rational rows scaled to integers by their
 least common denominator).  The elemental block is generated with numpy
 from the mask columns of `entropy._elemental_masks` (kept as one read-only
 array per ground size), and equal rows are found through one packed
-integer key per row.  A block depends only on the ground size and the
-closure table, so it is kept, read-only, in a byte-capped store that every
-later LP on the same topology reads (`_elemental_block`); provenance tags
-stay compact and are formatted only when `ShannonLP.tag`, `export_text`
-or `certificate_to_json` asks for them.  Every reader works from the
-store: the HiGHS model, the exact verifier, the exact simplex and the
-exports.
+integer key per row; provenance tags stay compact and are formatted only
+when `ShannonLP.tag`, `export_text` or `certificate_to_json` asks for
+them.  Every reader works from the store: the HiGHS model, the exact
+verifier, the exact simplex and the exports.
+
+Rates, capacities and axiom values enter only the right sides (and the
+two rules that drop a row: an equal earlier row, a >= 0 row that is an
+elemental row).  So `build_shannon_lp` splits the work: a template
+(`_Template`: ground, dependency rules, closure table, coordinates,
+elemental block, every other row's terms, sense, tag and where its right
+side comes from, the CSR arrays, `ShannonLP.matrix` with its digest, and
+the compiled expressions) is built once per topology and build arguments
+and kept, read-only, in a byte-capped store (`_template_store`); each
+build reads it and fills in the right sides, sharing the row arrays with
+it wherever no scale changes.
 
 Solving is float-proposed and exactly verified: HiGHS (through the
 bindings scipy bundles) proposes an optimum (a point and row duals) or,
@@ -70,11 +78,12 @@ The solves of a proof chain, and only those, also use the process-wide
 store `highs.BASES`, one entry per matrix and cost (the right-hand side is
 not part of the key, so a chain on the same subnetwork under other rates
 or capacities finds its entries).  The solver is the store's only reader
-and writer.  It reads the matrix digest and the rational right sides once
-per LP, and each chain solve reads its entry once, without a HiGHS
-handle.  An entry holds the optimal basis of a HiGHS run, the verified
-rational row duals of the solve it settled, and its generators: the
-right sides of the solves settled there, with their verified points.
+and writer.  It reads the matrix digest (`ShannonLP.digest`, worked out
+once per template) and the rational right sides once per LP, and each
+chain solve reads its entry once, without a HiGHS handle.  An entry
+holds the optimal basis of a HiGHS run, the verified rational row duals
+of the solve it settled, and its generators: the right sides of the
+solves settled there, with their verified points.
 The right sides enter every row linearly, so a nonnegative combination of
 stored points is feasible for the same combination of their right sides.
 Before HiGHS runs, a feasibility solve combines the stored points whose
@@ -101,6 +110,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
 from entroflow.entropy import (
@@ -203,6 +213,12 @@ class ShannonLP:
     coordinates), where the block starts, and every other row's terms and
     sense.  Two LPs with equal
     keys differ at most in their right sides.
+
+    `template` is what the LP shares with every other LP of its topology
+    and build arguments (see `build_shannon_lp`): the variables, closures,
+    coordinates and, unless a value dropped a row, the row arrays apart
+    from the right sides and scales, the tags and `matrix`.  It also keeps
+    `coord_index`, the compiled expressions and the digest of `matrix`.
     """
 
     variables: VariableGround
@@ -212,6 +228,7 @@ class ShannonLP:
     tags: _RowTags
     reduced: bool
     matrix: tuple = field(repr=False, compare=False)
+    template: _Template = field(repr=False, compare=False)
 
     @property
     def constraints(self) -> RowStore:
@@ -230,18 +247,23 @@ class ShannonLP:
     def ground(self) -> GroundSet:
         return self.variables.ground
 
-    def coord_index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.coords)}
+    def coord_index(self) -> Mapping[int, int]:
+        """The coordinate index of each closed mask (read-only, the template's)."""
+        return self.template.index
 
     def compile(self, expr: str) -> tuple[dict[int, Fraction], Fraction]:
         """Compile an expression to closed-coordinate coefficients."""
-        raw, const = compile_expression(self.ground, expr)
-        out: dict[int, Fraction] = {}
-        for mask, c in raw.items():
-            cl = self.closures[mask]
-            if cl:
-                out[cl] = out.get(cl, Fraction(0)) + c
-        return {m: c for m, c in out.items() if c}, const
+        return self.template.compile(expr)
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """The digest of `matrix` (`highs.matrix_digest`): the template's
+        when the LP keeps every row of it."""
+        if self.matrix is self.template.matrix:
+            return self.template.digest
+        from entroflow.highs import matrix_digest
+
+        return matrix_digest(self.matrix)
 
 
 # ----------------------------------------------------------------------
@@ -485,28 +507,6 @@ def _first_of_equal_rows(masks, coef, n: int):
     return np.unique(key, return_index=True)[1]
 
 
-# The most bytes of elemental blocks `_elemental_store` holds: enough for
-# the few closure tables of one gadget (a 10-variable block is about
-# 0.2 MB), small next to a process that builds LPs of many topologies.
-_ELEMENTAL_CAP = 1 << 20
-
-
-@functools.cache
-def _elemental_store():
-    """The process-wide store of elemental blocks by ground size and closure
-    table (a `highs.LruStore` sized in bytes), made on first use."""
-    from entroflow.highs import LruStore  # numpy with it, off the command line's import path
-
-    return LruStore(_ELEMENTAL_CAP)
-
-
-def _elemental_key(n: int, closure) -> tuple[int, bytes]:
-    """What an elemental block depends on: the ground size and the closure table."""
-    import numpy as np
-
-    return n, np.asarray(closure, dtype=np.int64).tobytes()
-
-
 def _elemental_block(n: int, closure):
     """The elemental rows mapped through the closure.
 
@@ -515,20 +515,13 @@ def _elemental_block(n: int, closure):
     dropped; empty rows go, and of equal rows only the first stays.
     Returns the kept rows' (i, j, K) columns and their closed masks and
     coefficients, four per row: the nonzero terms first, masks ascending,
-    a dropped term read as mask 2^n with coefficient 0.
-
-    The result depends on n and the closure table only, so it is kept in
-    `_elemental_store` under both: read-only arrays, int16 columns and
-    masks (n <= 14) and int8 coefficients.  Every LP on a topology seen
-    before reuses it.
+    a dropped term read as mask 2^n with coefficient 0, as read-only
+    arrays: int16 columns and masks (n <= 14) and int8 coefficients.  The
+    result depends on n and the closure table only; the template of a
+    topology (`_Template`) builds it once.
     """
     import numpy as np
 
-    key = _elemental_key(n, closure)
-    memo = _elemental_store()
-    block = memo.get(key)
-    if block is not None:
-        return block
     cols = _elemental_columns(n)
     masks = closure[cols[3:].T]
     coef = np.where(masks == 0, 0, np.array([1, 1, -1, -1]))
@@ -550,7 +543,6 @@ def _elemental_block(n: int, closure):
     block = (cols[:3, rows].astype(np.int16), masks[rows].astype(np.int16), coef[rows].astype(np.int8))
     for part in block:
         part.setflags(write=False)
-    memo.put(key, block, len(key[1]) + sum(part.nbytes for part in block))
     return block
 
 
@@ -562,6 +554,285 @@ def _in_block(n: int, block_masks, block_coef, terms: tuple) -> bool:
     masks, coef = zip(*terms, *[(1 << n, 0)] * (4 - len(terms)))
     hit = (block_masks == masks) & (block_coef == [int(c) for c in coef])
     return bool(hit.all(axis=1).any())
+
+
+# The most bytes of templates `_template_store` holds: the five subnetwork
+# templates of an n=2 incremental gadget take about 1.4 MB, the LP of a
+# small network a few kilobytes.
+_TEMPLATE_CAP = 1 << 21
+# The most expressions one template keeps compiled (`_Template.compile`).
+_COMPILED_CAP = 256
+
+
+@functools.cache
+def _template_store():
+    """The process-wide store of LP templates by topology and build
+    arguments (a `highs.LruStore` sized in bytes), made on first use."""
+    from entroflow.highs import LruStore  # numpy with it, off the command line's import path
+
+    return LruStore(_TEMPLATE_CAP)
+
+
+class _Template:
+    """Everything of a Shannon LP that no rate, capacity or axiom value
+    changes, built once per topology and build arguments and then only
+    read (by the chain threads of a contract at once, among others).
+
+    `rows` holds the elemental block and every other row that some values
+    keep (the candidates), each with right side 0 and at the least common
+    denominator of its coefficients; `tags` and `matrix` are those of an
+    LP that keeps every candidate.  A row whose right side is 0 whatever
+    the values is no candidate when an elemental row or an earlier such
+    row with its terms and sense always takes its place.  `sources` says
+    where each other candidate's right side comes from: one (candidate,
+    row, base, kind, at, constant) tuple each, `base` the row's scale here
+    (its coefficients' least common denominator), and the value the finite
+    capacity of edge `at` (its position in the network's edges, kind
+    "capacity"), the rate of session `at` (its position in the sessions,
+    "rate") or the value of axiom `at` less `constant`, its expression's
+    constant term ("axiom").
+
+    Two rules of `build_shannon_lp` depend on values and are applied per
+    instance (`_kept`): a candidate equal to an earlier kept one in terms,
+    sense and right side goes (`twins` holds each candidate's first one
+    with its terms and sense), and so does a >= candidate with right side
+    0 whose terms are an elemental row's (`droppable`).  `ambiguous` is
+    False when neither rule can drop a candidate.
+    """
+
+    def __init__(self, variables, closures, coords, reduced, rows, tags, matrix, sources, twins, droppable):
+        self.variables: VariableGround = variables
+        self.closures: tuple[int, ...] = closures
+        self.coords: tuple[int, ...] = coords
+        self.reduced: bool = reduced
+        self.rows: RowStore = rows
+        self.tags: _RowTags = tags
+        self.matrix: tuple = matrix
+        self.sources: tuple[tuple, ...] = sources
+        self.twins: tuple[int, ...] = twins
+        self.droppable: tuple[bool, ...] = droppable
+        self.ambiguous = len(set(twins)) < len(twins) or any(droppable)
+        # The coordinate index of each closed mask, read-only.
+        self.index: Mapping[int, int] = MappingProxyType({m: i for i, m in enumerate(coords)})
+        arrays = (rows.indptr, rows.col, rows.data, rows.sense, rows.rhs, rows.scale, tags.elemental)
+        self.nbytes = sum(a.nbytes for a in arrays) + 8 * len(closures)
+        self.compiled: dict[str, tuple[dict[int, Fraction], Fraction]] = {}
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        from entroflow.highs import matrix_digest
+
+        return matrix_digest(self.matrix)
+
+    def compile(self, expr: str) -> tuple[dict[int, Fraction], Fraction]:
+        """`ShannonLP.compile`, kept for up to `_COMPILED_CAP` expressions."""
+        hit = self.compiled.get(expr)
+        if hit is None:
+            raw, const = compile_expression(self.variables.ground, expr)
+            out: dict[int, Fraction] = {}
+            for mask, c in raw.items():
+                cl = self.closures[mask]
+                if cl:
+                    out[cl] = out.get(cl, Fraction(0)) + c
+            hit = {m: c for m, c in out.items() if c}, const
+            # Threads that compile one expression at once store equal
+            # values, and the cap is passed by at most one entry per thread.
+            if len(self.compiled) < _COMPILED_CAP:
+                self.compiled[expr] = hit
+        return dict(hit[0]), hit[1]
+
+    def instance(self, problem: NetworkProblem, axioms: Sequence[tuple]) -> ShannonLP:
+        """The LP of `problem` (whose topology is this template's) under its
+        rates and capacities and the values of `axioms`.
+
+        Each valued row is scaled to the least common denominator of its
+        coefficients and right side.  When no candidate is dropped, the
+        rows share `indptr`, `col` and `sense` with the template, and
+        `data` and `scale` too when no scale changes; `tags` and `matrix`
+        are the template's.
+        """
+        edges, sessions = problem.network.edges, problem.requirement.sessions
+        values: dict[int, Fraction] = {}
+        at, rhs, factor = [], [], []
+        for k, row, base, kind, where, constant in self.sources:
+            if kind == "capacity":
+                value = edges[where].capacity.value
+            elif kind == "rate":
+                value = sessions[where].rate
+            else:
+                value = as_fraction(axioms[where][3]) - constant
+            values[k] = value
+            scale = math.lcm(base, value.denominator)
+            at.append(row)
+            rhs.append(value.numerator * (scale // value.denominator))
+            factor.append(scale // base)
+        rows = self.rows.with_right_sides(at, rhs, factor)
+        tags, matrix = self.tags, self.matrix
+        kept = self._kept(values) if self.ambiguous else None
+        if kept is not None:
+            start, stop = tags.start, tags.stop
+            head = [k for k in kept if k < start]
+            tail = [k + stop - start for k in kept if k >= start]
+            rows = rows.take([*head, *range(start, stop), *tail])
+            tags = _RowTags(len(head), tags.elemental, tuple(tags.others[k] for k in kept))
+            matrix = (*matrix[:2], len(head), tuple(matrix[3][k] for k in kept))
+        return ShannonLP(self.variables, self.closures, self.coords, rows, tags, self.reduced, matrix, self)
+
+    def _kept(self, values: Mapping[int, Fraction]) -> Optional[list[int]]:
+        """The candidates kept under the right sides `values` (by
+        candidate, 0 where absent), or None when every one is kept."""
+        seen: set = set()
+        kept = []
+        for k, twin in enumerate(self.twins):
+            value = values.get(k, 0)
+            if (twin, value) in seen or (self.droppable[k] and value == 0):
+                continue
+            seen.add((twin, value))
+            kept.append(k)
+        return None if len(kept) == len(self.twins) else kept
+
+
+def _template(
+    problem: NetworkProblem,
+    randomized: tuple[str, ...],
+    variables: Optional[Sequence[str]],
+    rate_sessions: str,
+    axioms: Sequence[tuple],
+    reduce: bool,
+) -> _Template:
+    """The template of `build_shannon_lp`'s LP (see `_Template`)."""
+    import numpy as np
+
+    from entroflow.rows import RowStore
+
+    errors = name_clashes(problem, randomized)
+    if errors:
+        raise ValueError("invalid problem: " + "; ".join(errors))
+    vg = _ground_of(problem, bool(randomized), variables)
+    ground = vg.ground
+    n = ground.size
+    if n > ELEMENTAL_GROUND_LIMIT:
+        raise GroundTooLargeError(n, ELEMENTAL_GROUND_LIMIT)
+    rules = _dependency_rules(problem, vg)
+    closure = _closure_table(n, rules) if reduce else np.arange(1 << n, dtype=np.int64)
+    closures = tuple(closure.tolist())
+    coords = sorted(set(closures[1:]) | ({closures[0]} if closures[0] else set()))
+    col_of = np.full(1 << n, -1, dtype=np.int64)
+    col_of[coords] = np.arange(len(coords))
+
+    def cl(mask: int) -> int:
+        return closures[mask]
+
+    ijk, block_masks, block_coef = _elemental_block(n, closure)
+    candidates: list[tuple] = []  # (terms, sense, tag, source, droppable) of every other row, in order
+    zeros: set = set()
+
+    def push(coeffs: dict[int, Fraction], sense: str, tag: tuple, source: Optional[tuple] = None) -> None:
+        coeffs = {m: c for m, c in coeffs.items() if c and m}
+        if not coeffs:
+            return  # trivially 0 (sense) rhs; nothing to assert for rhs = 0
+        terms = tuple(sorted(coeffs.items()))
+        droppable = sense == "ge" and _in_block(n, block_masks, block_coef, terms)
+        if source is None:
+            # Right side 0 whatever the values: an elemental row, or an
+            # equal row before it, takes its place every time.
+            if droppable or (sense, terms) in zeros:
+                return
+            zeros.add((sense, terms))
+        candidates.append((terms, sense, tag, source, droppable))
+
+    one = Fraction(1)
+    # The closure of the empty set is a constant tuple; pin it to zero.
+    if cl(0):
+        push({cl(0): one}, "eq", ("causality", "nullary"))
+    # The elemental block goes here, after the pin.
+    start = len(candidates)
+    # Causality and decodability: folded into the closure when reducing,
+    # explicit equalities otherwise.
+    if not reduce:
+        for premise, target, tag in rules:
+            coeffs = {}
+            _add(coeffs, premise | target, one)
+            _add(coeffs, premise, -one)
+            push(coeffs, "eq", tag)
+    # Capacities: every finite capacity along a message's edge chain binds.
+    net = problem.network
+    labels = set(ground.labels)
+    for at, e in enumerate(net.edges):
+        if e.capacity.is_unbounded:
+            continue
+        msg = net.message_of(e.id)
+        if msg in labels and vg.kinds[msg] == "message":
+            push({cl(ground.mask_of([msg])): one}, "le", ("capacity", e.id), ("capacity", at, 0))
+    # Rates.
+    rated = problem.requirement.sessions if rate_sessions == "all" else ()
+    for at, s in sorted(enumerate(rated), key=lambda item: item[1].id):
+        if s.id in labels:
+            push({cl(ground.mask_of([s.id])): one}, "ge", ("rate", s.id), ("rate", at, 0))
+    # Secrecy.
+    for r, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
+        names = tuple(tap.sources) + observed
+        if not tap.sources or not observed or any(x not in labels for x in names):
+            continue
+        a = ground.mask_of(tap.sources)
+        b = ground.mask_of(observed)
+        coeffs = {}
+        _add(coeffs, cl(a), one)
+        _add(coeffs, cl(b), one)
+        _add(coeffs, cl(a | b), -one)
+        push(coeffs, "eq", ("secrecy", str(r)))
+    # Mutual independence of sessions and randomness (one equality; the
+    # polymatroid axioms propagate it to every sub-grouping).
+    indep = [
+        lab
+        for lab in ground.labels
+        if vg.kinds[lab] in ("session", "randomness")
+    ]
+    if len(indep) >= 2:
+        coeffs = {}
+        for lab in indep:
+            _add(coeffs, cl(ground.mask_of([lab])), one)
+        _add(coeffs, cl(ground.mask_of(indep)), -one)
+        push(coeffs, "eq", ("independence",))
+    # Caller axioms.
+    for at, (name, expr, relation, _) in enumerate(axioms):
+        raw, const = compile_expression(ground, expr)
+        coeffs = {}
+        for mask, c in raw.items():
+            _add(coeffs, cl(mask), c)
+        sense = {"=": "eq", ">=": "ge", "<=": "le"}[relation]
+        push(coeffs, sense, ("axiom", name), ("axiom", at, const))
+
+    def stored(part: list[tuple]) -> RowStore:
+        return RowStore.from_rows(
+            LinearRow({int(col_of[m]): c for m, c in terms}, sense, Fraction(0))
+            for terms, sense, *_ in part
+        )
+
+    live = block_coef != 0
+    ones = np.ones(len(live), dtype=np.int64)
+    elemental = RowStore(
+        np.concatenate(([0], np.cumsum(live.sum(axis=1)))),
+        col_of[block_masks[live]],
+        block_coef[live],
+        -ones,  # every elemental row reads >= 0
+        0 * ones,
+        ones,
+    )
+    rows = RowStore.concat([stored(candidates[:start]), elemental, stored(candidates[start:])])
+    for array in (rows.indptr, rows.col, rows.data, rows.sense, rows.rhs, rows.scale):
+        array.setflags(write=False)  # shared with every instance
+    tags = _RowTags(start, ijk, tuple(tag for _, _, tag, _, _ in candidates))
+    sources = []
+    for k, (_, _, _, source, _) in enumerate(candidates):
+        if source is not None:
+            row = k if k < start else k + tags.stop - start
+            sources.append((k, row, int(rows.scale[row]), *source))
+    first: dict = {}
+    twins = tuple(first.setdefault((sense, terms), k) for k, (terms, sense, *_) in enumerate(candidates))
+    droppable = tuple(d for *_, d in candidates)
+    matrix = (n, closure.tobytes(), start, tuple((terms, sense) for terms, sense, *_ in candidates))
+    return _Template(vg, closures, tuple(coords), reduce, rows, tags, matrix, tuple(sources), twins, droppable)
 
 
 def build_shannon_lp(
@@ -582,145 +853,51 @@ def build_shannon_lp(
 
     Rows come in family order (the nullary pin, elemental, dependency
     equalities when not reducing, capacities, rates, secrecy,
-    independence, axioms); a row equal to an earlier one is dropped.
+    independence, axioms); a row equal to an earlier one is dropped, and
+    so is a >= row with right side 0 that is an elemental row.
+
+    What does not depend on rates, capacities or axiom values (the
+    `_Template`) is built once per topology (`NetworkProblem.topology`)
+    and build arguments, and kept in a process-wide store of at most
+    `_TEMPLATE_CAP` bytes that drops the least recently used first; each
+    call fills in the right sides.  The LP is the same whether the
+    template was built by this call or an earlier one.  The `entroflow.lp`
+    logger writes one debug record per call.
     """
     if rate_sessions not in ("all", "none"):
         raise ValueError(f"rate_sessions must be 'all' or 'none', not {rate_sessions!r}")
-    import numpy as np
+    import logging  # here, off the command line's import path
 
-    from entroflow.rows import RowStore
-
+    begin = time.perf_counter()
     if include_randomness is None:
         include_randomness = bool(problem.randomness_nodes)
     randomized = problem.default_randomness_nodes if include_randomness else ()
-    errors = validate(problem) or name_clashes(problem, randomized)
+    errors = validate(problem)
     if errors:
         raise ValueError("invalid problem: " + "; ".join(errors))
-    vg = _ground_of(problem, include_randomness, variables)
-    ground = vg.ground
-    n = ground.size
-    if n > ELEMENTAL_GROUND_LIMIT:
-        raise GroundTooLargeError(n, ELEMENTAL_GROUND_LIMIT)
-    rules = _dependency_rules(problem, vg)
-    closure = _closure_table(n, rules) if reduce else np.arange(1 << n, dtype=np.int64)
-    closures = tuple(closure.tolist())
-    coords = sorted(set(closures[1:]) | ({closures[0]} if closures[0] else set()))
-    col_of = np.full(1 << n, -1, dtype=np.int64)
-    col_of[coords] = np.arange(len(coords))
-
-    def cl(mask: int) -> int:
-        return closures[mask]
-
-    ijk, block_masks, block_coef = _elemental_block(n, closure)
-    rows: list[tuple] = []  # (terms, sense, rhs, tag) of every other row, in order
-    seen: set = set()
-
-    def push(coeffs: dict[int, Fraction], sense: str, rhs: Fraction, tag: tuple) -> None:
-        coeffs = {m: c for m, c in coeffs.items() if c and m}
-        if not coeffs:
-            return  # trivially 0 (sense) rhs; nothing to assert for rhs = 0
-        terms = tuple(sorted(coeffs.items()))
-        key = (sense, rhs, terms)
-        if key in seen:
-            return
-        if sense == "ge" and rhs == 0 and _in_block(n, block_masks, block_coef, terms):
-            return
-        seen.add(key)
-        rows.append((terms, sense, rhs, tag))
-
-    one = Fraction(1)
-    # The closure of the empty set is a constant tuple; pin it to zero.
-    if cl(0):
-        push({cl(0): one}, "eq", Fraction(0), ("causality", "nullary"))
-    # The elemental block goes here, after the pin.
-    start = len(rows)
-    # Causality and decodability: folded into the closure when reducing,
-    # explicit equalities otherwise.
-    if not reduce:
-        for premise, target, tag in rules:
-            coeffs = {}
-            _add(coeffs, premise | target, one)
-            _add(coeffs, premise, -one)
-            push(coeffs, "eq", Fraction(0), tag)
-    # Capacities: every finite capacity along a message's edge chain binds.
-    net = problem.network
-    labels = set(ground.labels)
-    for e in net.edges:
-        if e.capacity.is_unbounded:
-            continue
-        msg = net.message_of(e.id)
-        if msg in labels and vg.kinds[msg] == "message":
-            push(
-                {cl(ground.mask_of([msg])): one},
-                "le",
-                e.capacity.value,
-                ("capacity", e.id),
-            )
-    # Rates.
-    rated = problem.requirement.sessions if rate_sessions == "all" else ()
-    for s in sorted(rated, key=lambda s: s.id):
-        if s.id in labels:
-            push({cl(ground.mask_of([s.id])): one}, "ge", s.rate, ("rate", s.id))
-    # Secrecy.
-    for r, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
-        names = tuple(tap.sources) + observed
-        if not tap.sources or not observed or any(x not in labels for x in names):
-            continue
-        a = ground.mask_of(tap.sources)
-        b = ground.mask_of(observed)
-        coeffs = {}
-        _add(coeffs, cl(a), one)
-        _add(coeffs, cl(b), one)
-        _add(coeffs, cl(a | b), -one)
-        push(coeffs, "eq", Fraction(0), ("secrecy", str(r)))
-    # Mutual independence of sessions and randomness (one equality; the
-    # polymatroid axioms propagate it to every sub-grouping).
-    indep = [
-        lab
-        for lab in ground.labels
-        if vg.kinds[lab] in ("session", "randomness")
-    ]
-    if len(indep) >= 2:
-        coeffs = {}
-        for lab in indep:
-            _add(coeffs, cl(ground.mask_of([lab])), one)
-        _add(coeffs, cl(ground.mask_of(indep)), -one)
-        push(coeffs, "eq", Fraction(0), ("independence",))
-    # Caller axioms.
-    for name, expr, relation, value in axioms:
-        raw, const = compile_expression(ground, expr)
-        coeffs = {}
-        for mask, c in raw.items():
-            _add(coeffs, cl(mask), c)
-        rhs = as_fraction(value) - const
-        sense = {"=": "eq", ">=": "ge", "<=": "le"}[relation]
-        push(coeffs, sense, rhs, ("axiom", name))
-
-    def stored(part: list[tuple]) -> RowStore:
-        return RowStore.from_rows(
-            LinearRow({int(col_of[m]): c for m, c in terms}, sense, rhs)
-            for terms, sense, rhs, _ in part
-        )
-
-    live = block_coef != 0
-    ones = np.ones(len(live), dtype=np.int64)
-    elemental = RowStore(
-        np.concatenate(([0], np.cumsum(live.sum(axis=1)))),
-        col_of[block_masks[live]],
-        block_coef[live],
-        -ones,  # every elemental row reads >= 0
-        0 * ones,
-        ones,
+    key = (
+        problem.topology,
+        None if variables is None else tuple(variables),
+        randomized,
+        rate_sessions,
+        reduce,
+        tuple((name, expr, relation) for name, expr, relation, _ in axioms),
     )
-    return ShannonLP(
-        variables=vg,
-        closures=closures,
-        coords=tuple(coords),
-        rows=RowStore.concat([stored(rows[:start]), elemental, stored(rows[start:])]),
-        tags=_RowTags(start, ijk, tuple(tag for *_, tag in rows)),
-        reduced=reduce,
-        matrix=(*_elemental_key(n, closure), start, tuple((terms, sense) for terms, sense, *_ in rows)),
+    store = _template_store()
+    template = store.get(key)
+    reused = template is not None
+    if not reused:
+        template = _template(problem, randomized, variables, rate_sessions, axioms, reduce)
+        store.put(key, template, template.nbytes)
+    lp = template.instance(problem, axioms)
+    logging.getLogger(__name__).debug(
+        "build: %d rows, %d coordinates, template %s, %.4f s",
+        len(lp.rows),
+        len(lp.coords),
+        "reused" if reused else "built",
+        time.perf_counter() - begin,
     )
+    return lp
 
 
 # ----------------------------------------------------------------------
@@ -1029,7 +1206,7 @@ class ShannonSolver:
             from entroflow import highs
 
             if self._store is None:
-                self._store = highs.matrix_digest(self.lp.matrix), highs.right_sides(self.lp.rows)
+                self._store = self.lp.digest, highs.right_sides(self.lp.rows)
             key = highs.entry_key(self._store[0], cost)
             entry = bases.get(key)
             if entry is not None:

@@ -239,9 +239,9 @@ def randomness_variable(node: str) -> str:
 class NetworkProblem:
     """A network with its sessions, wiretaps and randomness nodes.
 
-    `validate`, `ancestral_order` and the variable derivations (`messages`,
+    `validate`, `ancestral_order`, the variable derivations (`messages`,
     `encoder_inputs`, `sink_inputs`, `wiretap_views`,
-    `default_randomness_nodes`) work out their results once per
+    `default_randomness_nodes`) and `topology` work out their results once per
     (immutable) instance and keep them on it, on first use or all at once
     through `derive`; a failed derivation is not kept, so it fails again
     on the next call.
@@ -330,6 +330,23 @@ class NetworkProblem:
         declared ones, or else every tail of a non-forwarding edge; sorted."""
         tails = {e.tail for e in self.network.edges if e.forwards is None}
         return tuple(sorted(self.randomness_nodes or tails))
+
+    @cached_property
+    def topology(self) -> tuple:
+        """The problem with every value blanked: nodes; edges as (id, tail,
+        head, unbounded or not, forwards); sessions without their rates;
+        the incremental order; wiretaps; randomness nodes.  Two problems
+        with equal topologies differ at most in their session rates and
+        finite capacities."""
+        net, req = self.network, self.requirement
+        return (
+            net.nodes,
+            tuple((e.id, e.tail, e.head, e.capacity.is_unbounded, e.forwards) for e in net.edges),
+            tuple((s.id, s.origin, s.sinks) for s in req.sessions),
+            req.incremental_order,
+            self.wiretaps.taps,
+            self.randomness_nodes,
+        )
 
     def derive(self) -> None:
         """Work out every kept derivation now, so that later callers

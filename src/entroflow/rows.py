@@ -162,7 +162,35 @@ class RowStore:
         self.rhs = _int_array(rhs)
         self.scale = _int_array(scale)
         self._small = object not in (self.data.dtype, self.rhs.dtype, self.scale.dtype)
-        self._limits: Optional[tuple[int, int, int]] = None
+        self._sums: Optional[tuple[int, int]] = None  # largest absolute row and column sums
+        self._rhs_max: Optional[int] = None
+
+    def with_right_sides(self, at: Sequence[int], rhs: Sequence[int], factor: Sequence[int]) -> "RowStore":
+        """These rows with row ``at[k]`` multiplied by the integer
+        ``factor[k]`` (its data and scale) and given the integer right side
+        ``rhs[k]``; every other row as it is here.
+
+        `indptr`, `col` and `sense` are this store's arrays, and so are
+        `data` and `scale`, with their row and column sums, when every
+        factor is 1: the rows stand for other right sides of the same
+        matrix.
+        """
+        at = np.asarray(at, dtype=np.int64)
+        values = _int_array(rhs)
+        new_rhs = self.rhs.astype(object if object in (self.rhs.dtype, values.dtype) else np.int64)
+        new_rhs[at] = values
+        data, scale = self.data, self.scale
+        if any(f != 1 for f in factor):
+            factor = _int_array(factor)
+            # int64 factors and entries are below 2^31, so their products fit.
+            dtype = object if object in (data.dtype, scale.dtype, factor.dtype) else np.int64
+            data, scale, factor = data.astype(dtype), scale.astype(dtype), factor.astype(dtype)
+            data[self._entries(at)[0]] *= np.repeat(factor, np.diff(self.indptr)[at])
+            scale[at] *= factor
+        out = RowStore(self.indptr, self.col, data, self.sense, new_rhs, scale)
+        if out.data is self.data:
+            out._sums = self._row_col_sums()
+        return out
 
     @classmethod
     def of(cls, rows: "Sequence[LinearRow] | RowStore") -> "RowStore":
@@ -247,9 +275,8 @@ class RowStore:
     # ------------------------------------------------------------------
     # exact checks
 
-    def limits(self) -> tuple[int, int, int]:
-        """Largest absolute row sum, column sum and right side, as Python ints."""
-        if self._limits is None:
+    def _row_col_sums(self) -> tuple[int, int]:
+        if self._sums is None:
             if not len(self.col):
                 row_sum = col_sum = 0
             else:
@@ -258,9 +285,14 @@ class RowStore:
                 by_col = np.zeros(int(self.col.max()) + 1, dtype=mags.dtype)
                 np.add.at(by_col, self.col, mags)
                 col_sum = max(by_col.tolist())
-            rhs = max(np.abs(self.rhs).tolist(), default=0)
-            self._limits = (int(row_sum), int(col_sum), int(rhs))
-        return self._limits
+            self._sums = (int(row_sum), int(col_sum))
+        return self._sums
+
+    def limits(self) -> tuple[int, int, int]:
+        """Largest absolute row sum, column sum and right side, as Python ints."""
+        if self._rhs_max is None:
+            self._rhs_max = int(max(np.abs(self.rhs).tolist(), default=0))
+        return (*self._row_col_sums(), self._rhs_max)
 
     def _arrays(self, fast: bool):
         if fast:

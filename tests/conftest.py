@@ -31,9 +31,11 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def empty_basis_store():
-    """Every test starts with no stored optimal bases, so that no test's
-    counts depend on the tests run before it."""
+def empty_stores():
+    """Every test starts with no stored optimal bases and no LP templates,
+    so that no test's counts depend on the tests run before it."""
     from entroflow.highs import BASES
+    from entroflow.lp import _template_store
 
     BASES.clear()
+    _template_store().clear()

@@ -306,6 +306,23 @@ class TestStoredBases:
             # so none of them ran HiGHS.
             assert report.stats.stored_point == len(chains)
 
+    def test_a_new_h_builds_no_template(self):
+        # (2,3,5) after (1,1,2): the five chains reuse the five templates the
+        # first vector made, and the report is the one of a cold run.
+        from entroflow.highs import BASES
+        from entroflow.lp import _template_store
+
+        store = _template_store()
+        self.contract((1, 1, 2))
+        assert len(store) == 5
+        warm = self.contract((2, 3, 5))
+        assert len(store) == 5
+        BASES.clear()
+        store.clear()
+        cold = self.contract((2, 3, 5))
+        assert warm.results == cold.results
+        assert warm.describe() == cold.describe()
+
     def test_second_h_starts_from_stored_bases(self, caplog):
         from entroflow.highs import BASES
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from entroflow.lp import (
 from entroflow.codes import CodeBuilder, induced_joint_distribution
 from entroflow.network import min_cut, parse
 
+from test_gadgets import contract_pool
 from test_network import butterfly, simple_problem
 from test_codes import butterfly_code, pad_code, pad_problem, relay_code, relay_problem
 
@@ -1611,75 +1613,206 @@ class TestHighsBoundary:
         want = np.where(rows.sense == -1, activity - rhs, rhs - activity)
         assert np.allclose(res.row_slack, want, atol=1e-9)
 
-    def test_elemental_memo_is_read_only_and_capped(self):
-        import numpy as np
 
-        from entroflow.lp import _closure_table, _elemental_block, _elemental_store
+def lp_fields(lp):
+    """What an LP is, field by field: each row array with its dtype, every
+    row's tag, the coordinates, closures, matrix and its digest."""
+    arrays = {
+        name: (str(getattr(lp.rows, name).dtype), getattr(lp.rows, name).tolist())
+        for name in ("indptr", "col", "data", "sense", "rhs", "scale")
+    }
+    return (
+        arrays,
+        row_tags(lp),
+        lp.variables,
+        lp.coords,
+        lp.closures,
+        lp.reduced,
+        lp.elemental_rows,
+        lp.matrix,
+        lp.digest,
+    )
 
-        memo = _elemental_store()
-        memo.clear()
-        first = _elemental_block(10, np.arange(1 << 10, dtype=np.int64))
-        again = _elemental_block(10, np.arange(1 << 10, dtype=np.int64))
-        assert all(a is b for a, b in zip(first, again))
-        assert not any(part.flags.writeable for part in first)
+
+def revalued(problem, rng):
+    """`problem` with other finite capacities and session rates, drawn from
+    `rng`: the same topology."""
+    from dataclasses import replace
+
+    from entroflow.network import Capacity, Network
+
+    values = ["0", "1/3", "1/2", "1", "3/2", "2", "5/7"]
+    net, req = problem.network, problem.requirement
+    edges = tuple(
+        e if e.capacity.is_unbounded else replace(e, capacity=Capacity.of(rng.choice(values)))
+        for e in net.edges
+    )
+    sessions = tuple(replace(s, rate=F(rng.choice(values))) for s in req.sessions)
+    return replace(problem, network=Network(net.nodes, edges), requirement=replace(req, sessions=sessions))
+
+
+def warm_and_cold(build, first, then):
+    """The LP `build(then)` makes from the template `build(first)` left in
+    the store, and the one it makes from an empty store."""
+    from entroflow.lp import _template_store
+
+    store = _template_store()
+    store.clear()
+    made = build(first)
+    held = len(store)
+    warm = build(then)
+    assert len(store) == held and warm.template is made.template
+    store.clear()
+    cold = build(then)
+    assert cold.template is not warm.template
+    return warm, cold
+
+
+def incremental(h):
+    from entroflow.entropy import EntropyVector
+    from entroflow.gadgets import build_incremental
+
+    gadget = build_incremental(EntropyVector.from_tuple([F(v) for v in h]))
+    keys = dict.fromkeys(ob.subnetwork for ob in gadget.contract.obligations if ob.kind == "chain-claim")
+    return gadget.problem, list(keys)
+
+
+class TestTemplates:
+    """An LP built from a stored template equals one built from nothing."""
+
+    @pytest.mark.parametrize("h", contract_pool() + [(F(1, 2), 1, F(3, 2))], ids=str)
+    def test_contract_chains_warm_equal_cold(self, h):
+        other, keys = incremental((3, 3, 3) if tuple(h) != (3, 3, 3) else (1, 1, 2))
+        problem, same_keys = incremental(h)
+        assert keys == same_keys
+        for key in keys:
+            warm, cold = warm_and_cold(lambda p: build_shannon_lp(p, variables=key), other, problem)
+            assert lp_fields(warm) == lp_fields(cold)
+
+    def test_sweep_nets_warm_equal_cold(self):
+        rng = random.Random(40)
+        for k, problem in enumerate(random_nets(40, seed=77)):
+            kwargs = [{}, {"include_randomness": True}, {}, {"reduce": False}][k % 4]
+            if kwargs.get("include_randomness") and len(problem.network.edges) > 5:
+                kwargs = {}  # its template would not fit the store
+            warm, cold = warm_and_cold(lambda p: build_shannon_lp(p, **kwargs), revalued(problem, rng), problem)
+            assert lp_fields(warm) == lp_fields(cold)
+
+    def test_equal_capacities_on_one_chain_collapse_per_instance(self):
+        def chain(a, b):
+            return simple_problem([("e1", "s", "m", a), ("e2", "m", "t", b, "e1")], [("S", 1, "s", ("t",))])
+
+        def capacity_rows(lp):
+            return [tag for tag in row_tags(lp) if tag[0] == "capacity"]
+
+        huge = "1/3000000000"  # its row's scale is past int64's 2^31 bound
+        for first, then in (((1, 1), (1, 2)), ((1, 2), (1, 1)), ((1, 2), ("3/2", "3/2")), ((1, 2), (huge, 5))):
+            warm, cold = warm_and_cold(build_shannon_lp, chain(*first), chain(*then))
+            assert lp_fields(warm) == lp_fields(cold)
+            want = [("capacity", "e1")] if then[0] == then[1] else [("capacity", "e1"), ("capacity", "e2")]
+            assert capacity_rows(warm) == want
+        assert warm.rows.scale.dtype == object
+
+    def test_a_zero_rate_row_in_the_elemental_block_is_dropped_per_instance(self):
+        def single(rate):
+            return simple_problem([("e", "s", "t", 1)], [("S", rate, "s", ("t",))])
+
+        for first, then in ((1, 0), (0, 1), (0, "1/2")):
+            warm, cold = warm_and_cold(build_shannon_lp, single(first), single(then))
+            assert lp_fields(warm) == lp_fields(cold)
+            assert (("rate", "S") in row_tags(warm)) == (then != 0)
+
+    def test_unchanged_scales_share_the_row_arrays(self):
+        def parallel(a, rate):
+            return simple_problem([("e1", "s", "t", a), ("e2", "s", "t", 2)], [("S", rate, "s", ("t",))])
+
+        first = build_shannon_lp(parallel(1, 1))
+        assert not first.template.ambiguous
+        same = build_shannon_lp(parallel(3, 2))
+        rational = build_shannon_lp(parallel("1/2", 2))
+        assert same.template is rational.template is first.template
+        assert same.rows.rhs.tolist() != first.rows.rhs.tolist()
+        for lp in (first, same, rational):
+            for name in ("indptr", "col", "sense"):
+                assert getattr(lp.rows, name) is getattr(first.template.rows, name)
+        assert same.rows.data is first.rows.data and same.rows.scale is first.rows.scale
+        assert rational.rows.data is not first.rows.data and 2 in rational.rows.scale.tolist()
+        assert same.matrix is first.matrix and same.tags is first.tags
+
+    def test_templates_are_read_only_and_capped(self):
+        from entroflow.lp import _template_store
+
+        store = _template_store()
+        lp = build_shannon_lp(butterfly())
+        for name in ("indptr", "col", "data", "sense", "rhs", "scale"):
+            assert not getattr(lp.template.rows, name).flags.writeable
         with pytest.raises(ValueError):
-            first[1][0, 0] = 0
-        rng = random.Random(14)
-        for n in (14, 12, 8, 10):  # an n = 12 or 14 block alone is past the cap
-            full = (1 << n) - 1
-            for _ in range(3):
-                rules = [(rng.randint(0, full), rng.randint(1, full), None) for _ in range(3)]
-                _elemental_block(n, _closure_table(n, rules))
-                assert memo.size <= memo.cap
-        assert len(memo) > 0
-        memo.clear()
+            lp.template.rows.data[0] = 0
+        for problem in random_nets(30, seed=5):
+            build_shannon_lp(problem)
+            assert store.size <= store.cap
+        assert len(store) > 1
 
-    def test_elemental_block_past_the_cap_leaves_the_memo_as_it_was(self):
-        import numpy as np
+    def test_template_past_the_cap_leaves_the_store_as_it_was(self):
+        from entroflow.lp import _template_store
 
-        from entroflow.lp import _elemental_block, _elemental_store
+        store = _template_store()
+        small = [build_shannon_lp(problem) for problem in random_nets(3, seed=8)]
+        held = (len(store), store.size)
+        # 11 messages and a session, unreduced: a template of some 5 MB.
+        edges = [(f"e{k}", f"v{k}", f"v{k + 1}", 1) for k in range(11)]
+        big = build_shannon_lp(simple_problem(edges, [("S", 1, "v0", ("v11",))]), reduce=False)
+        assert big.template.nbytes > store.cap
+        assert (len(store), store.size) == held
+        again = [build_shannon_lp(problem) for problem in random_nets(3, seed=8)]
+        assert all(a.template is b.template for a, b in zip(small, again))
 
-        memo = _elemental_store()
-        memo.clear()
-        small = [_elemental_block(n, np.arange(1 << n, dtype=np.int64)) for n in (8, 9, 10)]
-        held = (len(memo), memo.size)
-        big = _elemental_block(12, np.arange(1 << 12, dtype=np.int64))  # 1.25 MB, past the 1 MB cap
-        assert sum(part.nbytes for part in big) > memo.cap
-        assert (len(memo), memo.size) == held
-        again = [_elemental_block(n, np.arange(1 << n, dtype=np.int64)) for n in (8, 9, 10)]
-        assert all(a is b for old, new in zip(small, again) for a, b in zip(old, new))
-        memo.clear()
+    def test_compiled_expressions_are_kept_per_template(self):
+        lp = build_shannon_lp(butterfly())
+        coeffs, const = lp.compile("H(T|e_s1) + 2")
+        coeffs[0] = F(7)  # the caller's copy
+        again = build_shannon_lp(butterfly(rate=1))
+        assert again.compile("H(T|e_s1) + 2") == lp.compile("H(T|e_s1) + 2") != (coeffs, const)
+        assert list(lp.template.compiled) == ["H(T|e_s1) + 2"]
+        assert dict(again.coord_index()) == {m: i for i, m in enumerate(lp.coords)}
+
+    def test_debug_record_per_build(self, caplog):
+        with caplog.at_level("DEBUG", logger="entroflow.lp"):
+            first = build_shannon_lp(butterfly())
+            second = build_shannon_lp(butterfly(rate=1))
+        messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.lp"]
+        assert len(messages) == 2
+        for lp, message, how in ((first, messages[0], "built"), (second, messages[1], "reused")):
+            rows, coords = len(lp.rows), len(lp.coords)
+            assert re.fullmatch(rf"build: {rows} rows, {coords} coordinates, template {how}, \d+\.\d{{4}} s", message)
 
 
-def test_elemental_memo_under_concurrent_builds():
-    # More threads than cores build blocks of a few closure tables at once,
-    # with a short switch interval: every block equals the one built alone,
-    # and the memo's size is the sum of what it holds (a lost update in
-    # `LruStore.put` would break that).
+def test_template_store_under_concurrent_builds():
+    # More threads than cores build LPs of a few topologies under random
+    # rates and capacities at once, with a short switch interval: every LP
+    # equals the one built alone from an empty store, and the store's size
+    # is the sum of what it holds (a lost update in `LruStore.put` would
+    # break that).
     import sys
     import threading
 
-    import numpy as np
+    from entroflow.lp import _template_store
 
-    from entroflow.lp import _closure_table, _elemental_block, _elemental_store
-
-    memo = _elemental_store()
+    store = _template_store()
     rng = random.Random(9)
-    tables = [np.arange(1 << 9, dtype=np.int64)]
-    for _ in range(3):
-        rules = [(rng.randint(0, 511), rng.randint(1, 511), None) for _ in range(3)]
-        tables.append(_closure_table(9, rules))
-    memo.clear()
-    alone = [tuple(part.copy() for part in _elemental_block(9, t)) for t in tables]
-    memo.clear()
+    problems = [revalued(p, rng) for p in random_nets(4, seed=21) for _ in range(3)]
+    alone = []
+    for problem in problems:
+        store.clear()
+        alone.append(lp_fields(build_shannon_lp(problem)))
+    store.clear()
     wrong = []
 
     def build(seed):
         order = random.Random(seed)
         for _ in range(20):
-            k = order.randrange(len(tables))
-            got = _elemental_block(9, tables[k])
-            if not all(np.array_equal(a, b) for a, b in zip(got, alone[k])):
+            k = order.randrange(len(problems))
+            if lp_fields(build_shannon_lp(problems[k])) != alone[k]:
                 wrong.append(k)
 
     interval = sys.getswitchinterval()
@@ -1694,8 +1827,8 @@ def test_elemental_memo_under_concurrent_builds():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert memo.size == sum(size for _, size in memo._values.values()) <= memo.cap
-    memo.clear()
+    assert len(store) == 4
+    assert store.size == sum(size for _, size in store._values.values()) <= store.cap
 
 
 def verified_proposals():
