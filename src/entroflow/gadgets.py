@@ -44,7 +44,7 @@ from entroflow.entropy import (
     is_quasi_uniform,
     quasi_uniform_vector_of,
 )
-from entroflow.lp import ShannonSolver, SolveStats, build_shannon_lp, verify_proof_chain
+from entroflow.lp import ChainReport, ProofChain, ShannonSolver, SolveStats, build_shannon_lp
 from entroflow.network import (
     UNBOUNDED,
     Capacity,
@@ -154,8 +154,11 @@ class ReconstructionContract:
 
 
 def _chain_workers(chains: int) -> int:
-    """Threads for `chains` independent proof chains: one per CPU this
-    process may run on, and no more than there are chains."""
+    """The most threads the pool of `verify_contract` may start for
+    `chains` proof chains that may still be handed to it: one per CPU this
+    process may run on, and no more than there are chains.  The pool starts
+    a thread only when a chain is handed over and no thread is idle, so it
+    never starts more threads than it takes chains."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -163,48 +166,79 @@ def _chain_workers(chains: int) -> int:
     return max(1, min(chains, cpus))
 
 
-def _prove_chain(problem: NetworkProblem, variables: Optional[tuple[str, ...]], obs: list[Obligation]):
-    """The `ChainReport` of one subnetwork's claims and the `SolveStats` of
-    its solver, on an LP and a solver of its own; both are freed when it
-    returns."""
-    import logging  # here, off the command line's import path
+class _Chain:
+    """One subnetwork's claims, on an LP and a solver of its own.
 
-    start = time.perf_counter()
-    lp = build_shannon_lp(problem, variables=variables)
-    solver = ShannonSolver(lp)
-    report = verify_proof_chain(solver, [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs])
-    stats = solver.stats
-    logging.getLogger(__name__).debug(
-        "chain on %d variables: %d rows, %d solves (%d settled from stored duals), "
-        "%d HiGHS runs (%d from stored bases), %d simplex iterations, "
-        "%d settled from stored points, %.3f s in HiGHS of %.3f s",
-        lp.ground.size,
-        len(lp.rows),
-        stats.solves,
-        stats.stored_dual,
-        stats.highs_runs,
-        stats.stored_starts,
-        stats.simplex_iterations,
-        stats.stored_point,
-        stats.highs_seconds,
-        time.perf_counter() - start,
-    )
-    return report, stats
+    It is made on the calling thread and runs there as far as the memo and
+    the store settle it (`ProofChain.settle_stored`); `report` is None when
+    it stopped before a HiGHS run, and `finish`, on the pool, runs the
+    rest.  The solver passes to the pool's thread between two solves and
+    is never used by two threads at once.
+    """
+
+    def __init__(self, problem: NetworkProblem, variables: Optional[tuple[str, ...]], obs: list[Obligation]):
+        start = time.perf_counter()
+        self.lp = build_shannon_lp(problem, variables=variables)
+        self.solver = ShannonSolver(self.lp)
+        self.proof = ProofChain(self.solver, [(ob.name, ob.expression, ob.relation, ob.value) for ob in obs])
+        self.report = self.proof.settle_stored()
+        self.seconds = time.perf_counter() - start
+        self.settled = self.solver.stats.solves  # on the calling thread
+        if self.report is not None:
+            self._log("inline")
+
+    def finish(self) -> tuple[ChainReport, SolveStats]:
+        """The chain's report and its solver's `SolveStats`, going on from
+        the solve the store could not settle."""
+        start = time.perf_counter()
+        self.report = self.proof.finish()
+        self.seconds += time.perf_counter() - start
+        self._log(f"in the pool after {self.settled} settled solves")
+        return self.report, self.solver.stats
+
+    def _log(self, where: str) -> None:
+        """The chain's debug record: its counts, its own time (inline and on
+        the pool, not the wait between) and where it finished."""
+        import logging  # here, off the command line's import path
+
+        stats = self.solver.stats
+        logging.getLogger(__name__).debug(
+            "chain on %d variables: %d rows, %d solves (%d settled from stored duals), "
+            "%d HiGHS runs (%d from stored bases), %d simplex iterations, "
+            "%d settled from stored points, %.3f s in HiGHS of %.3f s, finished %s",
+            self.lp.ground.size,
+            len(self.lp.rows),
+            stats.solves,
+            stats.stored_dual,
+            stats.highs_runs,
+            stats.stored_starts,
+            stats.simplex_iterations,
+            stats.stored_point,
+            stats.highs_seconds,
+            self.seconds,
+            where,
+        )
 
 
 def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -> ContractReport:
     """Execute every obligation: min-cut values exactly, claim chains by LP.
 
     The chain claims are grouped by subnetwork, and one LP and solver serve
-    each group.  The groups are independent, so they run concurrently on a
-    thread pool (HiGHS releases the GIL while it solves), one thread per
-    CPU this process may run on, each holding one live HiGHS model at a
-    time; the largest subnetworks start first.  The report lists the
-    results in the same order whatever the schedule, and the sums of the
-    chains' `SolveStats`, which can depend on the schedule.
+    each group.  The chains run on the calling thread, largest subnetwork
+    first, each as far as its solver's memo and the stored entries of
+    `highs.BASES` settle it.  A chain that reaches a solve they cannot
+    settle is handed, with its LP, solver and memo, to a thread pool just
+    before its first HiGHS run (HiGHS releases the GIL while it solves),
+    where it goes on from that solve, and the calling thread goes on to
+    the next chain.  The pool is made at the first handover, with
+    `_chain_workers` threads at most for the chains left, so a contract
+    that the store settles starts no thread, and each thread holds one
+    live HiGHS model at a time; once the pool has shut down, the memory
+    the HiGHS runs freed goes back to the system
+    (`highs.release_free_memory`).  The report lists the results in the
+    same order whatever the schedule, and the sums of the chains'
+    `SolveStats`, which can depend on the schedule.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, off the command line's import path
-
     results: list[ObligationResult] = []
     groups: dict[Optional[tuple[str, ...]], list[Obligation]] = {}
     for ob in contract.obligations:
@@ -219,20 +253,38 @@ def verify_contract(problem: NetworkProblem, contract: ReconstructionContract) -
             groups.setdefault(ob.subnetwork, []).append(ob)
         else:
             results.append(ObligationResult(ob.name, False, f"unknown kind {ob.kind!r}"))
-    # The chain threads share the problem, so everything it derives and
+    # The pool's threads share the problem, so everything it derives and
     # keeps is derived here, once; the threads only read it.
     problem.derive()
     # A subnetwork of None is the whole network.
     largest_first = sorted(groups, key=lambda key: math.inf if key is None else len(key), reverse=True)
-    pool = ThreadPoolExecutor(_chain_workers(len(groups)))
+    done: dict[Optional[tuple[str, ...]], tuple[ChainReport, SolveStats]] = {}
+    handed = {}
+    pool = None
     try:
-        running = {key: pool.submit(_prove_chain, problem, key, groups[key]) for key in largest_first}
-        reports = {key: running[key].result() for key in groups}
+        # Only the reports and stats are kept: each chain's LP and solver
+        # go once it has finished.
+        for i, key in enumerate(largest_first):
+            chain = _Chain(problem, key, groups[key])
+            if chain.report is not None:
+                done[key] = chain.report, chain.solver.stats
+                continue
+            if pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # here, off the command line's import path
+
+                pool = ThreadPoolExecutor(_chain_workers(len(largest_first) - i))
+            handed[key] = pool.submit(chain.finish)
+        for key, future in handed.items():
+            done[key] = future.result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+            from entroflow.highs import release_free_memory
+
+            release_free_memory()
     stats = SolveStats()
     for key, obs in groups.items():
-        report, chain_stats = reports[key]
+        report, chain_stats = done[key]
         stats += chain_stats
         for ob, verdict in zip(obs, report.verdicts):
             results.append(ObligationResult(ob.name, verdict.status == ob.expected, verdict.detail))

@@ -114,6 +114,31 @@ def _load_core():
         return importlib.import_module(_CORE)
 
 
+_trim = None  # glibc's malloc_trim once looked up, False where there is none
+
+
+def release_free_memory() -> None:
+    """Hand the free pages of the C heap back to the system, with glibc's
+    `malloc_trim`; without glibc, do nothing.
+
+    A HiGHS run frees its work memory when it ends, but glibc keeps the
+    freed pages resident, in the heap of each thread that ran one, and a
+    warm proof chain, which runs no HiGHS, never reuses them.
+    `gadgets.verify_contract` calls this once its thread pool has shut
+    down.
+    """
+    global _trim
+    if _trim is None:
+        import ctypes  # here, off the command line's import path
+
+        try:
+            _trim = ctypes.CDLL(None).malloc_trim
+        except (OSError, AttributeError, TypeError):  # no C library to load, or not glibc
+            _trim = False
+    if _trim:
+        _trim(0)
+
+
 @dataclass(frozen=True)
 class FloatResult:
     """One HiGHS run of ``min cost . x``, read as a proposal for ``max -cost . x``.

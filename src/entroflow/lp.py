@@ -89,12 +89,17 @@ stored points is feasible for the same combination of their right sides.
 Before HiGHS runs, a feasibility solve combines the stored points whose
 right sides add up to its own (`highs.combination`); a claim pairs the
 stored dual with the chain's feasibility point, then with such a
-combination.  Each candidate goes through the full exact check against
-the current rows and objective: a dual stays feasible under new right
-sides, so a feasible point that attains its bound is optimal.  Only when
-every candidate fails does the solver build its HiGHS handle and run it
-from the stored basis; once that run's optimum verifies, the entry takes
-the new basis, dual and generator in one write.  The store holds at most
+combination.  Each candidate goes through the exact check against the
+current rows and objective: a dual stays feasible under new right sides,
+so a feasible point that attains its bound is optimal.  The chain's
+feasibility point passed the row check when it settled, so paired with a
+dual it takes only the dual half of the check; every other point takes
+both halves.  Only when every candidate fails does the solver build its
+HiGHS handle and run it from the stored basis; once that run's optimum
+verifies, the entry takes the new basis, dual and generator in one write.
+A `ProofChain` runs a chain's solves only as far as its memo and the
+store settle them, stopping before its first HiGHS run, and finishes
+them later, perhaps on another thread.  The store holds at most
 4 MB and drops the least recently used entries first.  A chain reports
 only statuses and exact optima, which nothing stored changes.  Direct
 `maximize`, `minimize` and `feasibility` calls never read or write the
@@ -130,6 +135,8 @@ from entroflow.simplex import (
     LinearRow,
     SimplexCertificate,
     verify_certificate,
+    verify_dual,
+    verify_point,
 )
 
 if TYPE_CHECKING:
@@ -148,6 +155,7 @@ __all__ = [
     "compile_expression",
     "build_shannon_lp",
     "verify_proof_chain",
+    "ProofChain",
     "export_text",
     "satisfies",
     "certificate_to_json",
@@ -961,6 +969,10 @@ class SolveStats:
         return self.memo_hits + settled
 
 
+def _memo_key(objective: Mapping[int, Fraction]) -> tuple:
+    return tuple(sorted((j, c) for j, c in objective.items() if c))
+
+
 class ShannonSolver:
     """Exact solver bound to one LP, and the only way to ask it a question:
     `maximize` or `minimize` an expression string, or `feasibility`.
@@ -974,13 +986,15 @@ class ShannonSolver:
     costs and starts from the basis the previous solve left.  Inside
     `verify_proof_chain` a solve reads the entry stored for its matrix and
     cost in `highs.BASES` once, found by the matrix digest without a
-    handle, and tries it under the full exact check with no HiGHS run: a
+    handle, and tries it under the exact check with no HiGHS run: a
     feasibility solve a combination of the stored points (settled by
     `stored_point`), a claim the stored dual paired with the chain's
     feasibility point, then such a combination (settled by
-    `stored_dual`).  Otherwise its run starts from the optimal basis of
-    that entry, if there is one, and once the run's optimum verifies the
-    entry takes its basis, verified dual and point in one write.  Direct
+    `stored_dual`); the feasibility point, checked against every row when
+    it settled, takes only the dual half of the check (`_paired`).
+    Otherwise its run starts from the optimal basis of that entry, if
+    there is one, and once the run's optimum verifies the entry takes its
+    basis, verified dual and point in one write.  Direct
     calls of `maximize`, `minimize` and `feasibility` never touch that
     store.  When no proposal verifies, the exact simplex takes over with
     elemental rows activated lazily: each solve runs on the active subset,
@@ -994,11 +1008,13 @@ class ShannonSolver:
     objective already settled returns the same certificate from a memo.
 
     The solver is stateful and not shareable (across threads or otherwise
-    concurrent users): it holds the HiGHS handle with its basis, the memo,
-    the feasibility point its chain verified, the matrix digest and
-    rational right sides of a chain's LP, `active` (the activated rows),
-    `simplex` (the exact solver with its basis, built on the first solve
-    that needs it) and `stats`, the counts of its work.  Which certificate
+    concurrent users).  It may pass from one thread to another between two
+    solves, as a contract chain does when it goes to the thread pool, but
+    two threads never use it at once.  It holds the HiGHS handle with its
+    basis, the memo, the feasibility point its chain verified, the matrix
+    digest and rational right sides of a chain's LP, `active` (the
+    activated rows), `simplex` (the exact solver with its basis, built on
+    the first solve that needs it) and `stats`, the counts of its work.  Which certificate
     a solve returns can depend on the solves before it, but never its
     status or optimum.  So once a solver has run a proof chain, its later
     certificates (memo answers for the chain's objectives among them) can
@@ -1018,6 +1034,11 @@ class ShannonSolver:
         self._store: Optional[tuple[bytes, Sparse]] = None
         self._memo: dict[tuple, SimplexCertificate] = {}
         self._feasible: Optional[Sparse] = None  # the verified point of the chain's feasibility solve
+        # The entry that last failed to settle a solve of a `ProofChain`
+        # run as far as the store settles it, and the memo key of a solve
+        # that run settled ahead of the call that asks it (see `_ahead_of`).
+        self._tried = None
+        self._ahead: Optional[tuple] = None
         self.simplex: Optional[ExactSimplex] = None
         self.stats = SolveStats()
 
@@ -1165,18 +1186,28 @@ class ShannonSolver:
         self._inactive = [i for i in self._inactive if i not in taken]
         self.simplex = None
 
-    def _solve_max(self, objective: Mapping[int, Fraction], bases=None) -> SimplexCertificate:
+    def _solve_max(
+        self, objective: Mapping[int, Fraction], bases=None, stored_only: bool = False
+    ) -> Optional[SimplexCertificate]:
+        """The verified maximum of `objective`, from the memo or settled
+        (`_settle`); None when `stored_only` and the store cannot settle it."""
         import logging  # here, off the command line's import path
 
         log = logging.getLogger(__name__)
-        key = tuple(sorted((j, c) for j, c in objective.items() if c))
+        key = _memo_key(objective)
         cert = self._memo.get(key)
         if cert is not None:
+            if key == self._ahead:
+                self._ahead = None  # settled ahead, and counted and logged then
+                return cert
             self.stats.memo_hits += 1
             log.debug("solve: %s, settled by memo", cert.status)
             return cert
         stats, before, start = self.stats, replace(self.stats), time.perf_counter()
-        cert, path = self._settle(objective, bases)
+        settled = self._settle(objective, bases, stored_only)
+        if settled is None:
+            return None
+        cert, path = settled
         setattr(stats, path, getattr(stats, path) + 1)
         self._memo[key] = cert
         if bases is not None and not objective and cert.status == "optimal":
@@ -1194,12 +1225,17 @@ class ShannonSolver:
         )
         return cert
 
-    def _settle(self, objective: Mapping[int, Fraction], bases) -> tuple[SimplexCertificate, str]:
+    def _settle(
+        self, objective: Mapping[int, Fraction], bases, stored_only: bool = False
+    ) -> Optional[tuple[SimplexCertificate, str]]:
         """A verified certificate and the path that settled it (a `SolveStats`
         field).  With `bases`, the entry stored for this matrix and cost is
         read once and tried before HiGHS runs (`_stored`), the run starts
         from its basis, and a verified float optimum joins it: its basis,
-        dual, right sides and point."""
+        dual, right sides and point.  With `stored_only`, a solve the entry
+        cannot settle returns None instead; asked again, that solve tries
+        the entry only if another chain has replaced it since (entries are
+        replaced, never changed)."""
         cost = self._cost(objective)
         entry = None
         if bases is not None:
@@ -1209,10 +1245,13 @@ class ShannonSolver:
                 self._store = self.lp.digest, highs.right_sides(self.lp.rows)
             key = highs.entry_key(self._store[0], cost)
             entry = bases.get(key)
-            if entry is not None:
+            if entry is not None and entry is not self._tried:
                 settled = self._stored(objective, entry, bases, key)
                 if settled is not None:
                     return settled
+            if stored_only:
+                self._tried = entry
+                return None
         res = self._float_solve(cost, entry)
         if res is not None:
             if res.status == 0:
@@ -1234,7 +1273,7 @@ class ShannonSolver:
     ) -> Optional[tuple[SimplexCertificate, str]]:
         """The optimum of `objective` from `entry`, the `highs.Stored` entry
         under `key` in `bases`, and the path that settled it; None when no
-        pair passes exact verification against every row and the objective.
+        pair passes exact verification (`_paired`).
 
         The dual is the entry's for a claim and the empty dual for the
         zero-cost feasibility objective.  A claim pairs it with the chain's
@@ -1268,11 +1307,26 @@ class ShannonSolver:
         self, objective: Mapping[int, Fraction], x: Optional[Sparse], dual: Sparse
     ) -> Optional[SimplexCertificate]:
         """The optimum that the point `x` and `dual` certify, if they pass
-        exact verification; None without a point."""
+        exact verification; None without a point.
+
+        The check is `verify_certificate`'s, in its two halves.  The
+        chain's feasibility point has passed the point half against these
+        rows already, and a solver's rows never change, so that point
+        takes the dual half alone: objective indices, dual signs, the
+        dual-feasibility combination, and the bound against its value.
+        Every other point (a combination of stored points) takes both.
+        """
         if x is None:
             return None
-        cert = SimplexCertificate("optimal", x.dot(objective), x, dual, None, None, ())
-        return self._verified(objective, cert)
+        value = x.dot(objective)
+        n, rows = len(self.lp.coords), self.lp.rows
+        try:
+            if x is not self._feasible:
+                verify_point(n, rows, objective, x, value)
+            verify_dual(n, rows, objective, dual, value)
+        except CertificateError:
+            return None
+        return SimplexCertificate("optimal", value, x, dual, None, None, ())
 
     def _exact(self, objective: Mapping[int, Fraction], res) -> SimplexCertificate:
         seed = self._float_seed(res)
@@ -1331,17 +1385,42 @@ class ShannonSolver:
     # `_bases` is the store (`highs.BASES`) the solve reads and writes;
     # only `verify_proof_chain` passes one.
 
+    def _objective(
+        self, orientation: str, expression: Optional[str]
+    ) -> tuple[dict[int, Fraction], Fraction]:
+        """The column objective that `maximize` ("max"), `minimize` ("min")
+        or `feasibility` (no expression) maximizes, and the expression's
+        constant."""
+        if expression is None:
+            return {}, Fraction(0)
+        coeffs, const = self.lp.compile(expression)
+        cols = self._to_cols(coeffs)
+        return (cols if orientation == "max" else {j: -c for j, c in cols.items()}), const
+
+    def _ahead_of(self, orientation: str, expression: Optional[str], bases) -> bool:
+        """Whether the memo or the entry of `bases` settles the solve that
+        `maximize`, `minimize` or `feasibility` would ask (no HiGHS run, no
+        exact solve).  A solve this settles is counted, logged and kept in
+        the memo now, and the call that asks it next answers from the memo
+        without counting it again."""
+        objective, _ = self._objective(orientation, expression)
+        key = _memo_key(objective)
+        if key in self._memo:
+            return True
+        if self._solve_max(objective, bases, stored_only=True) is None:
+            return False
+        self._ahead = key
+        return True
+
     def maximize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact maximum of an expression (see `compile_expression`)."""
-        coeffs, const = self.lp.compile(objective)
-        cert = self._solve_max(self._to_cols(coeffs), _bases)
-        return self._wrap(cert, "max", const, negate=False)
+        cols, const = self._objective("max", objective)
+        return self._wrap(self._solve_max(cols, _bases), "max", const, negate=False)
 
     def minimize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact minimum of an expression (see `compile_expression`)."""
-        coeffs, const = self.lp.compile(objective)
-        cert = self._solve_max({m: -c for m, c in self._to_cols(coeffs).items()}, _bases)
-        return self._wrap(cert, "min", const, negate=True)
+        cols, const = self._objective("min", objective)
+        return self._wrap(self._solve_max(cols, _bases), "min", const, negate=True)
 
     def feasibility(self, *, _bases=None) -> Certificate:
         """Status "feasible" with a point, or "infeasible" with Farkas multipliers."""
@@ -1414,20 +1493,29 @@ def verify_proof_chain(
     matrix and cost, checked again exactly, before it runs HiGHS from the
     stored basis.  Nothing stored changes a status or an exact optimum,
     the only things a chain reports, and the chain reads only those: its
-    certificates' Fraction maps are never built.
+    certificates' Fraction maps are never built.  `ProofChain` runs the
+    same solves in two parts.
     """
-    from entroflow.highs import BASES  # numpy with it, off the command line's import path
+    return ProofChain(solver, claims).finish()
 
+
+def _proof_steps(solver: ShannonSolver, claims: Iterable[Union[Claim, tuple]], bases):
+    """The solves of `verify_proof_chain`, one at a time, on the store
+    `bases`: before each, the generator yields its (orientation,
+    expression) for `ShannonSolver._ahead_of`; it returns the report."""
     verdicts: list[ChainVerdict] = []
-    feas = solver.feasibility(_bases=BASES)
+    yield "feasibility", None
+    feas = solver.feasibility(_bases=bases)
     for claim in claims:
         if not isinstance(claim, Claim):
             claim = Claim.of(*claim)
         if feas.status == "infeasible":
             verdicts.append(ChainVerdict(claim, "vacuous", None, None))
             continue
-        hi_cert = solver.maximize(claim.expression, _bases=BASES)
-        lo_cert = solver.minimize(claim.expression, _bases=BASES)
+        yield "max", claim.expression
+        hi_cert = solver.maximize(claim.expression, _bases=bases)
+        yield "min", claim.expression
+        lo_cert = solver.minimize(claim.expression, _bases=bases)
         hi = hi_cert.value if hi_cert.status == "optimal" else None
         lo = lo_cert.value if lo_cert.status == "optimal" else None
         # An unbounded side reads as an infinite bound in the comparisons.
@@ -1439,6 +1527,47 @@ def verify_proof_chain(
         status = "forced" if forced else "contradicted" if contradicted else "consistent"
         verdicts.append(ChainVerdict(claim, status, lo, hi))
     return ChainReport(tuple(verdicts))
+
+
+class ProofChain:
+    """The solves of `verify_proof_chain` on one solver, run in two parts.
+
+    `settle_stored` asks them in order as long as the solver's memo and
+    the entries of `highs.BASES` settle them, and stops just before the
+    first one they cannot settle, so it runs no HiGHS and no exact solve.
+    `finish` asks the rest, from the solve it stopped at, and sets
+    `report`.  The two may run on different threads, one after the other;
+    each solve is asked, counted and logged once.
+    """
+
+    def __init__(self, solver: ShannonSolver, claims: Iterable[Union[Claim, tuple]]):
+        from entroflow.highs import BASES  # numpy with it, off the command line's import path
+
+        self.solver = solver
+        self.report: Optional[ChainReport] = None
+        self._bases = BASES
+        self._steps = _proof_steps(solver, claims, BASES)
+        self._next: Optional[tuple] = None  # the solve the chain stopped before
+
+    def _run(self, stored_only: bool) -> None:
+        try:
+            if self._next is None:
+                self._next = next(self._steps)
+            while not stored_only or self.solver._ahead_of(*self._next, self._bases):
+                self._next = next(self._steps)
+        except StopIteration as done:
+            self.report = done.value
+
+    def settle_stored(self) -> Optional[ChainReport]:
+        """The report if the memo and the store settle every solve, else None."""
+        self._run(stored_only=True)
+        return self.report
+
+    def finish(self) -> ChainReport:
+        """The report, after asking every solve still to be asked."""
+        if self.report is None:
+            self._run(stored_only=False)
+        return self.report
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,8 @@ __all__ = [
     "ExactSimplex",
     "SimplexStats",
     "verify_certificate",
+    "verify_point",
+    "verify_dual",
     "CertificateError",
 ]
 
@@ -100,7 +102,10 @@ def verify_certificate(
     outside the solvers, a map of Fractions by index, turned into that
     form once.  Every check runs on the integer form: integer
     matrix-vector products against the rows' integer form (see
-    `rows.RowStore`), no tolerance and no per-term fractions.
+    `rows.RowStore`), no tolerance and no per-term fractions.  An optimum
+    is checked in two halves, the point (`verify_point`) and the dual
+    (`verify_dual`); a caller that pairs a point already checked against
+    the same rows with a new dual runs the dual half alone.
     """
     from entroflow.rows import RowStore, Sparse
 
@@ -108,29 +113,12 @@ def verify_certificate(
     x, duals, farkas, ray = (
         None if v is None else Sparse.of(v) for v in (cert.x, cert.duals, cert.farkas, cert.ray)
     )
-    for j in objective:
-        if not 0 <= j < n_vars:
-            raise CertificateError(f"objective references unknown variable {j}")
     if cert.status == "optimal":
-        if (x.num < 0).any():
-            raise CertificateError("primal point has a negative coordinate")
-        bad = store.first_violated(n_vars, x)
-        if bad is not None:
-            raise CertificateError(f"primal point violates row {bad}")
-        if x.dot(objective) != cert.value:
-            raise CertificateError("primal objective does not match the reported value")
-        if duals is None:
-            raise CertificateError("optimal certificate lacks dual multipliers")
-        combo, bound, e = store.combine(n_vars, duals, "dual")
-        short = combo < 0
-        for j, c in objective.items():
-            short[j] = int(combo[j]) < c * e
-        bad = short.nonzero()[0]
-        if bad.size:
-            raise CertificateError(f"dual infeasible at variable {bad[0]}")
-        if Fraction(bound, e) != cert.value:
-            raise CertificateError("weak-duality bound does not match the value")
-    elif cert.status == "infeasible":
+        verify_point(n_vars, store, objective, x, cert.value)
+        verify_dual(n_vars, store, objective, duals, cert.value)
+        return
+    _check_objective(n_vars, objective)
+    if cert.status == "infeasible":
         if farkas is None:
             raise CertificateError("infeasibility certificate lacks multipliers")
         combo, bound, _ = store.combine(n_vars, farkas, "Farkas")
@@ -154,6 +142,53 @@ def verify_certificate(
             raise CertificateError(f"ray base point violates row {bad}")
     else:
         raise CertificateError(f"unknown status {cert.status!r}")
+
+
+def _check_objective(n_vars: int, objective: Mapping[int, Fraction]) -> None:
+    for j in objective:
+        if not 0 <= j < n_vars:
+            raise CertificateError(f"objective references unknown variable {j}")
+
+
+def verify_point(
+    n_vars: int, store: "RowStore", objective: Mapping[int, Fraction], x: "Sparse", value: Fraction
+) -> None:
+    """The point half of an optimum's check: `x` is nonnegative, satisfies
+    every row of `store`, and attains `value` on `objective`; raises on
+    failure.  This half makes the one pass over every row."""
+    if (x.num < 0).any():
+        raise CertificateError("primal point has a negative coordinate")
+    bad = store.first_violated(n_vars, x)
+    if bad is not None:
+        raise CertificateError(f"primal point violates row {bad}")
+    if x.dot(objective) != value:
+        raise CertificateError("primal objective does not match the reported value")
+
+
+def verify_dual(
+    n_vars: int,
+    store: "RowStore",
+    objective: Mapping[int, Fraction],
+    duals: Optional["Sparse"],
+    value: Fraction,
+) -> None:
+    """The dual half of an optimum's check: every objective index is a
+    variable, each multiplier has its row's sign, the combined rows cover
+    the objective in every column, and the combined right side, the bound,
+    equals `value`; raises on failure.  It touches only the rows with a
+    nonzero multiplier."""
+    _check_objective(n_vars, objective)
+    if duals is None:
+        raise CertificateError("optimal certificate lacks dual multipliers")
+    combo, bound, e = store.combine(n_vars, duals, "dual")
+    short = combo < 0
+    for j, c in objective.items():
+        short[j] = int(combo[j]) < c * e
+    bad = short.nonzero()[0]
+    if bad.size:
+        raise CertificateError(f"dual infeasible at variable {bad[0]}")
+    if Fraction(bound, e) != value:
+        raise CertificateError("weak-duality bound does not match the value")
 
 
 # An int64 tableau keeps every entry below this bound, so one fraction-free

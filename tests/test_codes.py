@@ -267,7 +267,7 @@ class TestDerivedOnce:
         src = os.path.dirname(os.path.dirname(entroflow.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = (
-            "import sys, entroflow.cli; print(sorted({'numpy', 'scipy', 'concurrent.futures', "
+            "import sys, entroflow.cli; print(sorted({'numpy', 'scipy', 'concurrent.futures', 'ctypes', "
             "'logging', 'entroflow.rows', 'entroflow.highs'} & set(sys.modules)))"
         )
         out = subprocess.run(

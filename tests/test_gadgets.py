@@ -156,15 +156,21 @@ class TestConcurrentChains:
 
     @pytest.mark.parametrize("case", list(CONTRACT_CASES))
     def test_report_does_not_depend_on_workers(self, case, monkeypatch):
-        # One worker, then more workers than cores with threads switching often.
+        # One worker, then more workers than cores with threads switching
+        # often.  Each run starts from empty stores, so that every chain
+        # reaches HiGHS and is handed to the pool.
         import sys
 
         from entroflow import gadgets
+        from entroflow.highs import BASES
+        from entroflow.lp import _template_store
 
         g = CONTRACT_CASES[case]()
         reports = []
         switch = sys.getswitchinterval()
         for workers in (1, 4):
+            BASES.clear()
+            _template_store().clear()
             monkeypatch.setattr(gadgets, "_chain_workers", lambda chains, workers=workers: workers)
             sys.setswitchinterval(1e-5)
             try:
@@ -206,12 +212,123 @@ class TestConcurrentChains:
         pattern = re.compile(
             r"chain on (\d+) variables: \d+ rows, (\d+) solves \((\d+) settled from stored duals\), "
             r"\d+ HiGHS runs \(\d+ from stored bases\), \d+ simplex iterations, \d+ settled from stored points, "
-            r"([\d.]+) s in HiGHS of ([\d.]+) s"
+            r"([\d.]+) s in HiGHS of ([\d.]+) s, finished (inline|in the pool after (\d+) settled solves)"
         )
         matches = [pattern.fullmatch(m) for m in messages]
         assert sorted(int(m[1]) for m in matches) == sorted(len(key) for key in chains)
         assert all(int(m[3]) <= int(m[2]) for m in matches)
         assert all(float(m[4]) <= float(m[5]) for m in matches)
+        # Cold, every chain stops at its feasibility solve, which needs HiGHS.
+        assert [m[6] for m in matches] == ["in the pool after 0 settled solves"] * len(chains)
+
+
+class TestInlineChains:
+    """A chain runs on the calling thread as far as the memo and the store
+    settle it, and goes to the thread pool just before its first HiGHS run."""
+
+    @staticmethod
+    def count_releases(monkeypatch) -> list:
+        """The calls of `highs.release_free_memory`, each still made."""
+        from entroflow import highs
+
+        calls = []
+        release = highs.release_free_memory
+
+        def counted():
+            calls.append(1)
+            release()
+
+        monkeypatch.setattr(highs, "release_free_memory", counted)
+        return calls
+
+    def test_a_warm_pass_starts_no_thread(self, monkeypatch, caplog):
+        import concurrent.futures
+        import threading
+
+        pool = contract_pool()
+        cold = [TestStoredBases.contract(h).describe() for h in pool]
+        made = []
+        executor = concurrent.futures.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+        releases = self.count_releases(monkeypatch)
+        before = threading.active_count()
+        with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
+            warm = [TestStoredBases.contract(h) for h in pool]
+        assert made == [] and releases == []
+        assert threading.active_count() == before
+        assert [report.describe() for report in warm] == cold
+        assert sum(report.stats.highs_runs for report in warm) == 0
+        records = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
+        assert len(records) == 5 * len(pool)
+        assert all(m.endswith(", finished inline") for m in records)
+
+    def test_a_chain_handed_over_mid_way(self, caplog, monkeypatch):
+        # The store seeded by a cold run, then the stored dual of one claim's
+        # maximum spoiled (a multiplier's sign flipped): the chain settles
+        # its feasibility solve and its first claim inline, and goes to the
+        # pool at that maximum, which falls back to HiGHS.
+        from entroflow.highs import BASES, entry_key
+        from entroflow.rows import Sparse
+
+        g = build_incremental(h112())
+        groups = {}
+        for ob in g.contract.obligations:
+            if ob.kind == "chain-claim":
+                groups.setdefault(ob.subnetwork, []).append(ob)
+        cold = verify_contract(g.problem, g.contract)
+        key = g.contract.obligations[0].subnetwork
+        spoiled = groups[key][1].expression
+        lp = build_shannon_lp(g.problem, variables=key)
+        solver = ShannonSolver(lp)
+        cost = solver._cost(solver._to_cols(lp.compile(spoiled)[0]))
+        stored_key = entry_key(lp.digest, cost)
+        entry = BASES.get(stored_key)
+        dual = entry.dual
+        k = next(k for k, i in enumerate(dual.index.tolist()) if lp.rows.sense[i] != 0 and dual.num[k] != 0)
+        num = dual.num.copy()
+        num[k] = -num[k]
+        bad = Sparse(dual.index, num, dual.den)
+        BASES.put(stored_key, entry._replace(dual=bad), 1)
+        calls = []
+        for name in ("feasibility", "maximize", "minimize"):
+
+            def counted(*args, original=getattr(ShannonSolver, name), **kwargs):
+                calls.append(args[1:])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ShannonSolver, name, counted)
+        tried = []
+        stored = ShannonSolver._stored
+
+        def tried_stored(solver, objective, entry, bases, key):
+            tried.append(key)
+            return stored(solver, objective, entry, bases, key)
+
+        monkeypatch.setattr(ShannonSolver, "_stored", tried_stored)
+        releases = self.count_releases(monkeypatch)
+        with caplog.at_level("DEBUG", logger="entroflow.gadgets"):
+            warm = verify_contract(g.problem, g.contract)
+        assert warm.results == cold.results
+        assert warm.describe() == cold.describe()
+        # Each chain asks one feasibility solve and two per claim, once each,
+        # and each is counted once, also in the chain the pool finished.
+        asked = sum(1 + 2 * len(obs) for obs in groups.values())
+        assert len(calls) == asked
+        assert warm.stats.solves == cold.stats.solves == asked
+        assert (warm.stats.highs_runs, warm.stats.float_cert) == (1, 1)
+        records = [r.getMessage() for r in caplog.records if r.name == "entroflow.gadgets"]
+        assert len(records) == len(groups)
+        where = sorted(m.rsplit(", finished ", 1)[1] for m in records)
+        assert where == ["in the pool after 3 settled solves"] + ["inline"] * (len(groups) - 1)
+        assert BASES.get(stored_key).dual is not bad  # the run stored its own verified dual
+        # The spoiled entry was tried once, inline; the pool ran HiGHS at once.
+        assert tried.count(stored_key) == 1
+        assert releases == [1]  # once the pool had shut down
 
 
 def contract_pool():

@@ -726,8 +726,8 @@ class TestStoredDuals:
     @staticmethod
     def corrupted(lp, entry, other, kind):
         """The stored dual of `entry` made wrong: one multiplier on a row with
-        a nonzero right side flipped or moved by 1/2^20, or the dual stored
-        for another cost (`other`)."""
+        a nonzero right side flipped, doubled or moved by 1/2^20, or the dual
+        stored for another cost (`other`)."""
         from entroflow.rows import Sparse
 
         if kind == "other-cost":
@@ -737,12 +737,14 @@ class TestStoredDuals:
         num, den = dual.num.copy(), dual.den
         if kind == "flip":
             num[k] = -num[k]
+        elif kind == "scale":
+            num[k] = 2 * num[k]
         else:
             num, den = num * 2**20, den * 2**20
             num[k] += dual.den
         return Sparse(dual.index, num, den)
 
-    @pytest.mark.parametrize("kind", ["flip", "move", "other-cost"])
+    @pytest.mark.parametrize("kind", ["flip", "scale", "move", "other-cost"])
     def test_a_bad_stored_dual_falls_back_to_highs(self, kind):
         from entroflow.highs import BASES, Stored, entry_key
 
@@ -766,6 +768,63 @@ class TestStoredDuals:
         # from its dual.
         assert (stats.stored_point, stats.stored_dual, stats.highs_runs, stats.float_cert) == (1, 1, 1, 1)
         assert BASES.get(keys[0]).dual is not bad  # the fallback stored its own verified dual
+
+    def test_the_feasibility_point_takes_the_dual_half_alone(self, monkeypatch):
+        # A warm chain: the feasibility solve settles from a stored point,
+        # which takes both halves of the check; each claim pairs that
+        # verified point with its stored dual, which takes the dual half
+        # only.  So the chain makes one pass over every row, not three.
+        from entroflow import lp as lp_module
+        from entroflow.highs import BASES
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        BASES.clear()
+        cold, _ = self.chain(lp, claims)
+        calls = {"verify_point": 0, "verify_dual": 0}
+        for name in calls:
+
+            def counted(*args, original=getattr(lp_module, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(lp_module, name, counted)
+        warm, solver = self.chain(lp, claims)
+        assert warm == cold
+        assert (solver.stats.stored_point, solver.stats.stored_dual) == (1, 2)
+        assert calls == {"verify_point": 1, "verify_dual": 3}
+
+    def test_any_other_point_takes_the_row_pass(self):
+        # The chain's verified feasibility point, moved on one coordinate
+        # outside the objective so that it breaks a row but still attains
+        # the stored dual's bound: paired with that dual it is refused,
+        # because it is not the point that passed the row check.  A copy
+        # equal to the verified point passes the full check.
+        from entroflow.highs import BASES, entry_key
+        from entroflow.rows import Sparse
+        from entroflow.simplex import verify_dual
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        ((_, expression, _, _),) = claims
+        BASES.clear()
+        self.chain(lp, claims)
+        _, solver = self.chain(lp, claims)
+        x = solver._feasible
+        objective = solver._to_cols(lp.compile(expression)[0])
+        dual = BASES.get(entry_key(solver._store[0], solver._cost(objective))).dual
+        assert solver._paired(objective, x, dual) is not None
+        copy = Sparse(x.index.copy(), x.num.copy(), x.den)
+        assert solver._paired(objective, copy, dual) is not None
+        n = len(lp.coords)
+        moved = []
+        for j in sorted(set(range(n)) - set(objective)):
+            values = dict(x)
+            values[j] = values.get(j, 0) + 1
+            moved.append(Sparse.of(values))
+        bad = next(p for p in moved if lp.rows.violated(n, p).any())
+        value = bad.dot(objective)
+        verify_dual(n, lp.rows, objective, dual, value)  # the dual half alone would take it
+        assert value == x.dot(objective)
+        assert solver._paired(objective, bad, dual) is None
 
     def test_an_unverified_run_leaves_the_entry_it_read(self, monkeypatch):
         # The maximum's stored dual broken, and the proposal of its HiGHS
