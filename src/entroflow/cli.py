@@ -10,6 +10,14 @@ in the process stored).
 Exit codes: 0 success / witness found; 1 definitive negative; 2
 precondition failed (e.g. not a polymatroid); 3 budget exhausted; 64
 usage or parse error; 65 variable ground too large.
+
+Importing this module loads `entropy`, `network` and `codes` only, which
+is all that `search-code`, `check-code` and `check-entropic` run.  The
+names it calls from `gadgets` and `lp` (`_LAZY`) are bound into its
+globals by the first command that needs them (`lp-bound`, `gadget`,
+`verify`), or by the first `cli.<name>` lookup from outside.  A name that
+is already bound is kept, so a monkeypatch or a tracer's wrapper set on
+`cli.<name>` before the first command survives it.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from entroflow import entropy as ent
@@ -34,23 +42,47 @@ from entroflow.codes import (
     exhaustive_search,
 )
 from entroflow.entropy import EntropyVector, JointDistribution
-from entroflow.gadgets import (
-    adhere,
-    build_incremental,
-    build_secure,
-    compose_adhered_code,
-    incremental_code,
-    otp_code,
-    verify_contract,
-)
-from entroflow.lp import (
-    Claim,
-    GroundTooLargeError,
-    ShannonSolver,
-    build_shannon_lp,
-    certificate_to_json,
-    verify_proof_chain,
-)
+
+# The names the commands call from the LP and gadget layers, by module,
+# bound on first use (see the module docstring).
+_LAZY = {
+    "entroflow.gadgets": (
+        "adhere",
+        "build_incremental",
+        "build_secure",
+        "compose_adhered_code",
+        "incremental_code",
+        "otp_code",
+        "verify_contract",
+    ),
+    "entroflow.lp": (
+        "Claim",
+        "GroundTooLargeError",
+        "ShannonSolver",
+        "build_shannon_lp",
+        "certificate_to_json",
+        "verify_proof_chain",
+    ),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and bind the names of `_LAZY` each provides, keeping
+    a name already bound here."""
+    scope = globals()
+    for module in modules:
+        owner = importlib.import_module(module)
+        for name in _LAZY[module]:
+            scope.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -76,7 +108,7 @@ class _Report:
         self.verdicts: list[dict] = []
         self.certificates: list = []
         self.stats = None  # the summed `SolveStats` of the proof chains run, if any
-        self.started = time.time()
+        self.started = time.perf_counter()
 
     def digest(self, name: str, text: str) -> None:
         self.inputs[name] = hashlib.sha256(text.encode()).hexdigest()
@@ -98,7 +130,7 @@ class _Report:
                 "inputs": self.inputs,
                 "verdicts": self.verdicts,
                 "certificates": self.certificates,
-                "timing": {"seconds": round(time.time() - self.started, 6)},
+                "timing": {"seconds": round(time.perf_counter() - self.started, 6)},
             }
             if self.stats is not None:
                 doc["stats"] = {k: round(v, 6) for k, v in dataclasses.asdict(self.stats).items()}
@@ -169,6 +201,7 @@ def cmd_check_entropic(args) -> int:
 
 
 def cmd_lp_bound(args) -> int:
+    _bind("entroflow.lp")
     report = _Report("lp-bound")
     try:
         text = _read(args.problem_file)
@@ -294,6 +327,7 @@ def cmd_check_code(args) -> int:
 
 
 def cmd_gadget(args) -> int:
+    _bind("entroflow.gadgets")
     report = _Report(f"gadget-{args.kind}")
     try:
         if args.kind == "incremental":
@@ -427,6 +461,7 @@ def _verify_adhesion(args, report: _Report) -> bool:
 
 
 def cmd_verify(args) -> int:
+    _bind("entroflow.gadgets", "entroflow.lp")
     name = _VERIFY_ALIASES.get(args.name, args.name)
     report = _Report(f"verify-{name}")
     runners = {

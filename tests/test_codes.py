@@ -25,7 +25,7 @@ from entroflow.codes import (
     induced_joint_distribution,
     minimal_source_alphabet,
 )
-from entroflow.entropy import check_independence
+from entroflow.entropy import EntropyVector, check_independence
 from entroflow.gadgets import incremental_code, quasi_uniform_library
 from entroflow.network import Capacity, parse
 
@@ -274,6 +274,40 @@ class TestDerivedOnce:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    def test_combinatorial_commands_load_no_lp_layer(self, tmp_path):
+        """Importing the command line and running `search-code`,
+        `check-code` and `check-entropic` loads neither the gadgets nor
+        the LP; `cli.<name>` of an LP or gadget name still resolves."""
+        src = os.path.dirname(os.path.dirname(entroflow.__file__))
+        problem = tmp_path / "relay.json"
+        problem.write_text(network.serialize(relay_problem()), encoding="utf-8")
+        h = tmp_path / "h.json"
+        h.write_text(EntropyVector.from_tuple([1, 1, 2]).to_json(), encoding="utf-8")
+        probe = (
+            "import contextlib, io, sys\n"
+            "from entroflow import cli\n"
+            "layers = ('entroflow.gadgets', 'entroflow.lp', 'entroflow.simplex', 'numpy')\n"
+            "loaded = lambda: sorted(set(layers) & set(sys.modules))\n"
+            "print(loaded())\n"
+            "p, code, h = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    exits = [cli.main(['--json', 'search-code', p, '--out', code]),\n"
+            "             cli.main(['--json', 'check-code', p, code]),\n"
+            "             cli.main(['--json', 'check-entropic', h])]\n"
+            "print(exits, loaded())\n"
+            "import entroflow.lp\n"
+            "print(cli.build_shannon_lp is entroflow.lp.build_shannon_lp, hasattr(cli, 'no_such_name'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(problem), str(tmp_path / "code.json"), str(h)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines() == ["[]", "[0, 0, 0] []", "True False"]
 
 
 class TestDerandomize:
