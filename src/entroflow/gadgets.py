@@ -772,13 +772,15 @@ class AdheredGadget:
 def adhere(inner: NetworkProblem) -> AdheredGadget:
     """Wrap a multicast problem into an equivalent secure problem.
 
-    Each inner session s of rate r and each of its sinks d gets one copy
-    of the secure network with c = r and source rate 2r, except that the
-    key path is replaced: one shared node per session emits the key into
-    the inner network at the session's origin, and each inner sink feeds
-    what it decodes into its copy's unmasking relay.  Copies of one
-    session share the key; each copy's masked channel is tapped
-    separately.
+    Each inner session s of rate r and each sink d that demands it gets
+    one copy of the secure network with c = r and source rate 2r, in order
+    of session id, then sink.  The demands are `NetworkProblem.demands`:
+    a session's own sinks and, under an incremental order, the sinks of
+    every session after it.  In each copy the key path is replaced: one
+    shared node per session emits the key into the inner network at the
+    session's origin, and each inner sink feeds what it decodes into its
+    copy's unmasking relay.  Copies of one session share the key; each
+    copy's masked channel is tapped separately.
     """
     errors = validate(inner)
     if errors:
@@ -793,6 +795,10 @@ def adhere(inner: NetworkProblem) -> AdheredGadget:
     copies: list[tuple[str, str]] = []
     key_edges: dict[str, str] = {}
     copy_sessions: dict[tuple[str, str], str] = {}
+    demanders: dict[str, list[str]] = {}
+    for sink, sids in inner.demands().items():
+        for sid in sids:
+            demanders.setdefault(sid, []).append(sink)
     for s in sorted(inner.requirement.sessions, key=lambda s: s.id):
         r = s.rate
         enc = f"enc[{s.id}]"
@@ -802,7 +808,7 @@ def adhere(inner: NetworkProblem) -> AdheredGadget:
         randomness.append(enc)
         key_edges[s.id] = f"K[{s.id}]"
         edges.append(Edge(f"K[{s.id}]", enc, s.origin, Capacity(r)))
-        for d in sorted(s.sinks):
+        for d in sorted(demanders.get(s.id, ())):
             tag = f"{s.id}.{d}"
             src, dec, snk = f"src[{tag}]", f"dec[{tag}]", f"snk[{tag}]"
             for name in (src, dec, snk):
@@ -828,28 +834,28 @@ def adhere(inner: NetworkProblem) -> AdheredGadget:
     errors = validate(problem)
     if errors:
         raise AssertionError("construction bug: " + "; ".join(errors))
+    rates = {s.id: s.rate for s in inner.requirement.sessions}
     obligations = []
-    for s in sorted(inner.requirement.sessions, key=lambda s: s.id):
-        for d in sorted(s.sinks):
-            tag = f"{s.id}.{d}"
-            obligations.append(
-                Obligation(
-                    name=f"shell-cut[{tag}]",
-                    kind="min-cut",
-                    source=f"src[{tag}]",
-                    sink=f"enc[{s.id}]",
-                    value=str(s.rate),
-                )
+    for sid, d in copies:
+        tag = f"{sid}.{d}"
+        obligations.append(
+            Obligation(
+                name=f"shell-cut[{tag}]",
+                kind="min-cut",
+                source=f"src[{tag}]",
+                sink=f"enc[{sid}]",
+                value=str(rates[sid]),
             )
-            obligations.append(
-                Obligation(
-                    name=f"unmask-cut[{tag}]",
-                    kind="min-cut",
-                    source=f"dec[{tag}]",
-                    sink=f"snk[{tag}]",
-                    value=str(s.rate),
-                )
+        )
+        obligations.append(
+            Obligation(
+                name=f"unmask-cut[{tag}]",
+                kind="min-cut",
+                source=f"dec[{tag}]",
+                sink=f"snk[{tag}]",
+                value=str(rates[sid]),
             )
+        )
     notes = (
         "Admissible exactly when the inner multicast is admissible: keys "
         "must traverse the inner network from each session origin to every "
@@ -892,10 +898,7 @@ def compose_adhered_code(gadget: AdheredGadget, inner_code: NetworkCode) -> Netw
     from entroflow.codes import evaluate as eval_code
 
     inner_sessions = inner_code.session_order()
-    decode: dict[tuple[str, str], dict[tuple[int, ...], int]] = {}
-    for s in inner.requirement.sessions:
-        for d in s.sinks:
-            decode[(s.id, d)] = {}
+    decode: dict[tuple[str, str], dict[tuple[int, ...], int]] = {copy: {} for copy in gadget.copies}
     for combo in itertools.product(
         *(range(inner_code.source_alphabets[s]) for s in inner_sessions)
     ):

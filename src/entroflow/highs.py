@@ -17,16 +17,18 @@ The model is loaded through the array form of HiGHS's `passModel`
 arrays once instead of through a `HighsLp` object's fields.
 
 `BASES` is the process-wide store of what proof chains verified, one
-`Stored` entry per matrix and cost.  Its key (`entry_key`) digests the
-cost vector together with the digest of `lp.ShannonLP.matrix`, which
-fixes the rows without their right sides (`matrix_digest`); a chain
-solver reads that digest once per LP, so it finds its entries without a
-HiGHS handle.  Models that differ only in their right sides share
-entries: one topology under many rate and capacity tuples.  An entry
-holds an optimal basis of a HiGHS run for its key, the verified rational
-row duals of the solve that run settled, and the entry's generators: the
-right sides of the solves settled there, as rationals on the rows where
-they are nonzero (`right_sides`), each with the solve's verified point.
+`Stored` entry per matrix and objective.  Its key is the digest of
+`lp.ShannonLP.matrix`, which fixes the rows without their right sides
+(`matrix_digest`), with the objective's exact coefficients by column (the
+solver's memo key, see `lp.ShannonSolver._entry_key`); a chain solver
+finds its entries without a HiGHS handle or a float cost vector, and two
+objectives whose float costs coincide keep separate entries.  Models
+that differ only in their right sides share entries: one topology under
+many rate and capacity tuples.  An entry holds an optimal basis of a
+HiGHS run for its key, the verified rational row duals of the solve that
+run settled, and the entry's generators: the right sides of the solves
+settled there, as rationals on the rows where they are nonzero
+(`right_sides`), each with the solve's verified point.
 Each stays useful under new right sides.  A stored basis stays dual
 feasible, and dual simplex starts from it at almost no cost; a dual
 stays feasible, so it still bounds the optimum; and the right sides
@@ -250,7 +252,7 @@ _DEFAULT_PRICING = -1  # kSimplexEdgeWeightStrategyChoose
 
 
 class Stored(NamedTuple):
-    """A `BASES` entry, for one matrix and cost.
+    """A `BASES` entry, for one matrix and objective.
 
     `basis` is the optimal basis of the last HiGHS run for the key whose
     optimum verified, and `dual` the verified rational row duals of the
@@ -271,14 +273,6 @@ def matrix_digest(matrix: Hashable) -> bytes:
     """A digest of `lp.ShannonLP.matrix`, which fixes an LP's rows without
     their right sides."""
     return hashlib.blake2b(repr(matrix).encode()).digest()
-
-
-def entry_key(digest: bytes, cost) -> bytes:
-    """The `BASES` key of the matrix with digest `digest` (`matrix_digest`)
-    under the cost vector `cost`."""
-    key = hashlib.blake2b(digest)
-    key.update((cost + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
-    return key.digest()
 
 
 def right_sides(rows: RowStore) -> Sparse:
@@ -332,7 +326,7 @@ def _sized(entry: Stored, statuses: int) -> tuple[Stored, int]:
     return entry, statuses + sum(v.index.nbytes + v.num.nbytes for v in vectors)
 
 
-def join(bases: LruStore, key: bytes, statuses: int, rhs: Sparse, x: Sparse, basis=None, dual=None) -> None:
+def join(bases: LruStore, key: Hashable, statuses: int, rhs: Sparse, x: Sparse, basis=None, dual=None) -> None:
     """Add the generator ``(rhs, x)``, right sides and a point verified for
     them, to the entry under `key`: a new entry replaces the old one in one
     step (`LruStore.update`), so no generator another chain adds is lost.

@@ -72,18 +72,21 @@ row store before its first HiGHS run), which answers per LP row; each later
 objective changes the costs only and is re-solved from the last basis,
 and an objective already settled is answered from a memo.
 `ShannonSolver.stats` counts the work and the `entroflow.lp` logger
-writes one debug record per solve.
+writes one debug record per solve (the record's counts are taken only
+while the logger is enabled for DEBUG).
 
 The solves of a proof chain, and only those, also use the process-wide
-store `highs.BASES`, one entry per matrix and cost (the right-hand side is
-not part of the key, so a chain on the same subnetwork under other rates
-or capacities finds its entries).  The solver is the store's only reader
-and writer.  It reads the matrix digest (`ShannonLP.digest`, worked out
-once per template) and the rational right sides once per LP, and each
-chain solve reads its entry once, without a HiGHS handle.  An entry
-holds the optimal basis of a HiGHS run, the verified rational row duals
-of the solve it settled, and its generators: the right sides of the
-solves settled there, with their verified points.
+store `highs.BASES`, one entry per matrix and objective, keyed by the
+matrix digest (`ShannonLP.digest`, worked out once per template) and the
+objective's exact coefficients (`ShannonSolver._entry_key`); the
+right-hand side is not part of the key, so a chain on the same
+subnetwork under other rates or capacities finds its entries.  The
+solver is the store's only reader and writer.  It reads the rational
+right sides once per LP, and each chain solve reads its entry once,
+without a HiGHS handle or a float cost vector.  An entry holds the
+optimal basis of a HiGHS run, the verified rational row duals of the
+solve it settled, and its generators: the right sides of the solves
+settled there, with their verified points.
 The right sides enter every row linearly, so a nonnegative combination of
 stored points is feasible for the same combination of their right sides.
 Before HiGHS runs, a feasibility solve combines the stored points whose
@@ -101,7 +104,10 @@ A `ProofChain` runs a chain's solves only as far as its memo and the
 store settle them, stopping before its first HiGHS run, and finishes
 them later, perhaps on another thread.  The store holds at most
 4 MB and drops the least recently used entries first.  A chain reports
-only statuses and exact optima, which nothing stored changes.  Direct
+only statuses and exact optima, which nothing stored changes, and reads
+only those: its solves return bare certificates, whose point and ray are
+not re-keyed to closed masks.  A warm chain's solves make no exact
+simplex, so its solver never lists its active rows.  Direct
 `maximize`, `minimize` and `feasibility` calls never read or write the
 store, so the certificates of a solver that has run no chain do not
 depend on it (see `ShannonSolver` for one that has).
@@ -985,8 +991,9 @@ class ShannonSolver:
     before the first HiGHS run, and each later objective changes only the
     costs and starts from the basis the previous solve left.  Inside
     `verify_proof_chain` a solve reads the entry stored for its matrix and
-    cost in `highs.BASES` once, found by the matrix digest without a
-    handle, and tries it under the exact check with no HiGHS run: a
+    objective in `highs.BASES` once, found by the matrix digest and the
+    exact objective (`_entry_key`) without a handle or a cost vector, and
+    tries it under the exact check with no HiGHS run: a
     feasibility solve a combination of the stored points (settled by
     `stored_point`), a claim the stored dual paired with the chain's
     feasibility point, then such a combination (settled by
@@ -994,7 +1001,9 @@ class ShannonSolver:
     it settled, takes only the dual half of the check (`_paired`).
     Otherwise its run starts from the optimal basis of that entry, if
     there is one, and once the run's optimum verifies the entry takes its
-    basis, verified dual and point in one write.  Direct
+    basis, verified dual and point in one write.  Such a solve returns a
+    bare certificate, without the point or ray (`_wrap`): the chain reads
+    only its status and value.  Direct
     calls of `maximize`, `minimize` and `feasibility` never touch that
     store.  When no proposal verifies, the exact simplex takes over with
     elemental rows activated lazily: each solve runs on the active subset,
@@ -1011,10 +1020,12 @@ class ShannonSolver:
     concurrent users).  It may pass from one thread to another between two
     solves, as a contract chain does when it goes to the thread pool, but
     two threads never use it at once.  It holds the HiGHS handle with its
-    basis, the memo, the feasibility point its chain verified, the matrix
-    digest and rational right sides of a chain's LP, `active` (the
-    activated rows), `simplex` (the exact solver with its basis, built on
-    the first solve that needs it) and `stats`, the counts of its work.  Which certificate
+    basis, the memo, the column objective of each expression it was asked
+    (compiled once), the feasibility point its chain verified, the
+    rational right sides of a chain's LP, `active` (the activated rows,
+    listed on the first exact solve, None until then), `simplex` (the
+    exact solver with its basis, built on the first solve that needs it)
+    and `stats`, the counts of its work.  Which certificate
     a solve returns can depend on the solves before it, but never its
     status or optimum.  So once a solver has run a proof chain, its later
     certificates (memo answers for the chain's objectives among them) can
@@ -1026,12 +1037,13 @@ class ShannonSolver:
     def __init__(self, lp: ShannonLP):
         self.lp = lp
         self.index = lp.coord_index()
-        elemental = lp.elemental_rows
-        self.active: list[int] = [*range(elemental.start), *range(elemental.stop, len(lp.rows))]
-        self._inactive: list[int] = list(elemental)
+        # The rows the exact simplex solves on and the rest, listed on the first exact solve.
+        self.active: Optional[list[int]] = None
+        self._inactive: Optional[list[int]] = None
         self._highs = None  # a highs.Highs, made before the first HiGHS run
-        # The digest of `lp.matrix` and the rational right sides, read on the first chain solve.
-        self._store: Optional[tuple[bytes, Sparse]] = None
+        self._rhs: Optional[Sparse] = None  # the rational right sides, read on the first chain solve
+        # The column objective and constant of each (orientation, expression) asked (`_objective`).
+        self._objectives: dict[tuple, tuple[dict[int, Fraction], Fraction]] = {}
         self._memo: dict[tuple, SimplexCertificate] = {}
         self._feasible: Optional[Sparse] = None  # the verified point of the chain's feasibility solve
         # The entry that last failed to settle a solve of a `ProofChain`
@@ -1203,8 +1215,11 @@ class ShannonSolver:
             self.stats.memo_hits += 1
             log.debug("solve: %s, settled by memo", cert.status)
             return cert
-        stats, before, start = self.stats, replace(self.stats), time.perf_counter()
-        settled = self._settle(objective, bases, stored_only)
+        stats = self.stats
+        debug = log.isEnabledFor(logging.DEBUG)
+        if debug:
+            before, start = replace(stats), time.perf_counter()
+        settled = self._settle(objective, key, bases, stored_only)
         if settled is None:
             return None
         cert, path = settled
@@ -1212,6 +1227,8 @@ class ShannonSolver:
         self._memo[key] = cert
         if bases is not None and not objective and cert.status == "optimal":
             self._feasible = cert.x
+        if not debug:
+            return cert
         log.debug(
             "solve: %s, settled by %s, %d HiGHS runs (%d warm, %d from stored bases), "
             "%d simplex iterations, %.3f s",
@@ -1225,34 +1242,39 @@ class ShannonSolver:
         )
         return cert
 
+    def _entry_key(self, objective: Mapping[int, Fraction]) -> tuple:
+        """The `highs.BASES` key of `objective` (by column) on this LP: the
+        matrix digest with the objective's memo key, its exact coefficients."""
+        return self.lp.digest, _memo_key(objective)
+
     def _settle(
-        self, objective: Mapping[int, Fraction], bases, stored_only: bool = False
+        self, objective: Mapping[int, Fraction], key: tuple, bases, stored_only: bool = False
     ) -> Optional[tuple[SimplexCertificate, str]]:
         """A verified certificate and the path that settled it (a `SolveStats`
-        field).  With `bases`, the entry stored for this matrix and cost is
-        read once and tried before HiGHS runs (`_stored`), the run starts
-        from its basis, and a verified float optimum joins it: its basis,
-        dual, right sides and point.  With `stored_only`, a solve the entry
-        cannot settle returns None instead; asked again, that solve tries
-        the entry only if another chain has replaced it since (entries are
-        replaced, never changed)."""
-        cost = self._cost(objective)
+        field); `key` is the objective's memo key.  With `bases`, the entry
+        stored for this matrix and objective is read once and tried before
+        HiGHS runs (`_stored`), the run starts from its basis, and a verified
+        float optimum joins it: its basis, dual, right sides and point.  With
+        `stored_only`, a solve the entry cannot settle returns None instead;
+        asked again, that solve tries the entry only if another chain has
+        replaced it since (entries are replaced, never changed).  The float
+        cost vector is built only for a HiGHS run."""
         entry = None
         if bases is not None:
             from entroflow import highs
 
-            if self._store is None:
-                self._store = self.lp.digest, highs.right_sides(self.lp.rows)
-            key = highs.entry_key(self._store[0], cost)
-            entry = bases.get(key)
+            if self._rhs is None:
+                self._rhs = highs.right_sides(self.lp.rows)
+            entry_key = self.lp.digest, key  # `_entry_key`, from the memo key at hand
+            entry = bases.get(entry_key)
             if entry is not None and entry is not self._tried:
-                settled = self._stored(objective, entry, bases, key)
+                settled = self._stored(objective, entry, bases, entry_key)
                 if settled is not None:
                     return settled
             if stored_only:
                 self._tried = entry
                 return None
-        res = self._float_solve(cost, entry)
+        res = self._float_solve(self._cost(objective), entry)
         if res is not None:
             if res.status == 0:
                 fast = self._float_certificate(objective, res)
@@ -1260,7 +1282,7 @@ class ShannonSolver:
                     if bases is not None:
                         statuses = len(self.lp.coords) + len(self.lp.rows)
                         basis = self._highs.basis()  # the run's: nothing has run since
-                        highs.join(bases, key, statuses, self._store[1], fast.x, basis, fast.duals)
+                        highs.join(bases, entry_key, statuses, self._rhs, fast.x, basis, fast.duals)
                     return fast, "float_cert"
             elif res.status == 2:
                 fast = self._float_farkas()
@@ -1269,7 +1291,7 @@ class ShannonSolver:
         return self._exact(objective, res), "exact"
 
     def _stored(
-        self, objective: Mapping[int, Fraction], entry, bases, key: bytes
+        self, objective: Mapping[int, Fraction], entry, bases, key: tuple
     ) -> Optional[tuple[SimplexCertificate, str]]:
         """The optimum of `objective` from `entry`, the `highs.Stored` entry
         under `key` in `bases`, and the path that settled it; None when no
@@ -1294,7 +1316,7 @@ class ShannonSolver:
             cert = self._paired(objective, self._feasible, dual)
             if cert is not None:
                 return cert, path
-        rhs = self._store[1]
+        rhs = self._rhs
         x = highs.combination(entry.points, rhs)
         cert = self._paired(objective, x, dual)
         if cert is None:
@@ -1329,6 +1351,10 @@ class ShannonSolver:
         return SimplexCertificate("optimal", value, x, dual, None, None, ())
 
     def _exact(self, objective: Mapping[int, Fraction], res) -> SimplexCertificate:
+        if self.active is None:
+            elemental = self.lp.elemental_rows
+            self.active = [*range(elemental.start), *range(elemental.stop, len(self.lp.rows))]
+            self._inactive = list(elemental)
         seed = self._float_seed(res)
         if seed:
             self._activate(seed)
@@ -1365,37 +1391,51 @@ class ShannonSolver:
         return {self.index[m]: c for m, c in coeffs.items()}
 
     def _wrap(
-        self, cert: SimplexCertificate, orientation: str, constant: Fraction, negate: bool
+        self, cert: SimplexCertificate, orientation: str, constant: Fraction, bare: bool
     ) -> Certificate:
-        value = None
-        if cert.status == "optimal":
-            value = (-cert.value if negate else cert.value) + constant
+        """The answer `cert` to `maximize` ("max"), `minimize` ("min": the
+        maximum of the negated objective) or `feasibility`, as a
+        `Certificate`: the value with the expression's `constant`, the point
+        and ray re-keyed from columns to closed masks.  A `bare` certificate,
+        a proof chain's, carries no point or ray: a chain reads only each
+        solve's status and value, and the re-keying is the costly part."""
+        status, value, farkas, ray = cert.status, None, cert.farkas, cert.ray
+        if orientation == "feasibility":
+            if status != "infeasible":
+                status, farkas, ray = "feasible", None, None
+        elif status == "optimal":
+            value = (-cert.value if orientation == "min" else cert.value) + constant
         coords = self.lp.coords
         return Certificate(
-            status=cert.status,
+            status=status,
             value=value,
             orientation=orientation,
-            primal=cert.x.rekey(coords) if cert.status != "infeasible" else None,
+            primal=None if bare or status == "infeasible" else cert.x.rekey(coords),
             duals=cert.duals,
-            farkas=cert.farkas,
-            ray=None if cert.ray is None else cert.ray.rekey(coords),
+            farkas=farkas,
+            ray=None if bare or ray is None else ray.rekey(coords),
             pivots=cert.pivots,
         )
 
     # `_bases` is the store (`highs.BASES`) the solve reads and writes;
-    # only `verify_proof_chain` passes one.
+    # only `verify_proof_chain` passes one, and gets a bare certificate
+    # (`_wrap`).
 
     def _objective(
         self, orientation: str, expression: Optional[str]
     ) -> tuple[dict[int, Fraction], Fraction]:
         """The column objective that `maximize` ("max"), `minimize` ("min")
         or `feasibility` (no expression) maximizes, and the expression's
-        constant."""
+        constant; each is compiled once per solver, and read, never changed."""
         if expression is None:
             return {}, Fraction(0)
-        coeffs, const = self.lp.compile(expression)
-        cols = self._to_cols(coeffs)
-        return (cols if orientation == "max" else {j: -c for j, c in cols.items()}), const
+        hit = self._objectives.get((orientation, expression))
+        if hit is None:
+            coeffs, const = self.lp.compile(expression)
+            cols = self._to_cols(coeffs)
+            hit = (cols if orientation == "max" else {j: -c for j, c in cols.items()}), const
+            self._objectives[orientation, expression] = hit
+        return hit
 
     def _ahead_of(self, orientation: str, expression: Optional[str], bases) -> bool:
         """Whether the memo or the entry of `bases` settles the solve that
@@ -1415,19 +1455,16 @@ class ShannonSolver:
     def maximize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact maximum of an expression (see `compile_expression`)."""
         cols, const = self._objective("max", objective)
-        return self._wrap(self._solve_max(cols, _bases), "max", const, negate=False)
+        return self._wrap(self._solve_max(cols, _bases), "max", const, _bases is not None)
 
     def minimize(self, objective: str, *, _bases=None) -> Certificate:
         """The exact minimum of an expression (see `compile_expression`)."""
         cols, const = self._objective("min", objective)
-        return self._wrap(self._solve_max(cols, _bases), "min", const, negate=True)
+        return self._wrap(self._solve_max(cols, _bases), "min", const, _bases is not None)
 
     def feasibility(self, *, _bases=None) -> Certificate:
         """Status "feasible" with a point, or "infeasible" with Farkas multipliers."""
-        cert = self._wrap(self._solve_max({}, _bases), "feasibility", Fraction(0), negate=False)
-        if cert.status == "infeasible":
-            return cert
-        return replace(cert, status="feasible", value=None, farkas=None, ray=None)
+        return self._wrap(self._solve_max({}, _bases), "feasibility", Fraction(0), _bases is not None)
 
 
 @dataclass(frozen=True)
@@ -1490,11 +1527,12 @@ def verify_proof_chain(
 
     The chain's solves read and write the store `highs.BASES` (see the
     module docstring): each tries the points and dual stored for its
-    matrix and cost, checked again exactly, before it runs HiGHS from the
-    stored basis.  Nothing stored changes a status or an exact optimum,
-    the only things a chain reports, and the chain reads only those: its
-    certificates' Fraction maps are never built.  `ProofChain` runs the
-    same solves in two parts.
+    matrix and objective, checked again exactly, before it runs HiGHS
+    from the stored basis.  Nothing stored changes a status or an exact
+    optimum, the only things a chain reports, and the chain reads only
+    those: its solves return bare certificates (no point or ray), and no
+    Fraction map of a vector is built.  `ProofChain` runs the same solves
+    in two parts.
     """
     return ProofChain(solver, claims).finish()
 

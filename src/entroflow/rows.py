@@ -124,14 +124,20 @@ class Sparse(MappingABC):
         return Sparse(index[order], self.num[order], self.den)
 
     def dot(self, coeffs: Mapping[int, Fraction]) -> Fraction:
-        """The sum of coeff * value over a map of coefficients by index."""
-        if not len(self.index):
-            return Fraction(0)
-        keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-        at = np.minimum(np.searchsorted(self.index, keys), len(self.index) - 1)
-        hit = (self.index[at] == keys).tolist()
-        terms = zip(coeffs.values(), self.num[at].tolist(), hit)
-        return Fraction(sum((c * v for c, v, h in terms if h), Fraction(0)), self.den)
+        """The sum of coeff * value over a map of coefficients by index.
+
+        Each index is looked up on its own (the maps are objectives, of a
+        few terms), and the sum is taken over integers, at the least common
+        denominator of the coefficients that meet an entry.
+        """
+        index, num = self.index, self.num
+        terms = []
+        for j, c in coeffs.items():
+            k = index.searchsorted(j)
+            if k < len(index) and index[k] == j:
+                terms.append((c, int(num[k])))
+        den = math.lcm(*(c.denominator for c, _ in terms))
+        return Fraction(sum(c.numerator * (den // c.denominator) * v for c, v in terms), den * self.den)
 
     def peak(self) -> int:
         """The largest numerator magnitude, as a Python int (0 when empty)."""

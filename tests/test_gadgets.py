@@ -272,7 +272,7 @@ class TestInlineChains:
         # maximum spoiled (a multiplier's sign flipped): the chain settles
         # its feasibility solve and its first claim inline, and goes to the
         # pool at that maximum, which falls back to HiGHS.
-        from entroflow.highs import BASES, entry_key
+        from entroflow.highs import BASES
         from entroflow.rows import Sparse
 
         g = build_incremental(h112())
@@ -285,8 +285,7 @@ class TestInlineChains:
         spoiled = groups[key][1].expression
         lp = build_shannon_lp(g.problem, variables=key)
         solver = ShannonSolver(lp)
-        cost = solver._cost(solver._to_cols(lp.compile(spoiled)[0]))
-        stored_key = entry_key(lp.digest, cost)
+        stored_key = solver._entry_key(solver._to_cols(lp.compile(spoiled)[0]))
         entry = BASES.get(stored_key)
         dual = entry.dual
         k = next(k for k, i in enumerate(dual.index.tolist()) if lp.rows.sense[i] != 0 and dual.num[k] != 0)
@@ -399,6 +398,34 @@ class TestStoredBases:
         assert [report.describe() for report in again] == cold
         assert sum(report.stats.highs_runs for report in again) == 0
         assert direct() == alone  # a direct solve neither reads nor writes the store
+
+    def test_a_warm_pass_rekeys_no_vector_and_lists_no_rows(self, monkeypatch):
+        # A warm chain solve reads only its status and value: no point is
+        # re-keyed from columns to closed masks, and with no exact solve no
+        # solver lists its active rows.
+        from entroflow.rows import Sparse
+
+        pool = contract_pool()
+        cold = [self.contract(h) for h in pool]
+        rekeyed, solvers = [], []
+        rekey, init = Sparse.rekey, ShannonSolver.__init__
+
+        def counted_rekey(vector, keys):
+            rekeyed.append(keys)
+            return rekey(vector, keys)
+
+        def kept_init(solver, lp):
+            solvers.append(solver)
+            init(solver, lp)
+
+        monkeypatch.setattr(Sparse, "rekey", counted_rekey)
+        monkeypatch.setattr(ShannonSolver, "__init__", kept_init)
+        warm = [self.contract(h) for h in pool]
+        assert [r.describe() for r in warm] == [r.describe() for r in cold]
+        assert [r.results for r in warm] == [r.results for r in cold]
+        assert sum(r.stats.highs_runs for r in warm) == 0
+        assert rekeyed == []
+        assert solvers and all(s.active is None and s._inactive is None for s in solvers)
 
     def test_points_add_up(self):
         # (2,3,5) = (1,1,2) + (1,2,3) and (3,5,8) = (1,1,2) + 2 (1,2,3): each
@@ -664,6 +691,19 @@ class TestAdhere:
         # copy's source.
         ok, taps = check_secrecy(code)
         assert ok
+
+    def test_one_copy_per_demand_of_an_incremental_inner(self):
+        # The sinks of S1 also demand S0 (the incremental order), so each
+        # gets a copy of S0 as well: 13 demands, where S1's sinks alone
+        # would give 8 copies.
+        inner = build_incremental(h112()).problem
+        demands = sorted((sid, sink) for sink, sids in inner.demands().items() for sid in sids)
+        gadget = adhere(inner)
+        assert len(gadget.copies) == len(demands) == 13
+        assert list(gadget.copies) == demands  # session id, then sink
+        assert list(gadget.copy_sessions) == demands
+        shells = [ob.name for ob in gadget.contract.obligations if ob.name.startswith("shell-cut")]
+        assert shells == [f"shell-cut[{sid}.{sink}]" for sid, sink in demands]
 
     def test_rejects_wiretapped_inner(self):
         from test_codes import pad_problem

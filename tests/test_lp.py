@@ -723,6 +723,66 @@ class TestStoredDuals:
             as_dicts = replace(cert, **{k: v if v is None else dict(v) for k, v in vectors.items()})
             assert cert == as_dicts and as_dicts == cert
 
+    def test_objectives_with_one_float_cost_keep_separate_entries(self):
+        # 1/3 and the double nearest it are two coefficients with one float
+        # cost.  An entry is keyed by the exact objective, so the second
+        # chain neither reads the first one's entry (no stored start, no
+        # stored dual) nor replaces it, and neither dual settles the other
+        # maximum.
+        from entroflow.highs import BASES
+        from entroflow.lp import _memo_key
+
+        lp = build_shannon_lp(butterfly(), rate_sessions="none")
+        third, near = Fraction(1, 3), Fraction(1 / 3)
+        assert third != near and float(third) == float(near)
+        chains = []
+        BASES.clear()
+        for c in (third, near):
+            claims = [("scaled", f"{c}*H(T)", "<=", 1)]
+            report, solver = self.chain(lp, claims)
+            (verdict,) = report.verdicts
+            assert (verdict.status, verdict.upper) == ("forced", 2 * c)
+            objective = solver._objective("max", claims[0][1])[0]
+            chains.append((solver, objective))
+            if c is third:
+                first = BASES.get(solver._entry_key(objective))
+                assert first is not None
+        (one, max_one), (two, max_two) = chains
+        assert one._entry_key(max_one) != two._entry_key(max_two)
+        assert (two.stats.stored_dual, two.stats.stored_starts) == (0, 0)
+        assert BASES.get(one._entry_key(max_one)) is first
+        # Each maximum's own point and dual, and the other's dual.
+        (x_one, y_one), (x_two, y_two) = (
+            (cert.x, cert.duals) for cert in (solver._memo[_memo_key(objective)] for solver, objective in chains)
+        )
+        assert one._paired(max_one, x_one, y_one) is not None
+        assert one._paired(max_one, x_one, y_two) is None
+        assert two._paired(max_two, x_two, y_one) is None
+
+    def test_debug_records_count_the_work_of_each_solve(self, caplog):
+        # With `entroflow.lp` at DEBUG, each solve's record carries the HiGHS
+        # runs and simplex iterations it made: summed, they are the solver's.
+        from entroflow.highs import BASES
+
+        lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
+        record = re.compile(
+            r"solve: \w+, settled by (\w+), (\d+) HiGHS runs \((\d+) warm, (\d+) from stored bases\), "
+            r"(\d+) simplex iterations, [\d.]+ s"
+        )
+        BASES.clear()
+        for _ in range(2):  # cold, then warm from the store
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="entroflow.lp"):
+                _, solver = self.chain(lp, claims)
+            messages = [r.getMessage() for r in caplog.records if r.name == "entroflow.lp"]
+            solves = [record.fullmatch(m) for m in messages if m.startswith("solve:") and not m.endswith("by memo")]
+            assert all(solves) and len(solves) == solver.stats.solves - solver.stats.memo_hits
+            totals = [sum(int(m[k]) for m in solves) for k in (2, 3, 4, 5)]
+            stats = solver.stats
+            assert totals == [stats.highs_runs, stats.warm_starts, stats.stored_starts, stats.simplex_iterations]
+            assert [m[1] for m in solves].count("float_cert") == stats.float_cert
+        assert stats.highs_runs == 0 and stats.stored_dual == 2
+
     @staticmethod
     def corrupted(lp, entry, other, kind):
         """The stored dual of `entry` made wrong: one multiplier on a row with
@@ -746,7 +806,7 @@ class TestStoredDuals:
 
     @pytest.mark.parametrize("kind", ["flip", "scale", "move", "other-cost"])
     def test_a_bad_stored_dual_falls_back_to_highs(self, kind):
-        from entroflow.highs import BASES, Stored, entry_key
+        from entroflow.highs import BASES, Stored
 
         lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
         ((_, expression, _, value),) = claims
@@ -754,8 +814,7 @@ class TestStoredDuals:
         BASES.clear()
         cold, solver = self.chain(lp, claims)
         objective = solver._to_cols(lp.compile(expression)[0])
-        digest = solver._store[0]
-        keys = [entry_key(digest, solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
+        keys = [solver._entry_key(side) for side in (objective, {j: -c for j, c in objective.items()})]
         entry, other = (BASES.get(key) for key in keys)
         assert entry.dual is not None and other.dual is not None
         bad = self.corrupted(lp, entry, other, kind)
@@ -799,7 +858,7 @@ class TestStoredDuals:
         # the stored dual's bound: paired with that dual it is refused,
         # because it is not the point that passed the row check.  A copy
         # equal to the verified point passes the full check.
-        from entroflow.highs import BASES, entry_key
+        from entroflow.highs import BASES
         from entroflow.rows import Sparse
         from entroflow.simplex import verify_dual
 
@@ -810,7 +869,7 @@ class TestStoredDuals:
         _, solver = self.chain(lp, claims)
         x = solver._feasible
         objective = solver._to_cols(lp.compile(expression)[0])
-        dual = BASES.get(entry_key(solver._store[0], solver._cost(objective))).dual
+        dual = BASES.get(solver._entry_key(objective)).dual
         assert solver._paired(objective, x, dual) is not None
         copy = Sparse(x.index.copy(), x.num.copy(), x.den)
         assert solver._paired(objective, copy, dual) is not None
@@ -831,15 +890,14 @@ class TestStoredDuals:
         # run from the stored basis rejected once: the exact simplex settles
         # the claim.  Nothing unverified is stored, so the entry stays the
         # one the solve read, and that solve reads the store once.
-        from entroflow.highs import BASES, LruStore, entry_key
+        from entroflow.highs import BASES, LruStore
 
         lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
         ((_, expression, _, _),) = claims
         BASES.clear()
         cold, solver = self.chain(lp, claims)
         objective = solver._to_cols(lp.compile(expression)[0])
-        digest = solver._store[0]
-        keys = [entry_key(digest, solver._cost(side)) for side in (objective, {j: -c for j, c in objective.items()})]
+        keys = [solver._entry_key(side) for side in (objective, {j: -c for j, c in objective.items()})]
         entry, other = (BASES.get(key) for key in keys)
         broken = entry._replace(dual=self.corrupted(lp, entry, other, "flip"))
         BASES.put(keys[0], broken, 1)
@@ -874,13 +932,13 @@ class TestStoredDuals:
         # The feasibility entry's one generator made wrong: a coordinate of
         # its point moved by 1/2^20 (to one that breaks a row), or one entry
         # of its right sides changed.
-        from entroflow.highs import BASES, entry_key
+        from entroflow.highs import BASES
         from entroflow.rows import Sparse
 
         lp, claims = contract_chain((1, 1, 2), "v[1]-lower")
         BASES.clear()
         cold, solver = self.chain(lp, claims)
-        key = entry_key(solver._store[0], solver._cost({}))
+        key = solver._entry_key({})
         entry = BASES.get(key)
         ((rhs, x),) = entry.points
         if kind == "point":
