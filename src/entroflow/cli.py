@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 from entroflow import entropy as ent
 from entroflow import network as net
 from entroflow.codes import (
+    BudgetExceededError,
     check_admissible,
     code_from_json,
     code_to_json,
@@ -415,7 +416,7 @@ def _verify_uniform_witness(args, report: _Report) -> bool:
     from entroflow.codes import induced_joint_distribution
 
     dist = induced_joint_distribution(code)
-    verdict = check_admissible(code, dist=dist)
+    verdict = check_admissible(code)
     report.add("witness-code", verdict.admissible, verdict.describe())
     marginal = dist.marginal(q.names())  # the V streams, by q's names (KeyError on an unknown one)
     sizes = dict(dist.variables)
@@ -574,7 +575,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:  # an enumeration past its budget: no verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

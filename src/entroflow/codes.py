@@ -14,9 +14,13 @@ each encoder's inputs, each sink's inputs and each wiretap's view once;
 codes and the search look input values up by those names.
 
 All admissibility decisions are exact.  Zero-error decoding and perfect
-secrecy are decided on the induced rational joint distribution; the
-alphabet-versus-capacity and rate checks compare integer powers, never
-logarithms.
+secrecy are decided check by check, each on the exact marginal of its own
+variables: the product of the sources and randomness those variables
+depend on, where a message depends on an encoder input only if its table
+varies with that input.  `DEFAULT_OUTCOME_BUDGET` bounds each such
+product, not the product of every source and randomness support, which
+`induced_joint_distribution` enumerates.  The alphabet-versus-capacity and
+rate checks compare integer powers, never logarithms.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +40,6 @@ from entroflow.entropy import (
     _json_object,
     _json_int,
     as_fraction,
-    check_functional_dependency,
     check_independence,
 )
 from entroflow.network import (
@@ -163,6 +167,41 @@ class LocalEncoder:
         return self.table[idx]
 
 
+def _essential_inputs(enc: LocalEncoder) -> tuple[tuple[int, int], ...]:
+    """(position, stride) of each input the table varies with, decided
+    exactly.
+
+    Input i of size n and stride k cuts the row-major table into blocks of
+    n runs of k entries, run j holding the entries with input i at j; the
+    table ignores input i iff every block is n equal runs.  Each block is
+    compared with itself shifted by one run, or each run position is
+    compared across all blocks with one strided slice per run, whichever
+    takes fewer slices.
+    """
+    table = enc.table
+    size = len(table)
+    if table.count(table[0]) == size:
+        return ()
+    out = []
+    block = size
+    for i, n in enumerate(enc.input_sizes):
+        stride = block // n
+        if n > 1:
+            if size // block <= (n - 1) * stride:
+                for b in range(0, size, block):
+                    if table[b + stride : b + block] != table[b : b + block - stride]:
+                        out.append((i, stride))
+                        break
+            else:
+                for r in range(stride):
+                    first = table[r::block]
+                    if any(table[r + j * stride :: block] != first for j in range(1, n)):
+                        out.append((i, stride))
+                        break
+        block = stride
+    return tuple(out)
+
+
 def _variable_sizes(
     sources: Mapping[str, int],
     edges: Mapping[str, int],
@@ -232,6 +271,28 @@ class NetworkCode:
             for name in ancestral_order(problem)
             if name not in sessions
         )
+
+    @cached_property
+    def _dependence(
+        self,
+    ) -> tuple[tuple[str, ...], dict[str, tuple[tuple[str, int], ...]], dict[str, int]]:
+        """What each message depends on, read off the encoder tables.
+
+        Returns the roots (sessions, then node randomness, each sorted),
+        per message the inputs its table varies with as (variable, stride
+        in the table), and per variable the bit mask of the roots it
+        depends on through those inputs (bit i for root i).
+        """
+        roots = self.session_order() + tuple(map(randomness_variable, self.randomness_order()))
+        mask = {r: 1 << i for i, r in enumerate(roots)}
+        reads = {}
+        for m, enc, names in self._encoder_steps:
+            reads[m] = tuple((names[i], stride) for i, stride in _essential_inputs(enc))
+            bits = 0
+            for x, _ in reads[m]:
+                bits |= mask[x]
+            mask[m] = bits
+        return roots, reads, mask
 
     def _encode(self, env: dict[str, int]) -> dict[str, int]:
         """Add every message to `env`, which holds the sessions and `V_<node>`."""
@@ -389,44 +450,35 @@ def induced_joint_distribution(
     return JointDistribution.of(tuple(variables), pmf)
 
 
-def check_zero_error(
-    code: NetworkCode, dist: Optional[JointDistribution] = None
-) -> tuple[bool, list[tuple[str, str]]]:
-    """Exact decodability at every sink for every demanded session."""
-    problem = code.problem
-    dist = dist or induced_joint_distribution(code)
-    failures: list[tuple[str, str]] = []
-    for sink, demanded in problem.demands().items():
-        givens = problem.sink_inputs(sink)
-        for sid in demanded:
-            if sid not in givens and not check_functional_dependency(dist, sid, givens):
-                failures.append((sink, sid))
-    return not failures, failures
+def check_zero_error(code: NetworkCode) -> tuple[bool, list[tuple[str, str]]]:
+    """Exact decodability at every sink for every demanded session.
+
+    Each sink is decided on the joint marginal of its inputs and the
+    demanded sessions, enumerated over the product of the sources and
+    randomness its inputs depend on (see `_Marginals`).
+    """
+    return _zero_error(_Marginals(code))
 
 
-def check_secrecy(
-    code: NetworkCode, dist: Optional[JointDistribution] = None
-) -> tuple[bool, list[int]]:
-    """Exact zero-leakage check for every wiretap."""
-    problem = code.problem
-    if not problem.wiretaps.taps:
-        return True, []
-    dist = dist or induced_joint_distribution(code)
-    failures: list[int] = []
-    for i, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
-        targets = tuple(tap.sources)
-        if not targets or not observed:
-            continue
-        if not check_independence(dist, targets, observed):
-            failures.append(i)
-    return not failures, failures
+def check_secrecy(code: NetworkCode) -> tuple[bool, list[int]]:
+    """Exact zero-leakage check for every wiretap.
+
+    Each wiretap is decided on the joint marginal of its sources and the
+    messages it observes, enumerated over the product of the sources and
+    randomness those messages depend on, by factorizing integer outcome
+    weights (see `_Marginals`).
+    """
+    return _secrecy(_Marginals(code))
 
 
-def check_admissible(code: NetworkCode, dist: Optional[JointDistribution] = None) -> Verdict:
+def check_admissible(code: NetworkCode) -> Verdict:
     """Alphabet-capacity, rate, zero-error, and secrecy checks, all exact.
 
-    `dist`, when given, must be the code's induced joint distribution; it
-    saves computing it again.  It shares no code with the search's
+    Zero-error and secrecy are decided check by check, each on the
+    product of the sources and randomness its own variables depend on;
+    checks over the same roots share one enumeration, and
+    `DEFAULT_OUTCOME_BUDGET` bounds each of them (`BudgetExceededError`
+    past it).  The engine shares no code with the search's
     `_SearchPlan.admissible_tables`, so it re-checks what the search finds
     independently.
     """
@@ -444,14 +496,162 @@ def check_admissible(code: NetworkCode, dist: Optional[JointDistribution] = None
         if not alphabet_meets_rate(size, s.rate):
             reasons.append(("rate", s.id, f"alphabet {size} below 2^{s.rate}"))
     if not reasons:
-        dist = dist or induced_joint_distribution(code)
-        ok, failures = check_zero_error(code, dist)
+        marginals = _Marginals(code)
+        ok, failures = _zero_error(marginals)
         for sink, sid in failures:
             reasons.append(("decode", sink, sid))
-        ok, taps = check_secrecy(code, dist)
+        ok, taps = _secrecy(marginals)
         for i in taps:
             reasons.append(("leak", str(i)))
     return Verdict(not reasons, tuple(reasons))
+
+
+def _zero_error(marginals: "_Marginals") -> tuple[bool, list[tuple[str, str]]]:
+    """One enumeration per sink, over the roots its inputs depend on.  A
+    demanded session outside those roots is independent of the inputs and
+    uniform on its alphabet, so the sink decodes it iff the alphabet has
+    one symbol."""
+    code = marginals.code
+    problem = code.problem
+    failures: list[tuple[str, str]] = []
+    for sink, demanded in problem.demands().items():
+        givens = problem.sink_inputs(sink)
+        k = len(givens)
+        roots = marginals.mask(givens)
+        inside = tuple(sid for sid in demanded if sid not in givens and marginals.mask((sid,)) & roots)
+        if inside:
+            cols = marginals.columns(givens + inside)[0]
+            keys = cols[0] if k == 1 else list(zip(*cols[:k]))
+            count = len(set(keys))
+        for sid in demanded:
+            if sid in givens:
+                continue
+            if sid in inside:
+                # A function of the inputs iff pairing it with them splits
+                # no input value.
+                decodes = len(set(zip(keys, cols[k + inside.index(sid)]))) == count
+            else:
+                decodes = code.source_alphabets[sid] == 1
+            if not decodes:
+                failures.append((sink, sid))
+    return not failures, failures
+
+
+def _secrecy(marginals: "_Marginals") -> tuple[bool, list[int]]:
+    """One enumeration per wiretap, over the roots its observed messages
+    depend on.  A tapped source outside those roots is independent of them
+    and of the other sources, so it adds nothing to the leakage."""
+    problem = marginals.code.problem
+    failures: list[int] = []
+    for i, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
+        roots = marginals.mask(observed)
+        targets = tuple(sid for sid in tap.sources if marginals.mask((sid,)) & roots)
+        if not targets:
+            continue
+        cols, weights, total = marginals.columns(targets + observed)
+        a = list(zip(*cols[: len(targets)]))
+        b = list(zip(*cols[len(targets) :]))
+        if weights is None:
+            joint, left, right = Counter(zip(a, b)), Counter(a), Counter(b)
+        else:
+            joint, left, right = Counter(), Counter(), Counter()
+            for x, y, w in zip(a, b, weights):
+                joint[x, y] += w
+                left[x] += w
+                right[y] += w
+        # I(A;B) = 0 iff P(a, b) = P(a) P(b) everywhere, with every
+        # probability a weight over `total`.
+        if len(joint) != len(left) * len(right) or any(
+            w * total != left[x] * right[y] for (x, y), w in joint.items()
+        ):
+            failures.append(i)
+    return not failures, failures
+
+
+class _Marginals:
+    """Exact marginals of a code's variables, one enumeration per root set.
+
+    A root is a session or a node's randomness.  Roots are mutually
+    independent, and every message is a function of the roots it depends
+    on (`NetworkCode._dependence`).  So the product of the roots that a
+    group of variables depends on, each outcome weighted by its
+    probability, gives the group's exact joint marginal.  One enumeration
+    is kept per root set: a list of values per root and, computed from
+    its inputs' lists in ancestral order, per message that depends on
+    those roots only.  Outcome weights are integers over one common
+    denominator: a source weighs 1 per symbol, a node's randomness the
+    numerators of its pmf over their least common denominator; `weights`
+    is None when every outcome weighs the same.  `DEFAULT_OUTCOME_BUDGET`
+    bounds the outcomes of each root set.
+    """
+
+    def __init__(self, code: NetworkCode) -> None:
+        self.code = code
+        self._roots, self._reads, self._mask = code._dependence
+        # root mask -> (value list per variable, weights, total weight)
+        self._blocks: dict[int, tuple[dict[str, list[int]], Optional[list[int]], int]] = {}
+
+    def mask(self, names: Sequence[str]) -> int:
+        """The bit mask of the roots `names` depend on."""
+        bits = 0
+        for name in names:
+            bits |= self._mask[name]
+        return bits
+
+    def columns(self, names: Sequence[str]) -> tuple[list[list[int]], Optional[list[int]], int]:
+        """The value lists of `names` over the product of their roots, the
+        outcome weights (None when all are equal) and their total."""
+        mask = self.mask(names)
+        block = self._blocks.get(mask)
+        if block is None:
+            block = self._blocks[mask] = self._enumerate(mask)
+        values, weights, total = block
+        return [values[name] for name in names], weights, total
+
+    def _enumerate(self, mask: int) -> tuple[dict[str, list[int]], Optional[list[int]], int]:
+        code = self.code
+        by_variable = {randomness_variable(node): rnd for node, rnd in code.randomness.items()}
+        roots = [r for i, r in enumerate(self._roots) if mask >> i & 1]
+        supports: list[Sequence[int]] = []
+        numerators: list[Optional[list[int]]] = []
+        for r in roots:
+            rnd = by_variable.get(r)
+            if rnd is None:
+                supports.append(range(code.source_alphabets[r]))
+                numerators.append(None)
+                continue
+            support = rnd.support()
+            den = math.lcm(*(rnd.pmf[v].denominator for v in support))
+            nums = [rnd.pmf[v].numerator * (den // rnd.pmf[v].denominator) for v in support]
+            supports.append(support)
+            numerators.append(None if len(set(nums)) == 1 else nums)
+        size = math.prod(map(len, supports))
+        if size > DEFAULT_OUTCOME_BUDGET:
+            raise BudgetExceededError(
+                f"{size} outcome points exceed the budget of {DEFAULT_OUTCOME_BUDGET}"
+            )
+        values: dict[str, list[int]] = {}
+        weights: Optional[list[int]] = None
+        inner, outer = size, 1
+        for r, support, nums in zip(roots, supports, numerators):
+            inner //= len(support)
+            values[r] = [v for v in support for _ in range(inner)] * outer
+            if nums is not None:
+                col = [w for w in nums for _ in range(inner)] * outer
+                weights = col if weights is None else [a * b for a, b in zip(weights, col)]
+            outer *= len(support)
+        for m in code.problem.messages:
+            if self._mask[m] & ~mask:
+                continue
+            table, index = code.encoders[m].table, None
+            for x, stride in self._reads[m]:
+                col = values[x]
+                if index is None:
+                    index = col if stride == 1 else [v * stride for v in col]
+                else:
+                    index = [i + v * stride for i, v in zip(index, col)]
+            values[m] = [table[0]] * size if index is None else list(map(table.__getitem__, index))
+        return values, weights, size if weights is None else sum(weights)
 
 
 @dataclass(frozen=True)

@@ -965,8 +965,9 @@ def compose_adhered_code(gadget: AdheredGadget, inner_code: NetworkCode) -> Netw
             else:
                 keys.append(gadget.key_edges[g])  # a session decoded at its origin
 
+        # An input combination the inner code never produces maps to 0.
         def w4(v, keys=tuple(keys), table=table):
-            return table[tuple(v[k] for k in keys)]
+            return table.get(tuple(v[k] for k in keys), 0)
 
         builder.edge(f"W4[{tag}]", key_size[sid], w4)
     return builder.build()

@@ -118,7 +118,7 @@ def test_c03_one_time_pad_converse():
     for c, d in ((1, 2), (2, 3)):
         code = otp_code(c, d)
         dist = induced_joint_distribution(code)
-        ok, failures = check_zero_error(code, dist=dist)
+        ok, failures = check_zero_error(code)
         assert ok and not failures, (c, d)
         assert check_independence(dist, "X", "W3"), (c, d)
         assert check_admissible(code), (c, d)

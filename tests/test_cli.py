@@ -271,6 +271,22 @@ class TestCheckCode:
         assert main(["search-code", problem_file, "--out", out_file]) == 0
         assert main(["check-code", problem_file, out_file]) == 0
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_check_past_the_outcome_budget_exits_3(self, tmp_path, capsys, as_json):
+        # The sink's check depends on X and two 5,000-symbol randomness
+        # nodes: 5 * 10^7 outcomes, past the budget, so there is no verdict.
+        from entroflow.codes import code_to_json
+        from test_codes import two_wide_randomness_code
+
+        code = two_wide_randomness_code()
+        problem_file = write(tmp_path, "net.json", serialize(code.problem))
+        code_file = write(tmp_path, "code.json", code_to_json(code))
+        argv = ["check-code", problem_file, code_file]
+        assert main(["--json"] * as_json + argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 50000000 outcome points exceed the budget of 10000000\n"
+
 
 class TestGadget:
     def test_secure_writes_problem_and_contract(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 import entroflow
 from entroflow import network
 from entroflow.codes import (
+    BudgetExceededError,
     CodeBuilder,
     NodeRandomness,
     alphabet_fits_capacity,
@@ -24,8 +26,9 @@ from entroflow.codes import (
     exhaustive_search,
     induced_joint_distribution,
     minimal_source_alphabet,
+    Verdict,
 )
-from entroflow.entropy import EntropyVector, check_independence
+from entroflow.entropy import EntropyVector, check_functional_dependency, check_independence
 from entroflow.gadgets import incremental_code, quasi_uniform_library
 from entroflow.network import Capacity, parse
 
@@ -231,7 +234,7 @@ class TestAdmissible:
     def test_pad(self):
         assert check_admissible(pad_code())
 
-    def test_given_distribution_gives_the_same_verdict(self):
+    def test_verdict_equals_the_full_product(self):
         leaky = (
             CodeBuilder(pad_problem())
             .source("X", 2)
@@ -241,8 +244,246 @@ class TestAdmissible:
         )
         assert not check_admissible(leaky)
         for code in (relay_code(), pad_code(), butterfly_code(), leaky):
-            dist = induced_joint_distribution(code)
-            assert check_admissible(code, dist=dist) == check_admissible(code)
+            assert check_admissible(code) == full_product_verdict(code)
+
+
+def full_product_verdict(code):
+    """`check_admissible`'s verdict decided on the induced joint
+    distribution over every source and randomness support: the reference
+    the per-check engine must agree with, reason order included."""
+    problem = code.problem
+    net = problem.network
+    reasons = []
+    for e in net.edges:
+        size = code.edge_alphabets[net.message_of(e.id)]
+        if not alphabet_fits_capacity(size, e.capacity):
+            reasons.append(("capacity", e.id, f"alphabet {size} exceeds 2^{e.capacity}"))
+    for s in problem.requirement.sessions:
+        size = code.source_alphabets[s.id]
+        if not alphabet_meets_rate(size, s.rate):
+            reasons.append(("rate", s.id, f"alphabet {size} below 2^{s.rate}"))
+    if not reasons:
+        dist = induced_joint_distribution(code)
+        for sink, demanded in problem.demands().items():
+            givens = problem.sink_inputs(sink)
+            for sid in demanded:
+                if sid not in givens and not check_functional_dependency(dist, sid, givens):
+                    reasons.append(("decode", sink, sid))
+        for i, (tap, observed) in enumerate(zip(problem.wiretaps.taps, problem.wiretap_views)):
+            if tap.sources and observed and not check_independence(dist, tuple(tap.sources), observed):
+                reasons.append(("leak", str(i)))
+    return Verdict(not reasons, tuple(reasons))
+
+
+def tampered(code, message, entry):
+    """`code` with one entry of one encoder table moved to the next symbol."""
+    enc = code.encoders[message]
+    table = list(enc.table)
+    table[entry] = (table[entry] + 1) % enc.output_size
+    encoders = dict(code.encoders)
+    encoders[message] = dataclasses.replace(enc, table=tuple(table))
+    return dataclasses.replace(code, encoders=encoders)
+
+
+def random_dag_problem(rng, randomness):
+    """A small DAG with one or two sessions, random demands and wiretaps,
+    and (with `randomness`) randomness at the source node and maybe one
+    more."""
+    relays = [f"m{i}" for i in range(rng.randint(1, 2))]
+    sinks = [f"t{i + 1}" for i in range(rng.randint(1, 2))]
+    tails = ["s"] + relays
+    order = tails + sinks
+    pairs = [(rng.choice(order[: order.index(v)][: len(tails)]), v) for v in relays + sinks]
+    for _ in range(rng.randint(0, 2)):
+        u = rng.choice(tails)
+        pairs.append((u, rng.choice(order[order.index(u) + 1 :])))
+    edges = [
+        {"id": f"e{k}", "tail": u, "head": v, "capacity": "2"}
+        for k, (u, v) in enumerate(pairs)
+    ]
+    sessions = [{"id": "X", "rate": "1", "origin": "s", "sinks": rng.sample(sinks, rng.randint(1, len(sinks)))}]
+    if rng.random() < 0.5:
+        sessions.append({"id": "Y", "rate": "1", "origin": rng.choice(tails), "sinks": [rng.choice(sinks)]})
+    doc = {"nodes": order, "edges": edges, "sessions": sessions}
+    taps = []
+    for _ in range(rng.randint(0, 2)):
+        sources = rng.sample([s["id"] for s in sessions], rng.randint(1, len(sessions)))
+        taps.append({"sources": sources, "edges": rng.sample([e["id"] for e in edges], rng.randint(1, 2))})
+    if taps:
+        doc["wiretaps"] = taps
+    if randomness:
+        doc["randomness"] = sorted({"s", rng.choice(tails)})
+    import json
+
+    return parse(json.dumps(doc))
+
+
+def random_code(rng, problem):
+    """Random tables over `problem`, each a random function of a random
+    subset of its inputs; randomness uniform or skewed 1/3-2/3."""
+    builder = CodeBuilder(problem)
+    for s in problem.requirement.sessions:
+        builder.source(s.id, rng.choice([2, 2, 3]))
+    for node in problem.randomness_nodes:
+        builder.randomness(node, rng.choice([2, 3, ["1/3", "2/3"]]))
+    for m in problem.messages:
+        refs = problem.encoder_inputs(m, problem.randomness_nodes)
+        names = ["V" if kind == "randomness" else name for kind, name in refs]
+        read = [x for x in names if rng.random() < 0.7]
+        size = rng.choice([1, 2, 2, 3])
+        values = {}
+        builder.edge(
+            m,
+            size,
+            lambda v, read=read, size=size, values=values: values.setdefault(
+                tuple(v[x] for x in read), rng.randrange(size)
+            ),
+        )
+    return builder.build()
+
+
+class TestPerCheckEngine:
+    """`check_admissible` decides each zero-error and wiretap check on the
+    product of the roots its own variables depend on; every verdict must
+    equal the full-product reference."""
+
+    def test_differential_on_the_checked_codes(self):
+        from entroflow.gadgets import adhere, compose_adhered_code, otp_code
+
+        single = simple_problem([("e", "u", "v", 1)], [("S", 1, "u", ("v",))])
+        single_code = CodeBuilder(single).source("S", 2).edge("e", 2, lambda v: v["S"]).build()
+        codes = [relay_code(), pad_code(), butterfly_code(), otp_code(1, 2), otp_code(2, 3)]
+        codes += [incremental_code(q) for q in quasi_uniform_library().values()]
+        codes.append(compose_adhered_code(adhere(single), single_code))
+        codes.append(compose_adhered_code(adhere(butterfly()), butterfly_code()))
+        codes.append(exhaustive_search(butterfly(), alphabet_bounds=2).code)
+        codes.append(exhaustive_search(pad_problem(), alphabet_bounds=2, allow_randomness=True).code)
+        for code in codes:
+            verdict = check_admissible(code)
+            assert verdict, verdict.describe()
+            assert verdict == full_product_verdict(code)
+
+    def test_differential_on_tampered_witnesses(self, rng):
+        from entroflow.gadgets import otp_code
+
+        rejected = 0
+        for code in (
+            incremental_code(quasi_uniform_library()["independent-bits"]),
+            incremental_code(quasi_uniform_library()["xor-triple"]),
+            otp_code(1, 2),
+        ):
+            for m, enc in code.encoders.items():
+                if enc.output_size < 2:
+                    continue
+                bad = tampered(code, m, rng.randrange(len(enc.table)))
+                verdict = check_admissible(bad)
+                assert verdict == full_product_verdict(bad), m
+                rejected += not verdict
+        assert rejected >= 20
+
+    @pytest.mark.parametrize("randomness", [False, True])
+    def test_differential_on_random_tables(self, rng, randomness):
+        verdicts = []
+        skewed = 0
+        for _ in range(150):
+            code = random_code(rng, random_dag_problem(rng, randomness))
+            skewed += any(len(set(r.pmf)) > 1 for r in code.randomness.values())
+            verdict = check_admissible(code)
+            assert verdict == full_product_verdict(code), code_to_json(code)
+            verdicts.append(verdict)
+        reasons = {r[0] for v in verdicts for r in v.reasons}
+        # Both verdicts occur, and every kind of reason the engine decides.
+        assert any(verdicts) and not all(verdicts)
+        assert {"decode", "leak"} <= reasons
+        assert skewed if randomness else not skewed
+
+    def test_differential_on_search_outputs(self, rng):
+        found = 0
+        for k in range(20):
+            p = random_dag_problem(rng, k % 2 == 1)
+            out = exhaustive_search(p, 2, allow_randomness=k % 2 == 1, budget=3000)
+            if out.code is not None:
+                found += 1
+                assert check_admissible(out.code) == full_product_verdict(out.code)
+                assert check_admissible(out.code)
+        assert found >= 3
+
+    def test_a_skewed_pad_leaks(self):
+        code = (
+            CodeBuilder(pad_problem())
+            .source("X", 2)
+            .randomness("s", ["1/3", "2/3"])
+            .edge("e1", 2, lambda v: v["V"])
+            .edge("e2", 2, lambda v: v["X"] ^ v["V"])
+            .build()
+        )
+        assert check_admissible(code).describe() == "leak:1"
+        assert check_secrecy(code) == (False, [1])
+
+    def test_an_ignored_input_adds_no_root(self):
+        # e2's tail holds Y and receives e1, but e2 reads e1 only.
+        p = simple_problem(
+            [("e1", "s", "a", 1), ("e2", "a", "t", 1)],
+            [("S", 1, "s", ("t",)), ("Y", 1, "a", ("t",))],
+        )
+        code = (
+            CodeBuilder(p)
+            .source("S", 2)
+            .source("Y", 2)
+            .edge("e1", 2, lambda v: v["S"])
+            .edge("e2", 2, lambda v: v["e1"])
+            .build()
+        )
+        assert code.encoders["e2"].inputs == (("session", "Y"), ("edge", "e1"))
+        roots, reads, mask = code._dependence
+        assert roots == ("S", "Y")
+        assert reads == {"e1": (("S", 1),), "e2": (("e1", 1),)}
+        assert mask == {"S": 1, "Y": 2, "e1": 1, "e2": 1}
+        assert check_admissible(code).describe() == "decode:t:Y"
+        reads_y = tampered(code, "e2", 2)  # (Y, e1) = (1, 0) now gives 1: e2 = S or Y
+        assert reads_y._dependence[1]["e2"] == (("Y", 2), ("e1", 1))
+        assert reads_y._dependence[2]["e2"] == 3
+        assert check_admissible(reads_y).describe() == "decode:t:S; decode:t:Y"
+        for c in (code, reads_y):
+            assert check_admissible(c) == full_product_verdict(c)
+
+    def test_the_budget_bounds_each_check_not_the_product(self):
+        # Eight independent 3-bit relays: 8^8 outcomes in all, 8 per check.
+        pairs = [(f"e{i}", f"s{i}", f"t{i}", 3) for i in range(8)]
+        p = simple_problem(pairs, [(f"X{i}", 3, f"s{i}", (f"t{i}",)) for i in range(8)])
+        builder = CodeBuilder(p)
+        for i in range(8):
+            builder.source(f"X{i}", 8).edge(f"e{i}", 8, lambda v, x=f"X{i}": v[x])
+        code = builder.build()
+        with pytest.raises(BudgetExceededError):
+            induced_joint_distribution(code)
+        assert check_admissible(code)
+
+    def test_a_check_past_the_budget_is_no_verdict(self):
+        code = two_wide_randomness_code()
+        with pytest.raises(BudgetExceededError, match="50000000 outcome points exceed the budget of 10000000"):
+            check_admissible(code)
+        with pytest.raises(BudgetExceededError):
+            check_zero_error(code)
+
+
+def two_wide_randomness_code():
+    """X masked by the parity of a 5,000-symbol randomness at s, then again
+    at a: the sink's check depends on X and both, 2 * 5000^2 outcomes."""
+    p = simple_problem(
+        [("e1", "s", "a", 1), ("e2", "a", "t", 1)],
+        [("X", 1, "s", ("t",))],
+        randomness_nodes=("a", "s"),
+    )
+    return (
+        CodeBuilder(p)
+        .source("X", 2)
+        .randomness("s", 5000)
+        .randomness("a", 5000)
+        .edge("e1", 2, lambda v: v["X"] ^ (v["V"] % 2))
+        .edge("e2", 2, lambda v: v["e1"] ^ (v["V"] % 2))
+        .build()
+    )
 
 
 class TestDerivedOnce:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from entroflow.codes import (
+    BudgetExceededError,
     CodeBuilder,
     check_admissible,
     check_secrecy,
@@ -662,6 +664,20 @@ class TestOtpCode:
         assert ok, failures
 
 
+def flipped_where_zero(code, edge, zero):
+    """`code` with `edge`'s output moved to the next symbol wherever its
+    inputs named in `zero` are all 0."""
+    enc = code.encoders[edge]
+    names = [code.problem.input_variable(ref) for ref in enc.inputs]
+    at = [names.index(x) for x in zero]
+    table = list(enc.table)
+    for k, combo in enumerate(itertools.product(*map(range, enc.input_sizes))):
+        if not any(combo[i] for i in at):
+            table[k] = (table[k] + 1) % enc.output_size
+    encoders = {**code.encoders, edge: dataclasses.replace(enc, table=tuple(table))}
+    return dataclasses.replace(code, encoders=encoders)
+
+
 class TestAdhere:
     def test_single_edge_composition(self):
         inner = simple_problem([("e", "u", "v", 1)], [("S", 1, "u", ("v",))])
@@ -704,6 +720,32 @@ class TestAdhere:
         assert list(gadget.copy_sessions) == demands
         shells = [ob.name for ob in gadget.contract.obligations if ob.name.startswith("shell-cut")]
         assert shells == [f"shell-cut[{sid}.{sink}]" for sid, sink in demands]
+
+    @pytest.mark.parametrize("law", ["independent-bits", "duplicated-bit"])
+    def test_adhered_incremental_witness(self, law):
+        # 13 copies of 16 symbols each and two 4-symbol keys: far past the
+        # outcome budget as one product, but each check reads one copy's
+        # source and the keys, because K[s] reads only the randomness of
+        # enc[s] and not the W1 inputs its tail receives.
+        inner = incremental_code(quasi_uniform_library()[law])
+        gadget = adhere(inner.problem)
+        code = compose_adhered_code(gadget, inner)
+        with pytest.raises(BudgetExceededError):
+            induced_joint_distribution(code)
+        verdict = check_admissible(code)
+        assert verdict, verdict.describe()
+        # W3 = W1 + key of its own copy: flip its value at W1 = key = 0,
+        # whatever the other copies' W1.  W4 relays the decoded key: flip
+        # it where every input is 0.
+        sid, sink = gadget.copies[0]
+        tag = f"{sid}.{sink}"
+        w4 = code.encoders[f"W4[{tag}]"]
+        for edge, zero in (
+            (f"W3[{tag}]", (f"W1[{tag}]", f"V_enc[{sid}]")),
+            (f"W4[{tag}]", tuple(map(code.problem.input_variable, w4.inputs))),
+        ):
+            verdict = check_admissible(flipped_where_zero(code, edge, zero))
+            assert ("decode", f"snk[{tag}]", f"X[{tag}]") in verdict.reasons, edge
 
     def test_rejects_wiretapped_inner(self):
         from test_codes import pad_problem
